@@ -15,7 +15,6 @@ from .characteristics import (
     CharacteristicPath,
     DriftReport,
     SignReport,
-    advance_path,
     c_prime_sign_along,
     find_intersection,
     u_drift_along,
@@ -75,7 +74,6 @@ from .solver import (
     Stepper,
     init_state,
     run,
-    step,
 )
 from .speed_models import (
     ConstantSpeed,
@@ -83,8 +81,6 @@ from .speed_models import (
     SpeedBoundsReport,
     TabulatedSpeed,
     WaveSpeedModel,
-    eval_c,
-    eval_c_prime,
     validate_bounds,
 )
 

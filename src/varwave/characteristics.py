@@ -10,6 +10,7 @@ of (u, R, S) are taken at every solver time level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -17,6 +18,9 @@ from .errors import NoIntersection, PathLeftDomain
 from .initial_data import ProblemSetup
 from .solver import Grid, GridState
 from .speed_models import WaveSpeedModel
+
+if TYPE_CHECKING:
+    from .diagnostics import TheoremConstants
 
 _FAMILY_SIGN = {"plus": 1.0, "minus": -1.0}
 
@@ -109,14 +113,6 @@ class CharacteristicPath:
         }
 
 
-def advance_path(
-    path: CharacteristicPath, state_before: GridState, state_after: GridState
-) -> CharacteristicPath:
-    """Functional-style wrapper over CharacteristicPath.advance."""
-    path.advance(state_before, state_after)
-    return path
-
-
 def find_intersection(
     plus: CharacteristicPath, minus: CharacteristicPath
 ) -> tuple[float, float]:
@@ -184,12 +180,13 @@ class SignReport:
     ok: bool
 
 
-def u_drift_along(path: CharacteristicPath, setup: ProblemSetup) -> DriftReport:
-    """Max |u(t, r(t)) - u(start)| along the path versus sqrt(K (r0-eps)/(c0 c1)) * sqrt(eps)."""
-    from .diagnostics import compute_constants
+def u_drift_along(path: CharacteristicPath, constants: TheoremConstants) -> DriftReport:
+    """Max |u(t, r(t)) - u(start)| along the path versus sqrt(K (r0-eps)/(c0 c1)) * sqrt(eps).
 
-    # the drift bound only needs the energy constant, not c'(u0) > 0
-    constants = compute_constants(setup, require_hypothesis=False)
+    ``constants`` are the TheoremConstants of the run's setup; the drift
+    bound only needs the energy constant, so they may come from
+    compute_constants(setup, require_hypothesis=False).
+    """
     u = np.asarray(path.u)
     drift = float(np.max(np.abs(u - u[0]))) if u.size else 0.0
     bound = constants.u_drift_bound

@@ -3,7 +3,7 @@
     varwave simulate|triangle|eps-sweep|convergence --config cfg.json
             [--out-dir DIR] [--svg]
 
-The configuration is one JSON document (see README for the schema).  Every
+The configuration is one JSON document (see README.md for the schema).  Every
 CSV and SVG artifact starts with a comment header embedding the full
 config; JSON artifacts embed it under the "config" key (JSON has no
 comment syntax).  Identical configs produce bit-identical outputs: the
@@ -124,11 +124,12 @@ def build_setup(cfg: dict, eps_override: float | None = None) -> ProblemSetup:
 
 def build_scheme(cfg: dict) -> SchemeConfig:
     sc = cfg.get("scheme", {})
+    default = SchemeConfig()
     ceiling = sc.get("gradient_ceiling", "auto")
     return SchemeConfig(
-        cfl=float(sc.get("cfl", 0.9)),
-        scheme=sc.get("scheme", "upwind1"),
-        max_steps=int(sc.get("max_steps", 10_000_000)),
+        cfl=float(sc.get("cfl", default.cfl)),
+        scheme=sc.get("scheme", default.scheme),
+        max_steps=int(sc.get("max_steps", default.max_steps)),
         gradient_ceiling=None if ceiling == "auto" else float(ceiling),
     )
 
@@ -206,7 +207,7 @@ def _simulate_once(config: dict, out_dir: Path, svg: bool, eps_override=None) ->
 
     blowup = build_blowup_report(result, inv_s, constants, setup)
     verdict = blowup_verdict(blowup, constants, setup)
-    drift = u_drift_along(hat, setup)
+    drift = u_drift_along(hat, constants)
     sign = c_prime_sign_along(hat, setup)
     trace = EnergyTrace.from_observer(energy)
     doc = build_report(
@@ -292,9 +293,7 @@ def cmd_triangle(config: dict, out_dir: Path, svg: bool) -> int:
     grid = build_grid(config, setup)
     r1 = float(_require(exp, "r1", "experiment"))
     r2 = float(_require(exp, "r2", "experiment"))
-    report, plus, minus = triangle_identity(
-        setup, grid, cfg, r1, r2, with_paths=True
-    )
+    report, plus, minus = triangle_identity(setup, grid, cfg, r1, r2)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "plus_path.csv", config, plus.arrays())
     write_csv(out_dir / "minus_path.csv", config, minus.arrays())
@@ -464,13 +463,6 @@ _COMMANDS = {
     "convergence": cmd_convergence,
 }
 
-_EXPERIMENT_KIND = {
-    "simulate": "simulate",
-    "triangle": "triangle",
-    "eps-sweep": "eps_sweep",
-    "convergence": "convergence",
-}
-
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
@@ -492,7 +484,7 @@ def main(argv=None) -> int:
 
     try:
         kind = config.get("experiment", {}).get("kind")
-        if kind is not None and kind != _EXPERIMENT_KIND[args.command]:
+        if kind is not None and kind != args.command.replace("-", "_"):
             raise ConfigError(
                 f"config experiment kind '{kind}' does not match command "
                 f"'{args.command}'"

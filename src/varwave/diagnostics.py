@@ -36,15 +36,7 @@ from .characteristics import (
 )
 from .errors import HypothesisViolated, NoIntersection
 from .initial_data import PolynomialBump, ProblemSetup, initial_riemann
-from .solver import (
-    DEFAULT_CEILING_FACTOR,
-    Grid,
-    GridState,
-    RunResult,
-    SchemeConfig,
-    Stepper,
-    init_state,
-)
+from .solver import Grid, GridState, RunResult, SchemeConfig, run
 
 INEQUALITY_PASS_FRACTION = 0.95
 
@@ -258,16 +250,15 @@ def triangle_identity(
     cfg: SchemeConfig,
     r1: float,
     r2: float,
-    floor: float = 1e-30,
-    with_paths: bool = False,
-):
+) -> tuple[TriangleReport, CharacteristicPath, CharacteristicPath]:
     """Run until the bounding characteristics cross; compare the two sides.
 
     LHS = int_{r1}^{r_m} R^2(t_+(r), r) dr + int_{r_m}^{r2} S^2(t_-(r), r) dr
     by trapezoid in the path parameter; RHS = half the initial energy on
     [r1, r2].  Requires r2 - r1 < 2 c0 (r0 - eps)/c1 so the crossing
-    happens before t_final.  Raises NoIntersection when the run terminates
-    (t_final, gradient ceiling, or step budget) before the paths meet.
+    happens before t_final.  Returns the report and the two paths.  Raises
+    NoIntersection when the run ends any other way (t_final, gradient
+    ceiling, or step budget) before the paths meet.
     """
     if not (0.0 < r1 < r2):
         raise HypothesisViolated("need 0 < r1 < r2")
@@ -277,45 +268,18 @@ def triangle_identity(
             f"r2 - r1 = {r2 - r1} must be below 2 c0 (r0 - eps)/c1 = {gap_limit}"
         )
 
-    stepper = Stepper(setup, grid, cfg)
-    state = init_state(setup, grid)
     plus = CharacteristicPath("plus", r1, grid, setup.speed)
     minus = CharacteristicPath("minus", r2, grid, setup.speed)
-    plus(state)
-    minus(state)
-
-    g0, _ = stepper.gradient_max(state)
-    if cfg.gradient_ceiling is not None:
-        ceiling = cfg.gradient_ceiling
-    else:
-        ceiling = DEFAULT_CEILING_FACTOR * g0 if g0 > 0 else np.inf
-
-    t_final = setup.t_final
-    steps = 0
-    crossing = None
-    while crossing is None:
-        if state.t >= t_final - 1e-14 * t_final:
-            raise NoIntersection(
-                f"paths {r1} and {r2} did not cross before t_final={t_final}"
-            )
-        if steps >= cfg.max_steps:
-            raise NoIntersection("step budget exhausted before the paths crossed")
-        dt = min(stepper.base_dt, t_final - state.t)
-        state = stepper.step(state, dt)
-        steps += 1
-        plus(state)
-        minus(state)
-        if plus.r[-1] - minus.r[-1] >= 0.0:
-            crossing = find_intersection(plus, minus)
-            break
-        gmax, _ = stepper.gradient_max(state)
-        if gmax >= ceiling:
-            raise NoIntersection(
-                f"gradient ceiling {ceiling} crossed at t={state.t} before the "
-                "paths met; the field blew up inside the triangle"
-            )
-
-    t_m, r_m = crossing
+    result = run(
+        setup, grid, cfg, observers=(plus, minus),
+        stop=lambda state: plus.r[-1] >= minus.r[-1],
+    )
+    if result.reason != "stop":
+        raise NoIntersection(
+            f"paths {r1} and {r2} did not cross: run ended by "
+            f"{result.reason} at t={result.state.t}"
+        )
+    t_m, r_m = find_intersection(plus, minus)
     pa = truncate_at(plus, t_m)
     ma = truncate_at(minus, t_m)
     lhs_plus = float(np.trapezoid(pa["R"] ** 2, pa["r"]))
@@ -328,13 +292,11 @@ def triangle_identity(
     R0, S0 = initial_riemann(setup, rq)
     rhs = 0.5 * float(np.trapezoid(R0**2 + S0**2, rq))
 
-    residual = abs(lhs - rhs) / max(rhs, floor)
+    residual = abs(lhs - rhs) / max(rhs, 1e-30)
     report = TriangleReport(
         lhs=lhs, rhs=rhs, residual=residual, t_m=t_m, r_m=r_m, r1=r1, r2=r2
     )
-    if with_paths:
-        return report, plus, minus
-    return report
+    return report, plus, minus
 
 
 class InvSObserver:
@@ -573,10 +535,7 @@ def build_report(
             >= INEQUALITY_PASS_FRACTION,
             "t_star_within_paper_bound": verdict.t_star_within_paper_bound
             if verdict is not None
-            else (
-                blowup.t_star_extrapolated is not None
-                and blowup.t_star_extrapolated < constants.t_star_bound
-            ),
+            else None,
         }
         doc["blowup"] = {
             "detected": blowup.detected,

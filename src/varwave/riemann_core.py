@@ -60,14 +60,15 @@ def from_riemann(point: RiemannPoint, speed: WaveSpeedModel):
     return u_t, u_r
 
 
-def rhs_fields(r, ralpha, u, R, S, speed: WaveSpeedModel, alpha: float):
+def rhs_fields(inv_r, ralpha, c, c_prime, R, S, alpha: float):
     """Source terms (f_R, f_S) of the characteristic system, vectorized.
 
-    ``ralpha`` is r**alpha, precomputed once per grid by the caller.
+    ``inv_r`` is 1/r and ``ralpha`` is r**alpha, precomputed once per grid
+    by the caller; ``c`` and ``c_prime`` are the speed and its derivative
+    already evaluated at u, so each is computed once per stage.
     """
-    c = speed.c(u)
-    quad = speed.c_prime(u) / (4.0 * c * ralpha)
-    geom = alpha * c / r
+    quad = c_prime / (4.0 * c * ralpha)
+    geom = alpha * c * inv_r
     f_R = quad * (R * R - S * S) - geom * S
     f_S = quad * (S * S - R * R) + geom * R
     return f_R, f_S
@@ -76,7 +77,13 @@ def rhs_fields(r, ralpha, u, R, S, speed: WaveSpeedModel, alpha: float):
 def rhs(point: RiemannPoint, speed: WaveSpeedModel):
     """(f_R, f_S) at a single Riemann point."""
     f_R, f_S = rhs_fields(
-        point.r, point.r**point.alpha, point.u, point.R, point.S, speed, point.alpha
+        1.0 / point.r,
+        point.r**point.alpha,
+        speed.c(point.u),
+        speed.c_prime(point.u),
+        point.R,
+        point.S,
+        point.alpha,
     )
     return float(f_R), float(f_S)
 

@@ -14,18 +14,21 @@ Two schemes:
 The time step is cfl*h/c1 with the global speed bound c1, so the discrete
 domain of dependence always contains the physical one.  Fields at both
 boundary nodes are clamped to the quiescent state (u=u0, R=S=0), valid
-while the support stays interior.  The run loop stops at t_final, on a
+while the support stays interior.  ``run`` is the one march loop: it stops
+at t_end (t_final by default), when a caller's stop rule fires, on a
 gradient ceiling crossing (the blow-up signal), or on a step budget.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainMismatch, NonFiniteState
 from .initial_data import ProblemSetup, initial_fields, initial_riemann
+from .riemann_core import rhs_fields
 from .speed_models import WaveSpeedModel
 
 SCHEMES = ("upwind1", "muscl2")
@@ -124,12 +127,11 @@ class RunResult:
 
     state: GridState
     steps: int
-    reason: str  # "t_final" | "gradient_ceiling" | "max_steps"
+    reason: str  # "t_final" | "stop" | "gradient_ceiling" | "max_steps"
     detected: bool
     t_detect: float | None
     r_detect: float | None
     gradient_ceiling: float
-    observers: list = field(default_factory=list)
 
 
 def init_state(setup: ProblemSetup, grid: Grid) -> GridState:
@@ -168,10 +170,9 @@ class Stepper:
 
     def _tendencies(self, u, R, S):
         c = self.speed.c(u)
-        quad = self.speed.c_prime(u) / (4.0 * c * self.ralpha)
-        geom = self.alpha * c * self.inv_r
-        f_R = quad * (R * R - S * S) - geom * S
-        f_S = quad * (S * S - R * R) + geom * R
+        f_R, f_S = rhs_fields(
+            self.inv_r, self.ralpha, c, self.speed.c_prime(u), R, S, self.alpha
+        )
 
         h = self.h
         dR = np.zeros_like(R)
@@ -236,23 +237,22 @@ class Stepper:
         return float(g[i]), i
 
 
-def step(
-    state: GridState, setup: ProblemSetup, grid: Grid, cfg: SchemeConfig
-) -> GridState:
-    """Single-step convenience wrapper around Stepper."""
-    return Stepper(setup, grid, cfg).step(state)
-
-
 def run(
     setup: ProblemSetup,
     grid: Grid,
     cfg: SchemeConfig,
     observers: tuple = (),
+    t_end: float | None = None,
+    stop: Callable[[GridState], bool] | None = None,
 ) -> RunResult:
-    """March from t=0 until t_final, a gradient-ceiling crossing or max_steps.
+    """March from t=0 until t_end, a stop rule, a ceiling crossing or max_steps.
 
-    Observers are callables invoked with the state once at t=0 and after
-    every step, in list order.  NonFiniteState propagates with the last
+    t_end defaults to setup.t_final; the last step is shortened to land on
+    it, and reaching it reports reason "t_final".  Observers are callables
+    invoked with the state once at t=0 and after every step, in list order.
+    After the observers of a step, ``stop(state)`` is asked first: if it
+    returns True the run ends with reason "stop", even when the same step
+    crosses the gradient ceiling.  NonFiniteState propagates with the last
     finite state attached.
     """
     stepper = Stepper(setup, grid, cfg)
@@ -267,24 +267,28 @@ def run(
     for obs in observers:
         obs(state)
 
-    t_final = setup.t_final
+    if t_end is None:
+        t_end = setup.t_final
     steps = 0
     detected = False
     t_detect = None
     r_detect = None
     reason = "max_steps"
     while True:
-        if state.t >= t_final - 1e-14 * t_final:
+        if state.t >= t_end - 1e-14 * t_end:
             reason = "t_final"
             break
         if steps >= cfg.max_steps:
             reason = "max_steps"
             break
-        dt = min(stepper.base_dt, t_final - state.t)
+        dt = min(stepper.base_dt, t_end - state.t)
         state = stepper.step(state, dt)
         steps += 1
         for obs in observers:
             obs(state)
+        if stop is not None and stop(state):
+            reason = "stop"
+            break
         gmax, i = stepper.gradient_max(state)
         if gmax >= ceiling:
             detected = True
@@ -301,5 +305,4 @@ def run(
         t_detect=t_detect,
         r_detect=r_detect,
         gradient_ceiling=ceiling,
-        observers=list(observers),
     )

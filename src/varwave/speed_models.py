@@ -167,16 +167,6 @@ class TabulatedSpeed(WaveSpeedModel):
         return out if out.ndim else float(out)
 
 
-def eval_c(model: WaveSpeedModel, u):
-    """Speed c(u); total on any validated model."""
-    return model.c(u)
-
-
-def eval_c_prime(model: WaveSpeedModel, u):
-    """Derivative c'(u) of the wave speed."""
-    return model.c_prime(u)
-
-
 def validate_bounds(model: WaveSpeedModel, probe_count: int = 100_000) -> SpeedBoundsReport:
     """Sample c and c' on a dense probe grid and check the declared bounds.
 

@@ -3,13 +3,9 @@ import pytest
 
 from varwave import (
     ConstantSpeed,
-    Grid,
     OseenFrankSpeed,
     PolynomialBump,
     ProblemSetup,
-    SchemeConfig,
-    Stepper,
-    init_state,
 )
 
 SQRT2 = float(np.sqrt(2.0))
@@ -45,21 +41,3 @@ def gentle_setup(canonical_speed):
         speed=canonical_speed,
         profile=PolynomialBump(amplitude=2.0),
     )
-
-
-def march(setup, grid, cfg, t_end, observers=()):
-    """Step the solver to exactly t_end, invoking observers like run()."""
-    stepper = Stepper(setup, grid, cfg)
-    state = init_state(setup, grid)
-    for obs in observers:
-        obs(state)
-    while state.t < t_end - 1e-15:
-        state = stepper.step(state, min(stepper.base_dt, t_end - state.t))
-        for obs in observers:
-            obs(state)
-    return state
-
-
-@pytest.fixture(scope="session")
-def march_to():
-    return march

@@ -39,7 +39,7 @@ from varwave import (
     triangle_identity,
     u_drift_along,
 )
-from varwave.diagnostics import EnergyObserver, InvSObserver
+from varwave.diagnostics import EnergyObserver, EnergyTrace, InvSObserver
 
 SQRT2 = math.sqrt(2.0)
 CANONICAL = dict(d=3, r0=1.0, u0=math.pi / 4)
@@ -56,20 +56,6 @@ def canonical_speed():
 
 def canonical_setup(eps):
     return ProblemSetup.theorem(eps=eps, speed=canonical_speed(), **CANONICAL)
-
-
-def march_energy(setup, n, t_end):
-    """March to t_end recording the energy trace."""
-    grid = Grid.uniform(*setup.domain, n)
-    stepper = Stepper(setup, grid, SchemeConfig())
-    state = init_state(setup, grid)
-    obs = EnergyObserver(grid, setup.speed)
-    obs(state)
-    while state.t < t_end - 1e-15:
-        state = stepper.step(state, min(stepper.base_dt, t_end - state.t))
-        obs(state)
-    E = np.asarray(obs.E)
-    return float(np.max(np.abs(E - E[0])) / E[0])
 
 
 @pytest.fixture(scope="module")
@@ -114,23 +100,19 @@ def energy_anchor():
     setup = canonical_setup(0.1)
     grid = Grid.uniform(*setup.domain, 4096)
     stepper = Stepper(setup, grid, SchemeConfig())
-    state = init_state(setup, grid)
-    g0, _ = stepper.gradient_max(state)
-    peak_g, peak_t = g0, 0.0
-    detected_t = None
-    ceiling = 1e4 * g0
-    while state.t < setup.t_final - 1e-15:
-        state = stepper.step(state, min(stepper.base_dt, setup.t_final - state.t))
-        g, _ = stepper.gradient_max(state)
-        if g > peak_g:
-            peak_g, peak_t = g, state.t
-        if detected_t is None and g >= ceiling:
-            detected_t = state.t
-            break
+    history = []  # (max gradient, t) at t=0 and after every step
+
+    def track(state):
+        history.append((stepper.gradient_max(state)[0], state.t))
+
+    # the default ceiling is the 1e4x detection level
+    result = run(setup, grid, SchemeConfig(), observers=(track,))
+    g0 = history[0][0]
+    peak_g, peak_t = max(history, key=lambda gt: gt[0])
     return {
         "setup": setup,
-        "anchor": detected_t if detected_t is not None else peak_t,
-        "detected": detected_t is not None,
+        "anchor": result.t_detect if result.detected else peak_t,
+        "detected": result.detected,
         "peak_ratio": peak_g / g0,
     }
 
@@ -147,10 +129,7 @@ class TestCriterion1:
         errs = {}
         for n in (1024, 2048, 4096):
             grid = Grid.uniform(*setup.domain, n)
-            stepper = Stepper(setup, grid, SchemeConfig())
-            state = init_state(setup, grid)
-            while state.t < T - 1e-15:
-                state = stepper.step(state, min(stepper.base_dt, T - state.t))
+            state = run(setup, grid, SchemeConfig(), t_end=T).state
             R_exact, _ = initial_riemann(setup, grid.r + T)
             _, S_exact = initial_riemann(setup, grid.r - T)
             errs[n] = (
@@ -180,8 +159,13 @@ class TestCriterion2:
     def test_energy_conservation_window(self, energy_anchor):
         setup = energy_anchor["setup"]
         T = 0.5 * energy_anchor["anchor"]
-        drift_4096 = march_energy(setup, 4096, T)
-        drift_8192 = march_energy(setup, 8192, T)
+        drifts = {}
+        for n in (4096, 8192):
+            grid = Grid.uniform(*setup.domain, n)
+            obs = EnergyObserver(grid, setup.speed)
+            run(setup, grid, SchemeConfig(), observers=(obs,), t_end=T)
+            drifts[n] = EnergyTrace.from_observer(obs).max_relative_drift
+        drift_4096, drift_8192 = drifts[4096], drifts[8192]
         ratio = drift_8192 / drift_4096
         anchor_kind = "t_detect" if energy_anchor["detected"] else "gradient-peak time"
         ok = drift_4096 <= 0.05 and 0.35 <= ratio <= 0.65
@@ -222,7 +206,7 @@ class TestCriterion4:
         residuals = {}
         for n in (2048, 4096, 8192):
             grid = Grid.uniform(*setup.domain, n)
-            rep = triangle_identity(setup, grid, SchemeConfig(), 0.85, 1.15)
+            rep, _, _ = triangle_identity(setup, grid, SchemeConfig(), 0.85, 1.15)
             residuals[n] = rep.residual
         order = math.log2(residuals[4096] / residuals[8192])
         ok = residuals[4096] <= 0.08 and order >= 0.9
@@ -284,7 +268,7 @@ class TestCriterion6:
         setup = blowup_run["setup"]
         constants = blowup_run["constants"]
         r4 = blowup_run[4096]
-        drift = u_drift_along(r4["hat"], setup)
+        drift = u_drift_along(r4["hat"], constants)
         sign = c_prime_sign_along(r4["hat"], setup)
         report = r4["report"]
         ineq_ok = report.inequality_fraction >= 0.95

@@ -14,15 +14,13 @@ from varwave import (
     ProblemSetup,
     SchemeConfig,
     Stepper,
-    advance_path,
     c_prime_sign_along,
+    compute_constants,
     find_intersection,
-    init_state,
+    run,
     u_drift_along,
 )
 from varwave.riemann_core import rhs_fields
-
-from conftest import march
 
 
 def quiet_setup(speed, eps=0.1, amplitude=0.0, d=3, u0=0.5):
@@ -33,7 +31,7 @@ def quiet_setup(speed, eps=0.1, amplitude=0.0, d=3, u0=0.5):
 
 
 def trace(setup, grid, cfg, t_end, paths):
-    march(setup, grid, cfg, t_end, observers=tuple(paths))
+    run(setup, grid, cfg, observers=tuple(paths), t_end=t_end)
     return paths
 
 
@@ -120,25 +118,16 @@ class TestPathProperties:
         grid = Grid.uniform(*canonical_setup.domain, 512)
         plus = CharacteristicPath("plus", canonical_setup.r0, grid, canonical_setup.speed)
         minus = CharacteristicPath("minus", canonical_setup.r0, grid, canonical_setup.speed)
-        cfg = SchemeConfig()
-        stepper = Stepper(canonical_setup, grid, cfg)
-        state = init_state(canonical_setup, grid)
-        plus(state)
-        minus(state)
-        for _ in range(50):
-            state = stepper.step(state)
-            plus(state)
-            minus(state)
+        cfg = SchemeConfig(max_steps=50)
+        run(canonical_setup, grid, cfg, observers=(plus, minus))
         c0, c1 = canonical_setup.speed.c0, canonical_setup.speed.c1
-        dt = stepper.base_dt
+        dt = Stepper(canonical_setup, grid, cfg).base_dt
         for path, sign in ((plus, 1.0), (minus, -1.0)):
             dr = np.diff(np.asarray(path.r)) * sign
             assert np.all(dr >= c0 * dt - 1e-12)
             assert np.all(dr <= c1 * dt + 1e-12)
 
     def test_sample_times_follow_solver_steps(self, canonical_setup):
-        from varwave import run
-
         grid = Grid.uniform(*canonical_setup.domain, 256)
         path = CharacteristicPath("plus", 1.0, grid, canonical_setup.speed)
         times = []
@@ -159,18 +148,6 @@ class TestPathProperties:
         grid = Grid.uniform(*setup.domain, 256)
         with pytest.raises(PathLeftDomain):
             CharacteristicPath("plus", grid.r_hi + 1.0, grid, unit_speed)
-
-    def test_advance_path_wrapper(self, unit_speed):
-        setup = quiet_setup(unit_speed)
-        grid = Grid.uniform(*setup.domain, 256)
-        state0 = init_state(setup, grid)
-        state1 = Stepper(setup, grid, SchemeConfig()).step(state0)
-        path = CharacteristicPath("plus", 1.0, grid, unit_speed)
-        path(state0)
-        out = advance_path(path, state0, state1)
-        assert out is path
-        assert len(path.t) == 2
-        assert path.t[-1] == state1.t
 
     def test_sampled_s_obeys_plus_family_ode_under_refinement(self, canonical_speed):
         # d(S sample)/dt approaches f_S at first order along the plus path
@@ -193,8 +170,8 @@ class TestPathProperties:
             um = 0.5 * (u[:-1] + u[1:])
             Rm = 0.5 * (R[:-1] + R[1:])
             Sm = 0.5 * (S[:-1] + S[1:])
-            _, f_S = rhs_fields(rm, rm**setup.alpha, um, Rm, Sm,
-                                canonical_speed, setup.alpha)
+            _, f_S = rhs_fields(1.0 / rm, rm**setup.alpha, canonical_speed.c(um),
+                                canonical_speed.c_prime(um), Rm, Sm, setup.alpha)
             residuals.append(float(np.mean(np.abs(dSdt - f_S))))
         assert residuals[1] <= 0.75 * residuals[0]
         assert residuals[2] <= 0.75 * residuals[1]
@@ -206,7 +183,7 @@ class TestMonitors:
         grid = Grid.uniform(*setup.domain, 256)
         path = CharacteristicPath("plus", setup.r0, grid, canonical_speed)
         trace(setup, grid, SchemeConfig(), 0.3, [path])
-        report = u_drift_along(path, setup)
+        report = u_drift_along(path, compute_constants(setup, require_hypothesis=False))
         assert report.max_drift == 0.0
         assert report.ok
 
@@ -239,7 +216,7 @@ class TestMonitors:
         grid = Grid.uniform(*setup.domain, 512)
         path = CharacteristicPath("plus", setup.r0, grid, canonical_speed)
         trace(setup, grid, SchemeConfig(), 0.3, [path])
-        drift = u_drift_along(path, setup)
+        drift = u_drift_along(path, compute_constants(setup, require_hypothesis=False))
         sign = c_prime_sign_along(path, setup)
         assert drift.ok
         assert sign.ok

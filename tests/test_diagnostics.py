@@ -27,8 +27,6 @@ from varwave import (
 )
 from varwave.diagnostics import EnergyObserver, EnergyTrace, InvSObserver
 
-from conftest import march
-
 SQRT2 = math.sqrt(2.0)
 
 
@@ -148,7 +146,7 @@ class TestEnergyObserver:
     def test_boundary_flux_zero_through_run(self, gentle_setup):
         grid = Grid.uniform(*gentle_setup.domain, 512)
         obs = EnergyObserver(grid, gentle_setup.speed)
-        march(gentle_setup, grid, SchemeConfig(), 0.2, observers=(obs,))
+        run(gentle_setup, grid, SchemeConfig(), observers=(obs,), t_end=0.2)
         assert np.all(np.asarray(obs.flux_lo) == 0.0)
         assert np.all(np.asarray(obs.flux_hi) == 0.0)
 
@@ -157,7 +155,7 @@ class TestEnergyObserver:
         for n in (512, 1024):
             grid = Grid.uniform(*gentle_setup.domain, n)
             obs = EnergyObserver(grid, gentle_setup.speed)
-            march(gentle_setup, grid, SchemeConfig(), 0.25, observers=(obs,))
+            run(gentle_setup, grid, SchemeConfig(), observers=(obs,), t_end=0.25)
             drifts.append(EnergyTrace.from_observer(obs).max_relative_drift)
         assert drifts[0] > 0.0
         assert 1.4 <= drifts[0] / drifts[1] <= 2.8
@@ -165,7 +163,7 @@ class TestEnergyObserver:
     def test_trace_dataclass_roundtrip(self, gentle_setup):
         grid = Grid.uniform(*gentle_setup.domain, 256)
         obs = EnergyObserver(grid, gentle_setup.speed)
-        march(gentle_setup, grid, SchemeConfig(), 0.05, observers=(obs,))
+        run(gentle_setup, grid, SchemeConfig(), observers=(obs,), t_end=0.05)
         trace = EnergyTrace.from_observer(obs)
         assert trace.t.shape == trace.E.shape
         assert trace.max_relative_drift >= 0.0
@@ -178,7 +176,7 @@ class TestTriangleIdentity:
             profile=PolynomialBump(amplitude=0.0),
         )
         grid = Grid.uniform(*setup.domain, 512)
-        rep = triangle_identity(setup, grid, SchemeConfig(), 0.85, 1.15)
+        rep, _, _ = triangle_identity(setup, grid, SchemeConfig(), 0.85, 1.15)
         assert rep.lhs == pytest.approx(0.0, abs=1e-20)
         assert rep.rhs == 0.0
         assert rep.residual == pytest.approx(0.0, abs=1e-10)
@@ -187,7 +185,7 @@ class TestTriangleIdentity:
         # feet to the left of the support; the crossing happens before any
         # wave can enter, so both sides stay at zero
         grid = Grid.uniform(*gentle_setup.domain, 512)
-        rep = triangle_identity(gentle_setup, grid, SchemeConfig(), 0.4, 0.6)
+        rep, _, _ = triangle_identity(gentle_setup, grid, SchemeConfig(), 0.4, 0.6)
         assert rep.rhs == 0.0
         assert abs(rep.lhs) < 1e-12
 
@@ -195,7 +193,7 @@ class TestTriangleIdentity:
         residuals = []
         for n in (1024, 2048, 4096):
             grid = Grid.uniform(*gentle_setup.domain, n)
-            rep = triangle_identity(gentle_setup, grid, SchemeConfig(), 0.85, 1.15)
+            rep, _, _ = triangle_identity(gentle_setup, grid, SchemeConfig(), 0.85, 1.15)
             residuals.append(rep.residual)
         assert residuals[-1] < 0.02
         orders = [math.log2(a / b) for a, b in zip(residuals, residuals[1:])]
@@ -203,7 +201,7 @@ class TestTriangleIdentity:
 
     def test_crossing_geometry(self, gentle_setup):
         grid = Grid.uniform(*gentle_setup.domain, 1024)
-        rep = triangle_identity(gentle_setup, grid, SchemeConfig(), 0.85, 1.15)
+        rep, _, _ = triangle_identity(gentle_setup, grid, SchemeConfig(), 0.85, 1.15)
         assert 0.85 < rep.r_m < 1.15
         assert 0.0 < rep.t_m < gentle_setup.t_final
 
@@ -221,6 +219,16 @@ class TestTriangleIdentity:
         grid = Grid.uniform(*gentle_setup.domain, 512)
         with pytest.raises(NoIntersection):
             triangle_identity(gentle_setup, grid, SchemeConfig(max_steps=5), 0.85, 1.15)
+
+    def test_gradient_ceiling_before_crossing_raises_no_intersection(self, canonical_setup):
+        # a ceiling just above the initial level is crossed at t~0.0013,
+        # long before the paths from 0.85 and 1.15 meet near t~0.1
+        grid = Grid.uniform(*canonical_setup.domain, 1024)
+        stepper = Stepper(canonical_setup, grid, SchemeConfig())
+        g0, _ = stepper.gradient_max(init_state(canonical_setup, grid))
+        cfg = SchemeConfig(gradient_ceiling=1.02 * g0)
+        with pytest.raises(NoIntersection, match="gradient_ceiling"):
+            triangle_identity(canonical_setup, grid, cfg, 0.85, 1.15)
 
 
 def _constant_field_states(setup, grid, n_steps=8, dt=1e-3):
@@ -298,7 +306,7 @@ class TestInvSObserver:
         grid = Grid.uniform(*s.domain, 8192)
         path = CharacteristicPath("plus", s.r0, grid, s.speed)
         obs = InvSObserver(path, s, constants)
-        march(s, grid, SchemeConfig(), 0.004, observers=(path, obs))
+        run(s, grid, SchemeConfig(), observers=(path, obs), t_end=0.004)
         inv = np.asarray(obs.inv_s)
         assert np.all(np.diff(inv) < 0.0)
         assert obs.inequality_fraction == 1.0
@@ -372,7 +380,7 @@ class TestReportAssembly:
             constants,
             energy=EnergyTrace.from_observer(energy),
             blowup=report,
-            drift=u_drift_along(path, s),
+            drift=u_drift_along(path, constants),
             sign=c_prime_sign_along(path, s),
             verdict=verdict,
         )

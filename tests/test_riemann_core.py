@@ -162,7 +162,7 @@ class TestRhs:
         u = rng.uniform(-1.0, 1.0, 50)
         R = rng.uniform(-5.0, 5.0, 50)
         S = rng.uniform(-5.0, 5.0, 50)
-        f_R, f_S = rhs_fields(r, r**1.0, u, R, S, of_speed, 1.0)
+        f_R, f_S = rhs_fields(1.0 / r, r**1.0, of_speed.c(u), of_speed.c_prime(u), R, S, 1.0)
         for i in range(0, 50, 7):
             p = RiemannPoint(r=r[i], u=u[i], R=R[i], S=S[i], alpha=1.0)
             fr, fs = rhs(p, of_speed)

@@ -17,11 +17,8 @@ from varwave import (
     init_state,
     initial_riemann,
     run,
-    step,
 )
 from varwave.diagnostics import blowup_time_estimate
-
-from conftest import march
 
 
 def transport_setup(eps=0.1, amplitude=1.0):
@@ -104,7 +101,7 @@ class TestStep:
         )
         grid = Grid.uniform(*setup.domain, 128)
         state = init_state(setup, grid)
-        new = step(state, setup, grid, SchemeConfig(scheme=scheme))
+        new = Stepper(setup, grid, SchemeConfig(scheme=scheme)).step(state)
         assert np.all(new.R == 0.0) and np.all(new.S == 0.0)
         np.testing.assert_array_equal(new.u, state.u)
         assert new.t > 0.0
@@ -159,7 +156,7 @@ class TestTransportRegression:
         errs = {}
         for n in (512, 1024, 2048):
             grid = Grid.uniform(*setup.domain, n)
-            state = march(setup, grid, SchemeConfig(), T)
+            state = run(setup, grid, SchemeConfig(), t_end=T).state
             R_exact, _ = initial_riemann(setup, grid.r + T)
             _, S_exact = initial_riemann(setup, grid.r - T)
             errs[n] = (
@@ -176,7 +173,7 @@ class TestTransportRegression:
         setup = transport_setup()
         T = 0.3
         grid = Grid.uniform(*setup.domain, 1024)
-        state = march(setup, grid, SchemeConfig(), T)
+        state = run(setup, grid, SchemeConfig(), t_end=T).state
         # R moved left of the initial support, S moved right
         left = grid.r < 0.85
         right = grid.r > 1.15
@@ -194,16 +191,12 @@ class TestStability:
             profile=PolynomialBump(amplitude=3.0),
         )
         grid = Grid.uniform(*setup.domain, 1024)
-        cfg = SchemeConfig()
-        stepper = Stepper(setup, grid, cfg)
-        state = init_state(setup, grid)
-        g0, _ = stepper.gradient_max(state)
-        peak = g0
-        while state.t < setup.t_final - 1e-15:
-            state = stepper.step(state, min(stepper.base_dt, setup.t_final - state.t))
-            g, _ = stepper.gradient_max(state)
-            peak = max(peak, g)
-        assert peak <= 2.0 * g0
+        stepper = Stepper(setup, grid, SchemeConfig())
+        g = []
+        result = run(setup, grid, SchemeConfig(),
+                     observers=(lambda s: g.append(stepper.gradient_max(s)[0]),))
+        assert result.reason == "t_final"
+        assert max(g) <= 2.0 * g[0]
 
     def test_discrete_support_growth_bounded(self, canonical_setup):
         # each support edge advances at most c1*dt plus one stencil node
@@ -242,7 +235,7 @@ class TestSelfConvergence:
         sols = []
         for n in ns:
             grid = Grid.uniform(*setup.domain, n)
-            state = march(setup, grid, SchemeConfig(scheme=scheme), T)
+            state = run(setup, grid, SchemeConfig(scheme=scheme), t_end=T).state
             sols.append((grid, state))
         errs = []
         for (gc, sc), (gf, sf) in zip(sols, sols[1:]):
@@ -301,6 +294,42 @@ class TestRun:
         assert result.reason == "gradient_ceiling"
         assert result.t_detect is not None and result.t_detect < canonical_setup.t_final
         assert result.r_detect is not None
+
+    def test_stop_rule_ends_run_after_observers(self, canonical_setup):
+        # the rule fires once the observer has seen t=0 plus three steps, so
+        # it must be asked after the observers, on the state they saw last
+        grid = Grid.uniform(*canonical_setup.domain, 128)
+        seen = []
+        result = run(canonical_setup, grid, SchemeConfig(), observers=(seen.append,),
+                     stop=lambda s: len(seen) == 4)
+        assert result.reason == "stop"
+        assert result.steps == 3
+        assert seen[-1] is result.state
+        assert not result.detected
+        assert result.t_detect is None and result.r_detect is None
+
+    def test_stop_rule_wins_over_gradient_ceiling(self, canonical_setup):
+        grid = Grid.uniform(*canonical_setup.domain, 1024)
+        stepper = Stepper(canonical_setup, grid, SchemeConfig())
+        g0, _ = stepper.gradient_max(init_state(canonical_setup, grid))
+        cfg = SchemeConfig(gradient_ceiling=1.02 * g0)
+        detected = run(canonical_setup, grid, cfg)
+        assert detected.reason == "gradient_ceiling"
+        # a stop rule that fires on exactly the crossing step
+        stopped = run(canonical_setup, grid, cfg,
+                      stop=lambda s: stepper.gradient_max(s)[0] >= cfg.gradient_ceiling)
+        assert stopped.reason == "stop"
+        assert not stopped.detected
+        assert stopped.steps == detected.steps
+        assert stopped.state.t == detected.t_detect
+
+    def test_t_end_before_t_final_lands_on_t_end(self, gentle_setup):
+        grid = Grid.uniform(*gentle_setup.domain, 128)
+        t_end = 0.123
+        assert t_end < gentle_setup.t_final
+        result = run(gentle_setup, grid, SchemeConfig(), t_end=t_end)
+        assert result.reason == "t_final"
+        assert abs(result.state.t - t_end) <= 1e-14 * t_end
 
     def test_observers_called_every_step_plus_initial(self, canonical_setup):
         grid = Grid.uniform(*canonical_setup.domain, 128)

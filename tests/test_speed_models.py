@@ -10,8 +10,6 @@ from varwave import (
     ConstantSpeed,
     OseenFrankSpeed,
     TabulatedSpeed,
-    eval_c,
-    eval_c_prime,
     validate_bounds,
 )
 
@@ -21,22 +19,22 @@ SQRT2 = math.sqrt(2.0)
 class TestEvalC:
     def test_equal_constants_give_unit_speed(self):
         model = OseenFrankSpeed(c0=1.0, c1=1.0, k1=1.0, k3=1.0)
-        assert eval_c(model, 0.7) == pytest.approx(1.0, abs=1e-15)
+        assert model.c(0.7) == pytest.approx(1.0, abs=1e-15)
 
     def test_pure_splay_angle(self):
         model = OseenFrankSpeed(c0=1.0, c1=SQRT2, k1=2.0, k3=1.0)
-        assert eval_c(model, math.pi / 2) == pytest.approx(SQRT2, rel=1e-15)
+        assert model.c(math.pi / 2) == pytest.approx(SQRT2, rel=1e-15)
 
     def test_mixed_angle_substitution(self):
         # oracle: direct substitution c^2 = 2*sin^2 + cos^2 at pi/4
         expected = math.sqrt(2.0 * 0.5 + 1.0 * 0.5)
         model = OseenFrankSpeed(c0=1.0, c1=SQRT2, k1=2.0, k3=1.0)
-        assert eval_c(model, math.pi / 4) == pytest.approx(expected, rel=1e-15)
+        assert model.c(math.pi / 4) == pytest.approx(expected, rel=1e-15)
 
     def test_vectorized(self):
         model = OseenFrankSpeed(c0=1.0, c1=SQRT2, k1=2.0, k3=1.0)
         u = np.linspace(0, 2 * np.pi, 7)
-        c = eval_c(model, u)
+        c = model.c(u)
         assert c.shape == u.shape
         assert np.all(c >= 1.0 - 1e-14) and np.all(c <= SQRT2 + 1e-14)
 
@@ -49,17 +47,17 @@ class TestEvalC:
 class TestEvalCPrime:
     def test_constant_speed_zero_derivative(self):
         model = OseenFrankSpeed(c0=1.0, c1=1.0, k1=1.0, k3=1.0)
-        assert eval_c_prime(model, 1.234) == 0.0
+        assert model.c_prime(1.234) == 0.0
 
     def test_zero_angle(self):
         model = OseenFrankSpeed(c0=1.0, c1=SQRT2, k1=2.0, k3=1.0)
-        assert eval_c_prime(model, 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert model.c_prime(0.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_mixed_angle_substitution(self):
         # oracle: (k1-k3) sin cos / c = (1/2)/sqrt(3/2)
         expected = 0.5 / math.sqrt(1.5)
         model = OseenFrankSpeed(c0=1.0, c1=SQRT2, k1=2.0, k3=1.0)
-        assert eval_c_prime(model, math.pi / 4) == pytest.approx(expected, rel=1e-15)
+        assert model.c_prime(math.pi / 4) == pytest.approx(expected, rel=1e-15)
 
     def test_constant_kind_exactly_zero(self):
         model = ConstantSpeed.of(1.7)
