@@ -144,15 +144,28 @@ def _config_comment(config: dict) -> str:
     return "config " + json.dumps(config, sort_keys=True)
 
 
+CSV_CHUNK_ROWS = 4096
+
+
 def write_csv(path, config: dict, columns: dict[str, np.ndarray]) -> None:
-    """CSV with a '#' provenance header and 17-significant-digit floats."""
+    """CSV with a '#' provenance header and 17-significant-digit floats.
+
+    Rows are formatted a chunk at a time, which bounds the memory of the
+    text.  Columns of unequal length raise ValueError.
+    """
     names = list(columns)
-    arrays = [np.atleast_1d(np.asarray(columns[k])) for k in names]
+    arrays = [np.atleast_1d(np.asarray(columns[k], dtype=np.float64)) for k in names]
+    lengths = {k: a.size for k, a in zip(names, arrays)}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"CSV columns differ in length: {lengths}")
+    n_rows = arrays[0].size if arrays else 0
+    row_format = ",".join(["%.17g"] * len(names)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# {_config_comment(config)}\n")
         fh.write(",".join(names) + "\n")
-        for row in zip(*arrays):
-            fh.write(",".join(f"{float(v):.17g}" for v in row) + "\n")
+        for start in range(0, n_rows, CSV_CHUNK_ROWS):
+            block = np.column_stack([a[start : start + CSV_CHUNK_ROWS] for a in arrays])
+            fh.write(row_format * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 def write_json(path, config: dict, doc: dict) -> None:

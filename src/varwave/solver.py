@@ -17,6 +17,13 @@ boundary nodes are clamped to the quiescent state (u=u0, R=S=0), valid
 while the support stays interior.  ``run`` is the one march loop: it stops
 at t_end (t_final by default), when a caller's stop rule fires, on a
 gradient ceiling crossing (the blow-up signal), or on a step budget.
+
+A step computes only its live window.  A node is quiescent when it is
+bitwise equal to (u0, +0.0, +0.0), so -0.0 and NaN count as live.  The
+window is the range of live nodes padded by the scheme's stencil reach and
+clipped to the grid; every node outside it is written as (u0, +0.0, +0.0),
+which is what the step over all nodes gives there, bit for bit.  The step
+over all nodes is the window [0, n).
 """
 
 from __future__ import annotations
@@ -153,7 +160,7 @@ class Stepper:
     """Owns grid-derived caches and advances states by one time step.
 
     Node updates read a fixed stencil of the previous state only, so the
-    update loops are plain vectorized array expressions.
+    update loops are plain vectorized array expressions over the live window.
     """
 
     def __init__(self, setup: ProblemSetup, grid: Grid, cfg: SchemeConfig):
@@ -167,10 +174,16 @@ class Stepper:
         self.ralpha = np.exp(self.alpha * np.log(grid.r)) if self.alpha else np.ones_like(grid.r)
         self.inv_r = 1.0 / grid.r
         self.base_dt = cfg.cfl * grid.h / setup.speed.c1
+        # Stencil reach of one step in nodes: an upwind1 stage reads i-1..i+1,
+        # a muscl2 stage i-2..i+2 (minmod slopes of the neighbouring faces),
+        # twice.  Nodes farther than that from every live node stay exactly
+        # quiescent, and at the window edges the clipped stencils read only
+        # quiescent nodes, as the full ones do, so both give +0.0.
+        self.reach = 1 if cfg.scheme == "upwind1" else 4
 
-    def _tendencies(self, u, R, S):
+    def _tendencies(self, u, R, S, inv_r, ralpha):
         c, c_prime = self.speed.c_and_c_prime(u)
-        f_R, f_S = rhs_fields(self.inv_r, self.ralpha, c, c_prime, R, S, self.alpha)
+        f_R, f_S = rhs_fields(inv_r, ralpha, c, c_prime, R, S, self.alpha)
 
         h = self.h
         dR = np.zeros_like(R)
@@ -187,7 +200,7 @@ class Stepper:
             dR[1:-1] = (face_R[1:] - face_R[:-1]) / h
             dS[1:-1] = (face_S[1:] - face_S[:-1]) / h
 
-        du_dt = (R + S) / (2.0 * self.ralpha)
+        du_dt = (R + S) / (2.0 * ralpha)
         return c * dR + f_R, -c * dS + f_S, du_dt
 
     def _minmod_slopes(self, q):
@@ -198,30 +211,55 @@ class Stepper:
         s[1:-1] = np.where(keep, np.sign(a) * np.minimum(np.abs(a), np.abs(b)), 0.0)
         return s
 
-    def _clamp_boundary(self, u, R, S):
-        u[0] = u[-1] = self.setup.u0
-        R[0] = R[-1] = 0.0
-        S[0] = S[-1] = 0.0
+    def _window(self, state: GridState) -> tuple[int, int]:
+        """Live nodes padded by the stencil reach, as [lo, hi); (0, 0) if none."""
+        live = (
+            (state.u != self.setup.u0)
+            | (state.R.view(np.uint64) != 0)
+            | (state.S.view(np.uint64) != 0)
+        )
+        if not live.any():
+            return 0, 0
+        n = live.size
+        first = int(np.argmax(live))
+        last = n - 1 - int(np.argmax(live[::-1]))
+        return max(first - self.reach, 0), min(last + 1 + self.reach, n)
+
+    def _clamp_boundary(self, u, R, S, lo, hi):
+        """Quiescent state on the grid's end nodes that lie in the window [lo, hi)."""
+        if lo == 0 < hi:
+            u[0] = self.setup.u0
+            R[0] = S[0] = 0.0
+        if lo < hi == self.grid.n:
+            u[-1] = self.setup.u0
+            R[-1] = S[-1] = 0.0
 
     def step(self, state: GridState, dt: float | None = None) -> GridState:
         """One explicit step; raises NonFiniteState if the result overflows."""
         if dt is None:
             dt = self.base_dt
-        u, R, S = state.u, state.R, state.S
+        lo, hi = self._window(state)
+        w = slice(lo, hi)
+        u, R, S = state.u[w], state.R[w], state.S[w]
+        inv_r, ralpha = self.inv_r[w], self.ralpha[w]
         # overflow in intermediates is caught by the finite check below
         with np.errstate(over="ignore", invalid="ignore"):
-            fR, fS, fu = self._tendencies(u, R, S)
+            fR, fS, fu = self._tendencies(u, R, S, inv_r, ralpha)
             R1 = R + dt * fR
             S1 = S + dt * fS
             u1 = u + dt * fu
-            self._clamp_boundary(u1, R1, S1)
+            self._clamp_boundary(u1, R1, S1, lo, hi)
             if self.cfg.scheme == "muscl2":
-                fR1, fS1, fu1 = self._tendencies(u1, R1, S1)
+                fR1, fS1, fu1 = self._tendencies(u1, R1, S1, inv_r, ralpha)
                 R1 = 0.5 * (R + R1 + dt * fR1)
                 S1 = 0.5 * (S + S1 + dt * fS1)
                 u1 = 0.5 * (u + u1 + dt * fu1)
-                self._clamp_boundary(u1, R1, S1)
-        new = GridState(t=state.t + dt, u=u1, R=R1, S=S1)
+                self._clamp_boundary(u1, R1, S1, lo, hi)
+        n = self.grid.n
+        new = GridState(
+            t=state.t + dt, u=np.full(n, self.setup.u0), R=np.zeros(n), S=np.zeros(n)
+        )
+        new.u[w], new.R[w], new.S[w] = u1, R1, S1
         if not new.is_finite():
             raise NonFiniteState(
                 f"non-finite values after step to t={new.t}", last_state=state

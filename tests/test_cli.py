@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from varwave.cli import build_setup, main
+from varwave import cli
+from varwave.cli import build_setup, main, write_csv
 from varwave.initial_data import auto_domain
 from varwave.speed_models import OseenFrankSpeed
 
@@ -220,6 +221,40 @@ class TestConvergence:
         cfg["experiment"] = {"kind": "convergence", "n_list": [128, 256]}
         path = write_config(tmp_path, cfg)
         assert main(["convergence", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+
+
+class TestWriteCsv:
+    @staticmethod
+    def row_by_row(path, config, columns):
+        """The writer's reference output: one f-string per value."""
+        arrays = [np.atleast_1d(np.asarray(columns[k])) for k in columns]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"# config {json.dumps(config, sort_keys=True)}\n")
+            fh.write(",".join(columns) + "\n")
+            for row in zip(*arrays):
+                fh.write(",".join(f"{float(v):.17g}" for v in row) + "\n")
+
+    @pytest.mark.parametrize("columns", [
+        {
+            "t": np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 0.1, math.pi,
+                           1e22, 5e-324, -1.7976931348623157e308]),
+            "n": np.arange(10),
+            "S": np.linspace(-1.0, 1.0, 10) / 3.0,
+        },
+        {"x": np.array(-0.0)},
+        {"a": np.array([]), "b": np.array([])},
+        {},
+    ])
+    def test_bytes_match_row_by_row_formatting(self, tmp_path, monkeypatch, columns):
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 3)  # 10 rows: three chunks and a tail
+        config = {"grid": {"n": 8}}
+        write_csv(tmp_path / "fast.csv", config, columns)
+        self.row_by_row(tmp_path / "ref.csv", config, columns)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_unequal_columns_rejected_by_name(self, tmp_path):
+        with pytest.raises(ValueError, match=r"'t': 3.*'E': 2"):
+            write_csv(tmp_path / "bad.csv", {}, {"t": np.zeros(3), "E": np.zeros(2)})
 
 
 class TestValidation:

@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varwave import (
     ConstantSpeed,
@@ -10,6 +13,7 @@ from varwave import (
     Grid,
     GridState,
     NonFiniteState,
+    OseenFrankSpeed,
     PolynomialBump,
     ProblemSetup,
     SchemeConfig,
@@ -147,6 +151,102 @@ class TestStep:
                 s = stepper.step(s)
         assert err.value.last_state is not None
         assert err.value.last_state.is_finite()
+
+
+@functools.cache
+def window_setup(d):
+    return ProblemSetup.theorem(
+        d=d, r0=1.0, eps=0.05, u0=np.pi / 4,
+        speed=OseenFrankSpeed(c0=1.0, c1=math.sqrt(2.0), k1=2.0, k3=1.0),
+        profile=PolynomialBump(amplitude=0.0),
+    )
+
+
+def bits(a):
+    return a.view(np.uint64)
+
+
+@st.composite
+def perturbed_states(draw):
+    """A compact perturbation of (u0, 0, 0) on a grid of at most 64 nodes.
+
+    Returns the setup, the state and the support [lo, hi).
+    """
+    setup = window_setup(draw(st.sampled_from((1, 2, 3))))
+    n = draw(st.integers(16, 64))
+    width = draw(st.integers(1, n // 2))
+    end = draw(st.sampled_from(("left", "right", "inside", "inside")))
+    if end == "left":
+        lo = 0
+    elif end == "right":
+        lo = n - width
+    else:
+        lo = draw(st.integers(0, n - width))
+    hi = lo + width
+    # a shifted background makes every node live
+    u = np.full(n, setup.u0 + draw(st.sampled_from((0.0, 0.0, 0.0, 0.25))))
+    R, S = np.zeros(n), np.zeros(n)
+    for field, bound in ((u, 1.0), (R, 10.0), (S, 10.0)):
+        values = st.floats(-bound, bound, allow_nan=False)
+        field[lo:hi] += draw(st.lists(values, min_size=width, max_size=width))
+    # -0.0 on and next to the support
+    near = st.integers(max(lo - 2, 0), min(hi + 2, n) - 1)
+    for field in (R, S):
+        for i in draw(st.lists(near, max_size=3)):
+            field[i] = -0.0
+    return setup, GridState(t=0.0, u=u, R=R, S=S), (lo, hi)
+
+
+def window_and_full_steppers(setup, n, scheme):
+    grid = Grid.uniform(*setup.domain, n)
+    cfg = SchemeConfig(scheme=scheme)
+    full = Stepper(setup, grid, cfg)
+    full._window = lambda state: (0, n)
+    return Stepper(setup, grid, cfg), full
+
+
+class TestLiveWindow:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(perturbed_states(), st.sampled_from(("upwind1", "muscl2")))
+    def test_window_step_bitwise_equals_full_grid_step(self, case, scheme):
+        setup, state, _ = case
+        windowed, full = window_and_full_steppers(setup, state.u.size, scheme)
+        got, want = windowed.step(state), full.step(state)
+        assert got.t == want.t
+        for key in ("u", "R", "S"):
+            np.testing.assert_array_equal(bits(getattr(got, key)), bits(getattr(want, key)))
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(perturbed_states(), st.sampled_from(("upwind1", "muscl2")),
+           st.sampled_from(("u", "R", "S")))
+    def test_nan_far_from_the_support_raises(self, case, scheme, field):
+        setup, state, (lo, hi) = case
+        n = state.u.size
+        # the interior node farthest from the support; the end nodes are clamped
+        getattr(state, field)[1 if lo >= n - hi else n - 2] = np.nan
+        for stepper in window_and_full_steppers(setup, n, scheme):
+            with pytest.raises(NonFiniteState):
+                stepper.step(state)
+
+    def test_canonical_step_touches_under_a_quarter_of_the_grid(self, canonical_setup):
+        # guards the speed-up: the speed is evaluated only on the live window
+        grid = Grid.uniform(*canonical_setup.domain, 4096)
+        stepper = Stepper(canonical_setup, grid, SchemeConfig())
+        sizes = []
+        speed = stepper.speed
+
+        class CountingSpeed:
+            def c_and_c_prime(self, u):
+                sizes.append(u.size)
+                return speed.c_and_c_prime(u)
+
+        stepper.speed = CountingSpeed()
+        # the initial S is -0.0 on most of the quiescent nodes, so the first
+        # step covers the grid and writes them as +0.0
+        state = stepper.step(stepper.step(init_state(canonical_setup, grid)))
+        lo, hi = stepper._window(state)
+        assert len(sizes) == 2 and sizes[0] == grid.n and sizes[1] < grid.n / 4
+        assert 0 < hi - lo < grid.n / 4
 
 
 class TestTransportRegression:
