@@ -27,13 +27,10 @@ from .charsolver import CharRun, blowup_sweep
 from .diagnostics import (
     BlowupReport,
     EnergyObserver,
-    EnergyTrace,
-    InvSObserver,
+    InvSMonitor,
     TheoremConstants,
     TriangleReport,
-    Verdict,
     blowup_time_estimate,
-    blowup_verdict,
     build_blowup_report,
     build_report,
     characteristic_triangle_identity,

@@ -22,7 +22,7 @@ time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -35,7 +35,7 @@ from .characteristics import (
     find_intersection,
     truncate_at,
 )
-from .charsolver import march, place_nodes
+from .charsolver import CharRun, march, place_nodes
 from .errors import HypothesisViolated, NoIntersection
 from .initial_data import PolynomialBump, ProblemSetup, initial_riemann
 from .solver import Grid, GridState, RunResult, SchemeConfig, run
@@ -112,8 +112,6 @@ def compute_constants(setup: ProblemSetup, require_hypothesis: bool = True) -> T
     if cp0 <= 0.0 and require_hypothesis:
         raise HypothesisViolated(f"c'(u0) = {cp0} <= 0 at u0 = {u0}")
     cp0 = max(cp0, 0.0)
-    if not (0.0 < eps < min(c0, r0 / 2.0)):
-        raise HypothesisViolated("eps outside (0, min(c0, r0/2))")
 
     iphi = _phi_prime_sq_integral(setup.profile)
     k_env = (
@@ -212,25 +210,12 @@ class EnergyObserver:
             "flux_hi": np.asarray(self.flux_hi),
         }
 
-
-@dataclass(frozen=True)
-class EnergyTrace:
-    """Energy history of a run."""
-
-    t: np.ndarray
-    E: np.ndarray
-    flux_lo: np.ndarray
-    flux_hi: np.ndarray
-
-    @classmethod
-    def from_observer(cls, obs: EnergyObserver) -> "EnergyTrace":
-        return cls(**obs.arrays())
-
     @property
     def max_relative_drift(self) -> float:
-        if self.E.size == 0 or self.E[0] == 0.0:
+        if not self.E or self.E[0] == 0.0:
             return 0.0
-        return float(np.max(np.abs(self.E - self.E[0])) / self.E[0])
+        E = np.asarray(self.E)
+        return float(np.max(np.abs(E - E[0])) / E[0])
 
 
 @dataclass(frozen=True)
@@ -332,13 +317,14 @@ def characteristic_triangle_identity(
     return report, plus.samples(), minus.samples()
 
 
-class InvSObserver:
-    """Tracks 1/S along a plus path and the discrete decay inequality.
+class InvSMonitor:
+    """1/S along a finished plus path and the discrete decay inequality.
 
-    Appends (t, 1/S) whenever the sampled S is positive; non-positive
-    samples are recorded and flagged but not fatal.  For each pair of
-    consecutive solver samples the one-sided difference of 1/S is checked
-    against
+    ``path`` is a traced ``CharacteristicPath`` or the ``PathSamples`` of a
+    characteristic-coordinate line.  1/S is kept where the sampled S is
+    positive; a non-positive sample is skipped and breaks the chain of
+    pairs.  For each pair of consecutive positive samples the one-sided
+    difference of 1/S is checked against
 
         d(1/S)/dt <= -c'(u0)/(16 c1 (2 r0)^alpha)
                      + (1/S^2) (c1 R^2/(4 c0 r0^alpha) + alpha c1 |R|/r0),
@@ -348,63 +334,24 @@ class InvSObserver:
     quarter of the 1/S trace.
     """
 
-    def __init__(self, path: CharacteristicPath, setup: ProblemSetup,
+    def __init__(self, path: CharacteristicPath | PathSamples, setup: ProblemSetup,
                  constants: TheoremConstants):
-        self.path = path
-        self.setup = setup
-        self.constants = constants
         sp = setup.speed
-        self._rate = constants.inv_s_decay_rate
-        self._quad_coef = sp.c1 / (4.0 * sp.c0 * setup.r0**setup.alpha)
-        self._geom_coef = setup.alpha * sp.c1 / setup.r0
-        self.t: list[float] = []
-        self.inv_s: list[float] = []
-        self.all_t: list[float] = []
-        self.all_S: list[float] = []
-        self.violations = 0
-        self.checks = 0
-        self._prev_was_sample = False
-
-    def __call__(self, state: GridState):
-        # the path observer must have run first for this state
-        if not self.path.t or self.path.t[-1] != state.t:
-            raise RuntimeError("InvSObserver requires its path to be advanced first")
-        self._record(self.path.t[-1], self.path.R[-1], self.path.S[-1])
-
-    @classmethod
-    def along(
-        cls, path: CharacteristicPath | PathSamples, setup: ProblemSetup,
-        constants: TheoremConstants,
-    ) -> "InvSObserver":
-        """The monitor fed with every sample of a finished path, in order.
-
-        This reads the path samples either solver produces; on a traced
-        path it gives the same record as observing the run step by step.
-        """
-        obs = cls(path, setup, constants)
-        for t, R, S in zip(path.t, path.R, path.S):
-            obs._record(float(t), float(R), float(S))
-        return obs
-
-    def _record(self, t: float, R: float, S: float):
-        self.all_t.append(t)
-        self.all_S.append(S)
-        if S <= 0.0:
-            self._prev_was_sample = False
-            return
-        y = 1.0 / S
-        if self._prev_was_sample and self.t:
-            dt = t - self.t[-1]
-            lhs = (y - self.inv_s[-1]) / dt
-            rhs = -self._rate + y * y * (
-                self._quad_coef * R * R + self._geom_coef * abs(R)
-            )
-            self.checks += 1
-            if lhs > rhs:
-                self.violations += 1
-        self.t.append(t)
-        self.inv_s.append(y)
-        self._prev_was_sample = True
+        t = np.asarray(path.t, dtype=float)
+        R = np.asarray(path.R, dtype=float)
+        self.S = np.asarray(path.S, dtype=float)
+        positive = self.S > 0.0
+        self.t = t[positive]
+        self.inv_s = 1.0 / self.S[positive]
+        y, Rk = self.inv_s[1:], R[positive][1:]
+        lhs = np.diff(self.inv_s) / np.diff(self.t)
+        rhs = -constants.inv_s_decay_rate + y * y * (
+            sp.c1 / (4.0 * sp.c0 * setup.r0**setup.alpha) * Rk * Rk
+            + setup.alpha * sp.c1 / setup.r0 * np.abs(Rk)
+        )
+        paired = np.diff(np.flatnonzero(positive)) == 1
+        self.checks = int(np.count_nonzero(paired))
+        self.violations = int(np.count_nonzero(paired & (lhs > rhs)))
 
     @property
     def inequality_fraction(self) -> float:
@@ -413,40 +360,29 @@ class InvSObserver:
         return 1.0 - self.violations / self.checks
 
     def s_gt1_after_first(self) -> bool:
-        if len(self.all_S) <= 1:
+        if self.S.size <= 1:
             return True
-        return bool(np.min(np.asarray(self.all_S[1:])) > 1.0)
-
-    def any_nonpositive(self) -> bool:
-        return bool(np.min(np.asarray(self.all_S)) <= 0.0) if self.all_S else False
+        return bool(np.min(self.S[1:]) > 1.0)
 
     def t_star_extrapolated(self) -> float | None:
         """Zero crossing of the least-squares line through the trace tail."""
-        n = len(self.t)
+        n = self.t.size
         if n < 2:
             return None
         k = max(2, n // 4)
-        tt = np.asarray(self.t[n - k:])
-        yy = np.asarray(self.inv_s[n - k:])
-        slope, intercept = np.polyfit(tt, yy, 1)
+        slope, intercept = np.polyfit(self.t[n - k:], self.inv_s[n - k:], 1)
         if slope >= 0.0:
             return None
         return float(-intercept / slope)
 
-    def tail_monotone_fraction(self) -> float:
-        """Fraction of non-increasing consecutive pairs in the trace tail."""
-        n = len(self.inv_s)
-        if n < 2:
-            return 1.0
-        k = max(2, n // 4)
-        yy = np.asarray(self.inv_s[n - k:])
-        d = np.diff(yy)
-        return float(np.count_nonzero(d <= 0.0) / d.size)
-
 
 @dataclass(frozen=True)
 class BlowupReport:
-    """Detection outcome plus the 1/S record along the hat path."""
+    """Detection outcome, the 1/S record along the hat path and the verdict.
+
+    ``verdict`` is PASS, FAIL, FAIL-AS-EXPECTED or INCONCLUSIVE; see
+    ``build_blowup_report``.
+    """
 
     detected: bool
     t_detect: float | None
@@ -455,19 +391,29 @@ class BlowupReport:
     t_star_extrapolated: float | None
     reason: str
     s_gt1_after_first: bool
-    any_nonpositive_S: bool
     inequality_checks: int
     inequality_violations: int
     inequality_fraction: float
-    tail_monotone_fraction: float
     initial_inv_s_ok: bool
+    verdict: str
+    t_star_within_paper_bound: bool
 
 
 def build_blowup_report(
-    result: RunResult, obs: InvSObserver, constants: TheoremConstants,
+    result: RunResult | CharRun, monitor: InvSMonitor, constants: TheoremConstants,
     setup: ProblemSetup
 ) -> BlowupReport:
-    s_start = obs.all_S[0] if obs.all_S else 0.0
+    """The blow-up record of a finished run and its verdict.
+
+    PASS iff detection happened before t_final.  The sharper extrapolated-
+    time bound is reported as a separate flag: the derived constants are
+    sufficient, not necessary, so missing the sharper bound does not
+    overturn an observed blow-up.  Runs stopped by the step budget are
+    INCONCLUSIVE; runs reaching t_final without detection are
+    FAIL-AS-EXPECTED when the steepening hypothesis c'(u0) > 0 is absent,
+    plain FAIL otherwise.
+    """
+    s_start = float(monitor.S[0]) if monitor.S.size else 0.0
     if s_start > 0.0:
         bound_218 = min(
             (setup.r0 - setup.eps) * constants.c_prime_u0
@@ -477,84 +423,41 @@ def build_blowup_report(
         initial_ok = 1.0 / s_start < bound_218
     else:
         initial_ok = False
-    trace = np.column_stack([obs.t, obs.inv_s]) if obs.t else np.empty((0, 2))
+    if result.detected and result.t_detect is not None and result.t_detect < setup.t_final:
+        verdict = "PASS"
+    elif result.reason == "max_steps":
+        verdict = "INCONCLUSIVE"
+    elif constants.c_prime_u0 <= 0.0:
+        verdict = "FAIL-AS-EXPECTED"
+    else:
+        verdict = "FAIL"
+    t_star = monitor.t_star_extrapolated()
     return BlowupReport(
         detected=result.detected,
         t_detect=result.t_detect,
         r_detect=result.r_detect,
-        inv_S_trace=trace,
-        t_star_extrapolated=obs.t_star_extrapolated(),
+        inv_S_trace=np.column_stack([monitor.t, monitor.inv_s]),
+        t_star_extrapolated=t_star,
         reason=result.reason,
-        s_gt1_after_first=obs.s_gt1_after_first(),
-        any_nonpositive_S=obs.any_nonpositive(),
-        inequality_checks=obs.checks,
-        inequality_violations=obs.violations,
-        inequality_fraction=obs.inequality_fraction,
-        tail_monotone_fraction=obs.tail_monotone_fraction(),
+        s_gt1_after_first=monitor.s_gt1_after_first(),
+        inequality_checks=monitor.checks,
+        inequality_violations=monitor.violations,
+        inequality_fraction=monitor.inequality_fraction,
         initial_inv_s_ok=initial_ok,
-    )
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """PASS / FAIL / FAIL-AS-EXPECTED / INCONCLUSIVE for one blow-up run."""
-
-    status: str
-    detected: bool
-    t_detect: float | None
-    t_final: float
-    t_star_extrapolated: float | None
-    t_star_bound: float
-    t_star_within_paper_bound: bool
-
-
-def blowup_verdict(
-    report: BlowupReport, constants: TheoremConstants, setup: ProblemSetup
-) -> Verdict:
-    """PASS iff detection happened before t_final.
-
-    The sharper extrapolated-time bound is reported as a separate flag: the
-    derived constants are sufficient, not necessary, so missing the sharper
-    bound does not overturn an observed blow-up.  Runs stopped by the step
-    budget are INCONCLUSIVE; runs reaching t_final without detection are
-    FAIL-AS-EXPECTED when the steepening hypothesis c'(u0) > 0 is absent,
-    plain FAIL otherwise.
-    """
-    t_final = setup.t_final
-    sharper = (
-        report.t_star_extrapolated is not None
-        and report.t_star_extrapolated < constants.t_star_bound
-    )
-    if report.detected and report.t_detect is not None and report.t_detect < t_final:
-        status = "PASS"
-    elif report.reason == "max_steps":
-        status = "INCONCLUSIVE"
-    elif float(setup.speed.c_prime(setup.u0)) <= 0.0:
-        status = "FAIL-AS-EXPECTED"
-    else:
-        status = "FAIL"
-    return Verdict(
-        status=status,
-        detected=report.detected,
-        t_detect=report.t_detect,
-        t_final=t_final,
-        t_star_extrapolated=report.t_star_extrapolated,
-        t_star_bound=constants.t_star_bound,
-        t_star_within_paper_bound=sharper,
+        verdict=verdict,
+        t_star_within_paper_bound=t_star is not None and t_star < constants.t_star_bound,
     )
 
 
 def build_report(
     constants: TheoremConstants,
-    energy: EnergyTrace | None = None,
-    blowup: BlowupReport | None = None,
-    drift: DriftReport | None = None,
-    sign: SignReport | None = None,
-    triangle: TriangleReport | None = None,
-    verdict: Verdict | None = None,
+    energy: EnergyObserver,
+    blowup: BlowupReport,
+    drift: DriftReport,
+    sign: SignReport,
 ) -> dict:
     """Assemble the JSON-ready diagnostics document."""
-    doc: dict = {
+    return {
         "constants": {
             "K_measured": constants.K_measured,
             "K_envelope": constants.K_envelope,
@@ -562,30 +465,10 @@ def build_report(
             "eps0": constants.eps0,
             "S0_lower": constants.S0_lower,
             "t_star_bound": constants.t_star_bound,
-        }
-    }
-    if energy is not None:
-        doc["energy"] = [[float(t), float(e)] for t, e in zip(energy.t, energy.E)]
-        doc["energy_max_relative_drift"] = energy.max_relative_drift
-    if triangle is not None:
-        doc["triangle"] = {
-            "lhs": triangle.lhs,
-            "rhs": triangle.rhs,
-            "residual": triangle.residual,
-            "t_m": triangle.t_m,
-            "r_m": triangle.r_m,
-        }
-    if blowup is not None:
-        flags = {
-            "u_drift_ok": drift.ok if drift is not None else None,
-            "c_prime_sign_ok": sign.ok if sign is not None else None,
-            "inv_S_inequality_ok": blowup.inequality_fraction
-            >= INEQUALITY_PASS_FRACTION,
-            "t_star_within_paper_bound": verdict.t_star_within_paper_bound
-            if verdict is not None
-            else None,
-        }
-        doc["blowup"] = {
+        },
+        "energy": [[float(t), float(e)] for t, e in zip(energy.t, energy.E)],
+        "energy_max_relative_drift": energy.max_relative_drift,
+        "blowup": {
             "detected": blowup.detected,
             "t_detect": blowup.t_detect,
             "r_detect": blowup.r_detect,
@@ -593,20 +476,23 @@ def build_report(
             "reason": blowup.reason,
             "s_gt1_after_first": blowup.s_gt1_after_first,
             "inequality_fraction": blowup.inequality_fraction,
-            "flags": flags,
-        }
-        if verdict is not None:
-            doc["blowup"]["verdict"] = verdict.status
-    if drift is not None:
-        doc["u_drift"] = {
+            "verdict": blowup.verdict,
+            "flags": {
+                "u_drift_ok": drift.ok,
+                "c_prime_sign_ok": sign.ok,
+                "inv_S_inequality_ok": blowup.inequality_fraction
+                >= INEQUALITY_PASS_FRACTION,
+                "t_star_within_paper_bound": blowup.t_star_within_paper_bound,
+            },
+        },
+        "u_drift": {
             "max": drift.max_drift,
             "bound": drift.bound,
             "ok": drift.ok,
-        }
-    if sign is not None:
-        doc["c_prime_sign"] = {
+        },
+        "c_prime_sign": {
             "min": sign.min_c_prime,
             "threshold": sign.threshold,
             "ok": sign.ok,
-        }
-    return doc
+        },
+    }

@@ -151,7 +151,7 @@ class ProblemSetup:
             raise HypothesisViolated(
                 f"need 0 < eps < min(c0, r0/2) = {limit}, got eps={self.eps}"
             )
-        validate_bounds(self.speed, probe_count=4096)
+        validate_bounds(self.speed)
         r_lo, r_hi = self.domain
         if r_lo <= 0.0:
             raise HypothesisViolated("domain must satisfy r_lo > 0")
@@ -213,8 +213,9 @@ def initial_riemann(setup: ProblemSetup, r):
     """Weighted gradients (R, S) at t=0.
 
     R(0,r) = eps * r^alpha * u_r(0,r),
-    S(0,r) = (-2c(u(0,r)) + eps) * r^alpha * u_r(0,r);
-    identically (0, 0) outside [r0 - eps, r0 + eps].
+    S(0,r) = (-2c(u(0,r)) + eps) * r^alpha * u_r(0,r).
+    Outside [r0 - eps, r0 + eps] R is +0.0 and S is -0.0: the negative
+    factor -2c + eps multiplies u_r = +0.0 there.
     """
     r = np.asarray(r, dtype=float)
     z = (r - setup.r0) / setup.eps

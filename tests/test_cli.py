@@ -290,6 +290,20 @@ class TestValidation:
         path = write_config(tmp_path, cfg)
         assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("grid", "n", None), ("grid", "n", 512.5), ("setup", "domain", [0.5])],
+        ids=["n-null", "n-fractional", "domain-one-number"],
+    )
+    def test_malformed_value_is_one_line_config_error(self, tmp_path, capsys, section, key, value):
+        cfg = base_config()
+        cfg[section][key] = value
+        path = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("varwave: invalid configuration: ")
+        assert len(err.splitlines()) == 1
+
     def test_theorem_profile_needs_steepening_speed(self, tmp_path):
         cfg = base_config()
         cfg["setup"]["speed"] = {"kind": "constant", "c": 1.0}

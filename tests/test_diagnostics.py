@@ -15,8 +15,8 @@ from varwave import (
     ProblemSetup,
     SchemeConfig,
     Stepper,
+    PathSamples,
     blowup_time_estimate,
-    blowup_verdict,
     build_blowup_report,
     build_report,
     compute_constants,
@@ -25,7 +25,7 @@ from varwave import (
     run,
     triangle_identity,
 )
-from varwave.diagnostics import EnergyObserver, EnergyTrace, InvSObserver
+from varwave.diagnostics import EnergyObserver, InvSMonitor
 
 SQRT2 = math.sqrt(2.0)
 
@@ -156,17 +156,9 @@ class TestEnergyObserver:
             grid = Grid.uniform(*gentle_setup.domain, n)
             obs = EnergyObserver(grid, gentle_setup.speed)
             run(gentle_setup, grid, SchemeConfig(), observers=(obs,), t_end=0.25)
-            drifts.append(EnergyTrace.from_observer(obs).max_relative_drift)
+            drifts.append(obs.max_relative_drift)
         assert drifts[0] > 0.0
         assert 1.4 <= drifts[0] / drifts[1] <= 2.8
-
-    def test_trace_dataclass_roundtrip(self, gentle_setup):
-        grid = Grid.uniform(*gentle_setup.domain, 256)
-        obs = EnergyObserver(grid, gentle_setup.speed)
-        run(gentle_setup, grid, SchemeConfig(), observers=(obs,), t_end=0.05)
-        trace = EnergyTrace.from_observer(obs)
-        assert trace.t.shape == trace.E.shape
-        assert trace.max_relative_drift >= 0.0
 
 
 class TestTriangleIdentity:
@@ -247,7 +239,30 @@ def _constant_field_states(setup, grid, n_steps=8, dt=1e-3):
     return states
 
 
-class TestInvSObserver:
+def _inv_s_loop(path, setup, constants):
+    """The 1/S monitor sample by sample, in Python floats: the reference."""
+    sp = setup.speed
+    quad_coef = sp.c1 / (4.0 * sp.c0 * setup.r0**setup.alpha)
+    geom_coef = setup.alpha * sp.c1 / setup.r0
+    ts, ys, checks, violations, paired = [], [], 0, 0, False
+    for t, R, S in zip(path.t, path.R, path.S):
+        t, R, S = float(t), float(R), float(S)
+        if S <= 0.0:
+            paired = False
+            continue
+        y = 1.0 / S
+        if paired:
+            lhs = (y - ys[-1]) / (t - ts[-1])
+            rhs = -constants.inv_s_decay_rate + y * y * (quad_coef * R * R + geom_coef * abs(R))
+            checks += 1
+            violations += lhs > rhs
+        ts.append(t)
+        ys.append(y)
+        paired = True
+    return ts, ys, checks, violations
+
+
+class TestInvSMonitor:
     def test_constant_positive_s_flatline(self, unit_speed):
         # 1/S stays at 1 and the decay inequality holds with both sides zero
         setup = ProblemSetup.theorem(
@@ -261,13 +276,11 @@ class TestInvSObserver:
         class _Stub:
             inv_s_decay_rate = 0.0
 
-        obs = InvSObserver(path, setup, _Stub())
         states = _constant_field_states(setup, grid)
         path(states[0])
-        obs(states[0])
         for before, after in zip(states, states[1:]):
             path.advance(before, after)
-            obs(after)
+        obs = InvSMonitor(path, setup, _Stub())
         assert obs.violations == 0
         assert obs.checks == len(states) - 1
         assert np.all(np.asarray(obs.inv_s) == 1.0)
@@ -279,36 +292,50 @@ class TestInvSObserver:
         constants = compute_constants(s)
         grid = Grid.uniform(*s.domain, 512)
         path = CharacteristicPath("plus", s.r0, grid, s.speed)
-        obs = InvSObserver(path, s, constants)
-        state = init_state(s, grid)
-        path(state)
-        obs(state)
-        result = run(s, grid, SchemeConfig(max_steps=0))
-        report = build_blowup_report(result, obs, constants, s)
+        result = run(s, grid, SchemeConfig(max_steps=0), observers=(path,))
+        report = build_blowup_report(result, InvSMonitor(path, s, constants), constants, s)
         assert report.initial_inv_s_ok
 
-    def test_requires_path_advanced_first(self, canonical_setup):
-        s = canonical_setup
-        constants = compute_constants(s)
-        grid = Grid.uniform(*s.domain, 128)
-        path = CharacteristicPath("plus", s.r0, grid, s.speed)
-        obs = InvSObserver(path, s, constants)
-        state = init_state(s, grid)
-        with pytest.raises(RuntimeError):
-            obs(state)  # path has no sample yet
-
-    def test_along_replays_the_stepwise_record(self, canonical_setup):
-        # fed from the finished path samples, the monitor keeps the record it
-        # builds as an observer of the run
+    def test_matches_the_sample_by_sample_loop(self, canonical_setup):
+        # a traced path, then the same samples with large R and every fifth
+        # S flipped to -S or -0.0, so that both outcomes of the check occur
         s = canonical_setup
         constants = compute_constants(s)
         grid = Grid.uniform(*s.domain, 1024)
         path = CharacteristicPath("plus", s.r0, grid, s.speed)
-        live = InvSObserver(path, s, constants)
-        run(s, grid, SchemeConfig(), observers=(path, live), t_end=0.01)
-        replay = InvSObserver.along(path, s, constants)
-        for name in ("t", "inv_s", "all_t", "all_S", "violations", "checks"):
-            assert getattr(replay, name) == getattr(live, name)
+        run(s, grid, SchemeConfig(), observers=(path,), t_end=0.01)
+        a = path.arrays()
+        rng = np.random.default_rng(7)
+        S = a["S"].copy()
+        S[::5] *= -1.0
+        S[3::10] = -0.0
+        R = rng.normal(0.0, 30.0, S.size)
+        perturbed = PathSamples("plus", a["t"], a["r"], a["u"], R, S)
+        for samples in (path, perturbed):
+            obs = InvSMonitor(samples, s, constants)
+            ts, ys, checks, violations = _inv_s_loop(samples, s, constants)
+            assert obs.t.tolist() == ts
+            assert obs.inv_s.tolist() == ys
+            assert (obs.checks, obs.violations) == (checks, violations)
+        assert 0 < violations < checks
+
+    def test_nonpositive_sample_breaks_the_pair_chain(self, canonical_setup):
+        # samples 0-1 and 3-4 pair up; the non-positive sample 2 is skipped
+        # and no pair spans it.  The hand check of pair 0-1:
+        # d(1/S)/dt = (0.25 - 0.5)/0.1 = -2.5 against the bound at R = 0,
+        # -rate, so it conforms; pair 3-4 has 1/S rising and violates it.
+        s = canonical_setup
+        constants = compute_constants(s)
+        t = np.array([0.0, 0.1, 0.2, 0.3, 0.4])
+        S = np.array([2.0, 4.0, -1.0, 4.0, 2.0])
+        zero = np.zeros_like(t)
+        obs = InvSMonitor(PathSamples("plus", t, zero, zero, zero, S), s, constants)
+        assert obs.checks == 2
+        assert obs.violations == 1
+        assert obs.inequality_fraction == 0.5
+        np.testing.assert_array_equal(obs.t, [0.0, 0.1, 0.3, 0.4])
+        np.testing.assert_array_equal(obs.inv_s, [0.5, 0.25, 0.25, 0.5])
+        assert not obs.s_gt1_after_first()
 
     def test_decreasing_reciprocal_during_steepening(self, canonical_setup):
         # over the coherent early window 1/S falls monotonically and the
@@ -318,10 +345,9 @@ class TestInvSObserver:
         constants = compute_constants(s)
         grid = Grid.uniform(*s.domain, 8192)
         path = CharacteristicPath("plus", s.r0, grid, s.speed)
-        obs = InvSObserver(path, s, constants)
-        run(s, grid, SchemeConfig(), observers=(path, obs), t_end=0.004)
-        inv = np.asarray(obs.inv_s)
-        assert np.all(np.diff(inv) < 0.0)
+        run(s, grid, SchemeConfig(), observers=(path,), t_end=0.004)
+        obs = InvSMonitor(path, s, constants)
+        assert np.all(np.diff(obs.inv_s) < 0.0)
         assert obs.inequality_fraction == 1.0
         t_star = obs.t_star_extrapolated()
         assert t_star is not None
@@ -336,13 +362,22 @@ class TestVerdict:
         stepper = Stepper(s, grid, SchemeConfig())
         g0, _ = stepper.gradient_max(init_state(s, grid))
         path = CharacteristicPath("plus", s.r0, grid, s.speed)
-        obs = InvSObserver(path, s, constants)
-        result = run(s, grid, SchemeConfig(gradient_ceiling=1.02 * g0),
-                     observers=(path, obs))
-        report = build_blowup_report(result, obs, constants, s)
-        verdict = blowup_verdict(report, constants, s)
-        assert verdict.status == "PASS"
-        assert verdict.t_detect < s.t_final
+        result = run(s, grid, SchemeConfig(gradient_ceiling=1.02 * g0), observers=(path,))
+        report = build_blowup_report(result, InvSMonitor(path, s, constants), constants, s)
+        assert report.verdict == "PASS"
+        assert report.t_detect < s.t_final
+
+    def test_undetected_steepening_run_fails(self, gentle_setup):
+        # c'(u0) > 0, but the mild bump stays smooth up to t_final
+        s = gentle_setup
+        constants = compute_constants(s)
+        grid = Grid.uniform(*s.domain, 256)
+        path = CharacteristicPath("plus", s.r0, grid, s.speed)
+        result = run(s, grid, SchemeConfig(), observers=(path,))
+        report = build_blowup_report(result, InvSMonitor(path, s, constants), constants, s)
+        assert result.reason == "t_final"
+        assert not report.detected
+        assert report.verdict == "FAIL"
 
     def test_flat_speed_fails_as_expected(self, unit_speed):
         setup = ProblemSetup.theorem(
@@ -357,23 +392,19 @@ class TestVerdict:
             c_prime_u0 = 0.0
             t_star_bound = setup.t_final
 
-        obs = InvSObserver(path, setup, _Stub())
-        result = run(setup, grid, SchemeConfig(), observers=(path, obs))
-        report = build_blowup_report(result, obs, _Stub(), setup)
-        verdict = blowup_verdict(report, _Stub(), setup)
+        result = run(setup, grid, SchemeConfig(), observers=(path,))
+        report = build_blowup_report(result, InvSMonitor(path, setup, _Stub()), _Stub(), setup)
         assert not report.detected
-        assert verdict.status == "FAIL-AS-EXPECTED"
+        assert report.verdict == "FAIL-AS-EXPECTED"
 
     def test_step_budget_inconclusive(self, canonical_setup):
         s = canonical_setup
         constants = compute_constants(s)
         grid = Grid.uniform(*s.domain, 256)
         path = CharacteristicPath("plus", s.r0, grid, s.speed)
-        obs = InvSObserver(path, s, constants)
-        result = run(s, grid, SchemeConfig(max_steps=3), observers=(path, obs))
-        report = build_blowup_report(result, obs, constants, s)
-        verdict = blowup_verdict(report, constants, s)
-        assert verdict.status == "INCONCLUSIVE"
+        result = run(s, grid, SchemeConfig(max_steps=3), observers=(path,))
+        report = build_blowup_report(result, InvSMonitor(path, s, constants), constants, s)
+        assert report.verdict == "INCONCLUSIVE"
 
 
 class TestReportAssembly:
@@ -383,19 +414,12 @@ class TestReportAssembly:
         grid = Grid.uniform(*s.domain, 256)
         energy = EnergyObserver(grid, s.speed)
         path = CharacteristicPath("plus", s.r0, grid, s.speed)
-        obs = InvSObserver(path, s, constants)
-        result = run(s, grid, SchemeConfig(max_steps=10), observers=(energy, path, obs))
-        report = build_blowup_report(result, obs, constants, s)
-        verdict = blowup_verdict(report, constants, s)
+        result = run(s, grid, SchemeConfig(max_steps=10), observers=(energy, path))
+        report = build_blowup_report(result, InvSMonitor(path, s, constants), constants, s)
         from varwave import c_prime_sign_along, u_drift_along
 
         doc = build_report(
-            constants,
-            energy=EnergyTrace.from_observer(energy),
-            blowup=report,
-            drift=u_drift_along(path, constants),
-            sign=c_prime_sign_along(path, s),
-            verdict=verdict,
+            constants, energy, report, u_drift_along(path, constants), c_prime_sign_along(path, s)
         )
         assert set(doc["constants"]) == {
             "K_measured", "K_envelope", "M", "eps0", "S0_lower", "t_star_bound"
