@@ -262,7 +262,13 @@ def _inv_s_loop(path, setup, constants):
     return ts, ys, checks, violations
 
 
-class TestInvSMonitor:
+class TestInvSObserver:
+    """The 1/S monitor, `InvSMonitor`, built after the run from a finished path.
+
+    The class keeps the name of the per-step observer the monitor replaced,
+    so the ids of the tests it carried over are unchanged.
+    """
+
     def test_constant_positive_s_flatline(self, unit_speed):
         # 1/S stays at 1 and the decay inequality holds with both sides zero
         setup = ProblemSetup.theorem(
