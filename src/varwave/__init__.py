@@ -27,7 +27,6 @@ from .charsolver import CharRun, blowup_sweep
 from .diagnostics import (
     BlowupReport,
     EnergyObserver,
-    InvSMonitor,
     TheoremConstants,
     TriangleReport,
     blowup_time_estimate,

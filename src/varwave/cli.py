@@ -29,7 +29,6 @@ from . import plots
 from .characteristics import CharacteristicPath, c_prime_sign_along, u_drift_along
 from .diagnostics import (
     EnergyObserver,
-    InvSMonitor,
     blowup_time_estimate,
     build_blowup_report,
     build_report,
@@ -131,10 +130,8 @@ def build_scheme(cfg: dict) -> SchemeConfig:
 
 def build_grid(cfg: dict, setup: ProblemSetup) -> Grid:
     gc = _require(cfg, "grid", "config")
-    n = _require(gc, "n", "grid")
-    if not (isinstance(n, int) or isinstance(n, float) and n.is_integer()):
-        raise ConfigError(f"grid n must be an integer, got {n!r}")
-    return Grid.uniform(*setup.domain, int(n))
+    n = int(_require(gc, "n", "grid"))
+    return Grid.uniform(*setup.domain, n)
 
 
 def _config_comment(config: dict) -> str:
@@ -214,7 +211,7 @@ def _simulate_once(config: dict, out_dir: Path, svg: bool, eps_override=None) ->
     result = run(setup, grid, cfg, observers=(energy, hat, snaps))
     snaps.ensure_last(result.state)
 
-    blowup = build_blowup_report(result, InvSMonitor(hat, setup, constants), constants, setup)
+    blowup = build_blowup_report(result, hat, constants, setup)
     doc = build_report(
         constants, energy, blowup, u_drift_along(hat, constants), c_prime_sign_along(hat, setup)
     )

@@ -317,63 +317,48 @@ def characteristic_triangle_identity(
     return report, plus.samples(), minus.samples()
 
 
-class InvSMonitor:
+def _inv_s_record(path: CharacteristicPath | PathSamples, setup: ProblemSetup,
+                  constants: TheoremConstants):
     """1/S along a finished plus path and the discrete decay inequality.
 
-    ``path`` is a traced ``CharacteristicPath`` or the ``PathSamples`` of a
-    characteristic-coordinate line.  1/S is kept where the sampled S is
-    positive; a non-positive sample is skipped and breaks the chain of
-    pairs.  For each pair of consecutive positive samples the one-sided
-    difference of 1/S is checked against
+    1/S is kept where the sampled S is not <= 0 (a NaN is kept); a
+    non-positive sample is skipped and breaks the chain of pairs.  For each
+    pair of consecutive kept samples the one-sided difference of 1/S is
+    checked against
 
         d(1/S)/dt <= -c'(u0)/(16 c1 (2 r0)^alpha)
-                     + (1/S^2) (c1 R^2/(4 c0 r0^alpha) + alpha c1 |R|/r0),
+                     + (1/S^2) (c1 R^2/(4 c0 r0^alpha) + alpha c1 |R|/r0).
 
-    and the fraction of conforming pairs is reported.  The blow-up time
-    estimate is the zero crossing of a least-squares line through the last
-    quarter of the 1/S trace.
+    Returns the kept times, their 1/S, the number of checked pairs and the
+    number that violate the inequality.
     """
+    sp = setup.speed
+    t = np.asarray(path.t, dtype=float)
+    R = np.asarray(path.R, dtype=float)
+    S = np.asarray(path.S, dtype=float)
+    kept = ~(S <= 0.0)
+    t = t[kept]
+    inv_s = 1.0 / S[kept]
+    y, Rk = inv_s[1:], R[kept][1:]
+    lhs = np.diff(inv_s) / np.diff(t)
+    rhs = -constants.inv_s_decay_rate + y * y * (
+        sp.c1 / (4.0 * sp.c0 * setup.r0**setup.alpha) * Rk * Rk
+        + setup.alpha * sp.c1 / setup.r0 * np.abs(Rk)
+    )
+    paired = np.diff(np.flatnonzero(kept)) == 1
+    return t, inv_s, int(np.count_nonzero(paired)), int(np.count_nonzero(paired & (lhs > rhs)))
 
-    def __init__(self, path: CharacteristicPath | PathSamples, setup: ProblemSetup,
-                 constants: TheoremConstants):
-        sp = setup.speed
-        t = np.asarray(path.t, dtype=float)
-        R = np.asarray(path.R, dtype=float)
-        self.S = np.asarray(path.S, dtype=float)
-        positive = self.S > 0.0
-        self.t = t[positive]
-        self.inv_s = 1.0 / self.S[positive]
-        y, Rk = self.inv_s[1:], R[positive][1:]
-        lhs = np.diff(self.inv_s) / np.diff(self.t)
-        rhs = -constants.inv_s_decay_rate + y * y * (
-            sp.c1 / (4.0 * sp.c0 * setup.r0**setup.alpha) * Rk * Rk
-            + setup.alpha * sp.c1 / setup.r0 * np.abs(Rk)
-        )
-        paired = np.diff(np.flatnonzero(positive)) == 1
-        self.checks = int(np.count_nonzero(paired))
-        self.violations = int(np.count_nonzero(paired & (lhs > rhs)))
 
-    @property
-    def inequality_fraction(self) -> float:
-        if self.checks == 0:
-            return 1.0
-        return 1.0 - self.violations / self.checks
-
-    def s_gt1_after_first(self) -> bool:
-        if self.S.size <= 1:
-            return True
-        return bool(np.min(self.S[1:]) > 1.0)
-
-    def t_star_extrapolated(self) -> float | None:
-        """Zero crossing of the least-squares line through the trace tail."""
-        n = self.t.size
-        if n < 2:
-            return None
-        k = max(2, n // 4)
-        slope, intercept = np.polyfit(self.t[n - k:], self.inv_s[n - k:], 1)
-        if slope >= 0.0:
-            return None
-        return float(-intercept / slope)
+def _zero_crossing(t: np.ndarray, inv_s: np.ndarray) -> float | None:
+    """Zero of the least-squares line through the last quarter of 1/S."""
+    n = t.size
+    if n < 2:
+        return None
+    k = max(2, n // 4)
+    slope, intercept = np.polyfit(t[n - k:], inv_s[n - k:], 1)
+    if slope >= 0.0:
+        return None
+    return float(-intercept / slope)
 
 
 @dataclass(frozen=True)
@@ -400,10 +385,16 @@ class BlowupReport:
 
 
 def build_blowup_report(
-    result: RunResult | CharRun, monitor: InvSMonitor, constants: TheoremConstants,
-    setup: ProblemSetup
+    result: RunResult | CharRun, path: CharacteristicPath | PathSamples,
+    constants: TheoremConstants, setup: ProblemSetup
 ) -> BlowupReport:
-    """The blow-up record of a finished run and its verdict.
+    """The blow-up record of a finished run, its hat path and the verdict.
+
+    ``path`` is the finished plus path from (0, r0): a traced
+    ``CharacteristicPath`` or the ``PathSamples`` of a characteristic-
+    coordinate line.  The 1/S record and its decay inequality are read from
+    it in one pass; the blow-up time estimate is the zero crossing of a
+    least-squares line through the last quarter of the 1/S trace.
 
     PASS iff detection happened before t_final.  The sharper extrapolated-
     time bound is reported as a separate flag: the derived constants are
@@ -413,7 +404,9 @@ def build_blowup_report(
     FAIL-AS-EXPECTED when the steepening hypothesis c'(u0) > 0 is absent,
     plain FAIL otherwise.
     """
-    s_start = float(monitor.S[0]) if monitor.S.size else 0.0
+    S = np.asarray(path.S, dtype=float)
+    t, inv_s, checks, violations = _inv_s_record(path, setup, constants)
+    s_start = float(S[0]) if S.size else 0.0
     if s_start > 0.0:
         bound_218 = min(
             (setup.r0 - setup.eps) * constants.c_prime_u0
@@ -431,18 +424,18 @@ def build_blowup_report(
         verdict = "FAIL-AS-EXPECTED"
     else:
         verdict = "FAIL"
-    t_star = monitor.t_star_extrapolated()
+    t_star = _zero_crossing(t, inv_s)
     return BlowupReport(
         detected=result.detected,
         t_detect=result.t_detect,
         r_detect=result.r_detect,
-        inv_S_trace=np.column_stack([monitor.t, monitor.inv_s]),
+        inv_S_trace=np.column_stack([t, inv_s]),
         t_star_extrapolated=t_star,
         reason=result.reason,
-        s_gt1_after_first=monitor.s_gt1_after_first(),
-        inequality_checks=monitor.checks,
-        inequality_violations=monitor.violations,
-        inequality_fraction=monitor.inequality_fraction,
+        s_gt1_after_first=S.size <= 1 or bool(np.min(S[1:]) > 1.0),
+        inequality_checks=checks,
+        inequality_violations=violations,
+        inequality_fraction=1.0 - violations / checks if checks else 1.0,
         initial_inv_s_ok=initial_ok,
         verdict=verdict,
         t_star_within_paper_bound=t_star is not None and t_star < constants.t_star_bound,

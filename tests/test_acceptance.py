@@ -58,7 +58,7 @@ from varwave import (
     run,
     u_drift_along,
 )
-from varwave.diagnostics import EnergyObserver, InvSMonitor
+from varwave.diagnostics import EnergyObserver
 
 SQRT2 = math.sqrt(2.0)
 CANONICAL = dict(d=3, r0=1.0, u0=math.pi / 4)
@@ -85,7 +85,7 @@ def hat_monitors(setup, n):
     return {
         "result": result,
         "hat": hat,
-        "report": build_blowup_report(result, InvSMonitor(hat, setup, constants), constants, setup),
+        "report": build_blowup_report(result, hat, constants, setup),
         "drift": u_drift_along(hat, constants),
         "sign": c_prime_sign_along(hat, setup),
     }

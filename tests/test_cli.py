@@ -292,8 +292,8 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "section, key, value",
-        [("grid", "n", None), ("grid", "n", 512.5), ("setup", "domain", [0.5])],
-        ids=["n-null", "n-fractional", "domain-one-number"],
+        [("setup", "domain", [0.5]), ("setup", "domain", [0.5, None])],
+        ids=["domain-one-number", "domain-null-end"],
     )
     def test_malformed_value_is_one_line_config_error(self, tmp_path, capsys, section, key, value):
         cfg = base_config()

@@ -16,6 +16,7 @@ from varwave import (
     SchemeConfig,
     Stepper,
     PathSamples,
+    RunResult,
     blowup_time_estimate,
     build_blowup_report,
     build_report,
@@ -25,7 +26,7 @@ from varwave import (
     run,
     triangle_identity,
 )
-from varwave.diagnostics import EnergyObserver, InvSMonitor
+from varwave.diagnostics import EnergyObserver
 
 SQRT2 = math.sqrt(2.0)
 
@@ -262,10 +263,15 @@ def _inv_s_loop(path, setup, constants):
     return ts, ys, checks, violations
 
 
-class TestInvSObserver:
-    """The 1/S monitor, `InvSMonitor`, built after the run from a finished path.
+# the detection fields of a run that stopped at t_final without detecting
+_UNDETECTED = RunResult(state=None, steps=0, reason="t_final", detected=False,
+                        t_detect=None, r_detect=None, gradient_ceiling=math.inf)
 
-    The class keeps the name of the per-step observer the monitor replaced,
+
+class TestInvSObserver:
+    """The 1/S record that `build_blowup_report` reads from a finished path.
+
+    The class keeps the name of the per-step observer the record replaced,
     so the ids of the tests it carried over are unchanged.
     """
 
@@ -281,16 +287,18 @@ class TestInvSObserver:
         # zero decay rate stands in for the constants (c'(u0) = 0 here)
         class _Stub:
             inv_s_decay_rate = 0.0
+            c_prime_u0 = 0.0
+            t_star_bound = setup.t_final
 
         states = _constant_field_states(setup, grid)
         path(states[0])
         for before, after in zip(states, states[1:]):
             path.advance(before, after)
-        obs = InvSMonitor(path, setup, _Stub())
-        assert obs.violations == 0
-        assert obs.checks == len(states) - 1
-        assert np.all(np.asarray(obs.inv_s) == 1.0)
-        assert obs.t_star_extrapolated() is None  # flat line never crosses zero
+        report = build_blowup_report(_UNDETECTED, path, _Stub(), setup)
+        assert report.inequality_violations == 0
+        assert report.inequality_checks == len(states) - 1
+        assert np.all(report.inv_S_trace[:, 1] == 1.0)
+        assert report.t_star_extrapolated is None  # flat line never crosses zero
 
     def test_initial_reciprocal_gradient_small_enough(self, canonical_setup):
         # the constructed data start below min{(r0-eps) c'(u0)/(32 c1^2 (2 r0)^alpha), 1/2}
@@ -299,12 +307,13 @@ class TestInvSObserver:
         grid = Grid.uniform(*s.domain, 512)
         path = CharacteristicPath("plus", s.r0, grid, s.speed)
         result = run(s, grid, SchemeConfig(max_steps=0), observers=(path,))
-        report = build_blowup_report(result, InvSMonitor(path, s, constants), constants, s)
+        report = build_blowup_report(result, path, constants, s)
         assert report.initial_inv_s_ok
 
     def test_matches_the_sample_by_sample_loop(self, canonical_setup):
-        # a traced path, then the same samples with large R and every fifth
-        # S flipped to -S or -0.0, so that both outcomes of the check occur
+        # a traced path, then the same samples with large R, every fifth S
+        # flipped to -S or -0.0 and one NaN, so that both outcomes of the
+        # check occur and a NaN sample is kept and paired like a positive one
         s = canonical_setup
         constants = compute_constants(s)
         grid = Grid.uniform(*s.domain, 1024)
@@ -315,15 +324,22 @@ class TestInvSObserver:
         S = a["S"].copy()
         S[::5] *= -1.0
         S[3::10] = -0.0
+        S[1] = np.nan
         R = rng.normal(0.0, 30.0, S.size)
         perturbed = PathSamples("plus", a["t"], a["r"], a["u"], R, S)
         for samples in (path, perturbed):
-            obs = InvSMonitor(samples, s, constants)
+            report = build_blowup_report(_UNDETECTED, samples, constants, s)
             ts, ys, checks, violations = _inv_s_loop(samples, s, constants)
-            assert obs.t.tolist() == ts
-            assert obs.inv_s.tolist() == ys
-            assert (obs.checks, obs.violations) == (checks, violations)
+            assert report.inv_S_trace[:, 0].tolist() == ts
+            # NaN != NaN, so compare the bit patterns
+            assert report.inv_S_trace[:, 1].view(np.uint64).tolist() == (
+                np.array(ys).view(np.uint64).tolist()
+            )
+            assert (report.inequality_checks, report.inequality_violations) == (
+                checks, violations
+            )
         assert 0 < violations < checks
+        assert np.isnan(report.inv_S_trace[:, 1]).sum() == 1
 
     def test_nonpositive_sample_breaks_the_pair_chain(self, canonical_setup):
         # samples 0-1 and 3-4 pair up; the non-positive sample 2 is skipped
@@ -335,13 +351,15 @@ class TestInvSObserver:
         t = np.array([0.0, 0.1, 0.2, 0.3, 0.4])
         S = np.array([2.0, 4.0, -1.0, 4.0, 2.0])
         zero = np.zeros_like(t)
-        obs = InvSMonitor(PathSamples("plus", t, zero, zero, zero, S), s, constants)
-        assert obs.checks == 2
-        assert obs.violations == 1
-        assert obs.inequality_fraction == 0.5
-        np.testing.assert_array_equal(obs.t, [0.0, 0.1, 0.3, 0.4])
-        np.testing.assert_array_equal(obs.inv_s, [0.5, 0.25, 0.25, 0.5])
-        assert not obs.s_gt1_after_first()
+        samples = PathSamples("plus", t, zero, zero, zero, S)
+        report = build_blowup_report(_UNDETECTED, samples, constants, s)
+        assert report.inequality_checks == 2
+        assert report.inequality_violations == 1
+        assert report.inequality_fraction == 0.5
+        np.testing.assert_array_equal(
+            report.inv_S_trace, [[0.0, 0.5], [0.1, 0.25], [0.3, 0.25], [0.4, 0.5]]
+        )
+        assert not report.s_gt1_after_first
 
     def test_decreasing_reciprocal_during_steepening(self, canonical_setup):
         # over the coherent early window 1/S falls monotonically and the
@@ -351,13 +369,12 @@ class TestInvSObserver:
         constants = compute_constants(s)
         grid = Grid.uniform(*s.domain, 8192)
         path = CharacteristicPath("plus", s.r0, grid, s.speed)
-        run(s, grid, SchemeConfig(), observers=(path,), t_end=0.004)
-        obs = InvSMonitor(path, s, constants)
-        assert np.all(np.diff(obs.inv_s) < 0.0)
-        assert obs.inequality_fraction == 1.0
-        t_star = obs.t_star_extrapolated()
-        assert t_star is not None
-        assert t_star < constants.t_star_bound
+        result = run(s, grid, SchemeConfig(), observers=(path,), t_end=0.004)
+        report = build_blowup_report(result, path, constants, s)
+        assert np.all(np.diff(report.inv_S_trace[:, 1]) < 0.0)
+        assert report.inequality_fraction == 1.0
+        assert report.t_star_extrapolated is not None
+        assert report.t_star_within_paper_bound
 
 
 class TestVerdict:
@@ -369,7 +386,7 @@ class TestVerdict:
         g0, _ = stepper.gradient_max(init_state(s, grid))
         path = CharacteristicPath("plus", s.r0, grid, s.speed)
         result = run(s, grid, SchemeConfig(gradient_ceiling=1.02 * g0), observers=(path,))
-        report = build_blowup_report(result, InvSMonitor(path, s, constants), constants, s)
+        report = build_blowup_report(result, path, constants, s)
         assert report.verdict == "PASS"
         assert report.t_detect < s.t_final
 
@@ -380,7 +397,7 @@ class TestVerdict:
         grid = Grid.uniform(*s.domain, 256)
         path = CharacteristicPath("plus", s.r0, grid, s.speed)
         result = run(s, grid, SchemeConfig(), observers=(path,))
-        report = build_blowup_report(result, InvSMonitor(path, s, constants), constants, s)
+        report = build_blowup_report(result, path, constants, s)
         assert result.reason == "t_final"
         assert not report.detected
         assert report.verdict == "FAIL"
@@ -399,7 +416,7 @@ class TestVerdict:
             t_star_bound = setup.t_final
 
         result = run(setup, grid, SchemeConfig(), observers=(path,))
-        report = build_blowup_report(result, InvSMonitor(path, setup, _Stub()), _Stub(), setup)
+        report = build_blowup_report(result, path, _Stub(), setup)
         assert not report.detected
         assert report.verdict == "FAIL-AS-EXPECTED"
 
@@ -409,7 +426,7 @@ class TestVerdict:
         grid = Grid.uniform(*s.domain, 256)
         path = CharacteristicPath("plus", s.r0, grid, s.speed)
         result = run(s, grid, SchemeConfig(max_steps=3), observers=(path,))
-        report = build_blowup_report(result, InvSMonitor(path, s, constants), constants, s)
+        report = build_blowup_report(result, path, constants, s)
         assert report.verdict == "INCONCLUSIVE"
 
 
@@ -421,7 +438,7 @@ class TestReportAssembly:
         energy = EnergyObserver(grid, s.speed)
         path = CharacteristicPath("plus", s.r0, grid, s.speed)
         result = run(s, grid, SchemeConfig(max_steps=10), observers=(energy, path))
-        report = build_blowup_report(result, InvSMonitor(path, s, constants), constants, s)
+        report = build_blowup_report(result, path, constants, s)
         from varwave import c_prime_sign_along, u_drift_along
 
         doc = build_report(
