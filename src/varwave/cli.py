@@ -8,8 +8,8 @@ CSV and SVG artifact starts with a comment header embedding the full
 config; JSON artifacts embed it under the "config" key (JSON has no
 comment syntax).  Identical configs produce bit-identical outputs: the
 summation order is fixed and floats are written with round-trip precision.
-Exit codes: 0 success, 1 validation error, 2 runtime error.  The
-VARWAVE_THREADS environment variable caps experiment parallelism.
+Exit codes: 0 success, 1 validation error, 2 runtime error.  The jobs of
+eps-sweep and convergence run one after another.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -29,6 +28,7 @@ from . import plots
 from .characteristics import CharacteristicPath, c_prime_sign_along, u_drift_along
 from .diagnostics import (
     EnergyObserver,
+    _trapezoid_energy,
     blowup_time_estimate,
     build_blowup_report,
     build_report,
@@ -53,27 +53,43 @@ from .solver import Grid, GridState, SchemeConfig, Stepper, init_state, run
 from .speed_models import ConstantSpeed, OseenFrankSpeed, TabulatedSpeed
 
 
-def _require(cfg: dict, key: str, where: str):
+def _number(raw, cast, label: str):
+    """raw converted by cast (float or int); null or a value cast rejects is a ConfigError."""
+    try:
+        return cast(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{label} must be a number, got {json.dumps(raw)}") from None
+
+
+def _require(cfg: dict, key: str, where: str, cast=None):
+    """cfg[key], converted by cast (see _number) when one is given."""
     if key not in cfg:
         raise ConfigError(f"missing '{key}' in {where}")
-    return cfg[key]
+    return cfg[key] if cast is None else _number(cfg[key], cast, f"{where}.{key}")
+
+
+def _number_list(cfg: dict, key: str, where: str, cast=float) -> list:
+    raw = _require(cfg, key, where)
+    if not isinstance(raw, list):
+        raise ConfigError(f"{where}.{key} must be a list of numbers, got {json.dumps(raw)}")
+    return [_number(x, cast, f"{where}.{key}") for x in raw]
 
 
 def build_speed(cfg: dict):
     kind = _require(cfg, "kind", "speed")
     if kind == "oseen_frank":
         return OseenFrankSpeed(
-            c0=float(_require(cfg, "c0", "speed")),
-            c1=float(_require(cfg, "c1", "speed")),
-            k1=float(_require(cfg, "k1", "speed")),
-            k3=float(_require(cfg, "k3", "speed")),
+            c0=_require(cfg, "c0", "speed", float),
+            c1=_require(cfg, "c1", "speed", float),
+            k1=_require(cfg, "k1", "speed", float),
+            k3=_require(cfg, "k3", "speed", float),
         )
     if kind == "constant":
-        return ConstantSpeed.of(float(_require(cfg, "c", "speed")))
+        return ConstantSpeed.of(_require(cfg, "c", "speed", float))
     if kind == "tabulated":
         return TabulatedSpeed(
-            c0=float(_require(cfg, "c0", "speed")),
-            c1=float(_require(cfg, "c1", "speed")),
+            c0=_require(cfg, "c0", "speed", float),
+            c1=_require(cfg, "c1", "speed", float),
             knots=tuple(_require(cfg, "knots", "speed")),
             values=tuple(_require(cfg, "values", "speed")),
             derivative_values=tuple(cfg["derivative_values"])
@@ -85,10 +101,10 @@ def build_speed(cfg: dict):
 
 def build_setup(cfg: dict, eps_override: float | None = None) -> ProblemSetup:
     sc = _require(cfg, "setup", "config")
-    d = int(_require(sc, "d", "setup"))
-    r0 = float(_require(sc, "r0", "setup"))
-    eps = float(eps_override if eps_override is not None else _require(sc, "eps", "setup"))
-    u0 = float(_require(sc, "u0", "setup"))
+    d = _require(sc, "d", "setup", int)
+    r0 = _require(sc, "r0", "setup", float)
+    eps = float(eps_override) if eps_override is not None else _require(sc, "eps", "setup", float)
+    u0 = _require(sc, "u0", "setup", float)
     speed = build_speed(_require(sc, "speed", "setup"))
 
     prof_cfg = sc.get("profile", "theorem")
@@ -98,7 +114,7 @@ def build_setup(cfg: dict, eps_override: float | None = None) -> ProblemSetup:
         kind = prof_cfg.get("kind", "polynomial")
         if kind != "polynomial":
             raise ConfigError(f"unknown profile kind '{kind}'")
-        profile = PolynomialBump(amplitude=float(_require(prof_cfg, "amplitude", "profile")))
+        profile = PolynomialBump(amplitude=_require(prof_cfg, "amplitude", "profile", float))
     else:
         raise ConfigError("profile must be 'theorem' or an object with an amplitude")
 
@@ -121,15 +137,17 @@ def build_scheme(cfg: dict) -> SchemeConfig:
     default = SchemeConfig()
     ceiling = sc.get("gradient_ceiling", "auto")
     return SchemeConfig(
-        cfl=float(sc.get("cfl", default.cfl)),
+        cfl=_number(sc.get("cfl", default.cfl), float, "scheme.cfl"),
         scheme=sc.get("scheme", default.scheme),
-        max_steps=int(sc.get("max_steps", default.max_steps)),
+        max_steps=_number(sc.get("max_steps", default.max_steps), int, "scheme.max_steps"),
         gradient_ceiling=None if ceiling == "auto" else float(ceiling),
     )
 
 
 def build_grid(cfg: dict, setup: ProblemSetup) -> Grid:
     gc = _require(cfg, "grid", "config")
+    # unchecked: a null grid.n is the benchmark self-test's crash trigger
+    # until it gets another (ROADMAP item 2c)
     n = int(_require(gc, "n", "grid"))
     return Grid.uniform(*setup.domain, n)
 
@@ -288,8 +306,8 @@ def cmd_triangle(config: dict, out_dir: Path, svg: bool) -> int:
     setup = build_setup(config)
     cfg = build_scheme(config)
     grid = build_grid(config, setup)
-    r1 = float(_require(exp, "r1", "experiment"))
-    r2 = float(_require(exp, "r2", "experiment"))
+    r1 = _require(exp, "r1", "experiment", float)
+    r2 = _require(exp, "r2", "experiment", float)
     report, plus, minus = triangle_identity(setup, grid, cfg, r1, r2)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "plus_path.csv", config, plus.arrays())
@@ -310,16 +328,14 @@ def cmd_triangle(config: dict, out_dir: Path, svg: bool) -> int:
     return 0
 
 
-def _max_workers(n_jobs: int) -> int:
-    cap = os.environ.get("VARWAVE_THREADS")
-    if cap is not None:
-        return max(1, min(n_jobs, int(cap)))
-    return max(1, min(n_jobs, os.cpu_count() or 1))
+# Experiment jobs run one after another.  The step loop holds the GIL, so
+# two worker threads ran the convergence grids at 0.94x the speed of one.
+_JOB_WORKERS = 1
 
 
 def cmd_eps_sweep(config: dict, out_dir: Path, svg: bool) -> int:
     exp = config.get("experiment", {})
-    eps_list = [float(e) for e in _require(exp, "eps_list", "experiment")]
+    eps_list = _number_list(exp, "eps_list", "experiment")
     if not eps_list:
         raise ConfigError("eps_list must be nonempty")
     # validate every eps up front so the sweep fails fast on bad input
@@ -336,7 +352,7 @@ def cmd_eps_sweep(config: dict, out_dir: Path, svg: bool) -> int:
         except VarwaveError as exc:  # collect, keep sweeping
             return eps, None, str(exc)
 
-    with ThreadPoolExecutor(max_workers=_max_workers(len(eps_list))) as pool:
+    with ThreadPoolExecutor(max_workers=_JOB_WORKERS) as pool:
         results = list(pool.map(one, eps_list))
 
     rows = {"eps": [], "detected": [], "t_detect": [], "t_star_extrapolated": [], "t_final": []}
@@ -371,7 +387,7 @@ def cmd_eps_sweep(config: dict, out_dir: Path, svg: bool) -> int:
 
 def cmd_convergence(config: dict, out_dir: Path, svg: bool) -> int:
     exp = config.get("experiment", {})
-    n_list = [int(n) for n in _require(exp, "n_list", "experiment")]
+    n_list = _number_list(exp, "n_list", "experiment", int)
     if len(n_list) < 3:
         raise ConfigError("n_list needs at least 3 entries")
     for a, b in zip(n_list, n_list[1:]):
@@ -389,16 +405,17 @@ def cmd_convergence(config: dict, out_dir: Path, svg: bool) -> int:
         grid = Grid.uniform(*setup.domain, n)
         stepper = Stepper(setup, grid, cfg)
         state = init_state(setup, grid)
-        e0 = float(np.trapezoid(state.R**2 + state.S**2, grid.r))
+        dr = np.diff(grid.r)
+        e0 = _trapezoid_energy(state, dr)
         drift = 0.0
         while state.t < t_cmp - 1e-15:
             state = stepper.step(state, min(stepper.base_dt, t_cmp - state.t))
-            e = float(np.trapezoid(state.R**2 + state.S**2, grid.r))
+            e = _trapezoid_energy(state, dr)
             if e0 > 0:
                 drift = max(drift, abs(e - e0) / e0)
         return grid, state, drift
 
-    with ThreadPoolExecutor(max_workers=_max_workers(len(n_list))) as pool:
+    with ThreadPoolExecutor(max_workers=_JOB_WORKERS) as pool:
         solved = list(pool.map(solve, n_list))
 
     errs = {"R": [], "S": [], "u": []}

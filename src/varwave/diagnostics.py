@@ -179,26 +179,50 @@ def blowup_time_estimate(setup: ProblemSetup) -> float:
     return 1.0 / (lam * s0)
 
 
+def _trapezoid_energy(state: GridState, dr: np.ndarray) -> float:
+    """np.trapezoid(R**2 + S**2, r) with dr = diff(r), bit for bit.
+
+    Only the cells that touch the live range get their summand computed;
+    the others are +0.0, as they are in np.trapezoid, and the whole array
+    of N-1 summands is summed, so the summation order is the same.
+    """
+    n = dr.size + 1
+    a, b = state.live or (0, n)
+    lo, hi = max(a - 1, 0), min(b + 1, n)
+    terms = np.zeros(n - 1)
+    if hi - lo > 1:
+        y = state.R[lo:hi] ** 2 + state.S[lo:hi] ** 2
+        terms[lo : hi - 1] = dr[lo : hi - 1] * (y[1:] + y[:-1]) / 2.0
+    return float(terms.sum())
+
+
 class EnergyObserver:
     """Accumulates (t, E) samples by trapezoidal quadrature over the grid.
 
     Also records the boundary flux c(S^2 - R^2) at both domain ends, which
-    must vanish while the support is interior.
+    must vanish while the support is interior.  An end node outside the
+    state's live range is quiescent, so its flux is c(u0)(0 - 0) = +0.0
+    and c is not evaluated there.
     """
 
     def __init__(self, grid: Grid, speed):
         self.grid = grid
         self.speed = speed
+        self.dr = np.diff(grid.r)
         self.t: list[float] = []
         self.E: list[float] = []
         self.flux_lo: list[float] = []
         self.flux_hi: list[float] = []
 
     def __call__(self, state: GridState):
-        e = np.trapezoid(state.R**2 + state.S**2, self.grid.r)
         self.t.append(state.t)
-        self.E.append(float(e))
-        for store, i in ((self.flux_lo, 0), (self.flux_hi, -1)):
+        self.E.append(_trapezoid_energy(state, self.dr))
+        n = self.grid.n
+        a, b = state.live or (0, n)
+        for store, i in ((self.flux_lo, 0), (self.flux_hi, n - 1)):
+            if not a <= i < b:
+                store.append(0.0)
+                continue
             c = float(self.speed.c(state.u[i]))
             store.append(c * (float(state.S[i]) ** 2 - float(state.R[i]) ** 2))
 

@@ -24,6 +24,15 @@ window is the range of live nodes padded by the scheme's stencil reach and
 clipped to the grid; every node outside it is written as (u0, +0.0, +0.0),
 which is what the step over all nodes gives there, bit for bit.  The step
 over all nodes is the window [0, n).
+
+A state carries its live range ``live = (a, b)``: every node outside
+[a, b) is bitwise (u0, +0.0, +0.0), and (0, 0) means no node is live.
+``None`` means the range is not known (a hand-built state, or the initial
+one); it is then found by a scan of the grid.  A step writes the range of
+its result, found from the window arrays it just computed, so the window,
+the finite check, ``gradient_max`` and the energy quadrature of
+``diagnostics`` all cost O(window) per step.  The range stays true because
+no state is mutated after a step makes it.
 """
 
 from __future__ import annotations
@@ -84,24 +93,40 @@ class Grid:
         return float(self.r[-1])
 
 
+def _finite(*arrays: np.ndarray) -> bool:
+    return all(bool(np.isfinite(a).all()) for a in arrays)
+
+
+def _live_span(u, R, S, u0: float) -> tuple[int, int] | None:
+    """[first, last + 1) of the nodes not bitwise (u0, +0.0, +0.0); None if none.
+
+    -0.0 and NaN count as live.
+    """
+    live = (u != u0) | (R.view(np.uint64) != 0) | (S.view(np.uint64) != 0)
+    if not live.any():
+        return None
+    return int(np.argmax(live)), live.size - int(np.argmax(live[::-1]))
+
+
 @dataclass
 class GridState:
-    """Discrete solution (u, R, S) at one time level."""
+    """Discrete solution (u, R, S) at one time level.
+
+    live is the range [a, b) outside which every node is quiescent, or None
+    when it is not known (see the module docstring).
+    """
 
     t: float
     u: np.ndarray
     R: np.ndarray
     S: np.ndarray
+    live: tuple[int, int] | None = None
 
     def copy(self) -> "GridState":
-        return GridState(self.t, self.u.copy(), self.R.copy(), self.S.copy())
+        return GridState(self.t, self.u.copy(), self.R.copy(), self.S.copy(), self.live)
 
     def is_finite(self) -> bool:
-        return bool(
-            np.all(np.isfinite(self.u))
-            and np.all(np.isfinite(self.R))
-            and np.all(np.isfinite(self.S))
-        )
+        return _finite(self.u, self.R, self.S)
 
 
 @dataclass(frozen=True)
@@ -211,19 +236,34 @@ class Stepper:
         s[1:-1] = np.where(keep, np.sign(a) * np.minimum(np.abs(a), np.abs(b)), 0.0)
         return s
 
+    def _live_range(self, state: GridState) -> tuple[int, int]:
+        """state.live, or a scan of the grid when it is not known."""
+        if state.live is not None:
+            return state.live
+        return _live_span(state.u, state.R, state.S, self.setup.u0) or (0, 0)
+
     def _window(self, state: GridState) -> tuple[int, int]:
         """Live nodes padded by the stencil reach, as [lo, hi); (0, 0) if none."""
-        live = (
-            (state.u != self.setup.u0)
-            | (state.R.view(np.uint64) != 0)
-            | (state.S.view(np.uint64) != 0)
-        )
-        if not live.any():
+        a, b = self._live_range(state)
+        if a == b:
             return 0, 0
-        n = live.size
-        first = int(np.argmax(live))
-        last = n - 1 - int(np.argmax(live[::-1]))
-        return max(first - self.reach, 0), min(last + 1 + self.reach, n)
+        return max(a - self.reach, 0), min(b + self.reach, self.grid.n)
+
+    def _result_live(self, u, R, S, lo: int) -> tuple[int, int]:
+        """Live range of a step's result from its window arrays starting at node lo.
+
+        The front moves at most reach nodes per step, so the live ends are
+        looked for among the 2*reach + 1 nodes at each window edge first;
+        the whole window is scanned only when an edge holds no live node.
+        """
+        u0, k, m = self.setup.u0, 2 * self.reach + 1, u.size
+        if m > 2 * k:
+            head = _live_span(u[:k], R[:k], S[:k], u0)
+            tail = _live_span(u[-k:], R[-k:], S[-k:], u0)
+            if head is not None and tail is not None:
+                return lo + head[0], lo + m - k + tail[1]
+        span = _live_span(u, R, S, u0)
+        return (0, 0) if span is None else (lo + span[0], lo + span[1])
 
     def _clamp_boundary(self, u, R, S, lo, hi):
         """Quiescent state on the grid's end nodes that lie in the window [lo, hi)."""
@@ -255,22 +295,34 @@ class Stepper:
                 S1 = 0.5 * (S + S1 + dt * fS1)
                 u1 = 0.5 * (u + u1 + dt * fu1)
                 self._clamp_boundary(u1, R1, S1, lo, hi)
+        # every node outside the window is (u0, 0, 0), which is finite
+        if not _finite(u1, R1, S1):
+            raise NonFiniteState(
+                f"non-finite values after step to t={state.t + dt}", last_state=state
+            )
         n = self.grid.n
         new = GridState(
-            t=state.t + dt, u=np.full(n, self.setup.u0), R=np.zeros(n), S=np.zeros(n)
+            t=state.t + dt,
+            u=np.full(n, self.setup.u0),
+            R=np.zeros(n),
+            S=np.zeros(n),
+            live=self._result_live(u1, R1, S1, lo),
         )
         new.u[w], new.R[w], new.S[w] = u1, R1, S1
-        if not new.is_finite():
-            raise NonFiniteState(
-                f"non-finite values after step to t={new.t}", last_state=state
-            )
         return new
 
     def gradient_max(self, state: GridState) -> tuple[float, int]:
-        """max_i |S_i|/r_i^alpha and its node index."""
-        g = np.abs(state.S) / self.ralpha
-        i = int(np.argmax(g))
-        return float(g[i]), i
+        """max_i |S_i|/r_i^alpha and its node index, the first one on ties.
+
+        Only the live range is searched; every node outside it has g = 0, so
+        a maximum of 0 is reported at node 0, as a search of the grid would.
+        """
+        a, b = self._live_range(state)
+        g = np.abs(state.S[a:b]) / self.ralpha[a:b]
+        i = int(np.argmax(g)) if g.size else 0
+        if g.size == 0 or g[i] == 0.0:
+            return 0.0, 0
+        return float(g[i]), a + i
 
 
 def run(

@@ -136,8 +136,7 @@ class TestTriangle:
 
 
 class TestEpsSweep:
-    def test_flat_speed_detects_nothing(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("VARWAVE_THREADS", "1")
+    def test_flat_speed_detects_nothing(self, tmp_path):
         cfg = base_config()
         cfg["setup"]["speed"] = {"kind": "constant", "c": 1.0}
         cfg["setup"]["profile"] = {"kind": "polynomial", "amplitude": 3.0}
@@ -153,8 +152,7 @@ class TestEpsSweep:
         summary = json.loads((out / "sweep.json").read_text())
         assert summary["largest_eps_detected"] is None
 
-    def test_single_eps_produces_simulate_artifacts(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("VARWAVE_THREADS", "1")
+    def test_single_eps_produces_simulate_artifacts(self, tmp_path):
         cfg = base_config()
         cfg["grid"]["n"] = 256
         cfg["experiment"] = {"kind": "eps_sweep", "eps_list": [0.1]}
@@ -173,8 +171,7 @@ class TestEpsSweep:
 
 
 class TestConvergence:
-    def test_transport_first_order(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("VARWAVE_THREADS", "2")
+    def test_transport_first_order(self, tmp_path):
         cfg = base_config()
         cfg["setup"]["d"] = 1
         cfg["setup"]["speed"] = {"kind": "constant", "c": 1.0}
@@ -193,8 +190,7 @@ class TestConvergence:
             assert all(isinstance(r, float) for r in rates)
             assert rates[-1] == pytest.approx(1.0, abs=0.2)
 
-    def test_zero_data_rates_exact(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("VARWAVE_THREADS", "1")
+    def test_zero_data_rates_exact(self, tmp_path):
         cfg = base_config()
         cfg["setup"]["profile"] = {"kind": "polynomial", "amplitude": 0.0}
         cfg["experiment"] = {
@@ -303,6 +299,31 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.startswith("varwave: invalid configuration: ")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("setup", "d"), ("setup", "r0"), ("setup", "eps"), ("setup", "u0"),
+            ("scheme", "cfl"), ("scheme", "max_steps"),
+            ("experiment", "eps_list"), ("experiment", "n_list"),
+            ("experiment", "r1"), ("experiment", "r2"),
+        ],
+        ids=lambda v: v,
+    )
+    def test_null_value_is_one_line_config_error(self, tmp_path, capsys, section, key):
+        command, experiment = {
+            "eps_list": ("eps-sweep", {"kind": "eps_sweep", "eps_list": [0.1]}),
+            "n_list": ("convergence", {"kind": "convergence", "n_list": [64, 128, 256]}),
+            "r1": ("triangle", {"kind": "triangle", "r1": 0.85, "r2": 1.15}),
+            "r2": ("triangle", {"kind": "triangle", "r1": 0.85, "r2": 1.15}),
+        }.get(key, ("simulate", {}))
+        cfg = base_config(experiment=experiment)
+        cfg[section][key] = None
+        path = write_config(tmp_path, cfg)
+        assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"varwave: invalid configuration: {section}.{key} must be a ")
+        assert err.endswith(", got null\n") and len(err.splitlines()) == 1
 
     def test_theorem_profile_needs_steepening_speed(self, tmp_path):
         cfg = base_config()

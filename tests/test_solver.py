@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from varwave import (
@@ -22,7 +22,8 @@ from varwave import (
     initial_riemann,
     run,
 )
-from varwave.diagnostics import blowup_time_estimate
+from varwave import solver
+from varwave.diagnostics import EnergyObserver, _trapezoid_energy, blowup_time_estimate
 
 
 def transport_setup(eps=0.1, amplitude=1.0):
@@ -197,6 +198,14 @@ def perturbed_states(draw):
     return setup, GridState(t=0.0, u=u, R=R, S=S), (lo, hi)
 
 
+def same_bits(a, b):
+    return np.float64(a).view(np.uint64) == np.float64(b).view(np.uint64)
+
+
+def rescanned_live(state, u0):
+    return solver._live_span(state.u, state.R, state.S, u0) or (0, 0)
+
+
 def window_and_full_steppers(setup, n, scheme):
     grid = Grid.uniform(*setup.domain, n)
     cfg = SchemeConfig(scheme=scheme)
@@ -247,6 +256,106 @@ class TestLiveWindow:
         lo, hi = stepper._window(state)
         assert len(sizes) == 2 and sizes[0] == grid.n and sizes[1] < grid.n / 4
         assert 0 < hi - lo < grid.n / 4
+
+
+    def test_canonical_window_reads_the_carried_range(self, canonical_setup, monkeypatch):
+        # guards the saving: after the first steps no step pass scans the grid
+        grid = Grid.uniform(*canonical_setup.domain, 4096)
+        stepper = Stepper(canonical_setup, grid, SchemeConfig())
+        state = stepper.step(stepper.step(init_state(canonical_setup, grid)))
+        scanned = []
+        span = solver._live_span
+
+        def counting_span(u, R, S, u0):
+            scanned.append(u.size)
+            return span(u, R, S, u0)
+
+        monkeypatch.setattr(solver, "_live_span", counting_span)
+        lo, hi = stepper._window(state)
+        stepper.gradient_max(state)
+        assert scanned == [] and 0 < hi - lo < grid.n / 4
+        stepper.step(state)
+        assert scanned and max(scanned) <= hi - lo
+
+    def test_energy_observer_skips_c_on_quiescent_ends(self, canonical_setup):
+        grid = Grid.uniform(*canonical_setup.domain, 4096)
+        stepper = Stepper(canonical_setup, grid, SchemeConfig())
+        speed = canonical_setup.speed
+        calls = []
+
+        class CountingSpeed:
+            def c(self, u):
+                calls.append(u)
+                return speed.c(u)
+
+        observer = EnergyObserver(grid, CountingSpeed())
+        state = init_state(canonical_setup, grid)
+        observer(state)  # the initial range is not known: both ends evaluate c
+        assert len(calls) == 2
+        state = stepper.step(stepper.step(state))
+        a, b = state.live
+        assert 0 < a and b < grid.n
+        observer(state)
+        assert len(calls) == 2
+        assert observer.flux_lo[-1] == observer.flux_hi[-1] == 0.0
+
+
+class TestCarriedLiveRange:
+    """The live range a step carries, and the passes that read it."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(perturbed_states(), st.sampled_from(("upwind1", "muscl2")))
+    def test_range_and_reductions_match_full_grid_forms(self, case, scheme):
+        setup, state, _ = case
+        n = state.u.size
+        grid = Grid.uniform(*setup.domain, n)
+        stepper = Stepper(setup, grid, SchemeConfig(scheme=scheme))
+        observer = EnergyObserver(grid, setup.speed)
+        dr = np.diff(grid.r)
+        assert state.live is None  # hand-built
+        for k in range(5):
+            if k:
+                state = stepper.step(state)
+                assert state.live == rescanned_live(state, setup.u0)
+            g = np.abs(state.S) / stepper.ralpha
+            i = int(np.argmax(g))
+            got_g, got_i = stepper.gradient_max(state)
+            assert got_i == i and same_bits(got_g, g[i])
+            energy = np.trapezoid(state.R**2 + state.S**2, grid.r)
+            assert same_bits(_trapezoid_energy(state, dr), energy)
+            observer(state)
+            assert same_bits(observer.E[-1], energy)
+            for flux, j in ((observer.flux_lo, 0), (observer.flux_hi, n - 1)):
+                c = float(setup.speed.c(state.u[j]))
+                assert same_bits(flux[-1], c * (float(state.S[j]) ** 2 - float(state.R[j]) ** 2))
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(perturbed_states(), st.sampled_from(("upwind1", "muscl2")))
+    def test_unknown_range_steps_like_a_known_one(self, case, scheme):
+        setup, state, _ = case
+        grid = Grid.uniform(*setup.domain, state.u.size)
+        stepper = Stepper(setup, grid, SchemeConfig(scheme=scheme))
+        known = state.copy()
+        known.live = rescanned_live(state, setup.u0)
+        got, want = stepper.step(state), stepper.step(known)
+        assert got.live == want.live
+        for key in ("u", "R", "S"):
+            np.testing.assert_array_equal(bits(getattr(got, key)), bits(getattr(want, key)))
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(perturbed_states(), st.sampled_from(("upwind1", "muscl2")),
+           st.sampled_from(("u", "R", "S")), st.floats(0.0, 1.0))
+    def test_nan_inside_the_carried_window_raises(self, case, scheme, field, where):
+        setup, state, _ = case
+        grid = Grid.uniform(*setup.domain, state.u.size)
+        stepper = Stepper(setup, grid, SchemeConfig(scheme=scheme))
+        state = stepper.step(stepper.step(state))
+        a, b = state.live
+        assume(a < b)
+        bad = state.copy()
+        getattr(bad, field)[a + int(where * (b - 1 - a))] = np.nan
+        with pytest.raises(NonFiniteState):
+            stepper.step(bad)
 
 
 class TestTransportRegression:
