@@ -68,6 +68,13 @@ def _require(cfg: dict, key: str, where: str, cast=None):
     return cfg[key] if cast is None else _number(cfg[key], cast, f"{where}.{key}")
 
 
+def _object(raw, label: str) -> dict:
+    """raw when it is a JSON object; null or any other value is a ConfigError."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{label} must be an object, got {json.dumps(raw)}")
+    return raw
+
+
 def _number_list(cfg: dict, key: str, where: str, cast=float) -> list:
     raw = _require(cfg, key, where)
     if not isinstance(raw, list):
@@ -100,12 +107,12 @@ def build_speed(cfg: dict):
 
 
 def build_setup(cfg: dict, eps_override: float | None = None) -> ProblemSetup:
-    sc = _require(cfg, "setup", "config")
+    sc = _object(_require(cfg, "setup", "config"), "setup")
     d = _require(sc, "d", "setup", int)
     r0 = _require(sc, "r0", "setup", float)
     eps = float(eps_override) if eps_override is not None else _require(sc, "eps", "setup", float)
     u0 = _require(sc, "u0", "setup", float)
-    speed = build_speed(_require(sc, "speed", "setup"))
+    speed = build_speed(_object(_require(sc, "speed", "setup"), "setup.speed"))
 
     prof_cfg = sc.get("profile", "theorem")
     if prof_cfg == "theorem":
@@ -133,19 +140,21 @@ def build_setup(cfg: dict, eps_override: float | None = None) -> ProblemSetup:
 
 
 def build_scheme(cfg: dict) -> SchemeConfig:
-    sc = cfg.get("scheme", {})
+    sc = _object(cfg.get("scheme", {}), "scheme")
     default = SchemeConfig()
     ceiling = sc.get("gradient_ceiling", "auto")
     return SchemeConfig(
         cfl=_number(sc.get("cfl", default.cfl), float, "scheme.cfl"),
         scheme=sc.get("scheme", default.scheme),
         max_steps=_number(sc.get("max_steps", default.max_steps), int, "scheme.max_steps"),
-        gradient_ceiling=None if ceiling == "auto" else float(ceiling),
+        gradient_ceiling=None
+        if ceiling == "auto"
+        else _number(ceiling, float, "scheme.gradient_ceiling"),
     )
 
 
 def build_grid(cfg: dict, setup: ProblemSetup) -> Grid:
-    gc = _require(cfg, "grid", "config")
+    gc = _object(_require(cfg, "grid", "config"), "grid")
     # unchecked: a null grid.n is the benchmark self-test's crash trigger
     # until it gets another (ROADMAP item 2c)
     n = int(_require(gc, "n", "grid"))
@@ -218,8 +227,8 @@ def _simulate_once(config: dict, out_dir: Path, svg: bool, eps_override=None) ->
     # tolerate c'(u0) <= 0 so negative-control runs still produce reports
     constants = compute_constants(setup, require_hypothesis=False)
 
-    out = config.get("output", {})
-    stride = int(out.get("snapshot_stride", 0))
+    out = _object(config.get("output", {}), "output")
+    stride = _number(out.get("snapshot_stride", 0), int, "output.snapshot_stride")
     if stride <= 0:
         stride = max(1, _estimate_steps(setup, grid, cfg) // 10)
 
@@ -485,7 +494,8 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        kind = config.get("experiment", {}).get("kind")
+        config = _object(config, "config")
+        kind = _object(config.get("experiment", {}), "experiment").get("kind")
         if kind is not None and kind != args.command.replace("-", "_"):
             raise ConfigError(
                 f"config experiment kind '{kind}' does not match command "

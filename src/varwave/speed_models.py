@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import BoundsViolation
 
@@ -146,10 +145,14 @@ class TabulatedSpeed(WaveSpeedModel):
     knots: tuple = ()
     values: tuple = ()
     derivative_values: tuple | None = None
-    _interp: PchipInterpolator = field(init=False, repr=False, compare=False)
-    _interp_d: PchipInterpolator = field(init=False, repr=False, compare=False)
+    _interp: object = field(init=False, repr=False, compare=False)
+    _interp_d: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # scipy is needed by this model alone; importing it here keeps it
+        # out of every run that does not tabulate its speed
+        from scipy.interpolate import PchipInterpolator
+
         super().__post_init__()
         knots = np.asarray(self.knots, dtype=float)
         values = np.asarray(self.values, dtype=float)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,7 +308,8 @@ class TestValidation:
         "section, key",
         [
             ("setup", "d"), ("setup", "r0"), ("setup", "eps"), ("setup", "u0"),
-            ("scheme", "cfl"), ("scheme", "max_steps"),
+            ("scheme", "cfl"), ("scheme", "max_steps"), ("scheme", "gradient_ceiling"),
+            ("output", "snapshot_stride"),
             ("experiment", "eps_list"), ("experiment", "n_list"),
             ("experiment", "r1"), ("experiment", "r2"),
         ],
@@ -324,6 +329,36 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.startswith(f"varwave: invalid configuration: {section}.{key} must be a ")
         assert err.endswith(", got null\n") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "command, section",
+        [
+            ("simulate", "config"), ("simulate", "setup"), ("simulate", "setup.speed"),
+            ("simulate", "scheme"), ("simulate", "grid"), ("simulate", "output"),
+            ("simulate", "experiment"), ("triangle", "experiment"),
+            ("eps-sweep", "experiment"), ("convergence", "experiment"),
+        ],
+        ids=lambda v: v,
+    )
+    def test_null_section_is_one_line_config_error(self, tmp_path, capsys, command, section):
+        cfg = base_config()
+        if section == "config":
+            cfg = None
+        elif section == "setup.speed":
+            cfg["setup"]["speed"] = None
+        else:
+            cfg[section] = None
+        path = write_config(tmp_path, cfg)
+        assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"varwave: invalid configuration: {section} must be an object, got null\n"
+
+    def test_top_level_list_is_one_line_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, [base_config()])
+        assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("varwave: invalid configuration: config must be an object, got [")
+        assert len(err.splitlines()) == 1
 
     def test_theorem_profile_needs_steepening_speed(self, tmp_path):
         cfg = base_config()
@@ -350,3 +385,39 @@ class TestTabulatedConfig:
         path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 0
+
+
+class TestColdStart:
+    """The package loads without scipy; only ``speed.kind: tabulated`` needs it."""
+
+    SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+    def _python(self, code: str, *args: str) -> subprocess.CompletedProcess:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [self.SRC, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-c", code, *args],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    def test_import_loads_no_scipy(self):
+        proc = self._python(
+            "import sys, varwave.cli, varwave\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_canonical_simulate_runs_with_scipy_blocked(self, tmp_path):
+        cfg = base_config(grid={"n": 512})
+        cfg["setup"].update(eps=0.05, profile="theorem")
+        path = write_config(tmp_path, cfg)
+        proc = self._python(
+            "import sys\n"
+            "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
+            "from varwave.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))",
+            "simulate", "--config", str(path), "--out-dir", str(tmp_path / "o"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "o" / "diagnostics.json").exists()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.integrate import quad
 from varwave import (
     CharacteristicPath,
     ConstantSpeed,
+    CustomBump,
     Grid,
     GridState,
     HypothesisViolated,
@@ -26,6 +28,7 @@ from varwave import (
     run,
     triangle_identity,
 )
+from varwave import diagnostics
 from varwave.diagnostics import EnergyObserver
 
 SQRT2 = math.sqrt(2.0)
@@ -48,6 +51,47 @@ class TestConstants:
         assert constants.K_measured == 0.0
         assert constants.K_envelope == 0.0
         assert constants.E0_exact == 0.0
+
+    @pytest.mark.parametrize("eps", [0.4999, 0.05, 1e-7])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_initial_energy_matches_tight_quad(self, canonical_speed, d, eps):
+        s = ProblemSetup.theorem(d=d, r0=1.0, eps=eps, u0=np.pi / 4, speed=canonical_speed)
+
+        def integrand(z):
+            u = s.u0 + eps * s.profile.phi(z)
+            c = s.speed.c(u)
+            rr = s.r0 + eps * z
+            return (eps**2 + (-2.0 * c + eps) ** 2) * rr ** (2.0 * s.alpha) * s.profile.phi_prime(z) ** 2
+
+        ref, _ = quad(integrand, -1.0, 1.0, limit=5000, epsabs=0.0, epsrel=2e-14)
+        assert initial_energy_exact(s) == pytest.approx(eps * ref, rel=1e-13)
+
+    def test_custom_bump_slope_integral_goes_through_the_rule(self, monkeypatch):
+        a = 3.0
+        bump = CustomBump(
+            amplitude=a,
+            phi_fn=lambda z: -a * z * (1.0 - z * z) ** 2,
+            phi_prime_fn=lambda z: -a * (1.0 - z * z) * (1.0 - 5.0 * z * z),
+        )
+        calls = []
+        rule = diagnostics._gauss_legendre
+        monkeypatch.setattr(
+            diagnostics, "_gauss_legendre", lambda f: calls.append(f) or rule(f)
+        )
+        val = diagnostics._phi_prime_sq_integral(bump)
+        assert len(calls) == 1
+        assert val == pytest.approx(a * a * 256.0 / 315.0, rel=1e-13)
+
+    # at d=5 adaptive quad(limit=200) runs out of subintervals and warns
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_wide_support_constants_raise_no_warning(self, canonical_speed, d):
+        setup = ProblemSetup.theorem(
+            d=d, r0=1.0, eps=0.4999, u0=np.pi / 4, speed=canonical_speed
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            constants = compute_constants(setup)
+        assert constants.E0_exact > 0.0
 
     def test_constant_speed_violates_hypothesis(self, unit_speed):
         setup = ProblemSetup.theorem(
