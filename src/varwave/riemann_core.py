@@ -65,12 +65,19 @@ def rhs_fields(inv_r, ralpha, c, c_prime, R, S, alpha: float):
 
     ``inv_r`` is 1/r and ``ralpha`` is r**alpha, precomputed once per grid
     by the caller; ``c`` and ``c_prime`` are the speed and its derivative
-    already evaluated at u, so each is computed once per stage.
+    already evaluated at u, so each is computed once per stage.  Arrays or
+    scalars; the augmented assignments update only the temporaries made
+    here, so the arguments are never written.
     """
     quad = c_prime / (4.0 * c * ralpha)
     geom = alpha * c * inv_r
-    f_R = quad * (R * R - S * S) - geom * S
-    f_S = quad * (S * S - R * R) + geom * R
+    R2, S2 = R * R, S * S
+    f_R = R2 - S2
+    f_R *= quad
+    f_R -= geom * S
+    f_S = S2 - R2
+    f_S *= quad
+    f_S += geom * R
     return f_R, f_S
 
 

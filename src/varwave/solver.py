@@ -29,10 +29,23 @@ A state carries its live range ``live = (a, b)``: every node outside
 [a, b) is bitwise (u0, +0.0, +0.0), and (0, 0) means no node is live.
 ``None`` means the range is not known (a hand-built state, or the initial
 one); it is then found by a scan of the grid.  A step writes the range of
-its result, found from the window arrays it just computed, so the window,
-the finite check, ``gradient_max`` and the energy quadrature of
-``diagnostics`` all cost O(window) per step.  The range stays true because
-no state is mutated after a step makes it.
+its result, found by ``_live_span`` on the window arrays it just computed,
+so the window, the finite check, ``gradient_max`` and the energy
+quadrature of ``diagnostics`` all cost O(window) per step.  The front moves
+at most the stencil reach per step, so the live ends of the result lie next
+to the window's edges, and ``_live_span`` reads them node by node from each
+end before it falls back to a scan.  The range stays true because no state
+is mutated after a step makes it.
+
+A step computes the same floating-point operations, in the same order, as
+the plain formulas (kept as the reference stepper of the tests), but in
+place and in fewer array passes.  The only rewrites are exact ones:
+(-c)*dS + f_S is computed as f_S - c*dS (IEEE defines x - y as x + (-y)),
+2*r^alpha is cached (a power-of-two scaling), sums and products swap their
+operands, and minmod takes the slope of smaller magnitude where a*b > 0.
+Rewrites that change a bit are not used: -(R^2 - S^2) for S^2 - R^2 (it
+gives -0.0 where R^2 = S^2), a product by 1/h for a division by h, and a
+regrouped product such as c*(alpha*inv_r) for (alpha*c)*inv_r.
 """
 
 from __future__ import annotations
@@ -93,19 +106,35 @@ class Grid:
         return float(self.r[-1])
 
 
-def _finite(*arrays: np.ndarray) -> bool:
-    return all(bool(np.isfinite(a).all()) for a in arrays)
+# Nodes that _live_span reads one at a time from each end before it scans
+# the whole array.  A step's window is its input's live range padded by the
+# stencil reach (1 or 4), and the front moves at most that far, so the live
+# ends of a step's result lie within the reach of the window's edges unless
+# the ends of the support fall quiescent; 2 * 4 + 1 leaves room for that.
+_EDGE_WALK = 9
 
 
 def _live_span(u, R, S, u0: float) -> tuple[int, int] | None:
     """[first, last + 1) of the nodes not bitwise (u0, +0.0, +0.0); None if none.
 
-    -0.0 and NaN count as live.
+    -0.0 and NaN count as live.  The first and the last live node are looked
+    for among the _EDGE_WALK nodes at each end, one node at a time; only when
+    an end holds none of them is the whole array scanned.  Both ways give the
+    same range.
     """
-    live = (u != u0) | (R.view(np.uint64) != 0) | (S.view(np.uint64) != 0)
+    Rb, Sb = R.view(np.uint64), S.view(np.uint64)
+    m = u.size
+    k = min(_EDGE_WALK, m)
+    for first in range(k):
+        if u[first] != u0 or Rb[first] or Sb[first]:
+            for last in range(m - 1, m - 1 - k, -1):
+                if u[last] != u0 or Rb[last] or Sb[last]:
+                    return first, last + 1
+            break
+    live = (u != u0) | (Rb != 0) | (Sb != 0)
     if not live.any():
         return None
-    return int(np.argmax(live)), live.size - int(np.argmax(live[::-1]))
+    return int(np.argmax(live)), m - int(np.argmax(live[::-1]))
 
 
 @dataclass
@@ -126,7 +155,7 @@ class GridState:
         return GridState(self.t, self.u.copy(), self.R.copy(), self.S.copy(), self.live)
 
     def is_finite(self) -> bool:
-        return _finite(self.u, self.R, self.S)
+        return all(bool(np.isfinite(a).all()) for a in (self.u, self.R, self.S))
 
 
 @dataclass(frozen=True)
@@ -186,6 +215,10 @@ class Stepper:
 
     Node updates read a fixed stencil of the previous state only, so the
     update loops are plain vectorized array expressions over the live window.
+    A step writes its stages straight into the rows (u, R, S) of one new
+    (3, n) block, and the new state's fields are those rows.  The live range
+    it carries is ``_live_span`` of the window's rows, offset by the window
+    start; the module docstring lists the exact rewrites the stages use.
     """
 
     def __init__(self, setup: ProblemSetup, grid: Grid, cfg: SchemeConfig):
@@ -197,6 +230,7 @@ class Stepper:
         self.h = grid.h
         # r^alpha via exp(alpha*ln r), cached once; alpha is non-integer for even d
         self.ralpha = np.exp(self.alpha * np.log(grid.r)) if self.alpha else np.ones_like(grid.r)
+        self.two_ralpha = 2.0 * self.ralpha
         self.inv_r = 1.0 / grid.r
         self.base_dt = cfg.cfl * grid.h / setup.speed.c1
         # Stencil reach of one step in nodes: an upwind1 stage reads i-1..i+1,
@@ -205,35 +239,54 @@ class Stepper:
         # quiescent, and at the window edges the clipped stencils read only
         # quiescent nodes, as the full ones do, so both give +0.0.
         self.reach = 1 if cfg.scheme == "upwind1" else 4
+        self._rest = np.array([[setup.u0], [0.0], [0.0]])
 
-    def _tendencies(self, u, R, S, inv_r, ralpha):
+    def _tendencies(self, u, R, S, w: slice) -> np.ndarray:
+        """Rows (du/dt, dR/dt, dS/dt) of one stage on the window w."""
         c, c_prime = self.speed.c_and_c_prime(u)
-        f_R, f_S = rhs_fields(inv_r, ralpha, c, c_prime, R, S, self.alpha)
+        f_R, f_S = rhs_fields(self.inv_r[w], self.ralpha[w], c, c_prime, R, S, self.alpha)
 
         h = self.h
-        dR = np.zeros_like(R)
-        dS = np.zeros_like(S)
+        f = np.empty((3, u.size))
+        du, dR, dS = f
+        np.add(R, S, out=du)
+        du /= self.two_ralpha[w]
         if self.cfg.scheme == "upwind1":
-            dR[:-1] = (R[1:] - R[:-1]) / h
-            dS[1:] = (S[1:] - S[:-1]) / h
+            np.subtract(R[1:], R[:-1], out=dR[:-1])
+            np.subtract(S[1:], S[:-1], out=dS[1:])
+            dR[-1:] = 0.0
+            dS[:1] = 0.0
         else:
-            sR = self._minmod_slopes(R)
-            sS = self._minmod_slopes(S)
             # R winds from the right, S from the left
-            face_R = R[1:] - 0.5 * h * sR[1:]
-            face_S = S[:-1] + 0.5 * h * sS[:-1]
-            dR[1:-1] = (face_R[1:] - face_R[:-1]) / h
-            dS[1:-1] = (face_S[1:] - face_S[:-1]) / h
-
-        du_dt = (R + S) / (2.0 * ralpha)
-        return c * dR + f_R, -c * dS + f_S, du_dt
+            face_R = self._minmod_slopes(R)[1:]
+            face_R *= 0.5 * h
+            np.subtract(R[1:], face_R, out=face_R)
+            face_S = self._minmod_slopes(S)[:-1]
+            face_S *= 0.5 * h
+            face_S += S[:-1]
+            np.subtract(face_R[1:], face_R[:-1], out=dR[1:-1])
+            np.subtract(face_S[1:], face_S[:-1], out=dS[1:-1])
+            f[1:, :1] = 0.0
+            f[1:, -1:] = 0.0
+        # the zeroed ends stay +0.0; (R, S) tendencies c dR + f_R, f_S - c dS
+        f[1:] /= h
+        f[1:] *= c
+        dR += f_R
+        np.subtract(f_S, dS, out=dS)
+        return f
 
     def _minmod_slopes(self, q):
-        dq = np.diff(q) / self.h
-        s = np.zeros_like(q)
+        """Minmod-limited slopes of q, zero at both ends.
+
+        Where the one-sided differences a, b have a*b > 0 they share a sign,
+        so the one of smaller magnitude equals sign(a)*min(|a|, |b|).
+        """
+        dq = np.subtract(q[1:], q[:-1])
+        dq /= self.h
+        mag = np.abs(dq)
         a, b = dq[:-1], dq[1:]
-        keep = a * b > 0.0
-        s[1:-1] = np.where(keep, np.sign(a) * np.minimum(np.abs(a), np.abs(b)), 0.0)
+        s = np.zeros_like(q)
+        np.copyto(s[1:-1], np.where(mag[:-1] <= mag[1:], a, b), where=a * b > 0.0)
         return s
 
     def _live_range(self, state: GridState) -> tuple[int, int]:
@@ -249,30 +302,12 @@ class Stepper:
             return 0, 0
         return max(a - self.reach, 0), min(b + self.reach, self.grid.n)
 
-    def _result_live(self, u, R, S, lo: int) -> tuple[int, int]:
-        """Live range of a step's result from its window arrays starting at node lo.
-
-        The front moves at most reach nodes per step, so the live ends are
-        looked for among the 2*reach + 1 nodes at each window edge first;
-        the whole window is scanned only when an edge holds no live node.
-        """
-        u0, k, m = self.setup.u0, 2 * self.reach + 1, u.size
-        if m > 2 * k:
-            head = _live_span(u[:k], R[:k], S[:k], u0)
-            tail = _live_span(u[-k:], R[-k:], S[-k:], u0)
-            if head is not None and tail is not None:
-                return lo + head[0], lo + m - k + tail[1]
-        span = _live_span(u, R, S, u0)
-        return (0, 0) if span is None else (lo + span[0], lo + span[1])
-
-    def _clamp_boundary(self, u, R, S, lo, hi):
+    def _clamp_boundary(self, fields, lo, hi):
         """Quiescent state on the grid's end nodes that lie in the window [lo, hi)."""
         if lo == 0 < hi:
-            u[0] = self.setup.u0
-            R[0] = S[0] = 0.0
+            fields[:, :1] = self._rest
         if lo < hi == self.grid.n:
-            u[-1] = self.setup.u0
-            R[-1] = S[-1] = 0.0
+            fields[:, -1:] = self._rest
 
     def step(self, state: GridState, dt: float | None = None) -> GridState:
         """One explicit step; raises NonFiniteState if the result overflows."""
@@ -281,35 +316,37 @@ class Stepper:
         lo, hi = self._window(state)
         w = slice(lo, hi)
         u, R, S = state.u[w], state.R[w], state.S[w]
-        inv_r, ralpha = self.inv_r[w], self.ralpha[w]
+        new = np.empty((3, self.grid.n))
+        new[:, :lo] = self._rest
+        new[:, hi:] = self._rest
+        fields = new[:, w]
+        u1, R1, S1 = fields
         # overflow in intermediates is caught by the finite check below
         with np.errstate(over="ignore", invalid="ignore"):
-            fR, fS, fu = self._tendencies(u, R, S, inv_r, ralpha)
-            R1 = R + dt * fR
-            S1 = S + dt * fS
-            u1 = u + dt * fu
-            self._clamp_boundary(u1, R1, S1, lo, hi)
+            f = self._tendencies(u, R, S, w)
+            f *= dt
+            np.add(u, f[0], out=u1)
+            np.add(R, f[1], out=R1)
+            np.add(S, f[2], out=S1)
+            self._clamp_boundary(fields, lo, hi)
             if self.cfg.scheme == "muscl2":
-                fR1, fS1, fu1 = self._tendencies(u1, R1, S1, inv_r, ralpha)
-                R1 = 0.5 * (R + R1 + dt * fR1)
-                S1 = 0.5 * (S + S1 + dt * fS1)
-                u1 = 0.5 * (u + u1 + dt * fu1)
-                self._clamp_boundary(u1, R1, S1, lo, hi)
+                # (q + q1 + dt f(q1)) / 2, summed in that order
+                f = self._tendencies(u1, R1, S1, w)
+                f *= dt
+                u1 += u
+                R1 += R
+                S1 += S
+                fields += f
+                fields *= 0.5
+                self._clamp_boundary(fields, lo, hi)
         # every node outside the window is (u0, 0, 0), which is finite
-        if not _finite(u1, R1, S1):
+        if not np.isfinite(fields).all():
             raise NonFiniteState(
                 f"non-finite values after step to t={state.t + dt}", last_state=state
             )
-        n = self.grid.n
-        new = GridState(
-            t=state.t + dt,
-            u=np.full(n, self.setup.u0),
-            R=np.zeros(n),
-            S=np.zeros(n),
-            live=self._result_live(u1, R1, S1, lo),
-        )
-        new.u[w], new.R[w], new.S[w] = u1, R1, S1
-        return new
+        span = _live_span(u1, R1, S1, self.setup.u0)
+        live = (0, 0) if span is None else (lo + span[0], lo + span[1])
+        return GridState(state.t + dt, new[0], new[1], new[2], live)
 
     def gradient_max(self, state: GridState) -> tuple[float, int]:
         """max_i |S_i|/r_i^alpha and its node index, the first one on ties.

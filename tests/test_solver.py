@@ -168,12 +168,18 @@ def bits(a):
 
 
 @st.composite
-def perturbed_states(draw):
+def perturbed_states(draw, setups=None, extremes=False):
     """A compact perturbation of (u0, 0, 0) on a grid of at most 64 nodes.
 
-    Returns the setup, the state and the support [lo, hi).
+    setups, when given, are the setups to draw from; otherwise d is drawn
+    and the speed is Oseen-Frank.  extremes adds the values on which a
+    reordered formula shows (see ``extreme_values``).  Returns the setup,
+    the state and the support [lo, hi).
     """
-    setup = window_setup(draw(st.sampled_from((1, 2, 3))))
+    if setups is None:
+        setup = window_setup(draw(st.sampled_from((1, 2, 3))))
+    else:
+        setup = draw(st.sampled_from(setups))
     n = draw(st.integers(16, 64))
     width = draw(st.integers(1, n // 2))
     end = draw(st.sampled_from(("left", "right", "inside", "inside")))
@@ -195,7 +201,36 @@ def perturbed_states(draw):
     for field in (R, S):
         for i in draw(st.lists(near, max_size=3)):
             field[i] = -0.0
+    if extremes:
+        for i in draw(st.lists(near, min_size=1, max_size=4)):
+            values = draw(extreme_values())[:n - i]
+            for field in {"R": (R,), "S": (S,), "both": (R, S)}[
+                    draw(st.sampled_from(("R", "S", "both")))]:
+                field[i:i + len(values)] = values
     return setup, GridState(t=0.0, u=u, R=R, S=S), (lo, hi)
+
+
+@st.composite
+def extreme_values(draw):
+    """A short run of field values that tells formula orders apart.
+
+    Three signed zeros; subnormal magnitudes; three nodes in arithmetic
+    progression, so the neighbouring minmod slopes have equal magnitudes
+    (equal, or opposite when the run turns back); three nodes whose
+    neighbouring slopes are about 1e-170 or less, so their product
+    underflows to 0.
+    """
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    kind = draw(st.sampled_from(("zero", "subnormal", "equal", "turn", "underflow")))
+    if kind == "zero":
+        return [sign * 0.0] * 3
+    if kind == "subnormal":
+        return [sign * draw(st.sampled_from((5e-324, 1e-310, 2.2e-308)))]
+    if kind == "underflow":
+        tiny = draw(st.sampled_from((1e-200, 1e-172, 3e-170)))
+        return [0.0, sign * tiny, 2.0 * sign * tiny]
+    v, step = draw(st.integers(-4, 4)), sign * draw(st.integers(1, 3))
+    return [v, v + step, v + 2 * step] if kind == "equal" else [v, v + step, v]
 
 
 def same_bits(a, b):
@@ -356,6 +391,177 @@ class TestCarriedLiveRange:
         getattr(bad, field)[a + int(where * (b - 1 - a))] = np.nan
         with pytest.raises(NonFiniteState):
             stepper.step(bad)
+
+
+class ReferenceStepper:
+    """The step's arithmetic as first written, over every node: the oracle
+    that pins the order of its floating-point operations.
+
+    Stepper.step computes the same formulas in fewer array passes; it must
+    give the same bits, so any reordering that changes a result shows here.
+    """
+
+    def __init__(self, setup, grid, scheme):
+        self.setup, self.scheme, self.h = setup, scheme, grid.h
+        self.speed, self.alpha = setup.speed, setup.alpha
+        self.ralpha = np.exp(self.alpha * np.log(grid.r)) if self.alpha else np.ones_like(grid.r)
+        self.inv_r = 1.0 / grid.r
+
+    def rhs_fields(self, c, c_prime, R, S):
+        quad = c_prime / (4.0 * c * self.ralpha)
+        geom = self.alpha * c * self.inv_r
+        f_R = quad * (R * R - S * S) - geom * S
+        f_S = quad * (S * S - R * R) + geom * R
+        return f_R, f_S
+
+    def minmod_slopes(self, q):
+        dq = np.diff(q) / self.h
+        s = np.zeros_like(q)
+        a, b = dq[:-1], dq[1:]
+        keep = a * b > 0.0
+        s[1:-1] = np.where(keep, np.sign(a) * np.minimum(np.abs(a), np.abs(b)), 0.0)
+        return s
+
+    def tendencies(self, u, R, S):
+        c, c_prime = self.speed.c_and_c_prime(u)
+        f_R, f_S = self.rhs_fields(c, c_prime, R, S)
+        h = self.h
+        dR = np.zeros_like(R)
+        dS = np.zeros_like(S)
+        if self.scheme == "upwind1":
+            dR[:-1] = (R[1:] - R[:-1]) / h
+            dS[1:] = (S[1:] - S[:-1]) / h
+        else:
+            sR = self.minmod_slopes(R)
+            sS = self.minmod_slopes(S)
+            face_R = R[1:] - 0.5 * h * sR[1:]
+            face_S = S[:-1] + 0.5 * h * sS[:-1]
+            dR[1:-1] = (face_R[1:] - face_R[:-1]) / h
+            dS[1:-1] = (face_S[1:] - face_S[:-1]) / h
+        du_dt = (R + S) / (2.0 * self.ralpha)
+        return c * dR + f_R, -c * dS + f_S, du_dt
+
+    def clamp(self, u, R, S):
+        u[0] = u[-1] = self.setup.u0
+        R[0] = R[-1] = S[0] = S[-1] = 0.0
+
+    def step(self, state, dt):
+        """(u, R, S) one step on; NonFiniteState if any node is not finite."""
+        u, R, S = state.u, state.R, state.S
+        with np.errstate(over="ignore", invalid="ignore"):
+            fR, fS, fu = self.tendencies(u, R, S)
+            R1 = R + dt * fR
+            S1 = S + dt * fS
+            u1 = u + dt * fu
+            self.clamp(u1, R1, S1)
+            if self.scheme == "muscl2":
+                fR1, fS1, fu1 = self.tendencies(u1, R1, S1)
+                R1 = 0.5 * (R + R1 + dt * fR1)
+                S1 = 0.5 * (S + S1 + dt * fS1)
+                u1 = 0.5 * (u + u1 + dt * fu1)
+                self.clamp(u1, R1, S1)
+        if not all(np.isfinite(a).all() for a in (u1, R1, S1)):
+            raise NonFiniteState("reference step", last_state=state)
+        return u1, R1, S1
+
+
+def mask_span(u, R, S, u0):
+    """The live range by a plain scan of every node; None if no node is live."""
+    live = np.flatnonzero((u != u0) | (bits(R) != 0) | (bits(S) != 0))
+    return (int(live[0]), int(live[-1]) + 1) if live.size else None
+
+
+# d = 4 as well: its alpha = 1.5 is the first radial weight whose products
+# round, so there a reordered product such as c * (alpha / r) shows
+REFERENCE_SETUPS = (
+    ProblemSetup.theorem(
+        d=1, r0=1.0, eps=0.05, u0=0.5, speed=ConstantSpeed.of(1.0),
+        profile=PolynomialBump(amplitude=0.0),
+    ),
+    window_setup(3),
+    window_setup(4),
+)
+
+
+def assert_steps_match_reference(stepper, reference, state, dt):
+    want = reference.step(state, dt)
+    got = stepper.step(state, dt)
+    for key, w in zip(("u", "R", "S"), want):
+        np.testing.assert_array_equal(bits(getattr(got, key)), bits(w), err_msg=key)
+    assert got.live == (mask_span(*want, stepper.setup.u0) or (0, 0))
+    return got
+
+
+class TestReferenceStep:
+    """Stepper.step gives the reference arithmetic's bits."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(perturbed_states(REFERENCE_SETUPS, extremes=True),
+           st.sampled_from(("upwind1", "muscl2")))
+    def test_step_bitwise_equals_reference(self, case, scheme):
+        setup, state, _ = case
+        grid = Grid.uniform(*setup.domain, state.u.size)
+        stepper = Stepper(setup, grid, SchemeConfig(scheme=scheme))
+        reference = ReferenceStepper(setup, grid, scheme)
+        for _ in range(3):
+            state = assert_steps_match_reference(stepper, reference, state, stepper.base_dt)
+
+    @pytest.mark.parametrize("scheme", ["upwind1", "muscl2"])
+    def test_canonical_march_bitwise_equals_reference(self, canonical_setup, scheme):
+        grid = Grid.uniform(*canonical_setup.domain, 512)
+        stepper = Stepper(canonical_setup, grid, SchemeConfig(scheme=scheme))
+        reference = ReferenceStepper(canonical_setup, grid, scheme)
+        t_end = canonical_setup.t_final
+        got = want = init_state(canonical_setup, grid)
+        steps = 0
+        while want.t < t_end - 1e-14 * t_end:
+            dt = min(stepper.base_dt, t_end - want.t)
+            got = stepper.step(got, dt)
+            want = GridState(want.t + dt, *reference.step(want, dt))
+            steps += 1
+        assert steps > 200 and got.t == want.t
+        for key in ("u", "R", "S"):
+            np.testing.assert_array_equal(bits(getattr(got, key)), bits(getattr(want, key)))
+
+
+WALK = solver._EDGE_WALK
+# node offsets from an end: the end itself, the next node, the last node the
+# edge walk reads, the first it does not, and one deep inside
+OFFSETS = (0, 1, WALK - 1, WALK, 24)
+# (field row of (u, R, S), value) of a live node
+LIVE_VALUES = ((0, 0.75), (1, 1e-310), (2, -0.0), (0, np.nan))
+LIVE_IDS = ("u", "R-subnormal", "S-negative-zero", "u-nan")
+
+
+class TestLiveSpan:
+    """The edge walk of _live_span returns the range of the plain scan."""
+
+    U0 = 0.5
+
+    def quiescent(self, m):
+        return np.full(m, self.U0), np.zeros(m), np.zeros(m)
+
+    @pytest.mark.parametrize("head", OFFSETS)
+    @pytest.mark.parametrize("tail", OFFSETS)
+    @pytest.mark.parametrize("row, value", LIVE_VALUES, ids=LIVE_IDS)
+    def test_live_ends_at_any_offset(self, head, tail, row, value):
+        fields = self.quiescent(64)
+        fields[row][head] = fields[row][63 - tail] = value
+        span = solver._live_span(*fields, self.U0)
+        assert span == mask_span(*fields, self.U0) == (head, 64 - tail)
+
+    @pytest.mark.parametrize("m", [1, 2, WALK, 2 * WALK - 1, 2 * WALK + 1, 64])
+    @pytest.mark.parametrize("where", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("row, value", LIVE_VALUES[2:], ids=LIVE_IDS[2:])
+    def test_one_live_node(self, m, where, row, value):
+        fields = self.quiescent(m)
+        i = round(where * (m - 1))
+        fields[row][i] = value
+        assert solver._live_span(*fields, self.U0) == mask_span(*fields, self.U0) == (i, i + 1)
+
+    @pytest.mark.parametrize("m", [0, 1, WALK, 3 * WALK])
+    def test_quiescent_array_has_no_live_range(self, m):
+        assert solver._live_span(*self.quiescent(m), self.U0) is None
 
 
 class TestTransportRegression:
