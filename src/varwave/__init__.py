@@ -55,16 +55,11 @@ from .initial_data import (
     ProblemSetup,
     auto_domain,
     initial_fields,
-    initial_gradient,
     initial_riemann,
-    make_theorem_profile,
     theorem_amplitude,
 )
 from .riemann_core import (
-    RiemannPoint,
-    energy_density,
     from_riemann,
-    rhs,
     rhs_fields,
     to_riemann,
 )

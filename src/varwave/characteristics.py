@@ -51,10 +51,6 @@ class CharacteristicPath:
         self.S: list[float] = []
         self._prev_state: GridState | None = None
 
-    @property
-    def start(self) -> tuple[float, float]:
-        return (self.t[0], self.r[0]) if self.t else (0.0, self.r_start)
-
     def _sample_fields(self, state: GridState, r: float) -> tuple[float, float, float]:
         gr = self.grid.r
         return (

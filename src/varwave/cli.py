@@ -43,22 +43,29 @@ from .errors import (
     SpeedNotIncreasing,
     VarwaveError,
 )
-from .initial_data import (
-    PolynomialBump,
-    ProblemSetup,
-    auto_domain,
-    make_theorem_profile,
-)
+from .initial_data import PolynomialBump, ProblemSetup
+from .riemann_core import from_riemann
 from .solver import Grid, GridState, SchemeConfig, Stepper, init_state, run
 from .speed_models import ConstantSpeed, OseenFrankSpeed, TabulatedSpeed
 
 
 def _number(raw, cast, label: str):
-    """raw converted by cast (float or int); null or a value cast rejects is a ConfigError."""
-    try:
-        return cast(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{label} must be a number, got {json.dumps(raw)}") from None
+    """raw, a finite JSON number, converted by cast (float or int).
+
+    Anything else (null, a boolean, a string, a list, an object, an infinity
+    or NaN) is a ConfigError, and so is a non-integral number for cast=int.
+    """
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        try:
+            value = cast(raw)
+            finite = math.isfinite(value)
+        except (OverflowError, ValueError):
+            finite = False
+        if finite:
+            if cast is int and value != raw:
+                raise ConfigError(f"{label} must be an integer, got {json.dumps(raw)}")
+            return value
+    raise ConfigError(f"{label} must be a finite number, got {json.dumps(raw)}")
 
 
 def _require(cfg: dict, key: str, where: str, cast=None):
@@ -116,7 +123,7 @@ def build_setup(cfg: dict, eps_override: float | None = None) -> ProblemSetup:
 
     prof_cfg = sc.get("profile", "theorem")
     if prof_cfg == "theorem":
-        profile = make_theorem_profile(d, r0, eps, u0, speed)
+        profile = None
     elif isinstance(prof_cfg, dict):
         kind = prof_cfg.get("kind", "polynomial")
         if kind != "polynomial":
@@ -127,16 +134,14 @@ def build_setup(cfg: dict, eps_override: float | None = None) -> ProblemSetup:
 
     dom_cfg = sc.get("domain", "auto")
     if dom_cfg == "auto":
-        domain = auto_domain(d, r0, eps, speed)
+        domain = None
     elif isinstance(dom_cfg, list) and len(dom_cfg) == 2 and all(
         isinstance(x, (int, float)) for x in dom_cfg
     ):
         domain = (float(dom_cfg[0]), float(dom_cfg[1]))
     else:
         raise ConfigError(f"setup domain must be 'auto' or a pair of numbers, got {dom_cfg!r}")
-    return ProblemSetup(
-        d=d, r0=r0, eps=eps, u0=u0, speed=speed, profile=profile, domain=domain
-    )
+    return ProblemSetup.theorem(d, r0, eps, u0, speed, domain=domain, profile=profile)
 
 
 def build_scheme(cfg: dict) -> SchemeConfig:
@@ -155,9 +160,10 @@ def build_scheme(cfg: dict) -> SchemeConfig:
 
 def build_grid(cfg: dict, setup: ProblemSetup) -> Grid:
     gc = _object(_require(cfg, "grid", "config"), "grid")
-    # unchecked: a null grid.n is the benchmark self-test's crash trigger
-    # until it gets another (ROADMAP item 2c)
-    n = int(_require(gc, "n", "grid"))
+    raw = _require(gc, "n", "grid")
+    # a null grid.n stays an uncaught TypeError: it is the benchmark
+    # self-test's crash trigger until it gets another (ROADMAP item 2c)
+    n = int(raw) if raw is None else _number(raw, int, "grid.n")
     return Grid.uniform(*setup.domain, n)
 
 
@@ -257,10 +263,8 @@ def _simulate_once(config: dict, out_dir: Path, svg: bool, eps_override=None) ->
     write_csv(out_dir / "hat_path.csv", config, hat.arrays())
 
     rows = {"t": [], "r": [], "u": [], "R": [], "S": [], "u_r": []}
-    ralpha = grid.r**setup.alpha
     for st in snaps.states:
-        c = setup.speed.c(st.u)
-        u_r = (st.R - st.S) / (2.0 * c * ralpha)
+        _, u_r = from_riemann(grid.r, st.u, st.R, st.S, setup.speed, setup.alpha)
         rows["t"].append(np.full(grid.n, st.t))
         rows["r"].append(grid.r)
         rows["u"].append(st.u)
@@ -337,8 +341,10 @@ def cmd_triangle(config: dict, out_dir: Path, svg: bool) -> int:
     return 0
 
 
-# Experiment jobs run one after another.  The step loop holds the GIL, so
-# two worker threads ran the convergence grids at 0.94x the speed of one.
+# The convergence grids run one after another on a one-worker pool: the
+# step loop holds the GIL, so two worker threads ran them at 0.94x the speed
+# of one.  The pool stays while the benchmark's tracer test pins its job
+# spans (ROADMAP item 2f); eps-sweep runs its jobs in a plain loop.
 _JOB_WORKERS = 1
 
 
@@ -352,24 +358,14 @@ def cmd_eps_sweep(config: dict, out_dir: Path, svg: bool) -> int:
         build_setup(config, eps_override=eps)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    def one(eps: float):
-        sub = out_dir / f"eps_{eps:g}"
-        try:
-            doc = _simulate_once(config, sub, svg, eps_override=eps)
-            return eps, doc, None
-        except VarwaveError as exc:  # collect, keep sweeping
-            return eps, None, str(exc)
-
-    with ThreadPoolExecutor(max_workers=_JOB_WORKERS) as pool:
-        results = list(pool.map(one, eps_list))
-
     rows = {"eps": [], "detected": [], "t_detect": [], "t_star_extrapolated": [], "t_final": []}
     errors = {}
     largest_detected = None
-    for eps, doc, err in results:
-        if err is not None:
-            errors[eps] = err
+    for eps in eps_list:
+        try:
+            doc = _simulate_once(config, out_dir / f"eps_{eps:g}", svg, eps_override=eps)
+        except VarwaveError as exc:  # collect, keep sweeping
+            errors[eps] = str(exc)
             continue
         b = doc["blowup"]
         rows["eps"].append(eps)
@@ -407,8 +403,9 @@ def cmd_convergence(config: dict, out_dir: Path, svg: bool) -> int:
     cfg = build_scheme(config)
     t_cmp = exp.get("t_compare")
     if t_cmp is None:
-        t_cmp = min(0.5 * blowup_time_estimate(setup), 0.5 * setup.t_final)
-    t_cmp = float(t_cmp)
+        t_cmp = float(min(0.5 * blowup_time_estimate(setup), 0.5 * setup.t_final))
+    else:
+        t_cmp = _number(t_cmp, float, "experiment.t_compare")
 
     def solve(n: int):
         grid = Grid.uniform(*setup.domain, n)

@@ -6,13 +6,12 @@ The data family is
     u_t(0,r) = (-c(u(0,r)) + eps) * u_r(0,r),
 
 with phi a C1 bump supported in (-1, 1) whose center slope phi'(0) is
-steep enough (see ``make_theorem_profile``) that the weighted gradient
+steep enough (see ``theorem_amplitude``) that the weighted gradient
 S = r^alpha (u_t - c u_r) starts above the self-steepening threshold.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -100,20 +99,6 @@ def theorem_amplitude(d: int, r0: float, u0: float, speed: WaveSpeedModel) -> fl
     return 2.0 * max(a1, a2)
 
 
-def make_theorem_profile(
-    d: int, r0: float, eps: float, u0: float, speed: WaveSpeedModel
-) -> PolynomialBump:
-    """Polynomial bump with the minimal amplitude meeting the slope condition.
-
-    Raises SpeedNotIncreasing when c'(u0) <= 0.
-    """
-    if not (0.0 < eps < min(speed.c0, r0 / 2.0)):
-        raise HypothesisViolated(
-            f"need 0 < eps < min(c0, r0/2) = {min(speed.c0, r0 / 2.0)}, got {eps}"
-        )
-    return PolynomialBump(amplitude=theorem_amplitude(d, r0, u0, speed))
-
-
 def auto_domain(d: int, r0: float, eps: float, speed: WaveSpeedModel) -> tuple[float, float]:
     """Radial interval covering the maximal support reach plus a margin.
 
@@ -182,9 +167,12 @@ class ProblemSetup:
         domain: tuple[float, float] | None = None,
         profile: BumpProfile | None = None,
     ) -> "ProblemSetup":
-        """Setup with the steep theorem profile and (optionally) auto domain."""
+        """Setup with the steep theorem profile and the auto domain, unless given.
+
+        Raises SpeedNotIncreasing for the theorem profile when c'(u0) <= 0.
+        """
         if profile is None:
-            profile = make_theorem_profile(d, r0, eps, u0, speed)
+            profile = PolynomialBump(amplitude=theorem_amplitude(d, r0, u0, speed))
         if domain is None:
             domain = auto_domain(d, r0, eps, speed)
         return cls(d=d, r0=r0, eps=eps, u0=u0, speed=speed, profile=profile, domain=domain)
@@ -200,13 +188,6 @@ def initial_fields(setup: ProblemSetup, r):
     if r.ndim == 0:
         return float(u), float(u_t)
     return u, u_t
-
-
-def initial_gradient(setup: ProblemSetup, r):
-    """u_r(0, r) = phi'((r - r0)/eps)."""
-    r = np.asarray(r, dtype=float)
-    out = setup.profile.phi_prime((r - setup.r0) / setup.eps)
-    return out if np.ndim(out) else float(out)
 
 
 def initial_riemann(setup: ProblemSetup, r):

@@ -1,4 +1,4 @@
-"""Weighted Riemann variables and the characteristic-form right-hand sides.
+"""The map to weighted Riemann variables, its inverse, and their source terms.
 
 For the radial equation with wave speed c(u) and alpha = (d-1)/2, the
 variables
@@ -14,30 +14,16 @@ whose quadratic combination yields the conservation law
 (R^2 + S^2)_t + (c (S^2 - R^2))_r = 0 used by the energy diagnostics.
 u itself is carried as a third evolved field with u_t = (R+S)/(2 r^alpha)
 because c(u) and c'(u) are needed pointwise.
+
+``to_riemann`` maps (u_t, u_r) to (R, S), ``from_riemann`` maps back, and
+``rhs_fields`` evaluates the right-hand sides of the system above.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .speed_models import WaveSpeedModel
-
-
-@dataclass(frozen=True)
-class RiemannPoint:
-    """State (u, R, S) at a single radius; alpha fixes the radial weight."""
-
-    r: float
-    u: float
-    R: float
-    S: float
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        if self.r <= 0.0:
-            raise ValueError("radius must be positive")
 
 
 def to_riemann(r, u, u_t, u_r, speed: WaveSpeedModel, alpha: float):
@@ -52,11 +38,11 @@ def to_riemann(r, u, u_t, u_r, speed: WaveSpeedModel, alpha: float):
     return R, S
 
 
-def from_riemann(point: RiemannPoint, speed: WaveSpeedModel):
-    """(u_t, u_r) recovered from a Riemann point; inverse of to_riemann."""
-    ralpha = point.r**point.alpha
-    u_t = (point.R + point.S) / (2.0 * ralpha)
-    u_r = (point.R - point.S) / (2.0 * speed.c(point.u) * ralpha)
+def from_riemann(r, u, R, S, speed: WaveSpeedModel, alpha: float):
+    """(u_t, u_r) from (R, S); inverse of to_riemann, arrays or scalars."""
+    ralpha = np.asarray(r, dtype=float) ** alpha
+    u_t = (R + S) / (2.0 * ralpha)
+    u_r = (R - S) / (2.0 * speed.c(u) * ralpha)
     return u_t, u_r
 
 
@@ -80,21 +66,3 @@ def rhs_fields(inv_r, ralpha, c, c_prime, R, S, alpha: float):
     f_S += geom * R
     return f_R, f_S
 
-
-def rhs(point: RiemannPoint, speed: WaveSpeedModel):
-    """(f_R, f_S) at a single Riemann point."""
-    f_R, f_S = rhs_fields(
-        1.0 / point.r,
-        point.r**point.alpha,
-        speed.c(point.u),
-        speed.c_prime(point.u),
-        point.R,
-        point.S,
-        point.alpha,
-    )
-    return float(f_R), float(f_S)
-
-
-def energy_density(point: RiemannPoint) -> float:
-    """R^2 + S^2, the conserved density."""
-    return float(point.R**2 + point.S**2)

@@ -11,6 +11,7 @@ import pytest
 from varwave import cli
 from varwave.cli import build_setup, main, write_csv
 from varwave.initial_data import auto_domain
+from varwave.riemann_core import from_riemann
 from varwave.speed_models import OseenFrankSpeed
 
 SQRT2 = math.sqrt(2.0)
@@ -100,6 +101,18 @@ class TestSimulate:
         main(["simulate", "--config", str(path), "--out-dir", str(out)])
         header = (out / "snapshots.csv").read_text().splitlines()[1]
         assert header == "t,r,u,R,S,u_r"
+
+    def test_u_r_column_is_the_inverse_map_of_its_row(self, tmp_path):
+        # %.17g round-trips, so the column must match bit for bit
+        cfg = base_config()
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 0
+        t, r, u, R, S, u_r = np.loadtxt(out / "snapshots.csv", delimiter=",", skiprows=2).T
+        setup = build_setup(cfg)
+        _, expected = from_riemann(r, u, R, S, setup.speed, setup.alpha)
+        assert np.count_nonzero(u_r) > 0
+        assert np.array_equal(u_r, expected)
 
     def test_diagnostics_json_embeds_config(self, tmp_path):
         cfg = base_config()
@@ -352,6 +365,60 @@ class TestValidation:
         assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err == f"varwave: invalid configuration: {section} must be an object, got null\n"
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("setup", "d", 3.5, "must be an integer, got 3.5"),
+            ("setup", "d", True, "must be a finite number, got true"),
+            ("setup", "d", math.inf, "must be a finite number, got Infinity"),
+            ("grid", "n", 512.5, "must be an integer, got 512.5"),
+            ("grid", "n", "512", 'must be a finite number, got "512"'),
+            ("grid", "n", math.inf, "must be a finite number, got Infinity"),
+            ("grid", "n", [512], "must be a finite number, got [512]"),
+            ("scheme", "max_steps", 10.5, "must be an integer, got 10.5"),
+            ("output", "snapshot_stride", False, "must be a finite number, got false"),
+            ("setup", "r0", math.nan, "must be a finite number, got NaN"),
+        ],
+        ids=lambda v: str(v),
+    )
+    def test_non_integral_or_non_number_is_one_line_config_error(
+        self, tmp_path, capsys, section, key, value, message
+    ):
+        cfg = base_config()
+        cfg[section][key] = value
+        path = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"varwave: invalid configuration: {section}.{key} {message}\n"
+
+    def test_non_integral_grid_size_in_n_list_rejected(self, tmp_path, capsys):
+        cfg = base_config(experiment={"kind": "convergence", "n_list": [64, 128.5, 256]})
+        path = write_config(tmp_path, cfg)
+        assert main(["convergence", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == "varwave: invalid configuration: experiment.n_list must be an integer, got 128.5\n"
+
+    def test_integral_float_keys_accepted(self):
+        cfg = base_config()
+        cfg["setup"]["d"] = 3.0
+        setup = build_setup(cfg)
+        assert setup.d == 3 and isinstance(setup.d, int)
+
+    @pytest.mark.parametrize(
+        "value", [[0.1], {"t": 0.1}, True, "0.1", math.inf], ids=lambda v: json.dumps(v)
+    )
+    def test_t_compare_must_be_a_number(self, tmp_path, capsys, value):
+        cfg = base_config(
+            experiment={"kind": "convergence", "n_list": [64, 128, 256], "t_compare": value}
+        )
+        path = write_config(tmp_path, cfg)
+        assert main(["convergence", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "varwave: invalid configuration: experiment.t_compare must be a finite number, "
+            f"got {json.dumps(value)}\n"
+        )
 
     def test_top_level_list_is_one_line_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, [base_config()])

@@ -16,7 +16,6 @@ from varwave import (
     auto_domain,
     initial_fields,
     initial_riemann,
-    make_theorem_profile,
     theorem_amplitude,
     to_riemann,
 )
@@ -71,7 +70,7 @@ class TestTheoremProfile:
         # oracle: straight-line evaluation from primitive values
         cp0 = 0.5 / math.sqrt(1.5)
         expected = 2.0 * max(32.0 * 2.0 * 2.0 / (1.0 * 1.0 * cp0), 1.0)
-        prof = make_theorem_profile(3, 1.0, 0.05, math.pi / 4, canonical_speed)
+        prof = ProblemSetup.theorem(3, 1.0, 0.05, math.pi / 4, canonical_speed).profile
         assert prof.amplitude == pytest.approx(expected, rel=1e-14)
         assert prof.amplitude == pytest.approx(627.069, rel=1e-4)
 
@@ -83,16 +82,16 @@ class TestTheoremProfile:
 
     def test_constant_speed_rejected(self, unit_speed):
         with pytest.raises(SpeedNotIncreasing):
-            make_theorem_profile(3, 1.0, 0.05, 0.7, unit_speed)
+            ProblemSetup.theorem(3, 1.0, 0.05, 0.7, unit_speed)
 
     def test_flat_angle_rejected(self, canonical_speed):
         # c'(0) = 0 for the k1=2, k3=1 speed
         with pytest.raises(SpeedNotIncreasing):
-            make_theorem_profile(3, 1.0, 0.05, 0.0, canonical_speed)
+            ProblemSetup.theorem(3, 1.0, 0.05, 0.0, canonical_speed)
 
     def test_eps_limit_enforced(self, canonical_speed):
         with pytest.raises(HypothesisViolated):
-            make_theorem_profile(3, 1.0, 0.6, math.pi / 4, canonical_speed)
+            ProblemSetup.theorem(3, 1.0, 0.6, math.pi / 4, canonical_speed)
 
 
 class TestProblemSetup:
