@@ -5,10 +5,19 @@ Paths advance lock-step with the solver as observers (never from stored
 snapshots): each step is integrated with a two-stage midpoint rule, with u
 interpolated bilinearly in (t, r) between the bracketing states.  Samples
 of (u, R, S) are taken at every solver time level.
+
+Interpolation in r is ``np.interp``'s own formula, slope * (r - r_j) + y_j
+with slope = (y_j+1 - y_j) / (r_j+1 - r_j), evaluated in Python floats on
+the bracket j that ``bisect`` finds once per radius; every field sampled at
+that radius shares it.  Its rules are kept bit for bit: a radius on a node
+or at or past the last node gives y_j, one left of the grid gives y_0, a
+NaN radius gives itself, and a NaN result is retried from the right node,
+then replaced by y_j when y_j = y_j+1.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -49,38 +58,54 @@ class CharacteristicPath:
         self.u: list[float] = []
         self.R: list[float] = []
         self.S: list[float] = []
-        self._prev_state: GridState | None = None
+        self._sampled: GridState | None = None  # the state of the last sample
+        self._nodes: list[float] = grid.r.tolist()
 
-    def _sample_fields(self, state: GridState, r: float) -> tuple[float, float, float]:
-        gr = self.grid.r
-        return (
-            float(np.interp(r, gr, state.u)),
-            float(np.interp(r, gr, state.R)),
-            float(np.interp(r, gr, state.S)),
-        )
+    def _sample(self, r: float, *fields: np.ndarray) -> list[float]:
+        """float(np.interp(r, grid.r, y)) for each y, on one bracket (module docstring)."""
+        if r != r:
+            return [r] * len(fields)
+        nodes = self._nodes
+        j = bisect_right(nodes, r) - 1
+        if j < 0:
+            return [y.item(0) for y in fields]
+        if j == len(nodes) - 1 or nodes[j] == r:
+            return [y.item(j) for y in fields]
+        width, off_left, off_right = nodes[j + 1] - nodes[j], r - nodes[j], r - nodes[j + 1]
+        out = []
+        for y in fields:
+            y0, y1 = y.item(j), y.item(j + 1)
+            slope = (y1 - y0) / width
+            v = slope * off_left + y0
+            if v != v:
+                v = slope * off_right + y1
+                if v != v and y0 == y1:
+                    v = y0
+            out.append(v)
+        return out
 
     def _append(self, t: float, r: float, state: GridState):
-        u, R, S = self._sample_fields(state, r)
+        u, R, S = self._sample(r, state.u, state.R, state.S)
         self.t.append(t)
         self.r.append(r)
         self.u.append(u)
         self.R.append(R)
         self.S.append(S)
+        self._sampled = state
 
     def _check_domain(self, r: float) -> float:
-        if r < self.grid.r_lo or r > self.grid.r_hi:
+        r_lo, r_hi = self._nodes[0], self._nodes[-1]
+        if r < r_lo or r > r_hi:
             raise PathLeftDomain(
-                f"{self.family} path from r={self.r_start} exited "
-                f"[{self.grid.r_lo}, {self.grid.r_hi}] at r={r}"
+                f"{self.family} path from r={self.r_start} exited [{r_lo}, {r_hi}] at r={r}"
             )
         return r
 
     def __call__(self, state: GridState):
-        if self._prev_state is None:
+        if self._sampled is None:
             self._append(state.t, self.r_start, state)
         else:
-            self.advance(self._prev_state, state)
-        self._prev_state = state
+            self.advance(self._sampled, state)
 
     def advance(self, state_before: GridState, state_after: GridState):
         """Integrate dr/dt = +-c across one solver step (midpoint rule)."""
@@ -88,13 +113,14 @@ class CharacteristicPath:
         if dt <= 0:
             raise ValueError("states must bracket one forward step")
         r_n = self.r[-1]
-        u_a = float(np.interp(r_n, self.grid.r, state_before.u))
+        if state_before is self._sampled:  # the last sample is u at r_n in that state
+            u_a = self.u[-1]
+        else:
+            (u_a,) = self._sample(r_n, state_before.u)
         k1 = self.sign * float(self.speed.c(u_a))
         r_half = self._check_domain(r_n + 0.5 * dt * k1)
-        u_half = 0.5 * (
-            float(np.interp(r_half, self.grid.r, state_before.u))
-            + float(np.interp(r_half, self.grid.r, state_after.u))
-        )
+        u_before, u_after = self._sample(r_half, state_before.u, state_after.u)
+        u_half = 0.5 * (u_before + u_after)
         k2 = self.sign * float(self.speed.c(u_half))
         r_new = self._check_domain(r_n + dt * k2)
         self._append(state_after.t, r_new, state_after)

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -104,9 +106,9 @@ def build_speed(cfg: dict):
         return TabulatedSpeed(
             c0=_require(cfg, "c0", "speed", float),
             c1=_require(cfg, "c1", "speed", float),
-            knots=tuple(_require(cfg, "knots", "speed")),
-            values=tuple(_require(cfg, "values", "speed")),
-            derivative_values=tuple(cfg["derivative_values"])
+            knots=tuple(_number_list(cfg, "knots", "speed")),
+            values=tuple(_number_list(cfg, "values", "speed")),
+            derivative_values=tuple(_number_list(cfg, "derivative_values", "speed"))
             if cfg.get("derivative_values") is not None
             else None,
         )
@@ -135,10 +137,8 @@ def build_setup(cfg: dict, eps_override: float | None = None) -> ProblemSetup:
     dom_cfg = sc.get("domain", "auto")
     if dom_cfg == "auto":
         domain = None
-    elif isinstance(dom_cfg, list) and len(dom_cfg) == 2 and all(
-        isinstance(x, (int, float)) for x in dom_cfg
-    ):
-        domain = (float(dom_cfg[0]), float(dom_cfg[1]))
+    elif isinstance(dom_cfg, list) and len(dom_cfg) == 2:
+        domain = tuple(_number(x, float, "setup.domain") for x in dom_cfg)
     else:
         raise ConfigError(f"setup domain must be 'auto' or a pair of numbers, got {dom_cfg!r}")
     return ProblemSetup.theorem(d, r0, eps, u0, speed, domain=domain, profile=profile)
@@ -174,25 +174,75 @@ def _config_comment(config: dict) -> str:
 CSV_CHUNK_ROWS = 4096
 
 
-def write_csv(path, config: dict, columns: dict[str, np.ndarray]) -> None:
-    """CSV with a '#' provenance header and 17-significant-digit floats.
+def _chunks(lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """Ranges [i, j) of at most CSV_CHUNK_ROWS rows that cover [lo, hi)."""
+    return ((i, min(i + CSV_CHUNK_ROWS, hi)) for i in range(lo, hi, CSV_CHUNK_ROWS))
 
-    Rows are formatted a chunk at a time, which bounds the memory of the
-    text.  Columns of unequal length raise ValueError.
+
+def _array_rows(columns: dict[str, np.ndarray]) -> Iterator[str]:
+    """Text of the rows of equal-length columns, a chunk of rows at a time.
+
+    The lengths are checked at once, not when the text is first asked for.
     """
-    names = list(columns)
-    arrays = [np.atleast_1d(np.asarray(columns[k], dtype=np.float64)) for k in names]
-    lengths = {k: a.size for k, a in zip(names, arrays)}
+    arrays = [np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in columns.values()]
+    lengths = {k: a.size for k, a in zip(columns, arrays)}
     if len(set(lengths.values())) > 1:
         raise ValueError(f"CSV columns differ in length: {lengths}")
-    n_rows = arrays[0].size if arrays else 0
-    row_format = ",".join(["%.17g"] * len(names)) + "\n"
+    row_format = ",".join(["%.17g"] * len(arrays)) + "\n"
+    return (
+        row_format * (j - i) % tuple(np.column_stack([a[i:j] for a in arrays]).ravel().tolist())
+        for i, j in _chunks(0, arrays[0].size if arrays else 0)
+    )
+
+
+def write_csv(path, config: dict, columns) -> None:
+    """CSV with a '#' provenance header and 17-significant-digit floats.
+
+    ``columns`` maps each name to its column; rows are formatted a chunk at
+    a time, which bounds the memory of the text, and columns of unequal
+    length raise ValueError.  It may also be a pair (names, text) of the
+    column names and an iterable of row text already formatted, which is
+    written as it is produced (the snapshot table streams that way).
+    """
+    names, text = (list(columns), _array_rows(columns)) if isinstance(columns, dict) else columns
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# {_config_comment(config)}\n")
         fh.write(",".join(names) + "\n")
-        for start in range(0, n_rows, CSV_CHUNK_ROWS):
-            block = np.column_stack([a[start : start + CSV_CHUNK_ROWS] for a in arrays])
-            fh.write(row_format * block.shape[0] % tuple(block.ravel().tolist()))
+        for block in text:
+            fh.write(block)
+
+
+def _snapshot_rows(grid: Grid, setup: ProblemSetup, states: list[GridState]) -> Iterator[str]:
+    """Text of the snapshot table, state by state, a chunk of rows at a time.
+
+    Outside a state's live range every node is (u0, +0.0, +0.0), so its row
+    is (t, r, u0, 0, 0, 0): u_r = (+0 - +0)/(2 c(u0) r^alpha) = +0.0.  Those
+    rows are joined from text made once per run, with t formatted once per
+    state; only the live rows go through %.17g and from_riemann.  The bytes
+    are those of the whole columns written by write_csv.  A state whose
+    range is not known (the t = 0 one) is all live, and so is every state
+    when u0 is zero (the live scan compares u with u0 as numbers, so a
+    quiescent u may be either zero) or 2 c0 r_lo^alpha is near underflow
+    (u_r would be 0/0 there).
+    """
+    n = grid.n
+    r_text = [f"{x:.17g}" for x in grid.r.tolist()]
+    rest = [f",{x},{setup.u0:.17g},0,0,0\n" for x in r_text]
+    all_live = setup.u0 == 0.0 or setup.speed.c0 * grid.r_lo**setup.alpha < 1e-300
+    for st in states:
+        t = f"{st.t:.17g}"
+        a, b = (0, n) if st.live is None or all_live else st.live
+        w = slice(a, b)
+        _, u_r = from_riemann(grid.r[w], st.u[w], st.R[w], st.S[w], setup.speed, setup.alpha)
+        row = t + ",%s,%.17g,%.17g,%.17g,%.17g\n"
+        for i, j in _chunks(0, a):
+            yield t + t.join(rest[i:j])
+        for i, j in _chunks(a, b):
+            fields = (st.u[i:j], st.R[i:j], st.S[i:j], u_r[i - a : j - a])
+            cells = zip(r_text[i:j], *(f.tolist() for f in fields))
+            yield row * (j - i) % tuple(itertools.chain.from_iterable(cells))
+        for i, j in _chunks(b, n):
+            yield t + t.join(rest[i:j])
 
 
 def write_json(path, config: dict, doc: dict) -> None:
@@ -262,19 +312,10 @@ def _simulate_once(config: dict, out_dir: Path, svg: bool, eps_override=None) ->
     write_csv(out_dir / "energy.csv", config, ea)
     write_csv(out_dir / "hat_path.csv", config, hat.arrays())
 
-    rows = {"t": [], "r": [], "u": [], "R": [], "S": [], "u_r": []}
-    for st in snaps.states:
-        _, u_r = from_riemann(grid.r, st.u, st.R, st.S, setup.speed, setup.alpha)
-        rows["t"].append(np.full(grid.n, st.t))
-        rows["r"].append(grid.r)
-        rows["u"].append(st.u)
-        rows["R"].append(st.R)
-        rows["S"].append(st.S)
-        rows["u_r"].append(u_r)
     write_csv(
         out_dir / "snapshots.csv",
         config,
-        {k: np.concatenate(v) for k, v in rows.items()},
+        (["t", "r", "u", "R", "S", "u_r"], _snapshot_rows(grid, setup, snaps.states)),
     )
     write_json(out_dir / "diagnostics.json", config, doc)
 
@@ -406,6 +447,8 @@ def cmd_convergence(config: dict, out_dir: Path, svg: bool) -> int:
         t_cmp = float(min(0.5 * blowup_time_estimate(setup), 0.5 * setup.t_final))
     else:
         t_cmp = _number(t_cmp, float, "experiment.t_compare")
+        if t_cmp <= 0.0:
+            raise ConfigError(f"experiment.t_compare must be positive, got {t_cmp}")
 
     def solve(n: int):
         grid = Grid.uniform(*setup.domain, n)

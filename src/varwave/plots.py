@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _WIDTH, _HEIGHT = 720, 480
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 72, 20, 36, 52
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -38,9 +40,17 @@ def render_lines(
     ylabel: str = "",
     comment: str = "",
 ) -> str:
-    """SVG document for a list of (x, y, label) polylines."""
-    xs = [float(v) for x, _, _ in series for v in x]
-    ys = [float(v) for _, y, _ in series for v in y]
+    """SVG document for a list of (x, y, label) polylines.
+
+    The axis bounds are Python's min and max over every point, so a NaN
+    first point makes its axis NaN and a later NaN is passed over.  Each
+    polyline is mapped to pixels as whole arrays, with the operations of
+    ``sx`` and ``sy`` in their order, and formatted by one ``%``; a polyline
+    pairs its points up to the shorter of x and y, as ``zip`` does.
+    """
+    arrays = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float)) for x, y, _ in series]
+    xs = [v for x, _ in arrays for v in x.tolist()]
+    ys = [v for _, y in arrays for v in y.tolist()]
     if not xs:
         xs, ys = [0.0, 1.0], [0.0, 1.0]
     x_lo, x_hi = min(xs), max(xs)
@@ -110,11 +120,14 @@ def render_lines(
             f'<text x="16" y="{_MARGIN_T + px_h / 2}" text-anchor="middle" '
             f'transform="rotate(-90 16 {_MARGIN_T + px_h / 2})">{ylabel}</text>'
         )
-    for k, (x, y, label) in enumerate(series):
+    for k, ((x, y), (_, _, label)) in enumerate(zip(arrays, series)):
         color = _COLORS[k % len(_COLORS)]
-        pts = " ".join(
-            f"{sx(float(a)):.2f},{sy(float(b)):.2f}" for a, b in zip(x, y)
-        )
+        m = min(x.size, y.size)
+        xy = np.empty((m, 2))
+        with np.errstate(all="ignore"):  # Python floats give inf and NaN silently
+            xy[:, 0] = _MARGIN_L + (x[:m] - x_lo) / (x_hi - x_lo) * px_w
+            xy[:, 1] = _MARGIN_T + (y_hi - y[:m]) / (y_hi - y_lo) * px_h
+        pts = ("%.2f,%.2f " * m % tuple(xy.ravel().tolist()))[:-1]
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

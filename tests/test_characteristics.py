@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varwave import (
     CharacteristicPath,
@@ -177,6 +179,127 @@ class TestPathProperties:
             residuals.append(float(np.mean(np.abs(dSdt - f_S))))
         assert residuals[1] <= 0.75 * residuals[0]
         assert residuals[2] <= 0.75 * residuals[1]
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+class ReferencePath(CharacteristicPath):
+    """The path as first written: every field sampled by its own np.interp."""
+
+    def __call__(self, state):
+        if not self.t:
+            self._append(state.t, self.r_start, state)
+        else:
+            self.advance(self.previous, state)
+        self.previous = state
+
+    def _append(self, t, r, state):
+        gr = self.grid.r
+        self.t.append(t)
+        self.r.append(r)
+        self.u.append(float(np.interp(r, gr, state.u)))
+        self.R.append(float(np.interp(r, gr, state.R)))
+        self.S.append(float(np.interp(r, gr, state.S)))
+
+    def advance(self, state_before, state_after):
+        dt = state_after.t - state_before.t
+        r_n = self.r[-1]
+        u_a = float(np.interp(r_n, self.grid.r, state_before.u))
+        k1 = self.sign * float(self.speed.c(u_a))
+        r_half = self._check_domain(r_n + 0.5 * dt * k1)
+        u_half = 0.5 * (
+            float(np.interp(r_half, self.grid.r, state_before.u))
+            + float(np.interp(r_half, self.grid.r, state_after.u))
+        )
+        k2 = self.sign * float(self.speed.c(u_half))
+        self._append(state_after.t, self._check_domain(r_n + dt * k2), state_after)
+
+
+SAMPLE_GRID = Grid.uniform(0.5, 1.5, 9)
+NODES = SAMPLE_GRID.r.tolist()
+# finite values, infinities (inf - inf makes the NaN that the retry from the
+# right node and the equal-neighbour rule handle), NaN, and spans that overflow
+FIELD_VALUE = st.one_of(
+    st.floats(width=64),
+    st.sampled_from([0.0, -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                     math.inf, -math.inf, math.nan]),
+)
+RADIUS = st.one_of(
+    st.sampled_from(NODES),
+    st.floats(0.3, 1.7),
+    st.sampled_from([math.nan, -math.inf, math.inf, 1.5 + 1e-15, 0.5 - 1e-15]),
+)
+
+
+class TestInterpolation:
+    """Path samples against np.interp through uint64 views."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        r=RADIUS,
+        fields=st.lists(st.lists(FIELD_VALUE, min_size=9, max_size=9), min_size=1, max_size=3),
+        ties=st.lists(st.integers(0, 7), max_size=4),
+    )
+    def test_sample_matches_np_interp(self, r, fields, ties):
+        ys = [np.array(f) for f in fields]
+        for y in ys:
+            y[np.array(ties, dtype=int) + 1] = y[np.array(ties, dtype=int)]  # equal neighbours
+        path = CharacteristicPath("plus", 1.0, SAMPLE_GRID, ConstantSpeed.of(1.0))
+        got = path._sample(r, *ys)
+        want = [float(np.interp(r, SAMPLE_GRID.r, y)) for y in ys]
+        np.testing.assert_array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("r", NODES + [NODES[-1], 0.95, math.nan])
+    @pytest.mark.parametrize(
+        "y",
+        [
+            [math.inf] * 9,
+            [-math.inf, math.inf] * 4 + [1.0],
+            [1e308, -1e308] * 4 + [0.0],
+            [0.0, -0.0] * 4 + [-0.0],
+            [math.nan] * 9,
+        ],
+        ids=["equal-inf", "opposite-inf", "huge-slopes", "signed-zeros", "nan"],
+    )
+    def test_nodes_and_nan_fallback(self, r, y):
+        path = CharacteristicPath("plus", 1.0, SAMPLE_GRID, ConstantSpeed.of(1.0))
+        y = np.array(y)
+        np.testing.assert_array_equal(
+            bits(path._sample(r, y)), bits([float(np.interp(r, SAMPLE_GRID.r, y))])
+        )
+
+    @pytest.mark.parametrize("scheme", ["upwind1", "muscl2"])
+    def test_canonical_paths_bitwise_equal_reference(self, canonical_setup, scheme):
+        grid = Grid.uniform(*canonical_setup.domain, 512)
+        speed = canonical_setup.speed
+        paths = [
+            cls(family, r, grid, speed)
+            for cls in (CharacteristicPath, ReferencePath)
+            for family, r in (("plus", canonical_setup.r0), ("minus", 1.1))
+        ]
+        result = run(canonical_setup, grid, SchemeConfig(scheme=scheme), observers=tuple(paths))
+        assert result.steps > 50
+        for got, want in zip(paths[:2], paths[2:]):
+            for key in ("t", "r", "u", "R", "S"):
+                np.testing.assert_array_equal(bits(getattr(got, key)), bits(getattr(want, key)))
+
+    def test_advance_from_another_state_object_interpolates(self, canonical_setup):
+        # the observer reuses its last sample as u at the foot; a copy of the
+        # state is not the sampled object, so advance interpolates it instead
+        grid = Grid.uniform(*canonical_setup.domain, 512)
+        states = []
+        run(canonical_setup, grid, SchemeConfig(max_steps=40), observers=(states.append,))
+        observed = CharacteristicPath("plus", canonical_setup.r0, grid, canonical_setup.speed)
+        direct = CharacteristicPath("plus", canonical_setup.r0, grid, canonical_setup.speed)
+        for s in states:
+            observed(s)
+        direct(states[0])
+        for before, after in zip(states, states[1:]):
+            direct.advance(before.copy(), after)
+        for key in ("t", "r", "u", "R", "S"):
+            np.testing.assert_array_equal(bits(getattr(direct, key)), bits(getattr(observed, key)))
 
 
 class TestMonitors:

@@ -7,12 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from varwave import cli
-from varwave.cli import build_setup, main, write_csv
-from varwave.initial_data import auto_domain
+from varwave.cli import SnapshotRecorder, build_setup, main, write_csv
+from varwave.initial_data import PolynomialBump, ProblemSetup, auto_domain
 from varwave.riemann_core import from_riemann
-from varwave.speed_models import OseenFrankSpeed
+from varwave.solver import Grid, GridState, SchemeConfig, _live_span, run
+from varwave.speed_models import ConstantSpeed, OseenFrankSpeed
 
 SQRT2 = math.sqrt(2.0)
 
@@ -270,6 +273,129 @@ class TestWriteCsv:
             write_csv(tmp_path / "bad.csv", {}, {"t": np.zeros(3), "E": np.zeros(2)})
 
 
+def reference_snapshot_table(path, config, grid, setup, states):
+    """The snapshot table as first written: u_r from the inverse map on every
+    node, whole columns concatenated over the states, one value at a time."""
+    rows = {"t": [], "r": [], "u": [], "R": [], "S": [], "u_r": []}
+    for s in states:
+        _, u_r = from_riemann(grid.r, s.u, s.R, s.S, setup.speed, setup.alpha)
+        rows["t"].append(np.full(grid.n, s.t))
+        rows["r"].append(grid.r)
+        rows["u"].append(s.u)
+        rows["R"].append(s.R)
+        rows["S"].append(s.S)
+        rows["u_r"].append(u_r)
+    TestWriteCsv.row_by_row(path, config, {k: np.concatenate(v) for k, v in rows.items()})
+
+
+def snapshot_setup(d, u0=math.pi / 4, speed=None):
+    return ProblemSetup.theorem(
+        d=d, r0=1.0, eps=0.1, u0=u0,
+        speed=speed or OseenFrankSpeed(c0=1.0, c1=SQRT2, k1=2.0, k3=1.0),
+        profile=PolynomialBump(amplitude=1.0),
+    )
+
+
+def hand_state(setup, n, t, live, values):
+    """State that is (u0, +0.0, +0.0) outside [a, b) and takes values[k] at
+    node a + k inside it; live None keeps the range unknown."""
+    u, R, S = np.full(n, setup.u0), np.zeros(n), np.zeros(n)
+    a, b = live if live is not None else (0, n)
+    for k, (uk, Rk, Sk) in enumerate(values[: b - a]):
+        u[a + k], R[a + k], S[a + k] = uk, Rk, Sk
+    return GridState(t, u, R, S, live)
+
+
+SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 0.75, -3.5e7)
+N_SNAP = 16
+
+
+class TestSnapshotTable:
+    """The streamed snapshot table against whole columns, byte for byte."""
+
+    def assert_table_matches(self, tmp_path, grid, setup, states):
+        config = {"grid": {"n": grid.n}}
+        write_csv(
+            tmp_path / "streamed.csv", config,
+            (["t", "r", "u", "R", "S", "u_r"], cli._snapshot_rows(grid, setup, states)),
+        )
+        reference_snapshot_table(tmp_path / "whole.csv", config, grid, setup, states)
+        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize(
+        "live",
+        [None, (0, 0), (0, 5), (11, N_SNAP), (7, 8), (0, N_SNAP), (3, 13)],
+        ids=str,
+    )
+    def test_live_ranges(self, tmp_path, monkeypatch, d, live):
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 3)  # ranges split across chunks
+        setup = snapshot_setup(d)
+        grid = Grid.uniform(*setup.domain, N_SNAP)
+        specials = [(0.5 + v, v, SPECIAL[-1 - k]) for k, v in enumerate(SPECIAL)]
+        states = [
+            hand_state(setup, N_SNAP, t, live, specials * 2)
+            for t in (0.0, 1e-3, 0.1234567890123)
+        ]
+        self.assert_table_matches(tmp_path, grid, setup, states)
+
+    @settings(
+        max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        d=st.sampled_from([1, 3]),
+        ends=st.tuples(st.integers(0, N_SNAP), st.integers(0, N_SNAP)).map(sorted),
+        unknown=st.booleans(),
+        values=st.lists(
+            st.tuples(*[st.one_of(st.sampled_from(SPECIAL), st.floats(width=64))] * 3),
+            min_size=N_SNAP, max_size=N_SNAP,
+        ),
+        t=st.floats(0.0, 1.0),
+    )
+    def test_hypothesis_states(self, tmp_path, d, ends, unknown, values, t):
+        setup = snapshot_setup(d)
+        grid = Grid.uniform(*setup.domain, N_SNAP)
+        live = None if unknown else tuple(ends)
+        states = [hand_state(setup, N_SNAP, t, live, values)]
+        self.assert_table_matches(tmp_path, grid, setup, states)
+
+    def test_zero_u0_range_from_the_live_scan(self, tmp_path):
+        # the scan reads u = +0.0 as quiescent for u0 = -0.0, so the rows
+        # outside its range cannot be written from the text of u0
+        setup = snapshot_setup(1, u0=-0.0, speed=ConstantSpeed.of(1.0))
+        grid = Grid.uniform(*setup.domain, N_SNAP)
+        u, R, S = np.zeros(N_SNAP), np.zeros(N_SNAP), np.zeros(N_SNAP)
+        R[6:9] = 0.25
+        live = _live_span(u, R, S, setup.u0)
+        assert live == (6, 9)
+        self.assert_table_matches(tmp_path, grid, setup, [GridState(0.5, u, R, S, live)])
+
+    @pytest.mark.filterwarnings("ignore:.*encountered in divide:RuntimeWarning")
+    def test_underflowing_r_alpha_keeps_nan_u_r(self, tmp_path):
+        # r_lo^alpha is 0 at the left end: u_r there is 0/0, not +0.0
+        speed = ConstantSpeed.of(1.0)
+        setup = ProblemSetup(
+            d=5, r0=1e-160, eps=1e-161, u0=0.5, speed=speed,
+            profile=PolynomialBump(amplitude=1.0), domain=(1e-170, 2.5e-160),
+        )
+        grid = Grid.uniform(*setup.domain, N_SNAP)
+        assert grid.r_lo**setup.alpha == 0.0
+        states = [hand_state(setup, N_SNAP, 0.0, (8, 10), [(0.4, 1.0, 2.0)] * 2)]
+        self.assert_table_matches(tmp_path, grid, setup, states)
+
+    @pytest.mark.parametrize("scheme", ["upwind1", "muscl2"])
+    def test_recorded_run(self, tmp_path, scheme):
+        setup = snapshot_setup(3)
+        grid = Grid.uniform(*setup.domain, 256)
+        snaps = SnapshotRecorder(stride=40)
+        result = run(setup, grid, SchemeConfig(scheme=scheme), observers=(snaps,))
+        snaps.ensure_last(result.state)
+        lives = [s.live for s in snaps.states]
+        assert lives[0] is None and all(0 < a < b < grid.n for a, b in lives[1:3])
+        self.assert_table_matches(tmp_path, grid, setup, snaps.states)
+
+
 class TestValidation:
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 1
@@ -420,6 +546,38 @@ class TestValidation:
             f"got {json.dumps(value)}\n"
         )
 
+    @pytest.mark.parametrize("value", [-1.0, 0.0, -0.0], ids=str)
+    def test_t_compare_must_be_positive(self, tmp_path, capsys, value):
+        cfg = base_config(
+            experiment={"kind": "convergence", "n_list": [64, 128, 256], "t_compare": value}
+        )
+        path = write_config(tmp_path, cfg)
+        assert main(["convergence", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "varwave: invalid configuration: experiment.t_compare must be positive, "
+            f"got {value}\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "domain, shown",
+        [
+            ([True, 3], "true"), ([0.5, False], "false"), ([0.5, "3"], '"3"'),
+            ([0.5, math.inf], "Infinity"),
+        ],
+        ids=str,
+    )
+    def test_domain_ends_must_be_numbers(self, tmp_path, capsys, domain, shown):
+        cfg = base_config()
+        cfg["setup"]["domain"] = domain
+        path = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"varwave: invalid configuration: setup.domain must be a finite number, got {shown}\n"
+        )
+
     def test_top_level_list_is_one_line_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, [base_config()])
         assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
@@ -452,6 +610,37 @@ class TestTabulatedConfig:
         path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 0
+
+
+    # a null derivative_values means that none are given
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            (key, value, message)
+            for key in ("knots", "values", "derivative_values")
+            for value, message in (
+                (None, "must be a list of numbers, got null"),
+                (5, "must be a list of numbers, got 5"),
+                ([0.0, "1"], 'must be a finite number, got "1"'),
+                ([0.0, True], "must be a finite number, got true"),
+            )
+            if not (key == "derivative_values" and value is None)
+        ],
+        ids=str,
+    )
+    def test_malformed_table_is_one_line_config_error(self, tmp_path, capsys, key, value, message):
+        u = np.linspace(0.0, np.pi, 9)
+        speed = {
+            "kind": "tabulated", "c0": 1.0, "c1": SQRT2,
+            "knots": list(u), "values": list(np.sqrt(1.0 + np.sin(u) ** 2)),
+        }
+        speed[key] = value
+        cfg = base_config()
+        cfg["setup"]["speed"] = speed
+        path = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"varwave: invalid configuration: speed.{key} {message}\n"
 
 
 class TestColdStart:
