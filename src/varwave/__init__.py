@@ -54,7 +54,6 @@ from .initial_data import (
     PolynomialBump,
     ProblemSetup,
     auto_domain,
-    initial_fields,
     initial_riemann,
     theorem_amplitude,
 )

@@ -34,6 +34,28 @@ if TYPE_CHECKING:
 _FAMILY_SIGN = {"plus": 1.0, "minus": -1.0}
 
 
+@dataclass(frozen=True)
+class PathSamples:
+    """(t, r, u, R, S) samples along a characteristic, as arrays.
+
+    Both solvers hand their paths over in this form: a traced
+    ``CharacteristicPath`` through ``samples()``, a line of the
+    characteristic-coordinate solver through ``CharLine.samples()``.  The
+    path monitors read it alone.
+    """
+
+    family: str
+    t: np.ndarray
+    r: np.ndarray
+    u: np.ndarray
+    R: np.ndarray
+    S: np.ndarray
+
+    def columns(self) -> dict[str, np.ndarray]:
+        """The (t, r, u, R, S) columns, in the form ``cli.write_csv`` takes."""
+        return {"t": self.t, "r": self.r, "u": self.u, "R": self.R, "S": self.S}
+
+
 class CharacteristicPath:
     """Sampled curve (t, r(t)) with u, R, S along it; also a run observer.
 
@@ -125,36 +147,14 @@ class CharacteristicPath:
         r_new = self._check_domain(r_n + dt * k2)
         self._append(state_after.t, r_new, state_after)
 
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "t": np.asarray(self.t),
-            "r": np.asarray(self.r),
-            "u": np.asarray(self.u),
-            "R": np.asarray(self.R),
-            "S": np.asarray(self.S),
-        }
+    def samples(self) -> PathSamples:
+        """The samples taken so far, as arrays."""
+        return PathSamples(
+            self.family, *(np.asarray(v) for v in (self.t, self.r, self.u, self.R, self.S))
+        )
 
 
-@dataclass(frozen=True)
-class PathSamples:
-    """(t, r, u, R, S) samples along a characteristic, as arrays.
-
-    The characteristic-coordinate solver records its lines in this form;
-    the path monitors read ``t``, ``u``, ``R`` and ``S`` from it or from a
-    ``CharacteristicPath`` alike.
-    """
-
-    family: str
-    t: np.ndarray
-    r: np.ndarray
-    u: np.ndarray
-    R: np.ndarray
-    S: np.ndarray
-
-
-def find_intersection(
-    plus: CharacteristicPath, minus: CharacteristicPath
-) -> tuple[float, float]:
+def find_intersection(plus: PathSamples, minus: PathSamples) -> tuple[float, float]:
     """First crossing (t_m, r_m) of a plus path started left of a minus path.
 
     Sample times must coincide (paths advanced by the same run).  The
@@ -165,11 +165,10 @@ def find_intersection(
     n = min(len(plus.t), len(minus.t))
     if n < 2:
         raise NoIntersection("paths too short to intersect")
-    tp = np.asarray(plus.t[:n])
-    tm = np.asarray(minus.t[:n])
+    tp, tm = plus.t[:n], minus.t[:n]
     if not np.allclose(tp, tm, rtol=1e-12, atol=1e-14):
         raise ValueError("paths do not share the solver time grid")
-    d = np.asarray(plus.r[:n]) - np.asarray(minus.r[:n])
+    d = plus.r[:n] - minus.r[:n]
     if d[0] >= 0:
         raise ValueError("plus path must start left of the minus path")
     hits = np.nonzero(d >= 0.0)[0]
@@ -185,9 +184,9 @@ def find_intersection(
     return t_m, r_m
 
 
-def truncate_at(path: CharacteristicPath, t_m: float) -> dict[str, np.ndarray]:
-    """Path arrays up to t_m, with a linearly interpolated final sample."""
-    a = path.arrays()
+def truncate_at(path: PathSamples, t_m: float) -> dict[str, np.ndarray]:
+    """Path columns up to t_m, with a linearly interpolated final sample."""
+    a = path.columns()
     t = a["t"]
     keep = t < t_m
     k = int(np.count_nonzero(keep))
@@ -219,33 +218,26 @@ class SignReport:
     ok: bool
 
 
-def u_drift_along(
-    path: CharacteristicPath | PathSamples, constants: TheoremConstants
-) -> DriftReport:
+def u_drift_along(path: PathSamples, constants: TheoremConstants) -> DriftReport:
     """Max |u(t, r(t)) - u(start)| along the path versus sqrt(K (r0-eps)/(c0 c1)) * sqrt(eps).
 
-    ``path`` is a traced path or the samples of a characteristic-coordinate
-    line.  ``constants`` are the TheoremConstants of the run's setup; the drift
+    ``constants`` are the TheoremConstants of the run's setup; the drift
     bound only needs the energy constant, so they may come from
     compute_constants(setup, require_hypothesis=False).
     """
-    u = np.asarray(path.u)
-    drift = float(np.max(np.abs(u - u[0]))) if u.size else 0.0
+    drift = float(np.max(np.abs(path.u - path.u[0]))) if path.u.size else 0.0
     bound = constants.u_drift_bound
     return DriftReport(max_drift=drift, bound=bound, ok=drift <= bound)
 
 
-def c_prime_sign_along(
-    path: CharacteristicPath | PathSamples, setup: ProblemSetup
-) -> SignReport:
-    """Min of c'(u) along the path (traced or sampled) versus c'(u0)/4.
+def c_prime_sign_along(path: PathSamples, setup: ProblemSetup) -> SignReport:
+    """Min of c'(u) along the path versus c'(u0)/4.
 
     The flag fails outright when c'(u0) <= 0: the monotonicity hypothesis
     is absent, so there is no positive margin to preserve.
     """
-    u = np.asarray(path.u)
-    cp = np.asarray(setup.speed.c_prime(u))
-    min_cp = float(np.min(cp)) if u.size else float(setup.speed.c_prime(setup.u0))
+    cp = np.asarray(setup.speed.c_prime(path.u))
+    min_cp = float(np.min(cp)) if path.u.size else float(setup.speed.c_prime(setup.u0))
     threshold = float(setup.speed.c_prime(setup.u0)) / 4.0
     ok = threshold > 0.0 and min_cp >= threshold
     return SignReport(min_c_prime=min_cp, threshold=threshold, ok=ok)

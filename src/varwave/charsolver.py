@@ -65,7 +65,7 @@ import numpy as np
 
 from .characteristics import PathSamples
 from .errors import NonFiniteState
-from .initial_data import ProblemSetup, initial_fields, initial_riemann
+from .initial_data import ProblemSetup, initial_riemann
 from .solver import DEFAULT_CEILING_FACTOR
 
 GRADING = 80.0  # off the support each cell is exp(GRADING/(N-1)) times its inner neighbour
@@ -327,11 +327,10 @@ class CharRun:
 def _initial_diagonal(setup: ProblemSetup, nodes: CharNodes) -> _Diagonal:
     """Nodes (i, i) at t = 0."""
     x = nodes.x
-    u, _ = initial_fields(setup, x)
-    R, S = initial_riemann(setup, x)
+    u, R, S = initial_riemann(setup, x)
     inv = 1.0 / np.sqrt(nodes.rho)
     return _Diagonal(
-        np.zeros_like(x), x.copy(), np.asarray(u, dtype=float), R * inv, inv.copy(), S * inv, inv.copy()
+        np.zeros_like(x), x.copy(), u, R * inv, inv.copy(), S * inv, inv.copy()
     ).derive(setup)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -30,7 +31,6 @@ from . import plots
 from .characteristics import CharacteristicPath, c_prime_sign_along, u_drift_along
 from .diagnostics import (
     EnergyObserver,
-    _trapezoid_energy,
     blowup_time_estimate,
     build_blowup_report,
     build_report,
@@ -91,6 +91,19 @@ def _number_list(cfg: dict, key: str, where: str, cast=float) -> list:
     return [_number(x, cast, f"{where}.{key}") for x in raw]
 
 
+def _config_phase(build):
+    """build, raising the ValueError of a constructor it calls as a ConfigError."""
+
+    @functools.wraps(build)
+    def checked(*args, **kwargs):
+        try:
+            return build(*args, **kwargs)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    return checked
+
+
 def build_speed(cfg: dict):
     kind = _require(cfg, "kind", "speed")
     if kind == "oseen_frank":
@@ -115,6 +128,7 @@ def build_speed(cfg: dict):
     raise ConfigError(f"unknown speed kind '{kind}'")
 
 
+@_config_phase
 def build_setup(cfg: dict, eps_override: float | None = None) -> ProblemSetup:
     sc = _object(_require(cfg, "setup", "config"), "setup")
     d = _require(sc, "d", "setup", int)
@@ -144,6 +158,7 @@ def build_setup(cfg: dict, eps_override: float | None = None) -> ProblemSetup:
     return ProblemSetup.theorem(d, r0, eps, u0, speed, domain=domain, profile=profile)
 
 
+@_config_phase
 def build_scheme(cfg: dict) -> SchemeConfig:
     sc = _object(cfg.get("scheme", {}), "scheme")
     default = SchemeConfig()
@@ -158,6 +173,7 @@ def build_scheme(cfg: dict) -> SchemeConfig:
     )
 
 
+@_config_phase
 def build_grid(cfg: dict, setup: ProblemSetup) -> Grid:
     gc = _object(_require(cfg, "grid", "config"), "grid")
     raw = _require(gc, "n", "grid")
@@ -294,9 +310,11 @@ def _simulate_once(config: dict, out_dir: Path, svg: bool, eps_override=None) ->
     result = run(setup, grid, cfg, observers=(energy, hat, snaps))
     snaps.ensure_last(result.state)
 
-    blowup = build_blowup_report(result, hat, constants, setup)
+    hat_samples = hat.samples()
+    blowup = build_blowup_report(result, hat_samples, constants, setup)
     doc = build_report(
-        constants, energy, blowup, u_drift_along(hat, constants), c_prime_sign_along(hat, setup)
+        constants, energy, blowup,
+        u_drift_along(hat_samples, constants), c_prime_sign_along(hat_samples, setup),
     )
     doc["run"] = {
         "reason": result.reason,
@@ -310,7 +328,7 @@ def _simulate_once(config: dict, out_dir: Path, svg: bool, eps_override=None) ->
     out_dir.mkdir(parents=True, exist_ok=True)
     ea = energy.arrays()
     write_csv(out_dir / "energy.csv", config, ea)
-    write_csv(out_dir / "hat_path.csv", config, hat.arrays())
+    write_csv(out_dir / "hat_path.csv", config, hat_samples.columns())
 
     write_csv(
         out_dir / "snapshots.csv",
@@ -364,16 +382,13 @@ def cmd_triangle(config: dict, out_dir: Path, svg: bool) -> int:
     r2 = _require(exp, "r2", "experiment", float)
     report, plus, minus = triangle_identity(setup, grid, cfg, r1, r2)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(out_dir / "plus_path.csv", config, plus.arrays())
-    write_csv(out_dir / "minus_path.csv", config, minus.arrays())
+    write_csv(out_dir / "plus_path.csv", config, plus.columns())
+    write_csv(out_dir / "minus_path.csv", config, minus.columns())
     write_json(out_dir / "triangle.json", config, dataclasses.asdict(report))
     if svg:
         plots.write_svg(
             out_dir / "triangle_paths.svg",
-            [
-                (plus.arrays()["r"], plus.arrays()["t"], "plus path"),
-                (minus.arrays()["r"], minus.arrays()["t"], "minus path"),
-            ],
+            [(plus.r, plus.t, "plus path"), (minus.r, minus.t, "minus path")],
             title="characteristic triangle",
             xlabel="r",
             ylabel="t",
@@ -405,6 +420,8 @@ def cmd_eps_sweep(config: dict, out_dir: Path, svg: bool) -> int:
     for eps in eps_list:
         try:
             doc = _simulate_once(config, out_dir / f"eps_{eps:g}", svg, eps_override=eps)
+        except ConfigError:  # a fault of the config stops the sweep
+            raise
         except VarwaveError as exc:  # collect, keep sweeping
             errors[eps] = str(exc)
             continue
@@ -436,6 +453,8 @@ def cmd_convergence(config: dict, out_dir: Path, svg: bool) -> int:
     n_list = _number_list(exp, "n_list", "experiment", int)
     if len(n_list) < 3:
         raise ConfigError("n_list needs at least 3 entries")
+    if min(n_list) < 8:
+        raise ConfigError(f"experiment.n_list entries must be at least 8, got {min(n_list)}")
     for a, b in zip(n_list, n_list[1:]):
         if b != 2 * a:
             raise ConfigError("each grid size must double the previous one")
@@ -453,16 +472,13 @@ def cmd_convergence(config: dict, out_dir: Path, svg: bool) -> int:
     def solve(n: int):
         grid = Grid.uniform(*setup.domain, n)
         stepper = Stepper(setup, grid, cfg)
+        energy = EnergyObserver(grid, setup.speed)
         state = init_state(setup, grid)
-        dr = np.diff(grid.r)
-        e0 = _trapezoid_energy(state, dr)
-        drift = 0.0
+        energy(state)
         while state.t < t_cmp - 1e-15:
             state = stepper.step(state, min(stepper.base_dt, t_cmp - state.t))
-            e = _trapezoid_energy(state, dr)
-            if e0 > 0:
-                drift = max(drift, abs(e - e0) / e0)
-        return grid, state, drift
+            energy(state)
+        return grid, state, energy.max_relative_drift
 
     with ThreadPoolExecutor(max_workers=_JOB_WORKERS) as pool:
         solved = list(pool.map(solve, n_list))
@@ -548,12 +564,11 @@ def main(argv=None) -> int:
         BoundsViolation,
         SpeedNotIncreasing,
         DomainMismatch,
-        ValueError,
-        KeyError,
     ) as exc:
         print(f"varwave: invalid configuration: {exc}", file=sys.stderr)
         return 1
-    except VarwaveError as exc:
+    # past the builders, a ValueError or KeyError is a fault of the run
+    except (VarwaveError, ValueError, KeyError) as exc:
         print(f"varwave: run failed: {exc}", file=sys.stderr)
         return 2
 

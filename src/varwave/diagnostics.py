@@ -292,15 +292,15 @@ def triangle_identity(
     cfg: SchemeConfig,
     r1: float,
     r2: float,
-) -> tuple[TriangleReport, CharacteristicPath, CharacteristicPath]:
+) -> tuple[TriangleReport, PathSamples, PathSamples]:
     """Run until the bounding characteristics cross; compare the two sides.
 
     LHS = int_{r1}^{r_m} R^2(t_+(r), r) dr + int_{r_m}^{r2} S^2(t_-(r), r) dr
     by trapezoid in the path parameter; RHS = half the initial energy on
     [r1, r2].  Requires r2 - r1 < 2 c0 (r0 - eps)/c1 so the crossing
-    happens before t_final.  Returns the report and the two paths.  Raises
-    NoIntersection when the run ends any other way (t_final, gradient
-    ceiling, or step budget) before the paths meet.
+    happens before t_final.  Returns the report and the samples of both
+    paths.  Raises NoIntersection when the run ends any other way (t_final,
+    gradient ceiling, or step budget) before the paths meet.
     """
     _check_feet(setup, r1, r2)
     plus = CharacteristicPath("plus", r1, grid, setup.speed)
@@ -314,6 +314,7 @@ def triangle_identity(
             f"paths {r1} and {r2} did not cross: run ended by "
             f"{result.reason} at t={result.state.t}"
         )
+    plus, minus = plus.samples(), minus.samples()
     t_m, r_m = find_intersection(plus, minus)
     pa = truncate_at(plus, t_m)
     ma = truncate_at(minus, t_m)
@@ -324,7 +325,7 @@ def triangle_identity(
 
     inside = grid.r[(grid.r > r1) & (grid.r < r2)]
     rq = np.concatenate(([r1], inside, [r2]))
-    R0, S0 = initial_riemann(setup, rq)
+    _, R0, S0 = initial_riemann(setup, rq)
     rhs = 0.5 * float(np.trapezoid(R0**2 + S0**2, rq))
 
     residual = abs(lhs - rhs) / max(rhs, 1e-30)
@@ -345,14 +346,14 @@ def characteristic_triangle_identity(
     the initial energy of the feet, both by the trapezoid rule in the
     labels.  The sweep continues through any blow-up inside the triangle:
     the solution is the conservative one.  Same preconditions as
-    ``triangle_identity``; returns the report and the samples of both sides.
+    ``triangle_identity``, and the same return value.
     """
     _check_feet(setup, r1, r2)
     nodes = place_nodes(setup, n, r1, r2)
     run_ = march(setup, nodes, lines=[("plus", r1), ("minus", r2)], stop_at_detection=False)
     plus, minus = run_.line("plus", r1), run_.line("minus", r2)
     lhs = plus.energy_flux() + minus.energy_flux()
-    R0, S0 = initial_riemann(setup, nodes.x)
+    _, R0, S0 = initial_riemann(setup, nodes.x)
     rhs = 0.5 * float(np.trapezoid((R0 * R0 + S0 * S0) / nodes.rho, nodes.label))
     residual = abs(lhs - rhs) / max(rhs, 1e-30)
     report = TriangleReport(
@@ -362,8 +363,7 @@ def characteristic_triangle_identity(
     return report, plus.samples(), minus.samples()
 
 
-def _inv_s_record(path: CharacteristicPath | PathSamples, setup: ProblemSetup,
-                  constants: TheoremConstants):
+def _inv_s_record(path: PathSamples, setup: ProblemSetup, constants: TheoremConstants):
     """1/S along a finished plus path and the discrete decay inequality.
 
     1/S is kept where the sampled S is not <= 0 (a NaN is kept); a
@@ -378,9 +378,7 @@ def _inv_s_record(path: CharacteristicPath | PathSamples, setup: ProblemSetup,
     number that violate the inequality.
     """
     sp = setup.speed
-    t = np.asarray(path.t, dtype=float)
-    R = np.asarray(path.R, dtype=float)
-    S = np.asarray(path.S, dtype=float)
+    t, R, S = path.t, path.R, path.S
     kept = ~(S <= 0.0)
     t = t[kept]
     inv_s = 1.0 / S[kept]
@@ -430,14 +428,13 @@ class BlowupReport:
 
 
 def build_blowup_report(
-    result: RunResult | CharRun, path: CharacteristicPath | PathSamples,
+    result: RunResult | CharRun, path: PathSamples,
     constants: TheoremConstants, setup: ProblemSetup
 ) -> BlowupReport:
     """The blow-up record of a finished run, its hat path and the verdict.
 
-    ``path`` is the finished plus path from (0, r0): a traced
-    ``CharacteristicPath`` or the ``PathSamples`` of a characteristic-
-    coordinate line.  The 1/S record and its decay inequality are read from
+    ``path`` holds the samples of the finished plus path from (0, r0),
+    from either solver.  The 1/S record and its decay inequality are read from
     it in one pass; the blow-up time estimate is the zero crossing of a
     least-squares line through the last quarter of the 1/S trace.
 
@@ -449,7 +446,7 @@ def build_blowup_report(
     FAIL-AS-EXPECTED when the steepening hypothesis c'(u0) > 0 is absent,
     plain FAIL otherwise.
     """
-    S = np.asarray(path.S, dtype=float)
+    S = path.S
     t, inv_s, checks, violations = _inv_s_record(path, setup, constants)
     s_start = float(S[0]) if S.size else 0.0
     if s_start > 0.0:

@@ -178,23 +178,12 @@ class ProblemSetup:
         return cls(d=d, r0=r0, eps=eps, u0=u0, speed=speed, profile=profile, domain=domain)
 
 
-def initial_fields(setup: ProblemSetup, r):
-    """(u, u_t) at t=0.  u_r comes analytically from phi', never by differencing."""
-    r = np.asarray(r, dtype=float)
-    z = (r - setup.r0) / setup.eps
-    u = setup.u0 + setup.eps * np.asarray(setup.profile.phi(z))
-    u_r = np.asarray(setup.profile.phi_prime(z))
-    u_t = (-np.asarray(setup.speed.c(u)) + setup.eps) * u_r
-    if r.ndim == 0:
-        return float(u), float(u_t)
-    return u, u_t
-
-
 def initial_riemann(setup: ProblemSetup, r):
-    """Weighted gradients (R, S) at t=0.
+    """The initial state (u, R, S) at t=0; floats for a scalar r.
 
     R(0,r) = eps * r^alpha * u_r(0,r),
-    S(0,r) = (-2c(u(0,r)) + eps) * r^alpha * u_r(0,r).
+    S(0,r) = (-2c(u(0,r)) + eps) * r^alpha * u_r(0,r),
+    with u_r taken analytically from phi', never by differencing.
     Outside [r0 - eps, r0 + eps] R is +0.0 and S is -0.0: the negative
     factor -2c + eps multiplies u_r = +0.0 there.
     """
@@ -206,5 +195,5 @@ def initial_riemann(setup: ProblemSetup, r):
     R = setup.eps * ralpha * u_r
     S = (-2.0 * np.asarray(setup.speed.c(u)) + setup.eps) * ralpha * u_r
     if r.ndim == 0:
-        return float(R), float(S)
-    return R, S
+        return float(u), float(R), float(S)
+    return u, R, S

@@ -29,8 +29,19 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     v = first
     while v <= hi + 1e-12 * span:
         out.append(0.0 if abs(v) < 1e-12 * span else v)
+        if v + step == v:  # step below the ulp of v: a span of a few ulps
+            break
         v += step
     return out
+
+
+def _widen(lo: float, hi: float) -> tuple[float, float]:
+    """Axis bounds; lo = hi widens by 0.5, or to the next floats where 0.5 is below the ulp."""
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+        if lo == hi and math.isfinite(lo):
+            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    return lo, hi
 
 
 def render_lines(
@@ -53,12 +64,8 @@ def render_lines(
     ys = [v for _, y in arrays for v in y.tolist()]
     if not xs:
         xs, ys = [0.0, 1.0], [0.0, 1.0]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    if x_lo == x_hi:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_lo == y_hi:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    x_lo, x_hi = _widen(min(xs), max(xs))
+    y_lo, y_hi = _widen(min(ys), max(ys))
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainMismatch, NonFiniteState
-from .initial_data import ProblemSetup, initial_fields, initial_riemann
+from .initial_data import ProblemSetup, initial_riemann
 from .riemann_core import rhs_fields
 from .speed_models import WaveSpeedModel
 
@@ -205,9 +205,8 @@ def init_state(setup: ProblemSetup, grid: Grid) -> GridState:
         raise DomainMismatch(
             f"grid [{grid.r_lo}, {grid.r_hi}] != setup domain [{r_lo}, {r_hi}]"
         )
-    u, _ = initial_fields(setup, grid.r)
-    R, S = initial_riemann(setup, grid.r)
-    return GridState(t=0.0, u=np.asarray(u), R=np.asarray(R), S=np.asarray(S))
+    u, R, S = initial_riemann(setup, grid.r)
+    return GridState(t=0.0, u=u, R=R, S=S)
 
 
 class Stepper:

@@ -148,8 +148,8 @@ class TestCriterion1:
         for n in (1024, 2048, 4096):
             grid = Grid.uniform(*setup.domain, n)
             state = run(setup, grid, SchemeConfig(), t_end=T).state
-            R_exact, _ = initial_riemann(setup, grid.r + T)
-            _, S_exact = initial_riemann(setup, grid.r - T)
+            _, R_exact, _ = initial_riemann(setup, grid.r + T)
+            _, _, S_exact = initial_riemann(setup, grid.r - T)
             errs[n] = (
                 float(np.sum(np.abs(state.R - R_exact)) * grid.h),
                 float(np.sum(np.abs(state.S - S_exact)) * grid.h),

@@ -75,7 +75,7 @@ class TestIntersection:
         plus = CharacteristicPath("plus", 0.9, grid, unit_speed)
         minus = CharacteristicPath("minus", 1.1, grid, unit_speed)
         trace(setup, grid, SchemeConfig(), 0.3, [plus, minus])
-        t_m, r_m = find_intersection(plus, minus)
+        t_m, r_m = find_intersection(plus.samples(), minus.samples())
         assert t_m == pytest.approx(0.1, abs=1e-12)
         assert r_m == pytest.approx(1.0, abs=1e-12)
 
@@ -87,7 +87,7 @@ class TestIntersection:
         minus = CharacteristicPath("minus", 2.05, grid, unit_speed)
         trace(setup, grid, SchemeConfig(), setup.t_final, [plus, minus])
         with pytest.raises(NoIntersection):
-            find_intersection(plus, minus)
+            find_intersection(plus.samples(), minus.samples())
 
     def test_misordered_feet_rejected(self, unit_speed):
         setup = quiet_setup(unit_speed)
@@ -96,7 +96,7 @@ class TestIntersection:
         minus = CharacteristicPath("minus", 1.0, grid, unit_speed)
         trace(setup, grid, SchemeConfig(), 0.05, [plus, minus])
         with pytest.raises(ValueError):
-            find_intersection(plus, minus)
+            find_intersection(plus.samples(), minus.samples())
 
     def test_variable_speed_crossing_converges_under_refinement(self, canonical_speed):
         # Richardson-style: the crossing location stabilizes at first order
@@ -110,7 +110,7 @@ class TestIntersection:
             plus = CharacteristicPath("plus", 0.9, grid, canonical_speed)
             minus = CharacteristicPath("minus", 1.2, grid, canonical_speed)
             trace(setup, grid, SchemeConfig(), 0.2, [plus, minus])
-            values.append(find_intersection(plus, minus))
+            values.append(find_intersection(plus.samples(), minus.samples()))
         d1 = abs(values[1][0] - values[0][0])
         d2 = abs(values[2][0] - values[1][0])
         assert d2 <= 0.8 * d1
@@ -139,6 +139,20 @@ class TestPathProperties:
             observers=(path, lambda s: times.append(s.t)))
         assert len(times) == 21
         np.testing.assert_array_equal(path.t, times)
+
+    def test_samples_are_the_recorded_lists_as_arrays(self, canonical_setup):
+        grid = Grid.uniform(*canonical_setup.domain, 256)
+        path = CharacteristicPath("plus", 1.0, grid, canonical_setup.speed)
+        empty = path.samples()
+        assert empty.family == "plus"
+        assert all(v.dtype == np.float64 and v.size == 0 for v in empty.columns().values())
+        run(canonical_setup, grid, SchemeConfig(max_steps=20), observers=(path,))
+        samples = path.samples()
+        columns = samples.columns()
+        assert list(columns) == ["t", "r", "u", "R", "S"]
+        for key, column in columns.items():
+            assert column is getattr(samples, key)
+            np.testing.assert_array_equal(bits(column), bits(getattr(path, key)))
 
     def test_leaving_the_domain_raises(self, unit_speed):
         setup = quiet_setup(unit_speed)
@@ -308,7 +322,7 @@ class TestMonitors:
         grid = Grid.uniform(*setup.domain, 256)
         path = CharacteristicPath("plus", setup.r0, grid, canonical_speed)
         trace(setup, grid, SchemeConfig(), 0.3, [path])
-        report = u_drift_along(path, compute_constants(setup, require_hypothesis=False))
+        report = u_drift_along(path.samples(), compute_constants(setup, require_hypothesis=False))
         assert report.max_drift == 0.0
         assert report.ok
 
@@ -317,7 +331,7 @@ class TestMonitors:
         grid = Grid.uniform(*setup.domain, 256)
         path = CharacteristicPath("plus", setup.r0, grid, canonical_speed)
         trace(setup, grid, SchemeConfig(), 0.3, [path])
-        report = c_prime_sign_along(path, setup)
+        report = c_prime_sign_along(path.samples(), setup)
         cp0 = canonical_speed.c_prime(np.pi / 4)
         assert report.min_c_prime == pytest.approx(cp0, rel=1e-12)
         assert report.threshold == pytest.approx(cp0 / 4, rel=1e-12)
@@ -329,7 +343,7 @@ class TestMonitors:
         grid = Grid.uniform(*setup.domain, 256)
         path = CharacteristicPath("plus", setup.r0, grid, unit_speed)
         trace(setup, grid, SchemeConfig(), 0.3, [path])
-        report = c_prime_sign_along(path, setup)
+        report = c_prime_sign_along(path.samples(), setup)
         assert report.min_c_prime == 0.0
         assert not report.ok
 
@@ -341,13 +355,13 @@ class TestMonitors:
         grid = Grid.uniform(*setup.domain, 512)
         path = CharacteristicPath("plus", setup.r0, grid, canonical_speed)
         trace(setup, grid, SchemeConfig(), 0.3, [path])
-        drift = u_drift_along(path, compute_constants(setup, require_hypothesis=False))
-        sign = c_prime_sign_along(path, setup)
+        drift = u_drift_along(path.samples(), compute_constants(setup, require_hypothesis=False))
+        sign = c_prime_sign_along(path.samples(), setup)
         assert drift.ok
         assert sign.ok
 
     def test_monitors_read_path_samples(self, canonical_speed):
-        # the monitors read sampled arrays as they read a traced path
+        # the monitors read hand-made samples as they read a traced path's
         setup = quiet_setup(canonical_speed, u0=np.pi / 4)
         u = np.pi / 4 + np.array([0.0, 0.1, -0.2, 0.05])
         samples = PathSamples(

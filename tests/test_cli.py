@@ -593,6 +593,72 @@ class TestValidation:
         assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
 
 
+class TestExitCodes:
+    """Exit 1 for a fault of the config, exit 2 for a fault of the run."""
+
+    @pytest.mark.parametrize("error", [ValueError("boom"), KeyError("boom")], ids=repr)
+    def test_fault_inside_the_run_exits_2(self, tmp_path, capsys, monkeypatch, error):
+        def fail(self, state, dt=None):
+            raise error
+
+        monkeypatch.setattr(cli.Stepper, "step", fail)
+        path = write_config(tmp_path, base_config(grid={"n": 64}))
+        assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"varwave: run failed: {error}\n"
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("scheme", "cfl", 2.0, "cfl must lie in (0, 1]"),
+            ("scheme", "scheme", "rk4", "scheme must be one of"),
+            ("scheme", "max_steps", -1, "max_steps must be non-negative"),
+            ("grid", "n", 4, "grid needs at least 8 nodes"),
+            ("setup", "profile", {"amplitude": -1.0}, "amplitude must be non-negative"),
+        ],
+        ids=str,
+    )
+    @pytest.mark.parametrize("command", ["simulate", "eps-sweep"])
+    def test_constructor_check_is_config_error(
+        self, tmp_path, capsys, command, section, key, value, message
+    ):
+        cfg = base_config()
+        cfg[section][key] = value
+        if command == "eps-sweep":
+            cfg["experiment"] = {"kind": "eps_sweep", "eps_list": [0.1, 0.05]}
+        path = write_config(tmp_path, cfg)
+        assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"varwave: invalid configuration: {message}")
+        assert len(err.splitlines()) == 1
+        assert not [p for p in (tmp_path / "o").rglob("*") if p.is_file()]  # nothing ran
+
+    def test_sweep_config_error_is_not_collected_per_eps(self, tmp_path, capsys):
+        cfg = base_config(grid={"n": 64}, output={"snapshot_stride": "x"})
+        cfg["experiment"] = {"kind": "eps_sweep", "eps_list": [0.1]}
+        path = write_config(tmp_path, cfg)
+        assert main(["eps-sweep", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            'varwave: invalid configuration: output.snapshot_stride must be a finite number, got "x"\n'
+        )
+        assert not (tmp_path / "o" / "sweep.json").exists()
+
+    def test_builders_raise_config_error_with_the_message(self):
+        with pytest.raises(cli.ConfigError, match=r"^cfl must lie in \(0, 1\]$"):
+            cli.build_scheme({"scheme": {"cfl": 0.0}})
+
+    def test_convergence_grid_below_8_nodes_is_config_error(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["experiment"] = {"kind": "convergence", "n_list": [4, 8, 16], "t_compare": 0.1}
+        path = write_config(tmp_path, cfg)
+        assert main(["convergence", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "varwave: invalid configuration: experiment.n_list entries must be at least 8, got 4\n"
+        )
+
+
 class TestTabulatedConfig:
     def test_tabulated_speed_round_trips(self, tmp_path):
         u = np.linspace(0.0, np.pi, 65)

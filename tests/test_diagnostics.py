@@ -138,7 +138,7 @@ class TestConstants:
         r = np.linspace(s.r0 - s.eps, s.r0 + s.eps, 400_001)
         from varwave import initial_riemann
 
-        R, S = initial_riemann(s, r)
+        _, R, S = initial_riemann(s, r)
         e0_trapz = float(np.trapezoid(R**2 + S**2, r))
         assert initial_energy_exact(s) == pytest.approx(e0_trapz, rel=1e-7)
 
@@ -338,7 +338,7 @@ class TestInvSObserver:
         path(states[0])
         for before, after in zip(states, states[1:]):
             path.advance(before, after)
-        report = build_blowup_report(_UNDETECTED, path, _Stub(), setup)
+        report = build_blowup_report(_UNDETECTED, path.samples(), _Stub(), setup)
         assert report.inequality_violations == 0
         assert report.inequality_checks == len(states) - 1
         assert np.all(report.inv_S_trace[:, 1] == 1.0)
@@ -351,7 +351,7 @@ class TestInvSObserver:
         grid = Grid.uniform(*s.domain, 512)
         path = CharacteristicPath("plus", s.r0, grid, s.speed)
         result = run(s, grid, SchemeConfig(max_steps=0), observers=(path,))
-        report = build_blowup_report(result, path, constants, s)
+        report = build_blowup_report(result, path.samples(), constants, s)
         assert report.initial_inv_s_ok
 
     def test_matches_the_sample_by_sample_loop(self, canonical_setup):
@@ -363,15 +363,15 @@ class TestInvSObserver:
         grid = Grid.uniform(*s.domain, 1024)
         path = CharacteristicPath("plus", s.r0, grid, s.speed)
         run(s, grid, SchemeConfig(), observers=(path,), t_end=0.01)
-        a = path.arrays()
+        a = path.samples()
         rng = np.random.default_rng(7)
-        S = a["S"].copy()
+        S = a.S.copy()
         S[::5] *= -1.0
         S[3::10] = -0.0
         S[1] = np.nan
         R = rng.normal(0.0, 30.0, S.size)
-        perturbed = PathSamples("plus", a["t"], a["r"], a["u"], R, S)
-        for samples in (path, perturbed):
+        perturbed = PathSamples("plus", a.t, a.r, a.u, R, S)
+        for samples in (a, perturbed):
             report = build_blowup_report(_UNDETECTED, samples, constants, s)
             ts, ys, checks, violations = _inv_s_loop(samples, s, constants)
             assert report.inv_S_trace[:, 0].tolist() == ts
@@ -414,7 +414,7 @@ class TestInvSObserver:
         grid = Grid.uniform(*s.domain, 8192)
         path = CharacteristicPath("plus", s.r0, grid, s.speed)
         result = run(s, grid, SchemeConfig(), observers=(path,), t_end=0.004)
-        report = build_blowup_report(result, path, constants, s)
+        report = build_blowup_report(result, path.samples(), constants, s)
         assert np.all(np.diff(report.inv_S_trace[:, 1]) < 0.0)
         assert report.inequality_fraction == 1.0
         assert report.t_star_extrapolated is not None
@@ -430,7 +430,7 @@ class TestVerdict:
         g0, _ = stepper.gradient_max(init_state(s, grid))
         path = CharacteristicPath("plus", s.r0, grid, s.speed)
         result = run(s, grid, SchemeConfig(gradient_ceiling=1.02 * g0), observers=(path,))
-        report = build_blowup_report(result, path, constants, s)
+        report = build_blowup_report(result, path.samples(), constants, s)
         assert report.verdict == "PASS"
         assert report.t_detect < s.t_final
 
@@ -441,7 +441,7 @@ class TestVerdict:
         grid = Grid.uniform(*s.domain, 256)
         path = CharacteristicPath("plus", s.r0, grid, s.speed)
         result = run(s, grid, SchemeConfig(), observers=(path,))
-        report = build_blowup_report(result, path, constants, s)
+        report = build_blowup_report(result, path.samples(), constants, s)
         assert result.reason == "t_final"
         assert not report.detected
         assert report.verdict == "FAIL"
@@ -460,7 +460,7 @@ class TestVerdict:
             t_star_bound = setup.t_final
 
         result = run(setup, grid, SchemeConfig(), observers=(path,))
-        report = build_blowup_report(result, path, _Stub(), setup)
+        report = build_blowup_report(result, path.samples(), _Stub(), setup)
         assert not report.detected
         assert report.verdict == "FAIL-AS-EXPECTED"
 
@@ -470,7 +470,7 @@ class TestVerdict:
         grid = Grid.uniform(*s.domain, 256)
         path = CharacteristicPath("plus", s.r0, grid, s.speed)
         result = run(s, grid, SchemeConfig(max_steps=3), observers=(path,))
-        report = build_blowup_report(result, path, constants, s)
+        report = build_blowup_report(result, path.samples(), constants, s)
         assert report.verdict == "INCONCLUSIVE"
 
 
@@ -482,11 +482,12 @@ class TestReportAssembly:
         energy = EnergyObserver(grid, s.speed)
         path = CharacteristicPath("plus", s.r0, grid, s.speed)
         result = run(s, grid, SchemeConfig(max_steps=10), observers=(energy, path))
-        report = build_blowup_report(result, path, constants, s)
+        hat = path.samples()
+        report = build_blowup_report(result, hat, constants, s)
         from varwave import c_prime_sign_along, u_drift_along
 
         doc = build_report(
-            constants, energy, report, u_drift_along(path, constants), c_prime_sign_along(path, s)
+            constants, energy, report, u_drift_along(hat, constants), c_prime_sign_along(hat, s)
         )
         assert set(doc["constants"]) == {
             "K_measured", "K_envelope", "M", "eps0", "S0_lower", "t_star_bound"

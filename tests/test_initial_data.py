@@ -14,13 +14,20 @@ from varwave import (
     ProblemSetup,
     SpeedNotIncreasing,
     auto_domain,
-    initial_fields,
     initial_riemann,
     theorem_amplitude,
     to_riemann,
 )
 
 SQRT2 = math.sqrt(2.0)
+
+
+def u_and_u_t(setup, r):
+    """(u, u_t) at t = 0: u from initial_riemann, u_t from the data family's
+    formula (-c(u) + eps) u_r of the initial_data module docstring."""
+    u, _, _ = initial_riemann(setup, r)
+    u_r = setup.profile.phi_prime((r - setup.r0) / setup.eps)
+    return u, (-setup.speed.c(u) + setup.eps) * u_r
 
 
 class TestPolynomialBump:
@@ -137,14 +144,14 @@ class TestProblemSetup:
 class TestInitialFields:
     def test_quiescent_outside_support(self, canonical_setup):
         for r in (0.5, 0.9499, 1.0501, 2.0):
-            u, ut = initial_fields(canonical_setup, r)
+            u, ut = u_and_u_t(canonical_setup, r)
             assert u == canonical_setup.u0
             assert ut == 0.0
 
     def test_center_values(self, canonical_setup):
         s = canonical_setup
         A = s.profile.amplitude
-        u, ut = initial_fields(s, s.r0)
+        u, ut = u_and_u_t(s, s.r0)
         assert u == pytest.approx(s.u0, abs=1e-15)
         c_u0 = s.speed.c(s.u0)
         assert ut == pytest.approx((-c_u0 + s.eps) * (-A), rel=1e-14)
@@ -159,7 +166,7 @@ class TestInitialFields:
         dphi = -A * (1 - z**2) * (1 - 5 * z**2)
         u_exp = s.u0 + s.eps * phi
         ut_exp = (-s.speed.c(u_exp) + s.eps) * dphi
-        u, ut = initial_fields(s, r)
+        u, ut = u_and_u_t(s, r)
         assert u == pytest.approx(u_exp, rel=1e-13)
         assert ut == pytest.approx(ut_exp, rel=1e-13)
 
@@ -167,13 +174,14 @@ class TestInitialFields:
 class TestInitialRiemann:
     def test_zero_outside_support(self, canonical_setup):
         r = np.array([0.2, 0.9499, 1.0500001, 1.9])
-        R, S = initial_riemann(canonical_setup, r)
+        u, R, S = initial_riemann(canonical_setup, r)
+        assert np.all(u == canonical_setup.u0)
         assert np.all(R == 0.0) and np.all(S == 0.0)
 
     def test_center_values(self, canonical_setup):
         s = canonical_setup
         A = s.profile.amplitude
-        R, S = initial_riemann(s, s.r0)
+        _, R, S = initial_riemann(s, s.r0)
         c_u0 = s.speed.c(s.u0)
         assert R == pytest.approx(s.eps * s.r0**s.alpha * (-A), rel=1e-14)
         assert S == pytest.approx((-2 * c_u0 + s.eps) * s.r0**s.alpha * (-A), rel=1e-14)
@@ -187,12 +195,17 @@ class TestInitialRiemann:
         dphi = -A * (1 - z**2) * (1 - 5 * z**2)
         u = s.u0 + s.eps * phi
         c = s.speed.c(u)
-        R, S = initial_riemann(s, r)
+        u_got, R, S = initial_riemann(s, r)
+        assert u_got == pytest.approx(u, rel=1e-13)
         assert R == pytest.approx(s.eps * r**s.alpha * dphi, rel=1e-13)
         assert S == pytest.approx((-2 * c + s.eps) * r**s.alpha * dphi, rel=1e-13)
 
+    def test_scalar_radius_gives_floats(self, canonical_setup):
+        values = initial_riemann(canonical_setup, canonical_setup.r0)
+        assert len(values) == 3 and all(type(v) is float for v in values)
+
     def test_sign_structure_at_center(self, canonical_setup):
-        R, S = initial_riemann(canonical_setup, canonical_setup.r0)
+        _, R, S = initial_riemann(canonical_setup, canonical_setup.r0)
         assert S > 0.0
         assert R < 0.0
 
@@ -200,7 +213,7 @@ class TestInitialRiemann:
         # the steep-slope construction guarantees S(0, r0) above the
         # max{32 c1^2 (2 r0)^alpha / ((r0-eps) c'(u0)), 2} level
         s = canonical_setup
-        _, S0 = initial_riemann(s, s.r0)
+        _, _, S0 = initial_riemann(s, s.r0)
         cp0 = s.speed.c_prime(s.u0)
         lower = max(
             32 * s.speed.c1**2 * (2 * s.r0) ** s.alpha / ((s.r0 - s.eps) * cp0), 2.0
@@ -211,10 +224,10 @@ class TestInitialRiemann:
         s = canonical_setup
         rng = np.random.default_rng(3)
         r = rng.uniform(s.r0 - 2 * s.eps, s.r0 + 2 * s.eps, 1000)
-        u, ut = initial_fields(s, r)
+        u, ut = u_and_u_t(s, r)
         z = (r - s.r0) / s.eps
         ur = s.profile.phi_prime(z)
-        R_direct, S_direct = initial_riemann(s, r)
+        _, R_direct, S_direct = initial_riemann(s, r)
         R_via, S_via = to_riemann(r, u, ut, ur, s.speed, s.alpha)
         scale = np.max(np.abs(S_direct)) or 1.0
         np.testing.assert_allclose(R_direct, R_via, rtol=0, atol=1e-13 * scale)
@@ -225,9 +238,9 @@ class TestInitialRiemann:
     def test_route_consistency_property(self, r):
         speed = OseenFrankSpeed(c0=1.0, c1=SQRT2, k1=2.0, k3=1.0)
         s = ProblemSetup.theorem(d=3, r0=1.0, eps=0.1, u0=math.pi / 4, speed=speed)
-        u, ut = initial_fields(s, r)
+        u, ut = u_and_u_t(s, r)
         ur = s.profile.phi_prime((r - s.r0) / s.eps)
-        R_direct, S_direct = initial_riemann(s, r)
+        _, R_direct, S_direct = initial_riemann(s, r)
         R_via, S_via = to_riemann(r, u, ut, ur, s.speed, s.alpha)
         assert R_direct == pytest.approx(R_via, rel=1e-13, abs=1e-10)
         assert S_direct == pytest.approx(S_via, rel=1e-13, abs=1e-10)

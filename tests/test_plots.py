@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,7 +134,6 @@ CASES = {
     "lists and ints": [([0, 1, 2], [3, 1, 4], "ints")],
     "signed zeros": [([-0.0, 0.0, 1.0], [0.0, -0.0, -1.0], "zeros")],
     "seven colours": [(T, T * k, f"s{k}") for k in range(7)],
-    "huge equal y": [(T, np.full(7, 1e20), "flat")],
 }
 
 
@@ -141,8 +144,8 @@ class TestRenderLines:
     def test_cases(self, series):
         assert_same_document(series, title="t", xlabel="x", ylabel="y", comment="c")
 
-    # eighths keep every finite span far above the ulp of its ends: _ticks
-    # never ends on a span of a few ulps, in either version
+    # eighths keep every finite value far below 1e16, where the reference
+    # raises on an axis of equal values (TestFlatHugeAxis)
     POINT = st.one_of(
         st.integers(-800, 800).map(lambda k: k / 8), st.sampled_from([NAN, INF, -INF, -0.0])
     )
@@ -160,3 +163,71 @@ class TestRenderLines:
         r = np.linspace(0.01, 2.1, 4096)
         series = [(r, np.pi / 4 + np.sin(k * r) * np.exp(-r), f"t={k}") for k in range(6)]
         assert_same_document(series, title="u(r) snapshots", xlabel="r", ylabel="u")
+
+
+def reference_ticks(lo, hi, n=5):
+    """_ticks as first written, whose loop never ends on a span of a few ulps."""
+    if not math.isfinite(lo) or not math.isfinite(hi) or lo == hi:
+        return [lo]
+    span = hi - lo
+    step = 10 ** math.floor(math.log10(span / n))
+    for mult in (1, 2, 5, 10):
+        if span / (step * mult) <= n:
+            step *= mult
+            break
+    first = math.ceil(lo / step) * step
+    out = []
+    v = first
+    while v <= hi + 1e-12 * span:
+        out.append(0.0 if abs(v) < 1e-12 * span else v)
+        v += step
+    return out
+
+
+class TestTicks:
+    def test_span_of_a_few_ulps_ends(self):
+        # in a child process, so that a tick loop that never ends fails the
+        # test instead of hanging the suite
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "from varwave.plots import _ticks; print(_ticks(1e16, 1e16 + 4))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[1e+16]\n"
+
+    # spans of at least 1e-9 of the ends, where the first loop ends
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(-1e6, 1e6),
+        st.floats(1e-9, 1e3),
+        st.sampled_from([1e-3, 1.0, 1e3, 1e12]),
+    )
+    def test_same_ticks_where_the_first_loop_ended(self, lo, rel_span, scale):
+        lo *= scale
+        hi = lo + rel_span * max(abs(lo), scale)
+        assert plots._ticks(lo, hi) == reference_ticks(lo, hi)
+
+
+class TestFlatHugeAxis:
+    """Values that all equal one number past about 1e16, where 0.5 is below the ulp."""
+
+    PLOT_MID_Y = f"{_MARGIN_T + (_HEIGHT - _MARGIN_T - _MARGIN_B) / 2:.2f}"
+
+    @pytest.mark.parametrize("value", [1e16, 1e20, -1e300])
+    def test_huge_equal_y_gives_a_finite_svg(self, value):
+        series = [(T, np.full(7, value), "flat")]
+        with pytest.raises(ZeroDivisionError):
+            reference_render_lines(series)
+        doc = plots.render_lines(series, title="t", xlabel="x", ylabel="y", comment="c")
+        assert "nan" not in doc and "inf" not in doc
+        points = doc.split('<polyline points="')[1].split('"')[0].split()
+        assert [p.split(",")[1] for p in points] == [self.PLOT_MID_Y] * 7
+
+    def test_huge_equal_x_gives_a_finite_svg(self):
+        doc = plots.render_lines([(np.full(7, 1e20), T, "vertical")])
+        assert "nan" not in doc and "inf" not in doc
+        with pytest.raises(ZeroDivisionError):
+            reference_render_lines([(np.full(7, 1e20), T, "vertical")])

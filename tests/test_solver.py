@@ -76,7 +76,8 @@ class TestInitState:
     def test_matches_initial_riemann(self, canonical_setup):
         grid = Grid.uniform(*canonical_setup.domain, 512)
         state = init_state(canonical_setup, grid)
-        R, S = initial_riemann(canonical_setup, grid.r)
+        u, R, S = initial_riemann(canonical_setup, grid.r)
+        np.testing.assert_array_equal(state.u, u)
         np.testing.assert_array_equal(state.R, R)
         np.testing.assert_array_equal(state.S, S)
         assert state.t == 0.0
@@ -572,8 +573,8 @@ class TestTransportRegression:
         for n in (512, 1024, 2048):
             grid = Grid.uniform(*setup.domain, n)
             state = run(setup, grid, SchemeConfig(), t_end=T).state
-            R_exact, _ = initial_riemann(setup, grid.r + T)
-            _, S_exact = initial_riemann(setup, grid.r - T)
+            _, R_exact, _ = initial_riemann(setup, grid.r + T)
+            _, _, S_exact = initial_riemann(setup, grid.r - T)
             errs[n] = (
                 float(np.sum(np.abs(state.R - R_exact)) * grid.h),
                 float(np.sum(np.abs(state.S - S_exact)) * grid.h),
