@@ -203,7 +203,8 @@ class _Diagonal:
         c, c_prime = setup.speed.c_and_c_prime(self.u)
         alpha = setup.alpha
         ralpha = self.r if alpha == 1.0 else self.r**alpha
-        self.c, self.ralpha = c, ralpha
+        # a speed that does not depend on u may be a float; take slices c
+        self.c, self.ralpha = np.broadcast_to(c, self.u.shape), ralpha
         self.A = c_prime / (8.0 * c * c * ralpha)
         self.G = (alpha / 4.0) / self.r
         den = 2.0 * c * ralpha

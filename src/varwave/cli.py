@@ -133,7 +133,11 @@ def build_setup(cfg: dict, eps_override: float | None = None) -> ProblemSetup:
     sc = _object(_require(cfg, "setup", "config"), "setup")
     d = _require(sc, "d", "setup", int)
     r0 = _require(sc, "r0", "setup", float)
-    eps = float(eps_override) if eps_override is not None else _require(sc, "eps", "setup", float)
+    # eps-sweep overrides eps, but an eps that is given must still be a number
+    if eps_override is None or "eps" in sc:
+        eps = _require(sc, "eps", "setup", float)
+    if eps_override is not None:
+        eps = float(eps_override)
     u0 = _require(sc, "u0", "setup", float)
     speed = build_speed(_object(_require(sc, "speed", "setup"), "setup.speed"))
 

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import HypothesisViolated, SpeedNotIncreasing
+from .errors import ConfigError, HypothesisViolated, SpeedNotIncreasing
 from .speed_models import WaveSpeedModel, validate_bounds
 
 
@@ -86,8 +86,19 @@ class CustomBump(BumpProfile):
         return out if out.ndim else float(out)
 
 
+def _check_angles(speed: WaveSpeedModel, u) -> None:
+    """Raise ConfigError when an initial angle u lies outside speed.angle_range()."""
+    lo, hi = speed.angle_range()
+    u_min, u_max = float(np.min(u)), float(np.max(u))
+    if u_min < lo or u_max > hi:
+        raise ConfigError(
+            f"initial angles [{u_min}, {u_max}] leave the speed table [{lo}, {hi}]"
+        )
+
+
 def theorem_amplitude(d: int, r0: float, u0: float, speed: WaveSpeedModel) -> float:
     """Minimal center slope 2*max{32*c1^2*2^alpha/(r0*c0*c'(u0)), 1/(c0*r0^alpha)}."""
+    _check_angles(speed, u0)
     alpha = (d - 1) / 2.0
     cp0 = float(speed.c_prime(u0))
     if cp0 <= 0.0:
@@ -185,11 +196,13 @@ def initial_riemann(setup: ProblemSetup, r):
     S(0,r) = (-2c(u(0,r)) + eps) * r^alpha * u_r(0,r),
     with u_r taken analytically from phi', never by differencing.
     Outside [r0 - eps, r0 + eps] R is +0.0 and S is -0.0: the negative
-    factor -2c + eps multiplies u_r = +0.0 there.
+    factor -2c + eps multiplies u_r = +0.0 there.  Raises ConfigError when
+    u leaves the angle range of the speed model (a tabulated speed's table).
     """
     r = np.asarray(r, dtype=float)
     z = (r - setup.r0) / setup.eps
     u = setup.u0 + setup.eps * np.asarray(setup.profile.phi(z))
+    _check_angles(setup.speed, u)
     u_r = np.asarray(setup.profile.phi_prime(z))
     ralpha = r**setup.alpha
     R = setup.eps * ralpha * u_r

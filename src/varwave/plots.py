@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -36,12 +37,34 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 
 
 def _widen(lo: float, hi: float) -> tuple[float, float]:
-    """Axis bounds; lo = hi widens by 0.5, or to the next floats where 0.5 is below the ulp."""
+    """Axis bounds; lo = hi widens by 0.5, or to the next finite floats when that is lost."""
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
         if lo == hi and math.isfinite(lo):
-            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+            big = sys.float_info.max
+            lo = max(math.nextafter(lo, -math.inf), -big)
+            hi = min(math.nextafter(hi, math.inf), big)
     return lo, hi
+
+
+def _axis(lo: float, hi: float, pad: float = 0.0) -> tuple[float, float, float]:
+    """(k, k*lo - p, k*hi + p): the axis scaled by k and padded by p = pad*k*(hi - lo).
+
+    k = 1, or 1/4 when the ends are finite but the padded axis or its span
+    overflows a float.  The pixel map and the ticks work on the scaled axis,
+    where every bound and span is finite; a tick at v is labelled v / k.
+    """
+    for k in (1.0, 0.25):
+        a, b = k * lo, k * hi
+        p = pad * (b - a) if pad else 0.0
+        a, b = a - p, b + p
+        if k < 1.0 or not (math.isfinite(lo) and math.isfinite(hi)) or math.isfinite(b - a):
+            return k, a, b
+
+
+def _tick_labels(k: float, lo: float, hi: float) -> list[tuple[float, float]]:
+    """(v, v / k) for each tick v of the scaled axis [lo, hi] whose label v / k is finite."""
+    return [(v, v / k) for v in _ticks(lo, hi) if k == 1.0 or math.isfinite(v / k)]
 
 
 def render_lines(
@@ -57,17 +80,16 @@ def render_lines(
     first point makes its axis NaN and a later NaN is passed over.  Each
     polyline is mapped to pixels as whole arrays, with the operations of
     ``sx`` and ``sy`` in their order, and formatted by one ``%``; a polyline
-    pairs its points up to the shorter of x and y, as ``zip`` does.
+    pairs its points up to the shorter of x and y, as ``zip`` does.  An
+    axis that overflows a float is drawn scaled (see ``_axis``).
     """
     arrays = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float)) for x, y, _ in series]
     xs = [v for x, _ in arrays for v in x.tolist()]
     ys = [v for _, y in arrays for v in y.tolist()]
     if not xs:
         xs, ys = [0.0, 1.0], [0.0, 1.0]
-    x_lo, x_hi = _widen(min(xs), max(xs))
-    y_lo, y_hi = _widen(min(ys), max(ys))
-    pad = 0.04 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    kx, x_lo, x_hi = _axis(*_widen(min(xs), max(xs)))
+    ky, y_lo, y_hi = _axis(*_widen(min(ys), max(ys)), pad=0.04)
 
     px_w = _WIDTH - _MARGIN_L - _MARGIN_R
     px_h = _HEIGHT - _MARGIN_T - _MARGIN_B
@@ -92,7 +114,7 @@ def render_lines(
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{px_w}" height="{px_h}" '
         'fill="none" stroke="#444"/>'
     )
-    for tx in _ticks(x_lo, x_hi):
+    for tx, label in _tick_labels(kx, x_lo, x_hi):
         X = sx(tx)
         parts.append(
             f'<line x1="{X:.1f}" y1="{_MARGIN_T + px_h}" x2="{X:.1f}" '
@@ -100,9 +122,9 @@ def render_lines(
         )
         parts.append(
             f'<text x="{X:.1f}" y="{_MARGIN_T + px_h + 18}" '
-            f'text-anchor="middle">{_fmt(tx)}</text>'
+            f'text-anchor="middle">{_fmt(label)}</text>'
         )
-    for ty in _ticks(y_lo, y_hi):
+    for ty, label in _tick_labels(ky, y_lo, y_hi):
         Y = sy(ty)
         parts.append(
             f'<line x1="{_MARGIN_L - 5}" y1="{Y:.1f}" x2="{_MARGIN_L}" '
@@ -110,7 +132,7 @@ def render_lines(
         )
         parts.append(
             f'<text x="{_MARGIN_L - 8}" y="{Y + 4:.1f}" '
-            f'text-anchor="end">{_fmt(ty)}</text>'
+            f'text-anchor="end">{_fmt(label)}</text>'
         )
     if title:
         parts.append(
@@ -132,8 +154,8 @@ def render_lines(
         m = min(x.size, y.size)
         xy = np.empty((m, 2))
         with np.errstate(all="ignore"):  # Python floats give inf and NaN silently
-            xy[:, 0] = _MARGIN_L + (x[:m] - x_lo) / (x_hi - x_lo) * px_w
-            xy[:, 1] = _MARGIN_T + (y_hi - y[:m]) / (y_hi - y_lo) * px_h
+            xy[:, 0] = _MARGIN_L + (kx * x[:m] - x_lo) / (x_hi - x_lo) * px_w
+            xy[:, 1] = _MARGIN_T + (y_hi - ky * y[:m]) / (y_hi - y_lo) * px_h
         pts = ("%.2f,%.2f " * m % tuple(xy.ravel().tolist()))[:-1]
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'

@@ -340,12 +340,28 @@ class Stepper:
                 self._clamp_boundary(fields, lo, hi)
         # every node outside the window is (u0, 0, 0), which is finite
         if not np.isfinite(fields).all():
-            raise NonFiniteState(
-                f"non-finite values after step to t={state.t + dt}", last_state=state
-            )
+            raise NonFiniteState(self._failure(state, w, dt), last_state=state)
         span = _live_span(u1, R1, S1, self.setup.u0)
         live = (0, 0) if span is None else (lo + span[0], lo + span[1])
         return GridState(state.t + dt, new[0], new[1], new[2], live)
+
+    def _failure(self, state: GridState, w: slice, dt: float) -> str:
+        """Why a step from state over the window w gave a non-finite value.
+
+        Named when an angle lies off the speed table, where c is NaN: in the
+        state, or in the first muscl2 stage, which the second overwrites.
+        """
+        lo, hi = self.speed.angle_range()
+        u = state.u[w]
+        stages = [(state.t, u)]
+        if self.cfg.scheme == "muscl2":
+            with np.errstate(all="ignore"):
+                u1 = u + (state.R[w] + state.S[w]) / self.two_ralpha[w] * dt
+            stages.append((state.t + dt, u1))
+        for t, angles in stages:
+            if np.any((angles < lo) | (angles > hi)):
+                return f"angle left the speed table at t={t}"
+        return f"non-finite values after step to t={state.t + dt}"
 
     def gradient_max(self, state: GridState) -> tuple[float, int]:
         """max_i |S_i|/r_i^alpha and its node index, the first one on ties.

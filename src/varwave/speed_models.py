@@ -12,6 +12,7 @@ checks them by dense sampling instead of silently replacing them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,12 +55,20 @@ class WaveSpeedModel:
         raise NotImplementedError
 
     def c_and_c_prime(self, u):
-        """(c(u), c'(u)); models override it to share work between the two."""
+        """(c(u), c'(u)), each broadcastable against u.
+
+        Models override it to share work between the two; a model whose
+        speed does not depend on u may return two floats.
+        """
         return self.c(u), self.c_prime(u)
 
     def probe_interval(self) -> tuple[float, float]:
         """Interval over which bounds are sampled (one period by default)."""
         return (0.0, 2.0 * np.pi)
+
+    def angle_range(self) -> tuple[float, float]:
+        """Angles u at which c(u) is defined (every angle by default)."""
+        return (-math.inf, math.inf)
 
 
 @dataclass(frozen=True)
@@ -130,6 +139,10 @@ class ConstantSpeed(WaveSpeedModel):
         out = np.zeros_like(u, dtype=float)
         return out if out.ndim else float(out)
 
+    def c_and_c_prime(self, u):
+        # floats broadcast to the values of c(u) and c'(u) with no array made
+        return float(self.value), 0.0
+
 
 @dataclass(frozen=True)
 class TabulatedSpeed(WaveSpeedModel):
@@ -176,6 +189,10 @@ class TabulatedSpeed(WaveSpeedModel):
 
     def probe_interval(self) -> tuple[float, float]:
         return (float(self.knots[0]), float(self.knots[-1]))
+
+    def angle_range(self) -> tuple[float, float]:
+        """The table: off it c and c' are NaN."""
+        return self.probe_interval()
 
     def c(self, u):
         u = np.asarray(u, dtype=float)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from varwave import (
     OseenFrankSpeed,
     PolynomialBump,
     ProblemSetup,
+    WaveSpeedModel,
 )
 
 SQRT2 = float(np.sqrt(2.0))
@@ -41,3 +44,23 @@ def gentle_setup(canonical_speed):
         speed=canonical_speed,
         profile=PolynomialBump(amplitude=2.0),
     )
+
+
+class ArrayConstantSpeed(ConstantSpeed):
+    """ConstantSpeed whose c_and_c_prime is the base class's: the arrays
+    c(u) and c'(u) that ConstantSpeed's floats stand for."""
+
+    c_and_c_prime = WaveSpeedModel.c_and_c_prime
+
+
+@pytest.fixture(scope="session")
+def with_array_speed():
+    """setup -> the same setup with its ConstantSpeed returning arrays."""
+
+    def replace(setup):
+        s = setup.speed
+        return dataclasses.replace(
+            setup, speed=ArrayConstantSpeed(c0=s.c0, c1=s.c1, value=s.value)
+        )
+
+    return replace

@@ -131,6 +131,21 @@ class TestTransportExact:
         assert errs[2] < 1e-4
         assert math.log2(errs[1] / errs[2]) >= 1.8
 
+    def test_float_speed_sweep_bitwise_equals_array_speed(self, transport_setup, with_array_speed):
+        # ConstantSpeed's float c is broadcast where the sweep slices and averages c
+        nodes = place_nodes(transport_setup, 257, 0.85, 1.15, anchors=(1.0,))
+        lines = [("plus", 0.85), ("plus", 1.0), ("minus", 1.0), ("minus", 1.15)]
+        got = march(transport_setup, nodes, lines=lines)
+        want = march(with_array_speed(transport_setup), nodes, lines=lines)
+        assert (got.reason, got.diagonals) == (want.reason, want.diagonals) == ("apex", 256)
+        for family, r in lines:
+            a, b = got.samples(family, r), want.samples(family, r)
+            assert a.t.size > 0
+            for key in ("t", "r", "u", "R", "S"):
+                np.testing.assert_array_equal(
+                    getattr(a, key).view(np.uint64), getattr(b, key).view(np.uint64)
+                )
+
 
 class TestAgreesWithMuscl:
     def test_hat_path_on_gentle_data(self, gentle_setup):

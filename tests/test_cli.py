@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from varwave import cli
@@ -593,6 +593,96 @@ class TestValidation:
         assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
 
 
+def fuzz_configs():
+    """A small valid config per command, with only the sections it reads."""
+    setup = base_config()["setup"]
+    scheme = base_config()["scheme"]
+    grid, output = {"n": 64}, {"snapshot_stride": 50}
+    return {
+        "simulate": {"setup": setup, "grid": grid, "scheme": scheme, "output": output},
+        "triangle": {
+            "setup": setup, "grid": grid, "scheme": scheme,
+            "experiment": {"kind": "triangle", "r1": 0.85, "r2": 1.15},
+        },
+        "eps-sweep": {
+            "setup": setup, "grid": grid, "scheme": scheme, "output": output,
+            "experiment": {"kind": "eps_sweep", "eps_list": [0.1]},
+        },
+        "convergence": {
+            "setup": setup, "scheme": scheme,
+            "experiment": {"kind": "convergence", "n_list": [16, 32, 64], "t_compare": 0.05},
+        },
+    }
+
+
+def key_paths(cfg, prefix=()):
+    """The path of every key of cfg, at every depth."""
+    for key, value in cfg.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (key,))
+
+
+FUZZ_KEYS = [
+    (command, path)
+    for command, cfg in fuzz_configs().items()
+    for path in key_paths(cfg)
+]
+
+MALFORMED = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=8),
+    st.lists(st.one_of(st.none(), st.booleans(), st.text(max_size=3)), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+)
+
+
+def accepted(command, path, value, original):
+    """Whether the key at path takes value: those replacements are not malformed."""
+    dotted = ".".join(path)
+    return (
+        (isinstance(value, str) and value == original)
+        or (value == "auto" and dotted in ("setup.domain", "scheme.gradient_ceiling"))
+        or (value == "theorem" and dotted == "setup.profile")
+        or (value is None and dotted in ("experiment.t_compare", "experiment.kind"))
+        or (value == command.replace("-", "_") and dotted == "experiment.kind")
+        or (value in ("upwind1", "muscl2") and dotted == "scheme.scheme")
+        # every key of these sections has a default
+        or (isinstance(value, dict) and dotted in ("scheme", "output"))
+    )
+
+
+class TestConfigFuzz:
+    """One malformed value anywhere in a valid config: exit 1, one stderr line."""
+
+    @settings(
+        max_examples=400, derandomize=True, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.sampled_from(FUZZ_KEYS), MALFORMED)
+    def test_malformed_value_is_one_line_config_error(self, tmp_path, capsys, where, value):
+        command, path = where
+        cfg = fuzz_configs()[command]
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        assume(not accepted(command, path, value, parent[path[-1]]))
+        # a null grid.n is still an uncaught TypeError: the benchmark
+        # self-test crashes a run with it until it has another trigger
+        # (ROADMAP item 2c)
+        assume(not (path == ("grid", "n") and value is None))
+        parent[path[-1]] = value
+        config = write_config(tmp_path, cfg)
+        capsys.readouterr()
+        code = main([command, "--config", str(config), "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert (code, err.count("\n")) == (1, 1), err
+        assert err.startswith("varwave: invalid configuration: ")
+        assert "Traceback" not in err
+
+
 class TestExitCodes:
     """Exit 1 for a fault of the config, exit 2 for a fault of the run."""
 
@@ -707,6 +797,57 @@ class TestTabulatedConfig:
         assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err == f"varwave: invalid configuration: speed.{key} {message}\n"
+
+
+class TestAnglesOffTheTable:
+    """A tabulated speed is NaN off its knots: initial angles off the table are
+    a config error, and angles that leave it during a run are named."""
+
+    @staticmethod
+    def tabulated(knots):
+        knots = np.asarray(knots, dtype=float)
+        return {
+            "kind": "tabulated", "c0": 1.0, "c1": SQRT2,
+            "knots": list(knots), "values": list(np.sqrt(1.0 + np.sin(knots) ** 2)),
+        }
+
+    # u0 = pi/4 lies off the first table; the theorem profile winds u over
+    # several radians, off the second
+    @pytest.mark.parametrize("knots", [[0.0, 0.5, 0.7], [0.0, 0.5, 0.8]], ids=str)
+    @pytest.mark.parametrize("command", ["simulate", "convergence"])
+    def test_initial_angles_off_the_table_are_config_error(self, tmp_path, capsys, command, knots):
+        cfg = base_config(grid={"n": 512})
+        cfg["setup"].update(eps=0.05, profile="theorem", speed=self.tabulated(knots))
+        if command == "convergence":
+            cfg["experiment"] = {"kind": "convergence", "n_list": [128, 256, 512]}
+        path = write_config(tmp_path, cfg)
+        assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        head = "varwave: invalid configuration: initial angles ["
+        tail = f"] leave the speed table [0.0, {knots[-1]}]\n"
+        assert err.startswith(head) and err.endswith(tail)
+        u_min, u_max = map(float, err[len(head):-len(tail)].split(", "))
+        if knots[-1] < math.pi / 4:
+            assert u_min == u_max == math.pi / 4
+        else:
+            assert u_min < 0.0 and u_max - u_min > 5.0
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("scheme", ["upwind1", "muscl2"])
+    def test_angle_leaving_the_table_in_the_run_is_named(self, tmp_path, capsys, scheme):
+        # u starts in [0.3145, 0.8849] and reaches about [0.307, 0.895] in the run
+        cfg = base_config(grid={"n": 256})
+        cfg["setup"].update(
+            u0=0.6, speed=self.tabulated([0.31, 0.5, 0.7, 0.89]),
+            profile={"kind": "polynomial", "amplitude": 10.0},
+        )
+        cfg["scheme"]["scheme"] = scheme
+        path = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("varwave: run failed: angle left the speed table at t=")
+        assert len(err.splitlines()) == 1
+        assert 0.0 < float(err.split("t=")[1]) < 0.05
 
 
 class TestColdStart:

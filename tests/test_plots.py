@@ -231,3 +231,60 @@ class TestFlatHugeAxis:
         assert "nan" not in doc and "inf" not in doc
         with pytest.raises(ZeroDivisionError):
             reference_render_lines([(np.full(7, 1e20), T, "vertical")])
+
+
+class TestOverflowingAxis:
+    """Axes whose span hi - lo overflows a float: drawn on the axis scaled by 1/4."""
+
+    MAX = sys.float_info.max
+
+    @staticmethod
+    def polyline(doc):
+        points = doc.split('<polyline points="')[1].split('"')[0].split()
+        return [tuple(p.split(",")) for p in points]
+
+    @staticmethod
+    def labels(doc, anchor):
+        return [
+            float(line.split(">")[1].split("<")[0])
+            for line in doc.split("\n")
+            if f'text-anchor="{anchor}">' in line
+        ]
+
+    def test_wide_x_renders(self):
+        series = [([-1e308, 1e308], [0.0, 1.0], "wide")]
+        with pytest.raises(OverflowError):
+            reference_render_lines(series)
+        doc = plots.render_lines(series)
+        assert "nan" not in doc and "inf" not in doc
+        assert [x for x, _ in self.polyline(doc)] == ["72.00", f"{_WIDTH - _MARGIN_R:.2f}"]
+        # "wide" is the legend, the only middle-anchored text besides the ticks
+        assert self.labels(doc, "middle") == [-8e307, -4e307, 0.0, 4e307, 8e307]
+
+    @pytest.mark.parametrize("ends", [(-1.7e308, 1.7e308), (-MAX, MAX), (-MAX, 0.0)])
+    def test_tall_y_renders(self, ends):
+        lo, hi = ends
+        series = [([0.0, 1.0, 2.0], [lo, 0.5 * lo + 0.5 * hi, hi], "tall")]
+        doc = plots.render_lines(series)
+        assert "nan" not in doc and "inf" not in doc
+        ys = [float(y) for _, y in self.polyline(doc)]
+        assert ys[0] > ys[1] > ys[2]  # pixel rows grow downwards
+        ticks = self.labels(doc, "end")
+        assert len(ticks) >= 2 and ticks == sorted(ticks)
+        assert ticks[0] <= 0.5 * lo and ticks[-1] >= 0.5 * hi
+
+    def test_both_axes_across_every_float(self):
+        doc = plots.render_lines([([-self.MAX, self.MAX], [-self.MAX, self.MAX], "all")])
+        assert "nan" not in doc and "inf" not in doc
+        assert self.labels(doc, "end") == [-1.6e308, -8e307, 0.0, 8e307, 1.6e308]
+
+    @pytest.mark.parametrize("value", [MAX, -MAX])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_flat_axis_at_the_largest_float_renders(self, axis, value):
+        # the neighbouring float past it is infinite, so the axis widens inwards
+        flat = np.full(7, value)
+        series = [(flat, T, "flat") if axis == "x" else (T, flat, "flat")]
+        with pytest.raises(ZeroDivisionError):
+            reference_render_lines(series)
+        doc = plots.render_lines(series)
+        assert "nan" not in doc and "inf" not in doc

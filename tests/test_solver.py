@@ -525,6 +525,80 @@ class TestReferenceStep:
             np.testing.assert_array_equal(bits(getattr(got, key)), bits(getattr(want, key)))
 
 
+# d = 1 constant speeds: c = 1, and 1.3, whose products with the fields round
+CONSTANT_SETUPS = tuple(
+    ProblemSetup.theorem(
+        d=1, r0=1.0, eps=0.05, u0=0.5, speed=ConstantSpeed.of(value),
+        profile=PolynomialBump(amplitude=0.0),
+    )
+    for value in (1.0, 1.3)
+)
+
+
+@st.composite
+def constant_speed_states(draw):
+    """perturbed_states on CONSTANT_SETUPS with extreme values, and a NaN
+    in one field at one node half of the time."""
+    setup, state, _ = draw(perturbed_states(CONSTANT_SETUPS, extremes=True))
+    if draw(st.booleans()):
+        field = getattr(state, draw(st.sampled_from(("u", "R", "S"))))
+        field[draw(st.integers(0, field.size - 1))] = np.nan
+    return setup, state
+
+
+class TestConstantSpeedFloats:
+    """ConstantSpeed hands the stepper the floats (c, 0.0); the arrays c(u)
+    and c'(u) of the base-class c_and_c_prime give the same bits."""
+
+    def test_array_model_makes_arrays(self, with_array_speed):
+        u = np.linspace(0.0, 1.0, 5)
+        setup = with_array_speed(CONSTANT_SETUPS[1])
+        c, c_prime = setup.speed.c_and_c_prime(u)
+        assert c.shape == c_prime.shape == u.shape
+        assert CONSTANT_SETUPS[1].speed.c_and_c_prime(u) == (1.3, 0.0)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(constant_speed_states(), st.sampled_from(("upwind1", "muscl2")))
+    def test_steps_bitwise_equal_array_speed(self, with_array_speed, case, scheme):
+        setup, state = case
+        grid = Grid.uniform(*setup.domain, state.u.size)
+        cfg = SchemeConfig(scheme=scheme)
+        floats = Stepper(setup, grid, cfg)
+        arrays = Stepper(with_array_speed(setup), grid, cfg)
+        with np.errstate(all="ignore"):
+            got, want = (
+                s._tendencies(state.u, state.R, state.S, slice(0, grid.n)) for s in (floats, arrays)
+            )
+        np.testing.assert_array_equal(bits(got), bits(want))
+        for _ in range(3):
+            try:
+                want = arrays.step(state)
+            except NonFiniteState:
+                with pytest.raises(NonFiniteState):
+                    floats.step(state)
+                return
+            got = floats.step(state)
+            assert got.t == want.t and got.live == want.live
+            for key in ("u", "R", "S"):
+                np.testing.assert_array_equal(bits(getattr(got, key)), bits(getattr(want, key)))
+            state = got
+
+    @pytest.mark.parametrize("scheme", ["upwind1", "muscl2"])
+    def test_convergence_grid_march_bitwise_equal_array_speed(self, with_array_speed, scheme):
+        # the coarsest grid of the benchmark's transport convergence study, to its t_compare
+        setup = transport_setup()
+        grid = Grid.uniform(*setup.domain, 2048)
+        cfg = SchemeConfig(scheme=scheme)
+        got = run(setup, grid, cfg, t_end=0.3)
+        want = run(with_array_speed(setup), grid, cfg, t_end=0.3)
+        assert got.steps == want.steps > 300 and got.state.t == want.state.t
+        assert got.state.live == want.state.live
+        for key in ("u", "R", "S"):
+            np.testing.assert_array_equal(
+                bits(getattr(got.state, key)), bits(getattr(want.state, key))
+            )
+
+
 WALK = solver._EDGE_WALK
 # node offsets from an end: the end itself, the next node, the last node the
 # edge walk reads, the first it does not, and one deep inside
