@@ -53,7 +53,9 @@ until z first reaches +-pi, so a node where z has passed pi since its
 predecessor (Sd <= 0) fires as well, whatever |S| it shows.  Only nodes
 at or before t_end detect, as in ``solver.run``.  The detection time is
 the smallest t over detecting nodes; the sweep goes on until every node
-of the current diagonal lies at or beyond it.
+of the current diagonal lies at or beyond it and none detects.  Near
+z = pi the computed t can fall from a node to its successor, so a
+detecting node is kept whatever its t: its successors may detect earlier.
 """
 
 from __future__ import annotations
@@ -242,12 +244,16 @@ def _steps(W, E, hX, hY, Rn, Rd, Sn, Sd, A_x, G_x, A_y, G_y):
     return rn, rd, sn, sd
 
 
+def _predicted_u(W: _Diagonal, E: _Diagonal, hX, hY):
+    """u of the predictor: the mean of its two one-sided estimates."""
+    return 0.5 * (W.u + hX * W.ux + E.u + hY * E.uy)
+
+
 def _advance(W: _Diagonal, E: _Diagonal, hX, hY, setup: ProblemSetup) -> _Diagonal:
     """Nodes of the next diagonal from their X-predecessors W and Y-predecessors E."""
     rn, rd, sn, sd = _steps(W, E, hX, hY, W.Rn, W.Rd, E.Sn, E.Sd, W.A, W.G, E.A, E.G)
     t, r = _chord(W, E, W.c, E.c)
-    u = 0.5 * (W.u + hX * W.ux + E.u + hY * E.uy)
-    P = _Diagonal(t, r, u, rn, rd, sn, sd).derive(setup)
+    P = _Diagonal(t, r, _predicted_u(W, E, hX, hY), rn, rd, sn, sd).derive(setup)
 
     rn, rd, sn, sd = _steps(
         W, E, hX, hY,
@@ -257,6 +263,19 @@ def _advance(W: _Diagonal, E: _Diagonal, hX, hY, setup: ProblemSetup) -> _Diagon
     t, r = _chord(W, E, 0.5 * (W.c + P.c), 0.5 * (E.c + P.c))
     u = 0.5 * (W.u + E.u + 0.5 * (hX * (W.ux + P.ux) + hY * (E.uy + P.uy)))
     return _Diagonal(t, r, u, rn, rd, sn, sd).derive(setup)
+
+
+def _failure(setup: ProblemSetup, W: _Diagonal, E: _Diagonal, hX, hY, bad, k: int) -> str:
+    """Why the nodes ``bad`` of diagonal k are not finite.  Named when c is NaN
+    because an angle lies off the speed table: at a predecessor, or at the
+    predictor, whose u the corrector overwrites."""
+    t = float(np.max(np.maximum(W.t, E.t)[bad]))
+    lo, hi = setup.speed.angle_range()
+    with np.errstate(all="ignore"):
+        u = np.concatenate([W.u[bad], E.u[bad], _predicted_u(W, E, hX, hY)[bad]])
+    if np.any((u < lo) | (u > hi)):
+        return f"angle left the speed table at t={t}"
+    return f"non-finite node on diagonal {k} after t={t}"
 
 
 @dataclass(frozen=True)
@@ -353,7 +372,8 @@ def march(
     ``lines`` names the recorded lines as (family, r_foot) pairs: the plus
     or the minus line from a foot, which must be a node.  Nodes at or
     beyond the stop time (t_end, and the detection time when
-    ``stop_at_detection``) are dropped from the ends of each diagonal.  The
+    ``stop_at_detection``) that do not detect are dropped from the ends of
+    each diagonal, so both settings report the same detection.  The
     sweep ends with reason "gradient_ceiling" when it stopped at a
     detection, "apex" when it reached the apex of the domain and "t_final"
     when every node left lies beyond t_end.  A node at or before t_end
@@ -395,17 +415,15 @@ def march(
         m = D.t.size
         j = np.arange(lo, lo + m - 1)
         W, E = D.take(slice(0, m - 1)), D.take(slice(1, m))
+        hX, hY = label[j + k + 1] - label[j + k], label[j + 1] - label[j]
         with np.errstate(over="ignore", invalid="ignore"):
-            D = _advance(W, E, label[j + k + 1] - label[j + k], label[j + 1] - label[j], setup)
+            D = _advance(W, E, hX, hY, setup)
         k += 1
         ok = D.finite()
         if not ok.all():
             before = ~ok & (np.maximum(W.t, E.t) < t_stop)
             if before.any():
-                raise NonFiniteState(
-                    f"non-finite node on diagonal {k} after "
-                    f"t={float(np.max(np.maximum(W.t, E.t)[before]))}"
-                )
+                raise NonFiniteState(_failure(setup, W, E, hX, hY, before, k))
         t_node = np.where(ok, D.t, math.inf)
         g = np.where(ok, gradient(D.Sn, D.Sd, D.ralpha), 0.0)
         hit = (g >= gradient_ceiling) & (t_node <= t_end)
@@ -419,7 +437,7 @@ def march(
         if upto.any():
             peak = max(peak, float(np.max(g[upto])))
         record(D, k, lo)
-        live = np.nonzero(t_node < t_stop)[0]
+        live = np.nonzero((t_node < t_stop) | hit)[0]
         if live.size < D.t.size:
             a, b = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
             D = D.take(slice(a, b))

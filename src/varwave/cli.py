@@ -239,19 +239,16 @@ def _snapshot_rows(grid: Grid, setup: ProblemSetup, states: list[GridState]) -> 
     is (t, r, u0, 0, 0, 0): u_r = (+0 - +0)/(2 c(u0) r^alpha) = +0.0.  Those
     rows are joined from text made once per run, with t formatted once per
     state; only the live rows go through %.17g and from_riemann.  The bytes
-    are those of the whole columns written by write_csv.  A state whose
-    range is not known (the t = 0 one) is all live, and so is every state
-    when u0 is zero (the live scan compares u with u0 as numbers, so a
-    quiescent u may be either zero) or 2 c0 r_lo^alpha is near underflow
-    (u_r would be 0/0 there).
+    are those of the whole columns written by write_csv.  Every state is all
+    live when 2 c0 r_lo^alpha is near underflow (u_r would be 0/0 there).
     """
     n = grid.n
     r_text = [f"{x:.17g}" for x in grid.r.tolist()]
     rest = [f",{x},{setup.u0:.17g},0,0,0\n" for x in r_text]
-    all_live = setup.u0 == 0.0 or setup.speed.c0 * grid.r_lo**setup.alpha < 1e-300
+    all_live = setup.speed.c0 * grid.r_lo**setup.alpha < 1e-300
     for st in states:
         t = f"{st.t:.17g}"
-        a, b = (0, n) if st.live is None or all_live else st.live
+        a, b = (0, n) if all_live else st.live
         w = slice(a, b)
         _, u_r = from_riemann(grid.r[w], st.u[w], st.R[w], st.S[w], setup.speed, setup.alpha)
         row = t + ",%s,%.17g,%.17g,%.17g,%.17g\n"
@@ -295,9 +292,8 @@ def _estimate_steps(setup: ProblemSetup, grid: Grid, cfg: SchemeConfig) -> int:
     return max(1, math.ceil(setup.t_final / (cfg.cfl * grid.h / setup.speed.c1)))
 
 
-def _simulate_once(config: dict, out_dir: Path, svg: bool, eps_override=None) -> dict:
+def _simulate_once(config: dict, setup: ProblemSetup, out_dir: Path, svg: bool) -> dict:
     """Shared body of simulate / eps-sweep: run, write artifacts, return doc."""
-    setup = build_setup(config, eps_override)
     cfg = build_scheme(config)
     grid = build_grid(config, setup)
     # tolerate c'(u0) <= 0 so negative-control runs still produce reports
@@ -373,7 +369,7 @@ def _simulate_once(config: dict, out_dir: Path, svg: bool, eps_override=None) ->
 
 
 def cmd_simulate(config: dict, out_dir: Path, svg: bool) -> int:
-    _simulate_once(config, out_dir, svg)
+    _simulate_once(config, build_setup(config), out_dir, svg)
     return 0
 
 
@@ -413,17 +409,16 @@ def cmd_eps_sweep(config: dict, out_dir: Path, svg: bool) -> int:
     eps_list = _number_list(exp, "eps_list", "experiment")
     if not eps_list:
         raise ConfigError("eps_list must be nonempty")
-    # validate every eps up front so the sweep fails fast on bad input
-    for eps in eps_list:
-        build_setup(config, eps_override=eps)
+    # build every setup up front so the sweep fails fast on bad input
+    setups = [build_setup(config, eps_override=eps) for eps in eps_list]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = {"eps": [], "detected": [], "t_detect": [], "t_star_extrapolated": [], "t_final": []}
     errors = {}
     largest_detected = None
-    for eps in eps_list:
+    for eps, setup in zip(eps_list, setups):
         try:
-            doc = _simulate_once(config, out_dir / f"eps_{eps:g}", svg, eps_override=eps)
+            doc = _simulate_once(config, setup, out_dir / f"eps_{eps:g}", svg)
         except ConfigError:  # a fault of the config stops the sweep
             raise
         except VarwaveError as exc:  # collect, keep sweeping

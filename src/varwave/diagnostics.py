@@ -208,7 +208,7 @@ def _trapezoid_energy(state: GridState, dr: np.ndarray) -> float:
     of N-1 summands is summed, so the summation order is the same.
     """
     n = dr.size + 1
-    a, b = state.live or (0, n)
+    a, b = state.live
     lo, hi = max(a - 1, 0), min(b + 1, n)
     terms = np.zeros(n - 1)
     if hi - lo > 1:
@@ -239,7 +239,7 @@ class EnergyObserver:
         self.t.append(state.t)
         self.E.append(_trapezoid_energy(state, self.dr))
         n = self.grid.n
-        a, b = state.live or (0, n)
+        a, b = state.live
         for store, i in ((self.flux_lo, 0), (self.flux_hi, n - 1)):
             if not a <= i < b:
                 store.append(0.0)

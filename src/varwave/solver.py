@@ -18,24 +18,23 @@ while the support stays interior.  ``run`` is the one march loop: it stops
 at t_end (t_final by default), when a caller's stop rule fires, on a
 gradient ceiling crossing (the blow-up signal), or on a step budget.
 
-A step computes only its live window.  A node is quiescent when it is
-bitwise equal to (u0, +0.0, +0.0), so -0.0 and NaN count as live.  The
-window is the range of live nodes padded by the scheme's stencil reach and
-clipped to the grid; every node outside it is written as (u0, +0.0, +0.0),
-which is what the step over all nodes gives there, bit for bit.  The step
-over all nodes is the window [0, n).
+A node is quiescent when it is bitwise (u0, +0.0, +0.0) in all three
+fields; any other bits, NaN and the other signed zero among them, are live.
+Every state carries its live range ``live = (a, b)``: every node outside
+[a, b) is quiescent, and a == b means none is live.  ``init_state`` finds it
+by one scan, and a step by ``_live_span`` on the window it just computed,
+so the window, the finite check, ``gradient_max`` and the energy quadrature
+of ``diagnostics`` cost O(window) per step.  The front moves at most the
+stencil reach per step, so ``_live_span`` finds the live ends next to the
+window's edges, node by node, before it falls back to a scan.  No state is
+mutated after it is made, so its range stays true.
 
-A state carries its live range ``live = (a, b)``: every node outside
-[a, b) is bitwise (u0, +0.0, +0.0), and (0, 0) means no node is live.
-``None`` means the range is not known (a hand-built state, or the initial
-one); it is then found by a scan of the grid.  A step writes the range of
-its result, found by ``_live_span`` on the window arrays it just computed,
-so the window, the finite check, ``gradient_max`` and the energy
-quadrature of ``diagnostics`` all cost O(window) per step.  The front moves
-at most the stencil reach per step, so the live ends of the result lie next
-to the window's edges, and ``_live_span`` reads them node by node from each
-end before it falls back to a scan.  The range stays true because no state
-is mutated after a step makes it.
+A step computes only its live window: the live range padded by the
+scheme's stencil reach and clipped to the grid.  Every node outside it is
+written as (u0, +0.0, +0.0), which is what the step over all nodes (the
+window [0, n)) gives there, bit for bit.  For u0 = -0.0 the data and every
+step give u = -0.0 + 0.0 = +0.0 off the support, a live value, so there the
+window is the grid.
 
 A step computes the same floating-point operations, in the same order, as
 the plain formulas (kept as the reference stepper of the tests), but in
@@ -114,48 +113,46 @@ class Grid:
 _EDGE_WALK = 9
 
 
-def _live_span(u, R, S, u0: float) -> tuple[int, int] | None:
-    """[first, last + 1) of the nodes not bitwise (u0, +0.0, +0.0); None if none.
+def _live_span(u, R, S, u0: float, start: int = 0) -> tuple[int, int]:
+    """[first, last + 1) of the nodes not bitwise (u0, +0.0, +0.0), offset by start.
 
-    -0.0 and NaN count as live.  The first and the last live node are looked
+    (0, 0) if no node is live.  The first and the last live node are looked
     for among the _EDGE_WALK nodes at each end, one node at a time; only when
     an end holds none of them is the whole array scanned.  Both ways give the
     same range.
     """
-    Rb, Sb = R.view(np.uint64), S.view(np.uint64)
+    Ub, Rb, Sb = u.view(np.uint64), R.view(np.uint64), S.view(np.uint64)
+    u0b = np.float64(u0).view(np.uint64)
     m = u.size
     k = min(_EDGE_WALK, m)
     for first in range(k):
-        if u[first] != u0 or Rb[first] or Sb[first]:
+        if Ub[first] != u0b or Rb[first] or Sb[first]:
             for last in range(m - 1, m - 1 - k, -1):
-                if u[last] != u0 or Rb[last] or Sb[last]:
-                    return first, last + 1
+                if Ub[last] != u0b or Rb[last] or Sb[last]:
+                    return start + first, start + last + 1
             break
-    live = (u != u0) | (Rb != 0) | (Sb != 0)
+    live = (Ub != u0b) | (Rb != 0) | (Sb != 0)
     if not live.any():
-        return None
-    return int(np.argmax(live)), m - int(np.argmax(live[::-1]))
+        return 0, 0
+    return start + int(np.argmax(live)), start + m - int(np.argmax(live[::-1]))
 
 
 @dataclass
 class GridState:
     """Discrete solution (u, R, S) at one time level.
 
-    live is the range [a, b) outside which every node is quiescent, or None
-    when it is not known (see the module docstring).
+    live is the range [a, b) outside which every node is quiescent (see the
+    module docstring).
     """
 
     t: float
     u: np.ndarray
     R: np.ndarray
     S: np.ndarray
-    live: tuple[int, int] | None = None
+    live: tuple[int, int]
 
     def copy(self) -> "GridState":
         return GridState(self.t, self.u.copy(), self.R.copy(), self.S.copy(), self.live)
-
-    def is_finite(self) -> bool:
-        return all(bool(np.isfinite(a).all()) for a in (self.u, self.R, self.S))
 
 
 @dataclass(frozen=True)
@@ -196,7 +193,7 @@ class RunResult:
 
 
 def init_state(setup: ProblemSetup, grid: Grid) -> GridState:
-    """Sample the initial data at every node; t = 0."""
+    """Sample the initial data at every node; t = 0, live range by one scan."""
     r_lo, r_hi = setup.domain
     if not (
         np.isclose(grid.r_lo, r_lo, rtol=1e-12, atol=0.0)
@@ -206,7 +203,7 @@ def init_state(setup: ProblemSetup, grid: Grid) -> GridState:
             f"grid [{grid.r_lo}, {grid.r_hi}] != setup domain [{r_lo}, {r_hi}]"
         )
     u, R, S = initial_riemann(setup, grid.r)
-    return GridState(t=0.0, u=u, R=R, S=S)
+    return GridState(0.0, u, R, S, _live_span(u, R, S, setup.u0))
 
 
 class Stepper:
@@ -215,9 +212,8 @@ class Stepper:
     Node updates read a fixed stencil of the previous state only, so the
     update loops are plain vectorized array expressions over the live window.
     A step writes its stages straight into the rows (u, R, S) of one new
-    (3, n) block, and the new state's fields are those rows.  The live range
-    it carries is ``_live_span`` of the window's rows, offset by the window
-    start; the module docstring lists the exact rewrites the stages use.
+    (3, n) block, and the new state's fields are those rows; the module
+    docstring lists the exact rewrites the stages use.
     """
 
     def __init__(self, setup: ProblemSetup, grid: Grid, cfg: SchemeConfig):
@@ -288,15 +284,9 @@ class Stepper:
         np.copyto(s[1:-1], np.where(mag[:-1] <= mag[1:], a, b), where=a * b > 0.0)
         return s
 
-    def _live_range(self, state: GridState) -> tuple[int, int]:
-        """state.live, or a scan of the grid when it is not known."""
-        if state.live is not None:
-            return state.live
-        return _live_span(state.u, state.R, state.S, self.setup.u0) or (0, 0)
-
     def _window(self, state: GridState) -> tuple[int, int]:
         """Live nodes padded by the stencil reach, as [lo, hi); (0, 0) if none."""
-        a, b = self._live_range(state)
+        a, b = state.live
         if a == b:
             return 0, 0
         return max(a - self.reach, 0), min(b + self.reach, self.grid.n)
@@ -341,8 +331,7 @@ class Stepper:
         # every node outside the window is (u0, 0, 0), which is finite
         if not np.isfinite(fields).all():
             raise NonFiniteState(self._failure(state, w, dt), last_state=state)
-        span = _live_span(u1, R1, S1, self.setup.u0)
-        live = (0, 0) if span is None else (lo + span[0], lo + span[1])
+        live = _live_span(u1, R1, S1, self.setup.u0, lo)
         return GridState(state.t + dt, new[0], new[1], new[2], live)
 
     def _failure(self, state: GridState, w: slice, dt: float) -> str:
@@ -369,7 +358,7 @@ class Stepper:
         Only the live range is searched; every node outside it has g = 0, so
         a maximum of 0 is reported at node 0, as a search of the grid would.
         """
-        a, b = self._live_range(state)
+        a, b = state.live
         g = np.abs(state.S[a:b]) / self.ralpha[a:b]
         i = int(np.argmax(g)) if g.size else 0
         if g.size == 0 or g[i] == 0.0:

@@ -206,20 +206,15 @@ class TabulatedSpeed(WaveSpeedModel):
 
 
 def validate_bounds(model: WaveSpeedModel, probe_count: int = 100_000) -> SpeedBoundsReport:
-    """Sample c and c' on a dense probe grid and check the declared bounds.
-
-    Raises BoundsViolation if min c < c0, max c > c1 or max |c'| > c1
-    beyond a relative tolerance of 1e-12.
+    """Sample c and c' (one ``c_and_c_prime`` call) on a dense probe grid and
+    check the declared bounds: BoundsViolation if min c < c0, max c > c1 or
+    max |c'| > c1 beyond a relative tolerance of 1e-12.
     """
     if probe_count < 2:
         raise ValueError("probe_count must be at least 2")
     lo, hi = model.probe_interval()
-    u = np.linspace(lo, hi, probe_count)
-    c = np.asarray(model.c(u))
-    cp = np.asarray(model.c_prime(u))
-    c_min = float(np.min(c))
-    c_max = float(np.max(c))
-    cp_max = float(np.max(np.abs(cp)))
+    c, cp = model.c_and_c_prime(np.linspace(lo, hi, probe_count))
+    c_min, c_max, cp_max = float(np.min(c)), float(np.max(c)), float(np.max(np.abs(cp)))
     slack0 = _REL_TOL * abs(model.c0)
     slack1 = _REL_TOL * abs(model.c1)
     ok = (

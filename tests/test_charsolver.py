@@ -17,9 +17,12 @@ from varwave import (
     CharacteristicPath,
     ConstantSpeed,
     Grid,
+    NonFiniteState,
     PolynomialBump,
     ProblemSetup,
     SchemeConfig,
+    TabulatedSpeed,
+    blowup_sweep,
     characteristic_triangle_identity,
     initial_riemann,
     run,
@@ -200,6 +203,34 @@ class TestDetection:
             assert abs(through.Sn[i] / through.Sd[i]) / through.r[i] < 1e-3 * res.gradient_ceiling
         assert through.t[p] == pytest.approx(res.t_detect, rel=1e-6)
         assert through.r[p] == pytest.approx(res.r_detect, rel=1e-6)
+
+    def test_stopping_sweep_detects_where_the_full_sweep_does(self, coarse_blowup):
+        # near z = pi the computed t can fall from a node to its successor:
+        # here the full sweep's first detection (t 0.0094750988848) has a
+        # Y-predecessor at 0.0094750988855, and a trim at the stop time that
+        # dropped detecting nodes reported 0.0094750988930 instead
+        setup, nodes, _, _ = coarse_blowup
+        stop, full = (
+            march(setup, nodes, lines=[("plus", 1.0)], t_end=setup.t_final, stop_at_detection=s)
+            for s in (True, False)
+        )
+        assert stop.reason == "gradient_ceiling" and full.reason == "apex"
+        assert stop.t_detect == full.t_detect and stop.r_detect == full.r_detect
+        a, b = stop.samples("plus", 1.0), full.samples("plus", 1.0)
+        assert a.t.size == b.t.size > 100
+        for key in ("t", "r", "u", "R", "S"):
+            np.testing.assert_array_equal(getattr(a, key), getattr(b, key))
+
+    def test_angle_off_the_speed_table_is_named(self):
+        # the predictor's angle leaves the table [0.31, 0.89] at t = 0.48
+        speed = TabulatedSpeed(
+            c0=1.0, c1=1.5, knots=(0.31, 0.5, 0.7, 0.89), values=(1.0, 1.1, 1.25, 1.4)
+        )
+        setup = ProblemSetup.theorem(
+            d=3, r0=1.0, eps=0.1, u0=0.6, speed=speed, profile=PolynomialBump(amplitude=10.0)
+        )
+        with pytest.raises(NonFiniteState, match=r"^angle left the speed table at t=0\.4798"):
+            blowup_sweep(setup, 256)
 
     def test_t_end_just_before_blowup_detects_nothing(self, coarse_blowup):
         # like solver.run, a sweep that ends before the blow-up reports no

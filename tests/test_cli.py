@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -297,10 +298,10 @@ def snapshot_setup(d, u0=math.pi / 4, speed=None):
 
 
 def hand_state(setup, n, t, live, values):
-    """State that is (u0, +0.0, +0.0) outside [a, b) and takes values[k] at
-    node a + k inside it; live None keeps the range unknown."""
+    """State that is (u0, +0.0, +0.0) outside live = [a, b) and takes
+    values[k] at node a + k inside it."""
     u, R, S = np.full(n, setup.u0), np.zeros(n), np.zeros(n)
-    a, b = live if live is not None else (0, n)
+    a, b = live
     for k, (uk, Rk, Sk) in enumerate(values[: b - a]):
         u[a + k], R[a + k], S[a + k] = uk, Rk, Sk
     return GridState(t, u, R, S, live)
@@ -325,7 +326,7 @@ class TestSnapshotTable:
     @pytest.mark.parametrize("d", [1, 3])
     @pytest.mark.parametrize(
         "live",
-        [None, (0, 0), (0, 5), (11, N_SNAP), (7, 8), (0, N_SNAP), (3, 13)],
+        [(0, 0), (0, 5), (11, N_SNAP), (7, 8), (0, N_SNAP), (3, 13)],
         ids=str,
     )
     def test_live_ranges(self, tmp_path, monkeypatch, d, live):
@@ -346,30 +347,46 @@ class TestSnapshotTable:
     @given(
         d=st.sampled_from([1, 3]),
         ends=st.tuples(st.integers(0, N_SNAP), st.integers(0, N_SNAP)).map(sorted),
-        unknown=st.booleans(),
         values=st.lists(
             st.tuples(*[st.one_of(st.sampled_from(SPECIAL), st.floats(width=64))] * 3),
             min_size=N_SNAP, max_size=N_SNAP,
         ),
         t=st.floats(0.0, 1.0),
     )
-    def test_hypothesis_states(self, tmp_path, d, ends, unknown, values, t):
+    def test_hypothesis_states(self, tmp_path, d, ends, values, t):
         setup = snapshot_setup(d)
         grid = Grid.uniform(*setup.domain, N_SNAP)
-        live = None if unknown else tuple(ends)
-        states = [hand_state(setup, N_SNAP, t, live, values)]
+        states = [hand_state(setup, N_SNAP, t, tuple(ends), values)]
         self.assert_table_matches(tmp_path, grid, setup, states)
 
     def test_zero_u0_range_from_the_live_scan(self, tmp_path):
-        # the scan reads u = +0.0 as quiescent for u0 = -0.0, so the rows
-        # outside its range cannot be written from the text of u0
-        setup = snapshot_setup(1, u0=-0.0, speed=ConstantSpeed.of(1.0))
-        grid = Grid.uniform(*setup.domain, N_SNAP)
-        u, R, S = np.zeros(N_SNAP), np.zeros(N_SNAP), np.zeros(N_SNAP)
-        R[6:9] = 0.25
-        live = _live_span(u, R, S, setup.u0)
-        assert live == (6, 9)
-        self.assert_table_matches(tmp_path, grid, setup, [GridState(0.5, u, R, S, live)])
+        # the scan compares u with u0 bit for bit, so the rows outside its
+        # range are written from the text of u0 for either zero
+        for u0, other in itertools.product((0.0, -0.0), repeat=2):
+            setup = snapshot_setup(1, u0=u0, speed=ConstantSpeed.of(1.0))
+            grid = Grid.uniform(*setup.domain, N_SNAP)
+            u, R, S = np.full(N_SNAP, other), np.zeros(N_SNAP), np.zeros(N_SNAP)
+            R[6:9] = 0.25
+            live = _live_span(u, R, S, setup.u0)
+            assert live == ((6, 9) if math.copysign(1, u0) == math.copysign(1, other) else (0, N_SNAP))
+            self.assert_table_matches(tmp_path, grid, setup, [GridState(0.5, u, R, S, live)])
+
+    @pytest.mark.parametrize("scheme", ["upwind1", "muscl2"])
+    @pytest.mark.parametrize("u0", [0.0, -0.0], ids=["+0", "-0"])
+    def test_zero_u0_recorded_run(self, tmp_path, scheme, u0):
+        setup = snapshot_setup(1, u0=u0, speed=ConstantSpeed.of(1.0))
+        grid = Grid.uniform(*setup.domain, 128)
+        snaps = SnapshotRecorder(stride=20)
+        result = run(setup, grid, SchemeConfig(scheme=scheme), observers=(snaps,))
+        snaps.ensure_last(result.state)
+        lives = [s.live for s in snaps.states]
+        inner = (1, grid.n - 1)
+        assert lives[0] == (0, grid.n)
+        if math.copysign(1.0, u0) < 0:  # every step leaves u = +0.0 inside, a live value
+            assert lives[1:] == [inner] * (len(lives) - 1)
+        else:
+            assert inner[0] < lives[1][0] < lives[1][1] < inner[1]
+        self.assert_table_matches(tmp_path, grid, setup, snaps.states)
 
     @pytest.mark.filterwarnings("ignore:.*encountered in divide:RuntimeWarning")
     def test_underflowing_r_alpha_keeps_nan_u_r(self, tmp_path):
@@ -392,7 +409,7 @@ class TestSnapshotTable:
         result = run(setup, grid, SchemeConfig(scheme=scheme), observers=(snaps,))
         snaps.ensure_last(result.state)
         lives = [s.live for s in snaps.states]
-        assert lives[0] is None and all(0 < a < b < grid.n for a, b in lives[1:3])
+        assert lives[0] == (0, grid.n) and all(0 < a < b < grid.n for a, b in lives[1:3])
         self.assert_table_matches(tmp_path, grid, setup, snaps.states)
 
 

@@ -274,12 +274,7 @@ def _constant_field_states(setup, grid, n_steps=8, dt=1e-3):
     states = []
     for k in range(n_steps + 1):
         states.append(
-            GridState(
-                t=k * dt,
-                u=np.full(n, setup.u0),
-                R=np.zeros(n),
-                S=np.ones(n),
-            )
+            GridState(k * dt, np.full(n, setup.u0), np.zeros(n), np.ones(n), (0, n))
         )
     return states
 

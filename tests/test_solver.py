@@ -123,9 +123,7 @@ class TestStep:
         cfg = SchemeConfig(scheme="upwind1")
         stepper = Stepper(setup, grid, cfg)
         n = grid.n
-        state = GridState(
-            t=0.0, u=np.full(n, 0.3), R=np.zeros(n), S=np.ones(n)
-        )
+        state = GridState(0.0, np.full(n, 0.3), np.zeros(n), np.ones(n), (0, n))
         dt = stepper.base_dt
         new = stepper.step(state, dt)
         inner = slice(1, -1)
@@ -152,7 +150,8 @@ class TestStep:
             for _ in range(10):
                 s = stepper.step(s)
         assert err.value.last_state is not None
-        assert err.value.last_state.is_finite()
+        last = err.value.last_state
+        assert all(np.isfinite(a).all() for a in (last.u, last.R, last.S))
 
 
 @functools.cache
@@ -175,7 +174,8 @@ def perturbed_states(draw, setups=None, extremes=False):
     setups, when given, are the setups to draw from; otherwise d is drawn
     and the speed is Oseen-Frank.  extremes adds the values on which a
     reordered formula shows (see ``extreme_values``).  Returns the setup,
-    the state and the support [lo, hi).
+    the state with the live range of ``mask_span`` and the support [lo, hi).
+    The background is u0 + 0.0, which is +0.0 for u0 = -0.0, as in the data.
     """
     if setups is None:
         setup = window_setup(draw(st.sampled_from((1, 2, 3))))
@@ -208,7 +208,7 @@ def perturbed_states(draw, setups=None, extremes=False):
             for field in {"R": (R,), "S": (S,), "both": (R, S)}[
                     draw(st.sampled_from(("R", "S", "both")))]:
                 field[i:i + len(values)] = values
-    return setup, GridState(t=0.0, u=u, R=R, S=S), (lo, hi)
+    return setup, GridState(0.0, u, R, S, mask_span(u, R, S, setup.u0)), (lo, hi)
 
 
 @st.composite
@@ -238,10 +238,6 @@ def same_bits(a, b):
     return np.float64(a).view(np.uint64) == np.float64(b).view(np.uint64)
 
 
-def rescanned_live(state, u0):
-    return solver._live_span(state.u, state.R, state.S, u0) or (0, 0)
-
-
 def window_and_full_steppers(setup, n, scheme):
     grid = Grid.uniform(*setup.domain, n)
     cfg = SchemeConfig(scheme=scheme)
@@ -250,16 +246,49 @@ def window_and_full_steppers(setup, n, scheme):
     return Stepper(setup, grid, cfg), full
 
 
-class TestLiveWindow:
-    @settings(max_examples=60, derandomize=True, deadline=None)
-    @given(perturbed_states(), st.sampled_from(("upwind1", "muscl2")))
-    def test_window_step_bitwise_equals_full_grid_step(self, case, scheme):
-        setup, state, _ = case
-        windowed, full = window_and_full_steppers(setup, state.u.size, scheme)
-        got, want = windowed.step(state), full.step(state)
+# d = 1, constant speed 1, base angle +0.0 and -0.0: the signed zeros of u
+ZERO_U0_SETUPS = tuple(
+    ProblemSetup.theorem(
+        d=1, r0=1.0, eps=0.05, u0=u0, speed=ConstantSpeed.of(1.0),
+        profile=PolynomialBump(amplitude=0.0),
+    )
+    for u0 in (0.0, -0.0)
+)
+
+
+def assert_window_steps_equal_full_grid_steps(setup, got, scheme, steps):
+    windowed, full = window_and_full_steppers(setup, got.u.size, scheme)
+    want = got
+    for _ in range(steps):
+        got, want = windowed.step(got), full.step(want)
         assert got.t == want.t
         for key in ("u", "R", "S"):
             np.testing.assert_array_equal(bits(getattr(got, key)), bits(getattr(want, key)))
+
+
+class TestLiveWindow:
+    # u = +0.0 is live for u0 = -0.0: a numeric test of u against u0 would
+    # leave it out of the window and write -0.0 there
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        st.one_of(perturbed_states(), perturbed_states(ZERO_U0_SETUPS, extremes=True)),
+        st.sampled_from(("upwind1", "muscl2")),
+    )
+    def test_window_step_bitwise_equals_full_grid_step(self, case, scheme):
+        setup, state, _ = case
+        assert_window_steps_equal_full_grid_steps(setup, state, scheme, steps=3)
+
+    @pytest.mark.parametrize("scheme", ["upwind1", "muscl2"])
+    @pytest.mark.parametrize("u0", [0.0, -0.0], ids=["+0", "-0"])
+    def test_signed_zero_base_angle_march_equals_full_grid(self, scheme, u0):
+        setup = ProblemSetup.theorem(
+            d=1, r0=1.0, eps=0.1, u0=u0, speed=ConstantSpeed.of(1.0),
+            profile=PolynomialBump(amplitude=1.0),
+        )
+        grid = Grid.uniform(*setup.domain, 256)
+        state = init_state(setup, grid)
+        assert state.live == (0, grid.n)
+        assert_window_steps_equal_full_grid_steps(setup, state, scheme, steps=40)
 
     @settings(max_examples=20, derandomize=True, deadline=None)
     @given(perturbed_states(), st.sampled_from(("upwind1", "muscl2")),
@@ -269,6 +298,7 @@ class TestLiveWindow:
         n = state.u.size
         # the interior node farthest from the support; the end nodes are clamped
         getattr(state, field)[1 if lo >= n - hi else n - 2] = np.nan
+        state.live = mask_span(state.u, state.R, state.S, setup.u0)
         for stepper in window_and_full_steppers(setup, n, scheme):
             with pytest.raises(NonFiniteState):
                 stepper.step(state)
@@ -302,9 +332,9 @@ class TestLiveWindow:
         scanned = []
         span = solver._live_span
 
-        def counting_span(u, R, S, u0):
+        def counting_span(u, R, S, u0, start=0):
             scanned.append(u.size)
-            return span(u, R, S, u0)
+            return span(u, R, S, u0, start)
 
         monkeypatch.setattr(solver, "_live_span", counting_span)
         lo, hi = stepper._window(state)
@@ -326,7 +356,7 @@ class TestLiveWindow:
 
         observer = EnergyObserver(grid, CountingSpeed())
         state = init_state(canonical_setup, grid)
-        observer(state)  # the initial range is not known: both ends evaluate c
+        observer(state)  # S is -0.0 off the support: the whole grid is live
         assert len(calls) == 2
         state = stepper.step(stepper.step(state))
         a, b = state.live
@@ -348,11 +378,10 @@ class TestCarriedLiveRange:
         stepper = Stepper(setup, grid, SchemeConfig(scheme=scheme))
         observer = EnergyObserver(grid, setup.speed)
         dr = np.diff(grid.r)
-        assert state.live is None  # hand-built
         for k in range(5):
             if k:
                 state = stepper.step(state)
-                assert state.live == rescanned_live(state, setup.u0)
+                assert state.live == mask_span(state.u, state.R, state.S, setup.u0)
             g = np.abs(state.S) / stepper.ralpha
             i = int(np.argmax(g))
             got_g, got_i = stepper.gradient_max(state)
@@ -364,19 +393,6 @@ class TestCarriedLiveRange:
             for flux, j in ((observer.flux_lo, 0), (observer.flux_hi, n - 1)):
                 c = float(setup.speed.c(state.u[j]))
                 assert same_bits(flux[-1], c * (float(state.S[j]) ** 2 - float(state.R[j]) ** 2))
-
-    @settings(max_examples=30, derandomize=True, deadline=None)
-    @given(perturbed_states(), st.sampled_from(("upwind1", "muscl2")))
-    def test_unknown_range_steps_like_a_known_one(self, case, scheme):
-        setup, state, _ = case
-        grid = Grid.uniform(*setup.domain, state.u.size)
-        stepper = Stepper(setup, grid, SchemeConfig(scheme=scheme))
-        known = state.copy()
-        known.live = rescanned_live(state, setup.u0)
-        got, want = stepper.step(state), stepper.step(known)
-        assert got.live == want.live
-        for key in ("u", "R", "S"):
-            np.testing.assert_array_equal(bits(getattr(got, key)), bits(getattr(want, key)))
 
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(perturbed_states(), st.sampled_from(("upwind1", "muscl2")),
@@ -467,9 +483,9 @@ class ReferenceStepper:
 
 
 def mask_span(u, R, S, u0):
-    """The live range by a plain scan of every node; None if no node is live."""
-    live = np.flatnonzero((u != u0) | (bits(R) != 0) | (bits(S) != 0))
-    return (int(live[0]), int(live[-1]) + 1) if live.size else None
+    """The live range by a plain scan of every node; (0, 0) if none is live."""
+    live = np.flatnonzero((bits(u) != bits(np.float64(u0))) | (bits(R) != 0) | (bits(S) != 0))
+    return (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
 
 
 # d = 4 as well: its alpha = 1.5 is the first radial weight whose products
@@ -489,7 +505,7 @@ def assert_steps_match_reference(stepper, reference, state, dt):
     got = stepper.step(state, dt)
     for key, w in zip(("u", "R", "S"), want):
         np.testing.assert_array_equal(bits(getattr(got, key)), bits(w), err_msg=key)
-    assert got.live == (mask_span(*want, stepper.setup.u0) or (0, 0))
+    assert got.live == mask_span(*want, stepper.setup.u0)
     return got
 
 
@@ -518,7 +534,8 @@ class TestReferenceStep:
         while want.t < t_end - 1e-14 * t_end:
             dt = min(stepper.base_dt, t_end - want.t)
             got = stepper.step(got, dt)
-            want = GridState(want.t + dt, *reference.step(want, dt))
+            fields = reference.step(want, dt)
+            want = GridState(want.t + dt, *fields, mask_span(*fields, canonical_setup.u0))
             steps += 1
         assert steps > 200 and got.t == want.t
         for key in ("u", "R", "S"):
@@ -636,7 +653,16 @@ class TestLiveSpan:
 
     @pytest.mark.parametrize("m", [0, 1, WALK, 3 * WALK])
     def test_quiescent_array_has_no_live_range(self, m):
-        assert solver._live_span(*self.quiescent(m), self.U0) is None
+        assert solver._live_span(*self.quiescent(m), self.U0) == (0, 0)
+        assert solver._live_span(*self.quiescent(m), self.U0, 5) == (0, 0)
+
+    @pytest.mark.parametrize("u0", [0.0, -0.0], ids=["+0", "-0"])
+    @pytest.mark.parametrize("i", [0, WALK, 40, 63])
+    def test_other_signed_zero_of_u_is_live(self, u0, i):
+        u, R, S = np.full(64, u0), np.zeros(64), np.zeros(64)
+        u[i] = -u0
+        assert solver._live_span(u, R, S, u0) == mask_span(u, R, S, u0) == (i, i + 1)
+        assert solver._live_span(u, R, S, u0, 7) == (7 + i, 8 + i)
 
 
 class TestTransportRegression:

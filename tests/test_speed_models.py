@@ -12,6 +12,7 @@ from varwave import (
     TabulatedSpeed,
     validate_bounds,
 )
+from varwave.speed_models import SpeedBoundsReport
 
 SQRT2 = math.sqrt(2.0)
 
@@ -154,6 +155,27 @@ class TestValidateBounds:
         )
         with pytest.raises(BoundsViolation):
             validate_bounds(model, probe_count=10_000)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            OseenFrankSpeed(c0=1.0, c1=SQRT2, k1=2.0, k3=1.0),
+            OseenFrankSpeed(c0=0.5, c1=1.5, k1=0.3, k3=2.0),
+            ConstantSpeed.of(1.3),
+            TabulatedSpeed(c0=1.0, c1=2.0, knots=(0.5, 1.0, 2.0), values=(1.0, 1.5, 2.0)),
+        ],
+        ids=["oseen-frank", "oseen-frank-bend", "constant", "tabulated"],
+    )
+    def test_report_equals_separate_c_and_c_prime_probes(self, model):
+        # the report as built from one c(u) and one c'(u) call
+        u = np.linspace(*model.probe_interval(), 10_001)
+        c, cp = np.asarray(model.c(u)), np.asarray(model.c_prime(u))
+        c_min, c_max, cp_max = float(np.min(c)), float(np.max(c)), float(np.max(np.abs(cp)))
+        want = SpeedBoundsReport(
+            c_min=c_min, c_max=c_max, c_prime_max=cp_max,
+            declared_c0=model.c0, declared_c1=model.c1, probe_count=10_001, ok=True,
+        )
+        assert validate_bounds(model, probe_count=10_001) == want
 
     def test_probe_count_must_be_at_least_two(self):
         with pytest.raises(ValueError):
