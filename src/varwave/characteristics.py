@@ -124,28 +124,22 @@ class CharacteristicPath:
         return r
 
     def __call__(self, state: GridState):
-        if self._sampled is None:
+        """Take the start sample, then one midpoint step per call from the last sample."""
+        before = self._sampled
+        if before is None:
             self._append(state.t, self.r_start, state)
-        else:
-            self.advance(self._sampled, state)
-
-    def advance(self, state_before: GridState, state_after: GridState):
-        """Integrate dr/dt = +-c across one solver step (midpoint rule)."""
-        dt = state_after.t - state_before.t
+            return
+        dt = state.t - before.t
         if dt <= 0:
             raise ValueError("states must bracket one forward step")
         r_n = self.r[-1]
-        if state_before is self._sampled:  # the last sample is u at r_n in that state
-            u_a = self.u[-1]
-        else:
-            (u_a,) = self._sample(r_n, state_before.u)
-        k1 = self.sign * float(self.speed.c(u_a))
+        k1 = self.sign * float(self.speed.c(self.u[-1]))
         r_half = self._check_domain(r_n + 0.5 * dt * k1)
-        u_before, u_after = self._sample(r_half, state_before.u, state_after.u)
+        u_before, u_after = self._sample(r_half, before.u, state.u)
         u_half = 0.5 * (u_before + u_after)
         k2 = self.sign * float(self.speed.c(u_half))
         r_new = self._check_domain(r_n + dt * k2)
-        self._append(state_after.t, r_new, state_after)
+        self._append(state.t, r_new, state)
 
     def samples(self) -> PathSamples:
         """The samples taken so far, as arrays."""

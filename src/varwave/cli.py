@@ -8,8 +8,9 @@ CSV and SVG artifact starts with a comment header embedding the full
 config; JSON artifacts embed it under the "config" key (JSON has no
 comment syntax).  Identical configs produce bit-identical outputs: the
 summation order is fixed and floats are written with round-trip precision.
-Exit codes: 0 success, 1 validation error, 2 runtime error.  The jobs of
-eps-sweep and convergence run one after another.
+Exit codes: 0 success, 1 invalid input (a ConfigError or a subclass), 2 any
+other failure of the run.  The jobs of eps-sweep and convergence run one
+after another.
 """
 
 from __future__ import annotations
@@ -37,14 +38,7 @@ from .diagnostics import (
     compute_constants,
     triangle_identity,
 )
-from .errors import (
-    BoundsViolation,
-    ConfigError,
-    DomainMismatch,
-    HypothesisViolated,
-    SpeedNotIncreasing,
-    VarwaveError,
-)
+from .errors import ConfigError, VarwaveError
 from .initial_data import PolynomialBump, ProblemSetup
 from .riemann_core import from_riemann
 from .solver import Grid, GridState, SchemeConfig, Stepper, init_state, run
@@ -409,6 +403,8 @@ def cmd_eps_sweep(config: dict, out_dir: Path, svg: bool) -> int:
     eps_list = _number_list(exp, "eps_list", "experiment")
     if not eps_list:
         raise ConfigError("eps_list must be nonempty")
+    if len(set(eps_list)) < len(eps_list):
+        raise ConfigError(f"experiment.eps_list repeats an entry: {eps_list}")
     # build every setup up front so the sweep fails fast on bad input
     setups = [build_setup(config, eps_override=eps) for eps in eps_list]
 
@@ -418,7 +414,7 @@ def cmd_eps_sweep(config: dict, out_dir: Path, svg: bool) -> int:
     largest_detected = None
     for eps, setup in zip(eps_list, setups):
         try:
-            doc = _simulate_once(config, setup, out_dir / f"eps_{eps:g}", svg)
+            doc = _simulate_once(config, setup, out_dir / f"eps_{eps!r}", svg)
         except ConfigError:  # a fault of the config stops the sweep
             raise
         except VarwaveError as exc:  # collect, keep sweeping
@@ -441,7 +437,7 @@ def cmd_eps_sweep(config: dict, out_dir: Path, svg: bool) -> int:
         config,
         {
             "largest_eps_detected": largest_detected,
-            "errors": {f"{k:g}": v for k, v in errors.items()},
+            "errors": {repr(k): v for k, v in errors.items()},
         },
     )
     return 0
@@ -557,13 +553,7 @@ def main(argv=None) -> int:
                 f"'{args.command}'"
             )
         return _COMMANDS[args.command](config, Path(args.out_dir), args.svg)
-    except (
-        ConfigError,
-        HypothesisViolated,
-        BoundsViolation,
-        SpeedNotIncreasing,
-        DomainMismatch,
-    ) as exc:
+    except ConfigError as exc:
         print(f"varwave: invalid configuration: {exc}", file=sys.stderr)
         return 1
     # past the builders, a ValueError or KeyError is a fault of the run

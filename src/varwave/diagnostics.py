@@ -277,8 +277,11 @@ class TriangleReport:
 
 
 def _check_feet(setup: ProblemSetup, r1: float, r2: float):
-    if not (0.0 < r1 < r2):
-        raise HypothesisViolated("need 0 < r1 < r2")
+    r_lo, r_hi = setup.domain
+    if not (r_lo <= r1 < r2 <= r_hi):
+        raise HypothesisViolated(
+            f"need r_lo <= r1 < r2 <= r_hi on the domain [{r_lo}, {r_hi}], got r1={r1}, r2={r2}"
+        )
     gap_limit = 2.0 * setup.speed.c0 * (setup.r0 - setup.eps) / setup.speed.c1
     if not (r2 - r1 < gap_limit):
         raise HypothesisViolated(
@@ -297,10 +300,10 @@ def triangle_identity(
 
     LHS = int_{r1}^{r_m} R^2(t_+(r), r) dr + int_{r_m}^{r2} S^2(t_-(r), r) dr
     by trapezoid in the path parameter; RHS = half the initial energy on
-    [r1, r2].  Requires r2 - r1 < 2 c0 (r0 - eps)/c1 so the crossing
-    happens before t_final.  Returns the report and the samples of both
-    paths.  Raises NoIntersection when the run ends any other way (t_final,
-    gradient ceiling, or step budget) before the paths meet.
+    [r1, r2].  Requires r_lo <= r1 < r2 <= r_hi and r2 - r1 < 2 c0 (r0 - eps)/c1
+    (so the crossing comes before t_final), else HypothesisViolated.  Returns
+    the report and the samples of both paths.  Raises NoIntersection when the
+    run ends any other way (t_final, gradient ceiling, or step budget) first.
     """
     _check_feet(setup, r1, r2)
     plus = CharacteristicPath("plus", r1, grid, setup.speed)

@@ -5,19 +5,23 @@ class VarwaveError(Exception):
     """Base class for all package-specific errors."""
 
 
-class BoundsViolation(VarwaveError):
+class ConfigError(VarwaveError):
+    """The inputs are invalid (the CLI exits 1); other errors are faults of the run."""
+
+
+class BoundsViolation(ConfigError):
     """Sampled wave speed or its derivative breaches the declared bounds."""
 
 
-class SpeedNotIncreasing(VarwaveError):
+class SpeedNotIncreasing(ConfigError):
     """c'(u0) <= 0, so the steepening mechanism is absent at the base angle."""
 
 
-class HypothesisViolated(VarwaveError):
+class HypothesisViolated(ConfigError):
     """A precondition of the blow-up construction does not hold."""
 
 
-class DomainMismatch(VarwaveError):
+class DomainMismatch(ConfigError):
     """Grid endpoints disagree with the problem domain."""
 
 
@@ -38,7 +42,3 @@ class PathLeftDomain(VarwaveError):
 
 class NoIntersection(VarwaveError):
     """Two characteristic paths did not cross before the run ended."""
-
-
-class ConfigError(VarwaveError):
-    """Run configuration file is invalid or incomplete."""

@@ -138,6 +138,8 @@ class ProblemSetup:
     domain: tuple[float, float]
 
     def __post_init__(self):
+        # u0 keeps its bits but -0.0 becomes +0.0: one resting state (+0.0, +0.0, +0.0)
+        object.__setattr__(self, "u0", self.u0 + 0.0)
         if self.d < 1:
             raise HypothesisViolated("spatial dimension must be >= 1")
         if self.r0 <= 0:

@@ -32,9 +32,7 @@ mutated after it is made, so its range stays true.
 A step computes only its live window: the live range padded by the
 scheme's stencil reach and clipped to the grid.  Every node outside it is
 written as (u0, +0.0, +0.0), which is what the step over all nodes (the
-window [0, n)) gives there, bit for bit.  For u0 = -0.0 the data and every
-step give u = -0.0 + 0.0 = +0.0 off the support, a live value, so there the
-window is the grid.
+window [0, n)) gives there, bit for bit.
 
 A step computes the same floating-point operations, in the same order, as
 the plain formulas (kept as the reference stepper of the tests), but in

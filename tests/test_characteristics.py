@@ -21,6 +21,7 @@ from varwave import (
     c_prime_sign_along,
     compute_constants,
     find_intersection,
+    init_state,
     run,
     u_drift_along,
 )
@@ -299,21 +300,13 @@ class TestInterpolation:
             for key in ("t", "r", "u", "R", "S"):
                 np.testing.assert_array_equal(bits(getattr(got, key)), bits(getattr(want, key)))
 
-    def test_advance_from_another_state_object_interpolates(self, canonical_setup):
-        # the observer reuses its last sample as u at the foot; a copy of the
-        # state is not the sampled object, so advance interpolates it instead
-        grid = Grid.uniform(*canonical_setup.domain, 512)
-        states = []
-        run(canonical_setup, grid, SchemeConfig(max_steps=40), observers=(states.append,))
-        observed = CharacteristicPath("plus", canonical_setup.r0, grid, canonical_setup.speed)
-        direct = CharacteristicPath("plus", canonical_setup.r0, grid, canonical_setup.speed)
-        for s in states:
-            observed(s)
-        direct(states[0])
-        for before, after in zip(states, states[1:]):
-            direct.advance(before.copy(), after)
-        for key in ("t", "r", "u", "R", "S"):
-            np.testing.assert_array_equal(bits(getattr(direct, key)), bits(getattr(observed, key)))
+    def test_step_must_move_forward_in_time(self, canonical_setup):
+        grid = Grid.uniform(*canonical_setup.domain, 128)
+        state = init_state(canonical_setup, grid)
+        path = CharacteristicPath("plus", canonical_setup.r0, grid, canonical_setup.speed)
+        path(state)
+        with pytest.raises(ValueError, match="forward step"):
+            path(state)
 
 
 class TestMonitors:

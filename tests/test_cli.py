@@ -1,9 +1,12 @@
+import ast
+import inspect
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,17 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from varwave import cli
+from varwave.errors import (
+    BoundsViolation,
+    ConfigError,
+    DomainMismatch,
+    HypothesisViolated,
+    NoIntersection,
+    NonFiniteState,
+    PathLeftDomain,
+    SpeedNotIncreasing,
+    VarwaveError,
+)
 from varwave.cli import SnapshotRecorder, build_setup, main, write_csv
 from varwave.initial_data import PolynomialBump, ProblemSetup, auto_domain
 from varwave.riemann_core import from_riemann
@@ -19,6 +33,8 @@ from varwave.solver import Grid, GridState, SchemeConfig, _live_span, run
 from varwave.speed_models import ConstantSpeed, OseenFrankSpeed
 
 SQRT2 = math.sqrt(2.0)
+# faults of the run itself: exit 2, and eps-sweep collects them per eps
+RUN_ERRORS = (NonFiniteState, PathLeftDomain, NoIntersection)
 
 
 def base_config(**overrides):
@@ -127,6 +143,46 @@ class TestSimulate:
         assert doc["config"] == cfg
         assert "constants" in doc and "blowup" in doc and "run" in doc
 
+    @pytest.mark.parametrize("case", ["d1-constant", "d3-oseen-frank"])
+    def test_negative_zero_u0_writes_the_positive_zero_artifacts(self, tmp_path, case):
+        if case == "d1-constant":
+            cfg = {
+                "setup": {"d": 1, "r0": 1.0, "eps": 0.1, "u0": 0.0,
+                          "speed": {"kind": "constant", "c": 1.0},
+                          "profile": {"kind": "polynomial", "amplitude": 1.0}},
+                "grid": {"n": 256},
+            }
+        else:
+            cfg = base_config(grid={"n": 1024})
+            cfg["setup"]["u0"] = 0.0
+            cfg["setup"]["profile"] = {"kind": "polynomial", "amplitude": 20.0}
+        artifacts = []
+        for u0 in (0.0, -0.0):
+            cfg["setup"]["u0"] = u0
+            path = write_config(tmp_path, cfg, f"{u0}.json")
+            out = tmp_path / str(u0)
+            assert main(["simulate", "--config", str(path), "--out-dir", str(out), "--svg"]) == 0
+            artifacts.append(without_config_echo(out))
+        assert len(artifacts[0]) == 7
+        assert artifacts[0] == artifacts[1]
+
+
+def without_config_echo(out):
+    """Text of each artifact in out, less the config it echoes: the JSON
+    "config" key, and the '# config' or '<!-- config' line of the others."""
+    files = {}
+    for p in sorted(out.iterdir()):
+        if p.suffix == ".json":
+            doc = json.loads(p.read_text())
+            del doc["config"]
+            files[p.name] = json.dumps(doc, sort_keys=True)  # "-0.0" stays apart from "0.0"
+        else:
+            lines = p.read_text().splitlines(keepends=True)
+            kept = [line for line in lines if not line.startswith(("# config ", "<!-- config "))]
+            assert len(kept) == len(lines) - 1, p.name
+            files[p.name] = "".join(kept)
+    return files
+
 
 class TestTriangle:
     def test_gentle_triangle_report(self, tmp_path):
@@ -154,6 +210,18 @@ class TestTriangle:
         cfg["experiment"] = {"kind": "triangle", "r1": 0.2, "r2": 1.6}
         path = write_config(tmp_path, cfg)
         assert main(["triangle", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("r1, r2", [(0.001, 0.3), (1.9, 3.0)], ids=["below", "above"])
+    def test_feet_off_the_domain_is_validation_error(self, tmp_path, capsys, r1, r2):
+        # the auto domain is [0.01, 2.1]; the gap r2 - r1 is below its limit 1.27
+        cfg = base_config(grid={"n": 256})
+        cfg["experiment"] = {"kind": "triangle", "r1": r1, "r2": r2}
+        path = write_config(tmp_path, cfg)
+        assert main(["triangle", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("varwave: invalid configuration: need r_lo <= r1 < r2 <= r_hi")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
 
 
 class TestEpsSweep:
@@ -189,6 +257,31 @@ class TestEpsSweep:
         cfg["experiment"] = {"kind": "eps_sweep", "eps_list": []}
         path = write_config(tmp_path, cfg)
         assert main(["eps-sweep", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+
+    def test_eps_equal_to_6_digits_get_their_own_directories(self, tmp_path):
+        cfg = base_config(grid={"n": 128})
+        cfg["setup"]["speed"] = {"kind": "constant", "c": 1.0}
+        cfg["experiment"] = {"kind": "eps_sweep", "eps_list": [0.05, 0.05000001]}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["eps-sweep", "--config", str(path), "--out-dir", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["eps_0.05", "eps_0.05000001"]
+        for eps in (0.05, 0.05000001):
+            doc = json.loads((out / f"eps_{eps!r}" / "diagnostics.json").read_text())
+            assert doc["run"]["t_final"] == (1.0 - eps) / 1.0
+        rows = (out / "sweep.csv").read_text().splitlines()[2:]
+        assert [float(row.split(",")[0]) for row in rows] == [0.05, 0.05000001]
+
+    def test_repeated_eps_is_config_error(self, tmp_path, capsys):
+        cfg = base_config(grid={"n": 128})
+        cfg["experiment"] = {"kind": "eps_sweep", "eps_list": [0.1, 0.05, 0.1]}
+        path = write_config(tmp_path, cfg)
+        assert main(["eps-sweep", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "varwave: invalid configuration: experiment.eps_list repeats an entry: [0.1, 0.05, 0.1]\n"
+        )
+        assert not (tmp_path / "o").exists()
 
 
 class TestConvergence:
@@ -360,15 +453,17 @@ class TestSnapshotTable:
         self.assert_table_matches(tmp_path, grid, setup, states)
 
     def test_zero_u0_range_from_the_live_scan(self, tmp_path):
-        # the scan compares u with u0 bit for bit, so the rows outside its
-        # range are written from the text of u0 for either zero
+        # either zero base angle is stored as +0.0, and the scan compares u
+        # with it bit for bit: u = -0.0 is live, and the rows outside the
+        # range are written from the text of +0.0
         for u0, other in itertools.product((0.0, -0.0), repeat=2):
             setup = snapshot_setup(1, u0=u0, speed=ConstantSpeed.of(1.0))
+            assert math.copysign(1, setup.u0) == 1
             grid = Grid.uniform(*setup.domain, N_SNAP)
             u, R, S = np.full(N_SNAP, other), np.zeros(N_SNAP), np.zeros(N_SNAP)
             R[6:9] = 0.25
             live = _live_span(u, R, S, setup.u0)
-            assert live == ((6, 9) if math.copysign(1, u0) == math.copysign(1, other) else (0, N_SNAP))
+            assert live == ((6, 9) if math.copysign(1, other) > 0 else (0, N_SNAP))
             self.assert_table_matches(tmp_path, grid, setup, [GridState(0.5, u, R, S, live)])
 
     @pytest.mark.parametrize("scheme", ["upwind1", "muscl2"])
@@ -380,12 +475,9 @@ class TestSnapshotTable:
         result = run(setup, grid, SchemeConfig(scheme=scheme), observers=(snaps,))
         snaps.ensure_last(result.state)
         lives = [s.live for s in snaps.states]
-        inner = (1, grid.n - 1)
         assert lives[0] == (0, grid.n)
-        if math.copysign(1.0, u0) < 0:  # every step leaves u = +0.0 inside, a live value
-            assert lives[1:] == [inner] * (len(lives) - 1)
-        else:
-            assert inner[0] < lives[1][0] < lives[1][1] < inner[1]
+        # -0.0 is stored as +0.0, so the first step's range is the support
+        assert 1 < lives[1][0] < lives[1][1] < grid.n - 1
         self.assert_table_matches(tmp_path, grid, setup, snaps.states)
 
     @pytest.mark.filterwarnings("ignore:.*encountered in divide:RuntimeWarning")
@@ -750,6 +842,43 @@ class TestExitCodes:
             'varwave: invalid configuration: output.snapshot_stride must be a finite number, got "x"\n'
         )
         assert not (tmp_path / "o" / "sweep.json").exists()
+
+    def test_one_handler_chooses_exit_1(self):
+        # the error class alone decides: every error that means invalid
+        # input is a ConfigError, and main's exit-1 handler names no other
+        tree = ast.parse(textwrap.dedent(inspect.getsource(cli.main)))
+        handlers = [
+            ast.unparse(h.type) for h in ast.walk(tree)
+            if isinstance(h, ast.ExceptHandler) and "invalid configuration" in ast.unparse(h)
+        ]
+        assert handlers == ["ConfigError"]
+        input_errors = {HypothesisViolated, BoundsViolation, SpeedNotIncreasing, DomainMismatch}
+        assert set(ConfigError.__subclasses__()) == input_errors
+        assert set(VarwaveError.__subclasses__()) == {ConfigError, *RUN_ERRORS}
+
+    @pytest.mark.parametrize(
+        "error", [*RUN_ERRORS, HypothesisViolated, BoundsViolation, ConfigError], ids=repr
+    )
+    def test_sweep_collects_run_failures_and_stops_on_config_faults(
+        self, tmp_path, capsys, monkeypatch, error
+    ):
+        def fail(*args, **kwargs):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "run", fail)
+        cfg = base_config(grid={"n": 64})
+        cfg["experiment"] = {"kind": "eps_sweep", "eps_list": [0.1, 1e-07]}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        code = main(["eps-sweep", "--config", str(path), "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        if issubclass(error, ConfigError):
+            assert (code, err) == (1, "varwave: invalid configuration: boom\n")
+            assert not (out / "sweep.json").exists()
+        else:
+            assert (code, err) == (0, "")
+            summary = json.loads((out / "sweep.json").read_text())
+            assert summary["errors"] == {"0.1": "boom", "1e-07": "boom"}
 
     def test_builders_raise_config_error_with_the_message(self):
         with pytest.raises(cli.ConfigError, match=r"^cfl must lie in \(0, 1\]$"):

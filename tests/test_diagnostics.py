@@ -22,6 +22,7 @@ from varwave import (
     blowup_time_estimate,
     build_blowup_report,
     build_report,
+    characteristic_triangle_identity,
     compute_constants,
     init_state,
     initial_energy_exact,
@@ -252,6 +253,16 @@ class TestTriangleIdentity:
         with pytest.raises(HypothesisViolated):
             triangle_identity(gentle_setup, grid, SchemeConfig(), 0.2, 1.6)
 
+    @pytest.mark.parametrize("r1, r2", [(0.001, 0.3), (1.9, 3.0)], ids=["below", "above"])
+    def test_feet_off_the_domain_rejected_by_both_solvers(self, gentle_setup, r1, r2):
+        # the domain is [0.01, 2.1]; the gap r2 - r1 is below its limit 1.27
+        grid = Grid.uniform(*gentle_setup.domain, 256)
+        match = r"^need r_lo <= r1 < r2 <= r_hi on the domain"
+        with pytest.raises(HypothesisViolated, match=match):
+            triangle_identity(gentle_setup, grid, SchemeConfig(), r1, r2)
+        with pytest.raises(HypothesisViolated, match=match):
+            characteristic_triangle_identity(gentle_setup, 64, r1, r2)
+
     def test_step_budget_exhaustion_raises_no_intersection(self, gentle_setup):
         grid = Grid.uniform(*gentle_setup.domain, 512)
         with pytest.raises(NoIntersection):
@@ -330,9 +341,8 @@ class TestInvSObserver:
             t_star_bound = setup.t_final
 
         states = _constant_field_states(setup, grid)
-        path(states[0])
-        for before, after in zip(states, states[1:]):
-            path.advance(before, after)
+        for state in states:
+            path(state)
         report = build_blowup_report(_UNDETECTED, path.samples(), _Stub(), setup)
         assert report.inequality_violations == 0
         assert report.inequality_checks == len(states) - 1

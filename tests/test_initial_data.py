@@ -133,6 +133,15 @@ class TestProblemSetup:
                 profile=prof, domain=(0.0, 2.1),
             )
 
+    @given(st.floats(allow_nan=False))
+    def test_base_angle_kept_bit_for_bit_with_one_zero(self, u0):
+        s = ProblemSetup(
+            d=1, r0=1.0, eps=0.1, u0=u0, speed=ConstantSpeed.of(1.0),
+            profile=PolynomialBump(amplitude=1.0), domain=(0.5, 2.1),
+        )
+        want = 0.0 if u0 == 0.0 else u0  # -0.0 is read as +0.0
+        assert np.float64(s.u0).view(np.uint64) == np.float64(want).view(np.uint64)
+
     def test_auto_domain_properties(self, canonical_speed):
         lo, hi = auto_domain(3, 1.0, 0.05, canonical_speed)
         t_final = 0.95 / SQRT2
