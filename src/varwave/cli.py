@@ -3,7 +3,7 @@
     varwave simulate|triangle|eps-sweep|convergence --config cfg.json
             [--out-dir DIR] [--svg]
 
-The configuration is one JSON document (see README.md for the schema).  Every
+The configuration is one JSON document; KEYS declares its keys.  Every
 CSV and SVG artifact starts with a comment header embedding the full
 config; JSON artifacts embed it under the "config" key (JSON has no
 comment syntax).  Identical configs produce bit-identical outputs: the
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import itertools
 import json
 import math
@@ -25,6 +24,7 @@ import sys
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +43,72 @@ from .initial_data import PolynomialBump, ProblemSetup
 from .riemann_core import from_riemann
 from .solver import Grid, GridState, SchemeConfig, Stepper, init_state, run
 from .speed_models import ConstantSpeed, OseenFrankSpeed, TabulatedSpeed
+
+
+_REQUIRED = object()  # the default of a key that must be given
+
+
+class _Key(NamedTuple):
+    kind: str
+    default: object = _REQUIRED
+    sentinels: tuple = ()
+    choices: tuple = ()
+    when: tuple = ()
+    build: object = None
+
+
+_SPEEDS = {
+    "oseen_frank": OseenFrankSpeed,
+    "constant": lambda c: ConstantSpeed.of(c),
+    "tabulated": TabulatedSpeed,
+}
+_PROFILES = {"polynomial": PolynomialBump}
+_EXPERIMENTS = ("simulate", "triangle", "eps_sweep", "convergence")
+
+# Every key of the config document by its dotted path, as README.md's
+# "Configuration" table lists them; no other key is accepted.  A missing key
+# reads as its default, a sentinel as None (its consumer's own default).  A
+# "value" is checked by the constructor it goes to.  A key with a nonempty
+# when belongs to those kinds of its section only.  A section with a build
+# reads as build(**its other keys), or build[its kind](...) for a table.
+KEYS = {
+    # looked up per call, as a tracer that patches ProblemSetup.theorem expects
+    "setup": _Key("object", build=lambda **keys: ProblemSetup.theorem(**keys)),
+    "setup.d": _Key("integer"),
+    "setup.r0": _Key("number"),
+    "setup.eps": _Key("number"),
+    "setup.u0": _Key("number"),
+    "setup.speed": _Key("object", build=_SPEEDS),
+    "setup.speed.kind": _Key("choice", choices=tuple(_SPEEDS)),
+    "setup.speed.c0": _Key("number", when=("oseen_frank", "tabulated")),
+    "setup.speed.c1": _Key("number", when=("oseen_frank", "tabulated")),
+    "setup.speed.k1": _Key("number", when=("oseen_frank",)),
+    "setup.speed.k3": _Key("number", when=("oseen_frank",)),
+    "setup.speed.c": _Key("number", when=("constant",)),
+    "setup.speed.knots": _Key("numbers", when=("tabulated",)),
+    "setup.speed.values": _Key("numbers", when=("tabulated",)),
+    "setup.speed.derivative_values": _Key("numbers", None, (None,), when=("tabulated",)),
+    "setup.profile": _Key("object", "theorem", ("theorem",), build=_PROFILES),
+    "setup.profile.kind": _Key("choice", "polynomial", choices=tuple(_PROFILES)),
+    "setup.profile.amplitude": _Key("number"),
+    "setup.domain": _Key("pair", "auto", ("auto",)),
+    "scheme": _Key("object", {}, build=SchemeConfig),
+    "scheme.cfl": _Key("number", SchemeConfig.cfl),
+    "scheme.scheme": _Key("value", SchemeConfig.scheme),
+    "scheme.max_steps": _Key("integer", SchemeConfig.max_steps),
+    "scheme.gradient_ceiling": _Key("number", "auto", ("auto",)),
+    "grid": _Key("object"),
+    "grid.n": _Key("integer"),
+    "output": _Key("object", {}),
+    "output.snapshot_stride": _Key("integer", 0),
+    "experiment": _Key("object", {}),
+    "experiment.kind": _Key("choice", None, (None,), _EXPERIMENTS),
+    "experiment.r1": _Key("number"),
+    "experiment.r2": _Key("number"),
+    "experiment.eps_list": _Key("numbers"),
+    "experiment.n_list": _Key("integers"),
+    "experiment.t_compare": _Key("number", None, (None,)),
+}
 
 
 def _number(raw, cast, label: str):
@@ -64,13 +130,6 @@ def _number(raw, cast, label: str):
     raise ConfigError(f"{label} must be a finite number, got {json.dumps(raw)}")
 
 
-def _require(cfg: dict, key: str, where: str, cast=None):
-    """cfg[key], converted by cast (see _number) when one is given."""
-    if key not in cfg:
-        raise ConfigError(f"missing '{key}' in {where}")
-    return cfg[key] if cast is None else _number(cfg[key], cast, f"{where}.{key}")
-
-
 def _object(raw, label: str) -> dict:
     """raw when it is a JSON object; null or any other value is a ConfigError."""
     if not isinstance(raw, dict):
@@ -78,107 +137,86 @@ def _object(raw, label: str) -> dict:
     return raw
 
 
-def _number_list(cfg: dict, key: str, where: str, cast=float) -> list:
-    raw = _require(cfg, key, where)
-    if not isinstance(raw, list):
-        raise ConfigError(f"{where}.{key} must be a list of numbers, got {json.dumps(raw)}")
-    return [_number(x, cast, f"{where}.{key}") for x in raw]
+def _read(section: dict, path: str):
+    """The key at the dotted path, read from its section by its KEYS entry."""
+    key = KEYS[path]
+    raw = section.get(path.rpartition(".")[2], key.default)
+    if raw is _REQUIRED:
+        raise ConfigError(f"missing {path}")
+    if raw in key.sentinels:
+        return None
+    if key.kind in ("number", "integer"):
+        return _number(raw, int if key.kind == "integer" else float, path)
+    if key.kind in ("numbers", "integers", "pair"):
+        if not isinstance(raw, list) or (key.kind == "pair" and len(raw) != 2):
+            what = "a pair of numbers" if key.kind == "pair" else "a list of numbers"
+            raise ConfigError(f"{path} must be {what}, got {json.dumps(raw)}")
+        return tuple(_number(x, int if key.kind == "integers" else float, path) for x in raw)
+    if key.kind == "object":
+        return _object(raw, path) if key.build is None else _built(_object(raw, path), path)
+    if key.kind == "choice" and raw not in key.choices:
+        raise ConfigError(f"{path} must be one of {', '.join(key.choices)}, got {json.dumps(raw)}")
+    return raw
 
 
-def _config_phase(build):
-    """build, raising the ValueError of a constructor it calls as a ConfigError."""
-
-    @functools.wraps(build)
-    def checked(*args, **kwargs):
-        try:
-            return build(*args, **kwargs)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    return checked
+def _leaves(section: str, kind=None) -> list[str]:
+    """The keys KEYS declares in a section, those of its kind where they depend on one."""
+    return [
+        path.rpartition(".")[2]
+        for path, key in KEYS.items()
+        if path.rpartition(".")[0] == section and (not key.when or kind in key.when)
+    ]
 
 
-def build_speed(cfg: dict):
-    kind = _require(cfg, "kind", "speed")
-    if kind == "oseen_frank":
-        return OseenFrankSpeed(
-            c0=_require(cfg, "c0", "speed", float),
-            c1=_require(cfg, "c1", "speed", float),
-            k1=_require(cfg, "k1", "speed", float),
-            k3=_require(cfg, "k3", "speed", float),
-        )
-    if kind == "constant":
-        return ConstantSpeed.of(_require(cfg, "c", "speed", float))
-    if kind == "tabulated":
-        return TabulatedSpeed(
-            c0=_require(cfg, "c0", "speed", float),
-            c1=_require(cfg, "c1", "speed", float),
-            knots=tuple(_number_list(cfg, "knots", "speed")),
-            values=tuple(_number_list(cfg, "values", "speed")),
-            derivative_values=tuple(_number_list(cfg, "derivative_values", "speed"))
-            if cfg.get("derivative_values") is not None
-            else None,
-        )
-    raise ConfigError(f"unknown speed kind '{kind}'")
+def _built(section: dict, path: str):
+    """build(**keys) of the section's KEYS entry, its kind's build for a table."""
+    build, kind = KEYS[path].build, None
+    if isinstance(build, dict):
+        kind = _read(section, f"{path}.kind")
+        build = build[kind]
+    leaves = [leaf for leaf in _leaves(path, kind) if leaf != "kind"]
+    fields = {leaf: _read(section, f"{path}.{leaf}") for leaf in leaves}
+    try:
+        return build(**fields)
+    except ValueError as exc:  # the constructor's own check of its arguments
+        raise ConfigError(str(exc)) from exc
 
 
-@_config_phase
+def _check_keys(doc: dict, path: str = "") -> None:
+    """ConfigError at the first key of doc, depth first, that KEYS does not declare."""
+    kind = _read(doc, f"{path}.kind") if f"{path}.kind" in KEYS else None
+    known = _leaves(path, kind)
+    for leaf, value in _object(doc, path or "config").items():
+        full = f"{path}.{leaf}" if path else leaf
+        if leaf not in known:
+            raise ConfigError(f"unknown key {full}; known keys: {', '.join(known)}")
+        if isinstance(value, dict) and KEYS[full].kind == "object":
+            _check_keys(value, full)
+
+
 def build_setup(cfg: dict, eps_override: float | None = None) -> ProblemSetup:
-    sc = _object(_require(cfg, "setup", "config"), "setup")
-    d = _require(sc, "d", "setup", int)
-    r0 = _require(sc, "r0", "setup", float)
-    # eps-sweep overrides eps, but an eps that is given must still be a number
-    if eps_override is None or "eps" in sc:
-        eps = _require(sc, "eps", "setup", float)
-    if eps_override is not None:
-        eps = float(eps_override)
-    u0 = _require(sc, "u0", "setup", float)
-    speed = build_speed(_object(_require(sc, "speed", "setup"), "setup.speed"))
-
-    prof_cfg = sc.get("profile", "theorem")
-    if prof_cfg == "theorem":
-        profile = None
-    elif isinstance(prof_cfg, dict):
-        kind = prof_cfg.get("kind", "polynomial")
-        if kind != "polynomial":
-            raise ConfigError(f"unknown profile kind '{kind}'")
-        profile = PolynomialBump(amplitude=_require(prof_cfg, "amplitude", "profile", float))
-    else:
-        raise ConfigError("profile must be 'theorem' or an object with an amplitude")
-
-    dom_cfg = sc.get("domain", "auto")
-    if dom_cfg == "auto":
-        domain = None
-    elif isinstance(dom_cfg, list) and len(dom_cfg) == 2:
-        domain = tuple(_number(x, float, "setup.domain") for x in dom_cfg)
-    else:
-        raise ConfigError(f"setup domain must be 'auto' or a pair of numbers, got {dom_cfg!r}")
-    return ProblemSetup.theorem(d, r0, eps, u0, speed, domain=domain, profile=profile)
+    sc = cfg.get("setup")
+    if eps_override is not None and isinstance(sc, dict):
+        # eps-sweep overrides eps, but an eps that is given must still be a number
+        if "eps" in sc:
+            _read(sc, "setup.eps")
+        cfg = {**cfg, "setup": {**sc, "eps": float(eps_override)}}
+    return _read(cfg, "setup")
 
 
-@_config_phase
 def build_scheme(cfg: dict) -> SchemeConfig:
-    sc = _object(cfg.get("scheme", {}), "scheme")
-    default = SchemeConfig()
-    ceiling = sc.get("gradient_ceiling", "auto")
-    return SchemeConfig(
-        cfl=_number(sc.get("cfl", default.cfl), float, "scheme.cfl"),
-        scheme=sc.get("scheme", default.scheme),
-        max_steps=_number(sc.get("max_steps", default.max_steps), int, "scheme.max_steps"),
-        gradient_ceiling=None
-        if ceiling == "auto"
-        else _number(ceiling, float, "scheme.gradient_ceiling"),
-    )
+    return _read(cfg, "scheme")
 
 
-@_config_phase
 def build_grid(cfg: dict, setup: ProblemSetup) -> Grid:
-    gc = _object(_require(cfg, "grid", "config"), "grid")
-    raw = _require(gc, "n", "grid")
+    gc = _read(cfg, "grid")
     # a null grid.n stays an uncaught TypeError: it is the benchmark
     # self-test's crash trigger until it gets another (ROADMAP item 2c)
-    n = int(raw) if raw is None else _number(raw, int, "grid.n")
-    return Grid.uniform(*setup.domain, n)
+    n = int(gc["n"]) if gc.get("n", 0) is None else _read(gc, "grid.n")
+    try:
+        return Grid.uniform(*setup.domain, n)
+    except ValueError as exc:  # the grid's own checks, such as at least 8 nodes
+        raise ConfigError(str(exc)) from exc
 
 
 def _config_comment(config: dict) -> str:
@@ -264,6 +302,14 @@ def write_json(path, config: dict, doc: dict) -> None:
         fh.write("\n")
 
 
+def _write_svgs(out_dir: Path, config: dict, figures: dict) -> None:
+    """Each name -> (series, title, xlabel, ylabel) as an SVG that echoes the config."""
+    comment = _config_comment(config)
+    for name, (series, title, xlabel, ylabel) in figures.items():
+        labels = {"title": title, "xlabel": xlabel, "ylabel": ylabel}
+        plots.write_svg(out_dir / name, series, comment=comment, **labels)
+
+
 class SnapshotRecorder:
     """Keeps every stride-th state (plus the initial one) for CSV dumping."""
 
@@ -282,10 +328,6 @@ class SnapshotRecorder:
             self.states.append(state)
 
 
-def _estimate_steps(setup: ProblemSetup, grid: Grid, cfg: SchemeConfig) -> int:
-    return max(1, math.ceil(setup.t_final / (cfg.cfl * grid.h / setup.speed.c1)))
-
-
 def _simulate_once(config: dict, setup: ProblemSetup, out_dir: Path, svg: bool) -> dict:
     """Shared body of simulate / eps-sweep: run, write artifacts, return doc."""
     cfg = build_scheme(config)
@@ -293,10 +335,9 @@ def _simulate_once(config: dict, setup: ProblemSetup, out_dir: Path, svg: bool) 
     # tolerate c'(u0) <= 0 so negative-control runs still produce reports
     constants = compute_constants(setup, require_hypothesis=False)
 
-    out = _object(config.get("output", {}), "output")
-    stride = _number(out.get("snapshot_stride", 0), int, "output.snapshot_stride")
-    if stride <= 0:
-        stride = max(1, _estimate_steps(setup, grid, cfg) // 10)
+    stride = _read(_read(config, "output"), "output.snapshot_stride")
+    if stride <= 0:  # about ten states of the run's estimated steps
+        stride = max(1, math.ceil(setup.t_final / (cfg.cfl * grid.h / setup.speed.c1)) // 10)
 
     energy = EnergyObserver(grid, setup.speed)
     hat = CharacteristicPath("plus", setup.r0, grid, setup.speed)
@@ -332,33 +373,17 @@ def _simulate_once(config: dict, setup: ProblemSetup, out_dir: Path, svg: bool) 
     write_json(out_dir / "diagnostics.json", config, doc)
 
     if svg:
-        comment = _config_comment(config)
-        plots.write_svg(
-            out_dir / "u_snapshots.svg",
-            [(grid.r, st.u, f"t={st.t:.4g}") for st in snaps.states[:: max(1, len(snaps.states) // 5)]],
-            title="u(r) snapshots",
-            xlabel="r",
-            ylabel="u",
-            comment=comment,
-        )
-        plots.write_svg(
-            out_dir / "energy.svg",
-            [(ea["t"], ea["E"], "E(t)")],
-            title="energy",
-            xlabel="t",
-            ylabel="E",
-            comment=comment,
-        )
+        kept = snaps.states[:: max(1, len(snaps.states) // 5)]
+        u_lines = [(grid.r, st.u, f"t={st.t:.4g}") for st in kept]
+        figures = {
+            "u_snapshots.svg": (u_lines, "u(r) snapshots", "r", "u"),
+            "energy.svg": ([(ea["t"], ea["E"], "E(t)")], "energy", "t", "E"),
+        }
         ht = blowup.inv_S_trace
         if ht.size:
-            plots.write_svg(
-                out_dir / "inv_s.svg",
-                [(ht[:, 0], ht[:, 1], "1/S along hat path")],
-                title="reciprocal steepening gradient",
-                xlabel="t",
-                ylabel="1/S",
-                comment=comment,
-            )
+            inv_s = [(ht[:, 0], ht[:, 1], "1/S along hat path")]
+            figures["inv_s.svg"] = (inv_s, "reciprocal steepening gradient", "t", "1/S")
+        _write_svgs(out_dir, config, figures)
     return doc
 
 
@@ -368,26 +393,20 @@ def cmd_simulate(config: dict, out_dir: Path, svg: bool) -> int:
 
 
 def cmd_triangle(config: dict, out_dir: Path, svg: bool) -> int:
-    exp = config.get("experiment", {})
+    exp = _read(config, "experiment")
     setup = build_setup(config)
     cfg = build_scheme(config)
     grid = build_grid(config, setup)
-    r1 = _require(exp, "r1", "experiment", float)
-    r2 = _require(exp, "r2", "experiment", float)
+    r1, r2 = _read(exp, "experiment.r1"), _read(exp, "experiment.r2")
     report, plus, minus = triangle_identity(setup, grid, cfg, r1, r2)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "plus_path.csv", config, plus.columns())
     write_csv(out_dir / "minus_path.csv", config, minus.columns())
     write_json(out_dir / "triangle.json", config, dataclasses.asdict(report))
     if svg:
-        plots.write_svg(
-            out_dir / "triangle_paths.svg",
-            [(plus.r, plus.t, "plus path"), (minus.r, minus.t, "minus path")],
-            title="characteristic triangle",
-            xlabel="r",
-            ylabel="t",
-            comment=_config_comment(config),
-        )
+        paths = [(plus.r, plus.t, "plus path"), (minus.r, minus.t, "minus path")]
+        figure = (paths, "characteristic triangle", "r", "t")
+        _write_svgs(out_dir, config, {"triangle_paths.svg": figure})
     return 0
 
 
@@ -399,19 +418,17 @@ _JOB_WORKERS = 1
 
 
 def cmd_eps_sweep(config: dict, out_dir: Path, svg: bool) -> int:
-    exp = config.get("experiment", {})
-    eps_list = _number_list(exp, "eps_list", "experiment")
+    eps_list = _read(_read(config, "experiment"), "experiment.eps_list")
     if not eps_list:
-        raise ConfigError("eps_list must be nonempty")
+        raise ConfigError("experiment.eps_list must be nonempty")
     if len(set(eps_list)) < len(eps_list):
-        raise ConfigError(f"experiment.eps_list repeats an entry: {eps_list}")
+        raise ConfigError(f"experiment.eps_list repeats an entry: {json.dumps(eps_list)}")
     # build every setup up front so the sweep fails fast on bad input
     setups = [build_setup(config, eps_override=eps) for eps in eps_list]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = {"eps": [], "detected": [], "t_detect": [], "t_star_extrapolated": [], "t_final": []}
     errors = {}
-    largest_detected = None
     for eps, setup in zip(eps_list, setups):
         try:
             doc = _simulate_once(config, setup, out_dir / f"eps_{eps!r}", svg)
@@ -420,23 +437,18 @@ def cmd_eps_sweep(config: dict, out_dir: Path, svg: bool) -> int:
         except VarwaveError as exc:  # collect, keep sweeping
             errors[eps] = str(exc)
             continue
-        b = doc["blowup"]
-        rows["eps"].append(eps)
-        rows["detected"].append(1.0 if b["detected"] else 0.0)
-        rows["t_detect"].append(b["t_detect"] if b["t_detect"] is not None else math.nan)
-        rows["t_star_extrapolated"].append(
-            b["t_star_extrapolated"] if b["t_star_extrapolated"] is not None else math.nan
-        )
-        rows["t_final"].append(doc["run"]["t_final"])
-        if b["detected"] and (largest_detected is None or eps > largest_detected):
-            largest_detected = eps
+        b, t_final = doc["blowup"], doc["run"]["t_final"]
+        row = (eps, float(b["detected"]), b["t_detect"], b["t_star_extrapolated"], t_final)
+        for key, value in zip(rows, row):
+            rows[key].append(math.nan if value is None else value)
+    detected = [eps for eps, hit in zip(rows["eps"], rows["detected"]) if hit]
 
     write_csv(out_dir / "sweep.csv", config, {k: np.asarray(v) for k, v in rows.items()})
     write_json(
         out_dir / "sweep.json",
         config,
         {
-            "largest_eps_detected": largest_detected,
+            "largest_eps_detected": max(detected, default=None),
             "errors": {repr(k): v for k, v in errors.items()},
         },
     )
@@ -444,25 +456,22 @@ def cmd_eps_sweep(config: dict, out_dir: Path, svg: bool) -> int:
 
 
 def cmd_convergence(config: dict, out_dir: Path, svg: bool) -> int:
-    exp = config.get("experiment", {})
-    n_list = _number_list(exp, "n_list", "experiment", int)
+    exp = _read(config, "experiment")
+    n_list = _read(exp, "experiment.n_list")
     if len(n_list) < 3:
-        raise ConfigError("n_list needs at least 3 entries")
+        raise ConfigError("experiment.n_list needs at least 3 entries")
     if min(n_list) < 8:
         raise ConfigError(f"experiment.n_list entries must be at least 8, got {min(n_list)}")
-    for a, b in zip(n_list, n_list[1:]):
-        if b != 2 * a:
-            raise ConfigError("each grid size must double the previous one")
+    if any(b != 2 * a for a, b in zip(n_list, n_list[1:])):
+        raise ConfigError("each grid size of experiment.n_list must double the previous one")
 
     setup = build_setup(config)
     cfg = build_scheme(config)
-    t_cmp = exp.get("t_compare")
+    t_cmp = _read(exp, "experiment.t_compare")
     if t_cmp is None:
         t_cmp = float(min(0.5 * blowup_time_estimate(setup), 0.5 * setup.t_final))
-    else:
-        t_cmp = _number(t_cmp, float, "experiment.t_compare")
-        if t_cmp <= 0.0:
-            raise ConfigError(f"experiment.t_compare must be positive, got {t_cmp}")
+    elif t_cmp <= 0.0:
+        raise ConfigError(f"experiment.t_compare must be positive, got {t_cmp}")
 
     def solve(n: int):
         grid = Grid.uniform(*setup.domain, n)
@@ -504,16 +513,9 @@ def cmd_convergence(config: dict, out_dir: Path, svg: bool) -> int:
         "energy_drift_rates": rates(drifts),
     }
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        out_dir / "convergence.csv",
-        config,
-        {
-            "n": np.asarray(n_list[:-1], dtype=float),
-            "err_R": np.asarray(errs["R"]),
-            "err_S": np.asarray(errs["S"]),
-            "err_u": np.asarray(errs["u"]),
-        },
-    )
+    columns = {"n": np.asarray(n_list[:-1], dtype=float)}
+    columns.update((f"err_{k}", np.asarray(v)) for k, v in errs.items())
+    write_csv(out_dir / "convergence.csv", config, columns)
     write_json(out_dir / "convergence.json", config, doc)
     return 0
 
@@ -545,13 +547,10 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        config = _object(config, "config")
-        kind = _object(config.get("experiment", {}), "experiment").get("kind")
+        _check_keys(config)
+        kind = _read(_read(config, "experiment"), "experiment.kind")
         if kind is not None and kind != args.command.replace("-", "_"):
-            raise ConfigError(
-                f"config experiment kind '{kind}' does not match command "
-                f"'{args.command}'"
-            )
+            raise ConfigError(f"experiment.kind {kind} does not match command {args.command}")
         return _COMMANDS[args.command](config, Path(args.out_dir), args.svg)
     except ConfigError as exc:
         print(f"varwave: invalid configuration: {exc}", file=sys.stderr)

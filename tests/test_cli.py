@@ -1,9 +1,12 @@
 import ast
+import copy
+import dataclasses
 import inspect
 import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -29,7 +32,7 @@ from varwave.errors import (
 from varwave.cli import SnapshotRecorder, build_setup, main, write_csv
 from varwave.initial_data import PolynomialBump, ProblemSetup, auto_domain
 from varwave.riemann_core import from_riemann
-from varwave.solver import Grid, GridState, SchemeConfig, _live_span, run
+from varwave.solver import SCHEMES, Grid, GridState, SchemeConfig, _live_span, run
 from varwave.speed_models import ConstantSpeed, OseenFrankSpeed
 
 SQRT2 = math.sqrt(2.0)
@@ -614,6 +617,11 @@ class TestValidation:
             ("scheme", "max_steps", 10.5, "must be an integer, got 10.5"),
             ("output", "snapshot_stride", False, "must be a finite number, got false"),
             ("setup", "r0", math.nan, "must be a finite number, got NaN"),
+            ("setup.speed", "c0", "1", 'must be a finite number, got "1"'),
+            ("setup.speed", "k3", math.inf, "must be a finite number, got Infinity"),
+            ("setup.profile", "amplitude", True, "must be a finite number, got true"),
+            ("setup.profile", "kind", "bump", 'must be one of polynomial, got "bump"'),
+            ("setup.speed", "kind", 5, "must be one of oseen_frank, constant, tabulated, got 5"),
         ],
         ids=lambda v: str(v),
     )
@@ -621,7 +629,10 @@ class TestValidation:
         self, tmp_path, capsys, section, key, value, message
     ):
         cfg = base_config()
-        cfg[section][key] = value
+        parent = cfg
+        for name in section.split("."):
+            parent = parent[name]
+        parent[key] = value
         path = write_config(tmp_path, cfg)
         assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
@@ -732,10 +743,27 @@ def key_paths(cfg, prefix=()):
             yield from key_paths(value, prefix + (key,))
 
 
+def lookup(cfg, path):
+    """The value at the key path of cfg."""
+    for key in path:
+        cfg = cfg[key]
+    return cfg
+
+
+# every key of cli.KEYS that a command's fuzz config carries: the configs
+# carry only what their command reads, so a malformed value there is read
 FUZZ_KEYS = [
+    (command, tuple(dotted.split(".")))
+    for command, cfg in fuzz_configs().items()
+    for dotted in cli.KEYS
+    if tuple(dotted.split(".")) in set(key_paths(cfg))
+]
+
+# every object of each fuzz config, the document itself included
+SECTIONS = [
     (command, path)
     for command, cfg in fuzz_configs().items()
-    for path in key_paths(cfg)
+    for path in [(), *(p for p in key_paths(cfg) if isinstance(lookup(cfg, p), dict))]
 ]
 
 MALFORMED = st.one_of(
@@ -748,23 +776,31 @@ MALFORMED = st.one_of(
 )
 
 
-def accepted(command, path, value, original):
-    """Whether the key at path takes value: those replacements are not malformed."""
+def accepted(path, value, original):
+    """Whether the key at path takes value, by its entry in cli.KEYS."""
     dotted = ".".join(path)
-    return (
-        (isinstance(value, str) and value == original)
-        or (value == "auto" and dotted in ("setup.domain", "scheme.gradient_ceiling"))
-        or (value == "theorem" and dotted == "setup.profile")
-        or (value is None and dotted in ("experiment.t_compare", "experiment.kind"))
-        or (value == command.replace("-", "_") and dotted == "experiment.kind")
-        or (value in ("upwind1", "muscl2") and dotted == "scheme.scheme")
-        # every key of these sections has a default
-        or (isinstance(value, dict) and dotted in ("scheme", "output"))
+    key = cli.KEYS[dotted]
+    if (isinstance(value, str) and value == original) or value in key.sentinels:
+        return True
+    if dotted == "experiment.kind":  # it must name the command, as the original does
+        return False
+    if dotted == "scheme.scheme":  # a "value" that SchemeConfig checks
+        return value in SCHEMES
+    # an empty section reads as its defaults when every key has one
+    return key.kind == "object" and value == {} and all(
+        cli.KEYS[f"{dotted}.{leaf}"].default is not cli._REQUIRED for leaf in cli._leaves(dotted)
     )
 
 
 class TestConfigFuzz:
     """One malformed value anywhere in a valid config: exit 1, one stderr line."""
+
+    @pytest.mark.parametrize("command", sorted(fuzz_configs()))
+    def test_fuzz_configs_are_valid(self, tmp_path, command):
+        cfg = fuzz_configs()[command]
+        assert {".".join(p) for p in key_paths(cfg)} <= set(cli.KEYS)
+        config = write_config(tmp_path, cfg)
+        assert main([command, "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 0
 
     @settings(
         max_examples=400, derandomize=True, deadline=None,
@@ -774,10 +810,8 @@ class TestConfigFuzz:
     def test_malformed_value_is_one_line_config_error(self, tmp_path, capsys, where, value):
         command, path = where
         cfg = fuzz_configs()[command]
-        parent = cfg
-        for key in path[:-1]:
-            parent = parent[key]
-        assume(not accepted(command, path, value, parent[path[-1]]))
+        parent = lookup(cfg, path[:-1])
+        assume(not accepted(path, value, parent[path[-1]]))
         # a null grid.n is still an uncaught TypeError: the benchmark
         # self-test crashes a run with it until it has another trigger
         # (ROADMAP item 2c)
@@ -790,6 +824,142 @@ class TestConfigFuzz:
         assert (code, err.count("\n")) == (1, 1), err
         assert err.startswith("varwave: invalid configuration: ")
         assert "Traceback" not in err
+
+    @settings(
+        max_examples=200, derandomize=True, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.sampled_from(SECTIONS), st.text(min_size=1, max_size=8), MALFORMED)
+    def test_unknown_key_is_one_line_config_error(self, tmp_path, capsys, where, name, value):
+        command, path = where
+        full = ".".join((*path, name))
+        assume(full not in cli.KEYS)
+        cfg = fuzz_configs()[command]
+        lookup(cfg, path)[name] = value
+        config = write_config(tmp_path, cfg)
+        capsys.readouterr()
+        code = main([command, "--config", str(config), "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert (code, err.count("\n")) == (1, 1), err
+        assert err.startswith(f"varwave: invalid configuration: unknown key {full}; known keys: ")
+        assert not (tmp_path / "o").exists()
+
+
+class TestConfigKeys:
+    """One declared table: unknown keys are errors, defaults live in one place."""
+
+    # five stray keys, in document order; the first one left is named
+    STRAYS = [
+        ("setup", "speed", "c0"), ("setup", "profile", "amplitdue"), ("scheme", "schem"),
+        ("output", "snapshot_strid"), ("grdi",),
+    ]
+    PROBE = {
+        "setup": {
+            "d": 1, "r0": 1.0, "eps": 0.1, "u0": 0.5,
+            "speed": {"kind": "constant", "c": 1.0, "c0": 1.0},
+            "profile": {"kind": "polynomial", "amplitdue": 1.0},
+        },
+        "grid": {"n": 64},
+        "scheme": {"schem": "muscl2", "cfl": 0.9},
+        "output": {"snapshot_strid": 10},
+        "grdi": {"n": 64},
+    }
+
+    @pytest.mark.parametrize(
+        "removed, known",
+        [
+            (0, "kind, c"),
+            (1, "kind, amplitude"),
+            (2, "cfl, scheme, max_steps, gradient_ceiling"),
+            (3, "snapshot_stride"),
+            (4, "setup, scheme, grid, output, experiment"),
+        ],
+    )
+    def test_stray_keys_exit_1_naming_the_first(self, tmp_path, capsys, removed, known):
+        cfg = copy.deepcopy(self.PROBE)
+        for path in self.STRAYS[:removed]:
+            del lookup(cfg, path[:-1])[path[-1]]
+        named = ".".join(self.STRAYS[removed])
+        config = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"varwave: invalid configuration: unknown key {named}; known keys: {known}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "kind, stray",
+        [("constant", "c0"), ("constant", "knots"), ("oseen_frank", "c"), ("tabulated", "k1")],
+    )
+    def test_speed_keys_follow_the_kind(self, tmp_path, capsys, kind, stray):
+        u = np.linspace(0.0, np.pi, 9)
+        speed = {
+            "oseen_frank": base_config()["setup"]["speed"],
+            "constant": {"kind": "constant", "c": 1.0},
+            "tabulated": {
+                "kind": "tabulated", "c0": 1.0, "c1": SQRT2,
+                "knots": list(u), "values": list(np.sqrt(1.0 + np.sin(u) ** 2)),
+            },
+        }[kind]
+        cfg = base_config()
+        cfg["setup"]["speed"] = {**speed, stray: 1.0}
+        config = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"varwave: invalid configuration: unknown key setup.speed.{stray}; ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "path", [("setup", "d"), ("setup", "speed", "c0"), ("setup", "profile", "amplitude"),
+                 ("setup", "speed", "kind"), ("grid", "n")],
+        ids=".".join,
+    )
+    def test_missing_key_is_named_by_its_full_path(self, tmp_path, capsys, path):
+        cfg = base_config()
+        del lookup(cfg, path[:-1])[path[-1]]
+        config = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"varwave: invalid configuration: missing {'.'.join(path)}\n"
+
+    def test_unread_known_section_is_allowed_but_checked(self, tmp_path, capsys):
+        # convergence does not read grid: it may be there, with declared keys only
+        cfg = base_config(grid={"n": 4})
+        cfg["experiment"] = {"kind": "convergence", "n_list": [16, 32, 64], "t_compare": 0.05}
+        config = write_config(tmp_path, cfg)
+        assert main(["convergence", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 0
+        cfg["grid"]["m"] = 4
+        config = write_config(tmp_path, cfg)
+        assert main(["convergence", "--config", str(config), "--out-dir", str(tmp_path / "p")]) == 1
+        assert capsys.readouterr().err.startswith("varwave: invalid configuration: unknown key grid.m;")
+
+    def test_scheme_defaults_are_the_scheme_config_defaults(self):
+        assert cli.build_scheme({}) == SchemeConfig()
+        defaults = {f.name: f.default for f in dataclasses.fields(SchemeConfig)}
+        for name, value in defaults.items():
+            key = cli.KEYS[f"scheme.{name}"]
+            assert key.default == value or (value is None and key.default in key.sentinels)
+
+    def test_no_default_literal_is_written_twice(self):
+        # a default of SchemeConfig appears in cli.py only through SchemeConfig
+        tree = ast.parse(Path(cli.__file__).read_text())
+        literals = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+        shared = [f.default for f in dataclasses.fields(SchemeConfig) if f.default is not None]
+        assert not [v for v in shared if v in literals]
+
+    def test_readme_table_lists_the_declared_keys_and_defaults(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        rows = {}
+        for line in section.splitlines():
+            if line.startswith("| `"):
+                keys, default = (cell.strip() for cell in line.split("|")[1:3])
+                for key in re.findall(r"`([^`]+)`", keys):
+                    rows[key] = default
+        want = {
+            path: "" if key.default is cli._REQUIRED else f"`{json.dumps(key.default)}`"
+            for path, key in cli.KEYS.items()
+        }
+        assert rows == want
 
 
 class TestExitCodes:
@@ -942,7 +1112,7 @@ class TestTabulatedConfig:
         path = write_config(tmp_path, cfg)
         assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert err == f"varwave: invalid configuration: speed.{key} {message}\n"
+        assert err == f"varwave: invalid configuration: setup.speed.{key} {message}\n"
 
 
 class TestAnglesOffTheTable:

@@ -246,13 +246,13 @@ def window_and_full_steppers(setup, n, scheme):
     return Stepper(setup, grid, cfg), full
 
 
-# d = 1, constant speed 1, base angle +0.0 and -0.0 (both stored as +0.0)
-ZERO_U0_SETUPS = tuple(
+# d = 1, constant speed 1, base angle +0.0 (a -0.0 is stored as +0.0, see
+# test_negative_zero_base_angle_runs_as_positive_zero)
+ZERO_U0_SETUPS = (
     ProblemSetup.theorem(
-        d=1, r0=1.0, eps=0.05, u0=u0, speed=ConstantSpeed.of(1.0),
+        d=1, r0=1.0, eps=0.05, u0=0.0, speed=ConstantSpeed.of(1.0),
         profile=PolynomialBump(amplitude=0.0),
-    )
-    for u0 in (0.0, -0.0)
+    ),
 )
 
 
@@ -277,7 +277,8 @@ class TestLiveWindow:
         assert_window_steps_equal_full_grid_steps(setup, state, scheme, steps=3)
 
     @pytest.mark.parametrize("scheme", ["upwind1", "muscl2"])
-    @pytest.mark.parametrize("u0", [0.0, -0.0], ids=["+0", "-0"])
+    # -0.0 is stored as +0.0 (test_negative_zero_base_angle_runs_as_positive_zero)
+    @pytest.mark.parametrize("u0", [0.0], ids=["+0"])
     def test_signed_zero_base_angle_march_equals_full_grid(self, scheme, u0):
         setup = ProblemSetup.theorem(
             d=1, r0=1.0, eps=0.1, u0=u0, speed=ConstantSpeed.of(1.0),
