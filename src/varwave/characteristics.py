@@ -9,10 +9,11 @@ of (u, R, S) are taken at every solver time level.
 Interpolation in r is ``np.interp``'s own formula, slope * (r - r_j) + y_j
 with slope = (y_j+1 - y_j) / (r_j+1 - r_j), evaluated in Python floats on
 the bracket j that ``bisect`` finds once per radius; every field sampled at
-that radius shares it.  Its rules are kept bit for bit: a radius on a node
-or at or past the last node gives y_j, one left of the grid gives y_0, a
-NaN radius gives itself, and a NaN result is retried from the right node,
-then replaced by y_j when y_j = y_j+1.
+that radius shares it, and one ``GridState.node`` lookup reads the (u, R, S)
+of a bracket node.  Its rules are kept bit for bit: a radius on a node or
+at or past the last node gives y_j, one left of the grid gives y_0, a NaN
+radius gives itself, and a NaN result is retried from the right node, then
+replaced by y_j when y_j = y_j+1.
 """
 
 from __future__ import annotations
@@ -83,31 +84,34 @@ class CharacteristicPath:
         self._sampled: GridState | None = None  # the state of the last sample
         self._nodes: list[float] = grid.r.tolist()
 
-    def _sample(self, r: float, *fields: np.ndarray) -> list[float]:
-        """float(np.interp(r, grid.r, y)) for each y, on one bracket (module docstring)."""
+    def _sample(self, r: float, *nodes) -> list[float]:
+        """float(np.interp(r, grid.r, y)) for each field y, on one bracket (module docstring).
+
+        Each of nodes maps a node index to its field values, as GridState.node
+        does; only bracket nodes are looked up, and samples come out in order.
+        """
         if r != r:
-            return [r] * len(fields)
-        nodes = self._nodes
-        j = bisect_right(nodes, r) - 1
-        if j < 0:
-            return [y.item(0) for y in fields]
-        if j == len(nodes) - 1 or nodes[j] == r:
-            return [y.item(j) for y in fields]
-        width, off_left, off_right = nodes[j + 1] - nodes[j], r - nodes[j], r - nodes[j + 1]
+            return [r for node in nodes for _ in node(0)]
+        grid_nodes = self._nodes
+        j = max(bisect_right(grid_nodes, r) - 1, 0)
+        if j == len(grid_nodes) - 1 or grid_nodes[j] >= r:
+            return [y for node in nodes for y in node(j)]
+        left, right = grid_nodes[j], grid_nodes[j + 1]
+        width, off_left, off_right = right - left, r - left, r - right
         out = []
-        for y in fields:
-            y0, y1 = y.item(j), y.item(j + 1)
-            slope = (y1 - y0) / width
-            v = slope * off_left + y0
-            if v != v:
-                v = slope * off_right + y1
-                if v != v and y0 == y1:
-                    v = y0
-            out.append(v)
+        for node in nodes:
+            for y0, y1 in zip(node(j), node(j + 1)):
+                slope = (y1 - y0) / width
+                v = slope * off_left + y0
+                if v != v:
+                    v = slope * off_right + y1
+                    if v != v and y0 == y1:
+                        v = y0
+                out.append(v)
         return out
 
     def _append(self, t: float, r: float, state: GridState):
-        u, R, S = self._sample(r, state.u, state.R, state.S)
+        u, R, S = self._sample(r, state.node)
         self.t.append(t)
         self.r.append(r)
         self.u.append(u)
@@ -135,7 +139,7 @@ class CharacteristicPath:
         r_n = self.r[-1]
         k1 = self.sign * float(self.speed.c(self.u[-1]))
         r_half = self._check_domain(r_n + 0.5 * dt * k1)
-        u_before, u_after = self._sample(r_half, before.u, state.u)
+        u_before, u_after = self._sample(r_half, before.node, state.node)[::3]
         u_half = 0.5 * (u_before + u_after)
         k2 = self.sign * float(self.speed.c(u_half))
         r_new = self._check_domain(r_n + dt * k2)

@@ -281,13 +281,13 @@ def _snapshot_rows(grid: Grid, setup: ProblemSetup, states: list[GridState]) -> 
     for st in states:
         t = f"{st.t:.17g}"
         a, b = (0, n) if all_live else st.live
-        w = slice(a, b)
-        _, u_r = from_riemann(grid.r[w], st.u[w], st.R[w], st.S[w], setup.speed, setup.alpha)
+        u, R, S = st.window(a, b)
+        _, u_r = from_riemann(grid.r[a:b], u, R, S, setup.speed, setup.alpha)
         row = t + ",%s,%.17g,%.17g,%.17g,%.17g\n"
         for i, j in _chunks(0, a):
             yield t + t.join(rest[i:j])
         for i, j in _chunks(a, b):
-            fields = (st.u[i:j], st.R[i:j], st.S[i:j], u_r[i - a : j - a])
+            fields = (f[i - a : j - a] for f in (u, R, S, u_r))
             cells = zip(r_text[i:j], *(f.tolist() for f in fields))
             yield row * (j - i) % tuple(itertools.chain.from_iterable(cells))
         for i, j in _chunks(b, n):

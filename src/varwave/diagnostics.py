@@ -200,36 +200,43 @@ def blowup_time_estimate(setup: ProblemSetup) -> float:
     return 1.0 / (lam * s0)
 
 
-def _trapezoid_energy(state: GridState, dr: np.ndarray) -> float:
+def _trapezoid_energy(state: GridState, dr: np.ndarray, terms: np.ndarray) -> float:
     """np.trapezoid(R**2 + S**2, r) with dr = diff(r), bit for bit.
 
-    Only the cells that touch the live range get their summand computed;
-    the others are +0.0, as they are in np.trapezoid, and the whole array
-    of N-1 summands is summed, so the summation order is the same.
+    terms is a buffer of N-1 zeros.  Only the cells that touch the live
+    range get their summand, written into it; the others stay +0.0, as they
+    are in np.trapezoid.  The whole buffer is summed, so the summation order
+    is the same, and the written cells are zeroed again before the return.
     """
-    n = dr.size + 1
     a, b = state.live
-    lo, hi = max(a - 1, 0), min(b + 1, n)
-    terms = np.zeros(n - 1)
+    lo, hi = max(a - 1, 0), min(b + 1, dr.size + 1)
+    cells = slice(lo, max(hi - 1, lo))
     if hi - lo > 1:
-        y = state.R[lo:hi] ** 2 + state.S[lo:hi] ** 2
-        terms[lo : hi - 1] = dr[lo : hi - 1] * (y[1:] + y[:-1]) / 2.0
-    return float(terms.sum())
+        _, R, S = state.window(lo, hi)
+        y = R**2 + S**2
+        terms[cells] = dr[cells] * (y[1:] + y[:-1]) / 2.0
+    total = float(terms.sum())
+    terms[cells] = 0.0
+    return total
 
 
 class EnergyObserver:
     """Accumulates (t, E) samples by trapezoidal quadrature over the grid.
 
-    Also records the boundary flux c(S^2 - R^2) at both domain ends, which
-    must vanish while the support is interior.  An end node outside the
-    state's live range is quiescent, so its flux is c(u0)(0 - 0) = +0.0
-    and c is not evaluated there.
+    The N-1 summands live in one standing buffer of zeros, of which a call
+    writes and clears only the live cells (``_trapezoid_energy``); summing
+    the whole buffer is the one pass over the grid left.  Also records the
+    boundary flux c(S^2 - R^2) at both domain ends, which must vanish while
+    the support is interior.  An end node outside the state's live range is
+    quiescent, so its flux is c(u0)(0 - 0) = +0.0 and c is not evaluated
+    there.
     """
 
     def __init__(self, grid: Grid, speed):
         self.grid = grid
         self.speed = speed
         self.dr = np.diff(grid.r)
+        self._terms = np.zeros(self.dr.size)
         self.t: list[float] = []
         self.E: list[float] = []
         self.flux_lo: list[float] = []
@@ -237,15 +244,15 @@ class EnergyObserver:
 
     def __call__(self, state: GridState):
         self.t.append(state.t)
-        self.E.append(_trapezoid_energy(state, self.dr))
+        self.E.append(_trapezoid_energy(state, self.dr, self._terms))
         n = self.grid.n
         a, b = state.live
         for store, i in ((self.flux_lo, 0), (self.flux_hi, n - 1)):
             if not a <= i < b:
                 store.append(0.0)
                 continue
-            c = float(self.speed.c(state.u[i]))
-            store.append(c * (float(state.S[i]) ** 2 - float(state.R[i]) ** 2))
+            u, R, S = state.node(i)
+            store.append(float(self.speed.c(u)) * (S**2 - R**2))
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {

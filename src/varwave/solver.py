@@ -22,17 +22,21 @@ A node is quiescent when it is bitwise (u0, +0.0, +0.0) in all three
 fields; any other bits, NaN and the other signed zero among them, are live.
 Every state carries its live range ``live = (a, b)``: every node outside
 [a, b) is quiescent, and a == b means none is live.  ``init_state`` finds it
-by one scan, and a step by ``_live_span`` on the window it just computed,
-so the window, the finite check, ``gradient_max`` and the energy quadrature
-of ``diagnostics`` cost O(window) per step.  The front moves at most the
-stencil reach per step, so ``_live_span`` finds the live ends next to the
-window's edges, node by node, before it falls back to a scan.  No state is
-mutated after it is made, so its range stays true.
+by one scan, and a step by ``_live_span`` on the window it just computed.
+The front moves at most the stencil reach per step, so ``_live_span`` finds
+the live ends next to the window's edges, node by node, before it falls
+back to a scan.  No state is mutated after it is made, so its range stays
+true.
 
 A step computes only its live window: the live range padded by the
 scheme's stencil reach and clipped to the grid.  Every node outside it is
-written as (u0, +0.0, +0.0), which is what the step over all nodes (the
-window [0, n)) gives there, bit for bit.
+(u0, +0.0, +0.0), which is what the step over all nodes (the window [0, n))
+gives there, bit for bit.  The new state stores its fields only on the
+window padded by the reach again, its stored range, which holds the next
+window.  So every per-step pass (the step and its finite check,
+``gradient_max``, the observers and the snapshot rows) costs O(window),
+apart from the energy sum of ``diagnostics``, which adds all N - 1
+summands to keep np.trapezoid's bits.
 
 A step computes the same floating-point operations, in the same order, as
 the plain formulas (kept as the reference stepper of the tests), but in
@@ -54,7 +58,7 @@ import numpy as np
 
 from .errors import DomainMismatch, NonFiniteState
 from .initial_data import ProblemSetup, initial_riemann
-from .riemann_core import rhs_fields
+from .riemann_core import rhs_fields, source_coefficients
 from .speed_models import WaveSpeedModel
 
 SCHEMES = ("upwind1", "muscl2")
@@ -135,19 +139,56 @@ def _live_span(u, R, S, u0: float, start: int = 0) -> tuple[int, int]:
     return start + int(np.argmax(live)), start + m - int(np.argmax(live[::-1]))
 
 
-@dataclass
 class GridState:
     """Discrete solution (u, R, S) at one time level.
 
     live is the range [a, b) outside which every node is quiescent (see the
-    module docstring).
+    module docstring).  The fields are stored on ``stored = [lo, lo + u.size)``
+    only; every node outside it is (u0, +0.0, +0.0).  Given no n, the arrays
+    are the whole grid and ``state.u`` is u itself.  Otherwise ``state.u``,
+    ``.R`` and ``.S`` are built on first access, read-only, and hot readers
+    use ``window`` and ``node`` instead.
     """
 
-    t: float
-    u: np.ndarray
-    R: np.ndarray
-    S: np.ndarray
-    live: tuple[int, int]
+    def __init__(self, t, u, R, S, live, lo=0, n=None, u0=None):
+        self.t, self.live, self.u0 = t, live, u0
+        self.stored = (lo, lo + u.size)
+        self._rows = (u, R, S)
+        self._full = self._rows if n is None else None
+        self.n = u.size if n is None else n
+
+    def _fields(self):
+        if self._full is None:
+            lo, hi = self.stored
+            full = np.empty((3, self.n))
+            full[0], full[1:] = self.u0, 0.0
+            for row, stored in zip(full, self._rows):
+                row[lo:hi] = stored
+            full.flags.writeable = False
+            self._full = tuple(full)
+        return self._full
+
+    u = property(lambda self: self._fields()[0])
+    R = property(lambda self: self._fields()[1])
+    S = property(lambda self: self._fields()[2])
+
+    def window(self, lo: int, hi: int):
+        """(u, R, S) on the nodes [lo, hi): views of the stored rows where they reach."""
+        s_lo, s_hi = self.stored
+        if hi <= lo or s_lo <= lo and hi <= s_hi:
+            u, R, S = self._rows
+            lo, hi = lo - s_lo, hi - s_lo
+        else:
+            u, R, S = self._fields()
+        return u[lo:hi], R[lo:hi], S[lo:hi]
+
+    def node(self, i: int) -> tuple[float, float, float]:
+        """(u, R, S) at node i as floats; (u0, 0.0, 0.0) off the stored range."""
+        k = i - self.stored[0]
+        u, R, S = self._rows
+        if 0 <= k < u.size:
+            return u.item(k), R.item(k), S.item(k)
+        return self.u0, 0.0, 0.0
 
     def copy(self) -> "GridState":
         return GridState(self.t, self.u.copy(), self.R.copy(), self.S.copy(), self.live)
@@ -210,8 +251,8 @@ class Stepper:
     Node updates read a fixed stencil of the previous state only, so the
     update loops are plain vectorized array expressions over the live window.
     A step writes its stages straight into the rows (u, R, S) of one new
-    (3, n) block, and the new state's fields are those rows; the module
-    docstring lists the exact rewrites the stages use.
+    block over the window padded by the reach, the new state's stored range;
+    the module docstring lists the exact rewrites the stages use.
     """
 
     def __init__(self, setup: ProblemSetup, grid: Grid, cfg: SchemeConfig):
@@ -233,11 +274,19 @@ class Stepper:
         # quiescent nodes, as the full ones do, so both give +0.0.
         self.reach = 1 if cfg.scheme == "upwind1" else 4
         self._rest = np.array([[setup.u0], [0.0], [0.0]])
+        self._coefficients = None  # source_coefficients on the grid, for float c and c'
 
     def _tendencies(self, u, R, S, w: slice) -> np.ndarray:
         """Rows (du/dt, dR/dt, dS/dt) of one stage on the window w."""
         c, c_prime = self.speed.c_and_c_prime(u)
-        f_R, f_S = rhs_fields(self.inv_r[w], self.ralpha[w], c, c_prime, R, S, self.alpha)
+        coefficients = None
+        if isinstance(c, float):  # a speed free of u: its factors once per grid
+            grid_args = self.inv_r, self.ralpha, c, c_prime, self.alpha
+            self._coefficients = self._coefficients or source_coefficients(*grid_args)
+            coefficients = tuple(k[w] for k in self._coefficients)
+        f_R, f_S = rhs_fields(
+            self.inv_r[w], self.ralpha[w], c, c_prime, R, S, self.alpha, coefficients
+        )
 
         h = self.h
         f = np.empty((3, u.size))
@@ -302,11 +351,13 @@ class Stepper:
             dt = self.base_dt
         lo, hi = self._window(state)
         w = slice(lo, hi)
-        u, R, S = state.u[w], state.R[w], state.S[w]
-        new = np.empty((3, self.grid.n))
-        new[:, :lo] = self._rest
-        new[:, hi:] = self._rest
-        fields = new[:, w]
+        u, R, S = state.window(lo, hi)
+        # stored range: the window padded by the reach holds the next window
+        s_lo, s_hi = max(lo - self.reach, 0), min(hi + self.reach, self.grid.n)
+        new = np.empty((3, s_hi - s_lo))
+        new[:, : lo - s_lo] = self._rest
+        new[:, hi - s_lo :] = self._rest
+        fields = new[:, lo - s_lo : hi - s_lo]
         u1, R1, S1 = fields
         # overflow in intermediates is caught by the finite check below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -330,7 +381,7 @@ class Stepper:
         if not np.isfinite(fields).all():
             raise NonFiniteState(self._failure(state, w, dt), last_state=state)
         live = _live_span(u1, R1, S1, self.setup.u0, lo)
-        return GridState(state.t + dt, new[0], new[1], new[2], live)
+        return GridState(state.t + dt, *new, live, s_lo, self.grid.n, self.setup.u0)
 
     def _failure(self, state: GridState, w: slice, dt: float) -> str:
         """Why a step from state over the window w gave a non-finite value.
@@ -339,11 +390,11 @@ class Stepper:
         state, or in the first muscl2 stage, which the second overwrites.
         """
         lo, hi = self.speed.angle_range()
-        u = state.u[w]
+        u, R, S = state.window(w.start, w.stop)
         stages = [(state.t, u)]
         if self.cfg.scheme == "muscl2":
             with np.errstate(all="ignore"):
-                u1 = u + (state.R[w] + state.S[w]) / self.two_ralpha[w] * dt
+                u1 = u + (R + S) / self.two_ralpha[w] * dt
             stages.append((state.t + dt, u1))
         for t, angles in stages:
             if np.any((angles < lo) | (angles > hi)):
@@ -357,7 +408,7 @@ class Stepper:
         a maximum of 0 is reported at node 0, as a search of the grid would.
         """
         a, b = state.live
-        g = np.abs(state.S[a:b]) / self.ralpha[a:b]
+        g = np.abs(state.window(a, b)[2]) / self.ralpha[a:b]
         i = int(np.argmax(g)) if g.size else 0
         if g.size == 0 or g[i] == 0.0:
             return 0.0, 0

@@ -232,6 +232,11 @@ class ReferencePath(CharacteristicPath):
         self._append(state_after.t, self._check_domain(r_n + dt * k2), state_after)
 
 
+def lookup(*ys):
+    """Node i -> the floats y[i] of each y, the form GridState.node gives."""
+    return lambda i: tuple(y.item(i) for y in ys)
+
+
 SAMPLE_GRID = Grid.uniform(0.5, 1.5, 9)
 NODES = SAMPLE_GRID.r.tolist()
 # finite values, infinities (inf - inf makes the NaN that the retry from the
@@ -262,7 +267,7 @@ class TestInterpolation:
         for y in ys:
             y[np.array(ties, dtype=int) + 1] = y[np.array(ties, dtype=int)]  # equal neighbours
         path = CharacteristicPath("plus", 1.0, SAMPLE_GRID, ConstantSpeed.of(1.0))
-        got = path._sample(r, *ys)
+        got = path._sample(r, lookup(*ys))
         want = [float(np.interp(r, SAMPLE_GRID.r, y)) for y in ys]
         np.testing.assert_array_equal(bits(got), bits(want))
 
@@ -282,7 +287,7 @@ class TestInterpolation:
         path = CharacteristicPath("plus", 1.0, SAMPLE_GRID, ConstantSpeed.of(1.0))
         y = np.array(y)
         np.testing.assert_array_equal(
-            bits(path._sample(r, y)), bits([float(np.interp(r, SAMPLE_GRID.r, y))])
+            bits(path._sample(r, lookup(y))), bits([float(np.interp(r, SAMPLE_GRID.r, y))])
         )
 
     @pytest.mark.parametrize("scheme", ["upwind1", "muscl2"])

@@ -206,6 +206,31 @@ class TestEnergyObserver:
         assert drifts[0] > 0.0
         assert 1.4 <= drifts[0] / drifts[1] <= 2.8
 
+    def test_standing_buffer_keeps_no_stale_summands(self, gentle_setup):
+        # the live range grows and shrinks between calls of one observer: a
+        # summand left in the buffer by a wider state would show in a later E
+        grid = Grid.uniform(*gentle_setup.domain, 256)
+        n, u0 = grid.n, gentle_setup.u0
+        rng = np.random.default_rng(7)
+
+        def state(t, lo, hi, stored):
+            u, R, S = np.full(n, u0), np.zeros(n), np.zeros(n)
+            for field in (u, R, S):
+                field[lo:hi] += rng.uniform(0.5, 2.0, hi - lo)
+            a, b = stored
+            return GridState(t, u[a:b], R[a:b], S[a:b], (lo, hi), a, n, u0)
+
+        wide = state(0.0, 1, n - 1, (0, n))
+        states = [wide, state(1.0, 120, 131, (110, 140)), state(2.0, 0, 0, (60, 70)), wide]
+        obs = EnergyObserver(grid, gentle_setup.speed)
+        for st in states:
+            obs(st)
+        want = [np.trapezoid(st.R**2 + st.S**2, grid.r) for st in states]
+        assert want[2] == 0.0 < want[1] < want[0] == want[3]
+        np.testing.assert_array_equal(
+            np.asarray(obs.E).view(np.uint64), np.asarray(want).view(np.uint64)
+        )
+
 
 class TestTriangleIdentity:
     def test_zero_data_both_sides_vanish(self, canonical_speed):

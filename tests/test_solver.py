@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from varwave import (
+    CharacteristicPath,
     ConstantSpeed,
     CustomBump,
     DomainMismatch,
@@ -23,6 +25,7 @@ from varwave import (
     run,
 )
 from varwave import solver
+from varwave.cli import _snapshot_rows
 from varwave.diagnostics import EnergyObserver, _trapezoid_energy, blowup_time_estimate
 
 
@@ -407,7 +410,7 @@ class TestCarriedLiveRange:
             got_g, got_i = stepper.gradient_max(state)
             assert got_i == i and same_bits(got_g, g[i])
             energy = np.trapezoid(state.R**2 + state.S**2, grid.r)
-            assert same_bits(_trapezoid_energy(state, dr), energy)
+            assert same_bits(_trapezoid_energy(state, dr, np.zeros(n - 1)), energy)
             observer(state)
             assert same_bits(observer.E[-1], energy)
             for flux, j in ((observer.flux_lo, 0), (observer.flux_hi, n - 1)):
@@ -562,12 +565,65 @@ class TestReferenceStep:
             np.testing.assert_array_equal(bits(getattr(got, key)), bits(getattr(want, key)))
 
 
-# d = 1 constant speeds: c = 1, and 1.3, whose products with the fields round
+class TestStoredRange:
+    """A stepped state stores (u, R, S) on its window padded by the reach only."""
+
+    @pytest.mark.parametrize("scheme", ["upwind1", "muscl2"])
+    def test_run_states_store_the_padded_window(self, canonical_setup, scheme):
+        grid = Grid.uniform(*canonical_setup.domain, 512)
+        n, u0 = grid.n, canonical_setup.u0
+        cfg = SchemeConfig(scheme=scheme, max_steps=120)
+        stepper = Stepper(canonical_setup, grid, cfg)
+        reference = ReferenceStepper(canonical_setup, grid, scheme)
+        states = []
+        run(canonical_setup, grid, cfg, observers=(states.append,))
+        reach = stepper.reach
+        want = states[0]
+        for before, state in zip(states, states[1:]):
+            lo, hi = stepper._window(before)
+            s_lo, s_hi = state.stored
+            a, b = state.live
+            assert s_hi - s_lo <= hi - lo + 2 * reach
+            assert s_lo <= max(a - reach, 0) and min(b + reach, n) <= s_hi
+            fields = reference.step(want, stepper.base_dt)
+            want = GridState(state.t, *fields, mask_span(*fields, u0))
+            for key, w in zip(("u", "R", "S"), fields):
+                got = getattr(state, key)
+                np.testing.assert_array_equal(bits(got), bits(w), err_msg=key)
+                with pytest.raises(ValueError):
+                    got[n // 2] = 0.0
+            outside = [*range(s_lo), *range(s_hi, n)]
+            assert [bits(np.array(state.node(i))).tolist() for i in outside] == (
+                [bits(np.array([u0, 0.0, 0.0])).tolist()] * len(outside)
+            )
+        # only t = 0 and the first step, whose window is the grid, store all of it
+        assert [st.stored == (0, n) for st in states[:3]] == [True, True, False]
+
+    def test_per_step_readers_build_no_full_arrays(self, canonical_setup, monkeypatch):
+        # guards the saving: the march, its observers and the snapshot table
+        # read stepped states through window and node only
+        built = []
+        fields = GridState._fields
+        monkeypatch.setattr(GridState, "_fields", lambda st: built.append(st.t) or fields(st))
+        grid = Grid.uniform(*canonical_setup.domain, 512)
+        speed = canonical_setup.speed
+        energy = EnergyObserver(grid, speed)
+        paths = [CharacteristicPath(f, canonical_setup.r0, grid, speed) for f in ("plus", "minus")]
+        states = []
+        cfg = SchemeConfig(scheme="muscl2", max_steps=60)
+        run(canonical_setup, grid, cfg, observers=(energy, *paths, states.append))
+        "".join(_snapshot_rows(grid, canonical_setup, states))
+        assert len(states) == 61 and built == []
+
+
+# constant speeds c = 1, and 1.3, whose products with the fields round, in
+# d = 1 and in d = 3, where alpha = 1 makes the geometric source term
 CONSTANT_SETUPS = tuple(
     ProblemSetup.theorem(
-        d=1, r0=1.0, eps=0.05, u0=0.5, speed=ConstantSpeed.of(value),
+        d=d, r0=1.0, eps=0.05, u0=0.5, speed=ConstantSpeed.of(value),
         profile=PolynomialBump(amplitude=0.0),
     )
+    for d in (1, 3)
     for value in (1.0, 1.3)
 )
 
@@ -585,7 +641,9 @@ def constant_speed_states(draw):
 
 class TestConstantSpeedFloats:
     """ConstantSpeed hands the stepper the floats (c, 0.0); the arrays c(u)
-    and c'(u) of the base-class c_and_c_prime give the same bits."""
+    and c'(u) of the base-class c_and_c_prime give the same bits.  With the
+    floats the stepper computes the source coefficients on the whole grid at
+    its first stage and slices them at every later one."""
 
     def test_array_model_makes_arrays(self, with_array_speed):
         u = np.linspace(0.0, 1.0, 5)
@@ -607,6 +665,7 @@ class TestConstantSpeedFloats:
                 s._tendencies(state.u, state.R, state.S, slice(0, grid.n)) for s in (floats, arrays)
             )
         np.testing.assert_array_equal(bits(got), bits(want))
+        assert floats._coefficients is not None and arrays._coefficients is None
         for _ in range(3):
             try:
                 want = arrays.step(state)
@@ -622,18 +681,20 @@ class TestConstantSpeedFloats:
 
     @pytest.mark.parametrize("scheme", ["upwind1", "muscl2"])
     def test_convergence_grid_march_bitwise_equal_array_speed(self, with_array_speed, scheme):
-        # the coarsest grid of the benchmark's transport convergence study, to its t_compare
-        setup = transport_setup()
-        grid = Grid.uniform(*setup.domain, 2048)
-        cfg = SchemeConfig(scheme=scheme)
-        got = run(setup, grid, cfg, t_end=0.3)
-        want = run(with_array_speed(setup), grid, cfg, t_end=0.3)
-        assert got.steps == want.steps > 300 and got.state.t == want.state.t
-        assert got.state.live == want.state.live
-        for key in ("u", "R", "S"):
-            np.testing.assert_array_equal(
-                bits(getattr(got.state, key)), bits(getattr(want.state, key))
-            )
+        # the coarsest grid of the benchmark's transport convergence study, to
+        # its t_compare, and the same data in d = 3
+        for d in (1, 3):
+            setup = dataclasses.replace(transport_setup(), d=d)
+            grid = Grid.uniform(*setup.domain, 2048)
+            cfg = SchemeConfig(scheme=scheme)
+            got = run(setup, grid, cfg, t_end=0.3)
+            want = run(with_array_speed(setup), grid, cfg, t_end=0.3)
+            assert got.steps == want.steps > 300 and got.state.t == want.state.t
+            assert got.state.live == want.state.live
+            for key in ("u", "R", "S"):
+                np.testing.assert_array_equal(
+                    bits(getattr(got.state, key)), bits(getattr(want.state, key))
+                )
 
 
 WALK = solver._EDGE_WALK
