@@ -10,10 +10,11 @@ Interpolation in r is ``np.interp``'s own formula, slope * (r - r_j) + y_j
 with slope = (y_j+1 - y_j) / (r_j+1 - r_j), evaluated in Python floats on
 the bracket j that ``bisect`` finds once per radius; every field sampled at
 that radius shares it, and one ``GridState.node`` lookup reads the (u, R, S)
-of a bracket node.  Its rules are kept bit for bit: a radius on a node or
-at or past the last node gives y_j, one left of the grid gives y_0, a NaN
-radius gives itself, and a NaN result is retried from the right node, then
-replaced by y_j when y_j = y_j+1.
+of a bracket node (``GridState.node_u`` its u alone, for the midpoint
+stage).  Its rules are kept bit for bit: a radius on a node or at or past
+the last node gives y_j, one left of the grid gives y_0, a NaN radius gives
+itself, and a NaN result is retried from the right node, then replaced by
+y_j when y_j = y_j+1.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import NoIntersection, PathLeftDomain
 from .initial_data import ProblemSetup
 from .solver import Grid, GridState
-from .speed_models import WaveSpeedModel
+from .speed_models import PROBE_BLOCK, WaveSpeedModel
 
 if TYPE_CHECKING:
     from .diagnostics import TheoremConstants
@@ -139,7 +140,7 @@ class CharacteristicPath:
         r_n = self.r[-1]
         k1 = self.sign * float(self.speed.c(self.u[-1]))
         r_half = self._check_domain(r_n + 0.5 * dt * k1)
-        u_before, u_after = self._sample(r_half, before.node, state.node)[::3]
+        u_before, u_after = self._sample(r_half, before.node_u, state.node_u)
         u_half = 0.5 * (u_before + u_after)
         k2 = self.sign * float(self.speed.c(u_half))
         r_new = self._check_domain(r_n + dt * k2)
@@ -247,7 +248,9 @@ def c_prime_margin(setup: ProblemSetup) -> float:
     This is the room the u-drift bound may use before the sign monitor can
     fail.  It is found by sampling c' every 3e-5 rad on [u0 - pi, u0 + pi];
     zero when c'(u0) <= 0, and pi when c' never drops below the threshold
-    there.
+    there.  Each side walks its offsets from u0 in slices of PROBE_BLOCK and
+    stops at the first slice with a sample below the threshold; delta is the
+    offset before the first such sample, on either side.
     """
     u0 = setup.u0
     threshold = float(setup.speed.c_prime(u0)) / 4.0
@@ -256,7 +259,10 @@ def c_prime_margin(setup: ProblemSetup) -> float:
     offsets = np.linspace(0.0, np.pi, 100_001)
     margin = np.pi
     for side in (1.0, -1.0):
-        low = np.nonzero(np.asarray(setup.speed.c_prime(u0 + side * offsets)) < threshold)[0]
-        if low.size:
-            margin = min(margin, float(offsets[low[0] - 1]))
+        for i in range(0, offsets.size, PROBE_BLOCK):
+            cp = setup.speed.c_prime(u0 + side * offsets[i : i + PROBE_BLOCK])
+            low = np.nonzero(np.asarray(cp) < threshold)[0]
+            if low.size:
+                margin = min(margin, float(offsets[i + low[0] - 1]))
+                break
     return margin

@@ -223,7 +223,11 @@ def _config_comment(config: dict) -> str:
     return "config " + json.dumps(config, sort_keys=True)
 
 
-CSV_CHUNK_ROWS = 4096
+# Rows of CSV text formatted at a time, by write_csv and _snapshot_rows.
+# The text of a chunk and its row tuple are the writers' largest
+# temporaries: 1,024 rows of the canonical snapshot table (N = 4,096) keep
+# the table's traced peak at 1.2 MiB, against 2.2 MiB at 4,096 rows.
+CSV_CHUNK_ROWS = 1024
 
 
 def _chunks(lo: int, hi: int) -> Iterator[tuple[int, int]]:

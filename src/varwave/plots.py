@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 
@@ -67,6 +68,26 @@ def _tick_labels(k: float, lo: float, hi: float) -> list[tuple[float, float]]:
     return [(v, v / k) for v in _ticks(lo, hi) if k == 1.0 or math.isfinite(v / k)]
 
 
+def _bounds(arrays) -> tuple[float, float] | None:
+    """Python's (min, max) over the values of the arrays in turn, or None if there are none.
+
+    The fold reads one array's ``tolist()`` at a time and carries its
+    running bound into the next, so it keeps the first of equal values and
+    passes over a NaN that is not the first value, as min and max over one
+    list of every value do.
+    """
+    lo = hi = None
+    for a in arrays:
+        values = a.tolist()
+        if not values:
+            continue
+        if lo is None:
+            lo = hi = values[0]
+        lo = min(itertools.chain((lo,), values))
+        hi = max(itertools.chain((hi,), values))
+    return None if lo is None else (lo, hi)
+
+
 def render_lines(
     series: list[tuple],
     title: str = "",
@@ -77,19 +98,23 @@ def render_lines(
     """SVG document for a list of (x, y, label) polylines.
 
     The axis bounds are Python's min and max over every point, so a NaN
-    first point makes its axis NaN and a later NaN is passed over.  Each
-    polyline is mapped to pixels as whole arrays, with the operations of
-    ``sx`` and ``sy`` in their order, and formatted by one ``%``; a polyline
-    pairs its points up to the shorter of x and y, as ``zip`` does.  An
-    axis that overflows a float is drawn scaled (see ``_axis``).
+    first point makes its axis NaN and a later NaN is passed over.  They are
+    folded one polyline at a time (``_bounds``), so a call holds the Python
+    floats of one polyline, not of every point.  Each polyline is mapped to
+    pixels as whole arrays, with the operations of ``sx`` and ``sy`` in
+    their order, and formatted by one ``%``; a polyline pairs its points up
+    to the shorter of x and y, as ``zip`` does.  An axis that overflows a
+    float is drawn scaled (see ``_axis``).
     """
     arrays = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float)) for x, y, _ in series]
-    xs = [v for x, _ in arrays for v in x.tolist()]
-    ys = [v for _, y in arrays for v in y.tolist()]
-    if not xs:
-        xs, ys = [0.0, 1.0], [0.0, 1.0]
-    kx, x_lo, x_hi = _axis(*_widen(min(xs), max(xs)))
-    ky, y_lo, y_hi = _axis(*_widen(min(ys), max(ys)), pad=0.04)
+    x_bounds = _bounds(x for x, _ in arrays)
+    y_bounds = _bounds(y for _, y in arrays)
+    if x_bounds is None:
+        x_bounds = y_bounds = (0.0, 1.0)
+    elif y_bounds is None:
+        raise ValueError("the series have x values but no y values")
+    kx, x_lo, x_hi = _axis(*_widen(*x_bounds))
+    ky, y_lo, y_hi = _axis(*_widen(*y_bounds), pad=0.04)
 
     px_w = _WIDTH - _MARGIN_L - _MARGIN_R
     px_h = _HEIGHT - _MARGIN_T - _MARGIN_B

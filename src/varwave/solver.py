@@ -190,6 +190,12 @@ class GridState:
             return u.item(k), R.item(k), S.item(k)
         return self.u0, 0.0, 0.0
 
+    def node_u(self, i: int) -> tuple[float]:
+        """(u,) at node i as a float, as ``node`` reads it."""
+        k = i - self.stored[0]
+        u = self._rows[0]
+        return (u.item(k),) if 0 <= k < u.size else (self.u0,)
+
     def copy(self) -> "GridState":
         return GridState(self.t, self.u.copy(), self.R.copy(), self.S.copy(), self.live)
 

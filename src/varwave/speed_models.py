@@ -21,6 +21,10 @@ from .errors import BoundsViolation
 
 _REL_TOL = 1e-12
 
+# Points per slice of a dense probe of c or c' (validate_bounds and
+# characteristics.c_prime_margin): 64 KB per temporary array.
+PROBE_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class SpeedBoundsReport:
@@ -206,15 +210,27 @@ class TabulatedSpeed(WaveSpeedModel):
 
 
 def validate_bounds(model: WaveSpeedModel, probe_count: int = 100_000) -> SpeedBoundsReport:
-    """Sample c and c' (one ``c_and_c_prime`` call) on a dense probe grid and
-    check the declared bounds: BoundsViolation if min c < c0, max c > c1 or
-    max |c'| > c1 beyond a relative tolerance of 1e-12.
+    """Sample c and c' on a dense probe grid and check the declared bounds:
+    BoundsViolation if min c < c0, max c > c1 or max |c'| > c1 beyond a
+    relative tolerance of 1e-12.
+
+    The probe grid is one ``np.linspace``, evaluated by ``c_and_c_prime`` on
+    slices of PROBE_BLOCK points, so the temporaries of a call are those of
+    one block.  The block extrema are reduced by ``np.min`` and ``np.max``:
+    the report holds the floats of whole-grid reductions, and a NaN in any
+    block is the extremum it would be there.
     """
     if probe_count < 2:
         raise ValueError("probe_count must be at least 2")
     lo, hi = model.probe_interval()
-    c, cp = model.c_and_c_prime(np.linspace(lo, hi, probe_count))
-    c_min, c_max, cp_max = float(np.min(c)), float(np.max(c)), float(np.max(np.abs(cp)))
+    u = np.linspace(lo, hi, probe_count)
+    mins, maxs, cp_maxs = [], [], []
+    for i in range(0, probe_count, PROBE_BLOCK):
+        c, cp = model.c_and_c_prime(u[i : i + PROBE_BLOCK])
+        mins.append(np.min(c))
+        maxs.append(np.max(c))
+        cp_maxs.append(np.max(np.abs(cp)))
+    c_min, c_max, cp_max = float(np.min(mins)), float(np.max(maxs)), float(np.max(cp_maxs))
     slack0 = _REL_TOL * abs(model.c0)
     slack1 = _REL_TOL * abs(model.c1)
     ok = (

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,3 +65,21 @@ def with_array_speed():
         )
 
     return replace
+
+
+MIB = 2**20
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    """f -> the peak of tracemalloc's traced memory, in MiB, over one call of f()."""
+
+    def peak(f):
+        tracemalloc.start()
+        try:
+            f()
+            return tracemalloc.get_traced_memory()[1] / MIB
+        finally:
+            tracemalloc.stop()
+
+    return peak

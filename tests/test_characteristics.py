@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from varwave import (
     u_drift_along,
 )
 from varwave.riemann_core import rhs_fields
+from varwave.speed_models import PROBE_BLOCK, OseenFrankSpeed
 
 
 def quiet_setup(speed, eps=0.1, amplitude=0.0, d=3, u0=0.5):
@@ -384,3 +386,57 @@ class TestCPrimeMargin:
 
     def test_no_margin_without_steepening(self, unit_speed):
         assert c_prime_margin(quiet_setup(unit_speed)) == 0.0
+
+    @pytest.mark.parametrize(
+        "u0, k1, k3",
+        [(np.pi / 4, 2.0, 1.0), (0.3, 2.0, 1.0), (1.2, 2.0, 1.0), (0.05, 4.0, 0.5), (2.0, 1.0, 2.0)],
+    )
+    def test_margin_equals_the_whole_offset_formula(self, u0, k1, k3):
+        speed = OseenFrankSpeed(c0=min(k1, k3) ** 0.5, c1=max(k1, k3), k1=k1, k3=k3)
+        setup = SimpleNamespace(u0=u0, speed=speed)
+        assert bits(c_prime_margin(setup)) == bits(whole_offset_margin(setup))
+
+    # offsets[k] is the first sample below the threshold on the + side
+    @pytest.mark.parametrize(
+        "k", [1, 2, PROBE_BLOCK - 1, PROBE_BLOCK, PROBE_BLOCK + 1, 5 * PROBE_BLOCK, 100_000]
+    )
+    @pytest.mark.parametrize("minus_k", [None, PROBE_BLOCK, 2 * PROBE_BLOCK + 3])
+    def test_first_low_offset_at_a_block_edge(self, k, minus_k):
+        offsets = np.linspace(0.0, np.pi, 100_001)
+        cut_minus = math.inf if minus_k is None else float(offsets[minus_k])
+        speed = StepCPrime(cut_plus=float(offsets[k]), cut_minus=cut_minus)
+        setup = SimpleNamespace(u0=0.0, speed=speed)
+        margin = c_prime_margin(setup)
+        assert bits(margin) == bits(whole_offset_margin(setup))
+        assert margin == offsets[min(k, minus_k or k) - 1]
+
+    def test_canonical_margin_peak(self, canonical_setup, traced_peak):
+        # c' of each side's 100,001 offsets at once peaks at 6.6 MiB
+        assert traced_peak(lambda: c_prime_margin(canonical_setup)) < 1.5
+
+
+def whole_offset_margin(setup):
+    """c_prime_margin as first written: each side's c' on all its offsets at once."""
+    u0 = setup.u0
+    threshold = float(setup.speed.c_prime(u0)) / 4.0
+    if threshold <= 0.0:
+        return 0.0
+    offsets = np.linspace(0.0, np.pi, 100_001)
+    margin = np.pi
+    for side in (1.0, -1.0):
+        low = np.nonzero(np.asarray(setup.speed.c_prime(u0 + side * offsets)) < threshold)[0]
+        if low.size:
+            margin = min(margin, float(offsets[low[0] - 1]))
+    return margin
+
+
+class StepCPrime:
+    """c' = 1 on (-cut_minus, cut_plus) and 0 off it."""
+
+    def __init__(self, cut_plus, cut_minus):
+        self.cut_plus, self.cut_minus = cut_plus, cut_minus
+
+    def c_prime(self, u):
+        u = np.asarray(u, dtype=float)
+        out = np.where((u < self.cut_plus) & (-u < self.cut_minus), 1.0, 0.0)
+        return out if out.ndim else float(out)

@@ -483,6 +483,18 @@ class TestSnapshotTable:
         assert 1 < lives[1][0] < lives[1][1] < grid.n - 1
         self.assert_table_matches(tmp_path, grid, setup, snaps.states)
 
+    def test_canonical_table_peak(self, canonical_setup, traced_peak):
+        # the states simulate records on the canonical config: 12 at N = 4096
+        grid = Grid.uniform(*canonical_setup.domain, 4096)
+        cfg = SchemeConfig()
+        steps = math.ceil(canonical_setup.t_final / (cfg.cfl * grid.h / canonical_setup.speed.c1))
+        snaps = SnapshotRecorder(stride=max(1, steps // 10))
+        snaps.ensure_last(run(canonical_setup, grid, cfg, observers=(snaps,)).state)
+        assert len(snaps.states) == 12
+        # chunks of 4,096 rows peak at 2.2 MiB
+        rows = cli._snapshot_rows(grid, canonical_setup, snaps.states)
+        assert traced_peak(lambda: sum(map(len, rows))) < 1.5
+
     @pytest.mark.filterwarnings("ignore:.*encountered in divide:RuntimeWarning")
     def test_underflowing_r_alpha_keeps_nan_u_r(self, tmp_path):
         # r_lo^alpha is 0 at the left end: u_r there is 0/0, not +0.0

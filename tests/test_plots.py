@@ -133,6 +133,17 @@ CASES = {
     "unequal lengths": [(T, T[:4], "short y"), (T[:3], T, "short x")],
     "lists and ints": [([0, 1, 2], [3, 1, 4], "ints")],
     "signed zeros": [([-0.0, 0.0, 1.0], [0.0, -0.0, -1.0], "zeros")],
+    # the bounds are folded one series at a time: a first point of a later
+    # series is not first overall, and a NaN there is passed over
+    "nan first in a later series": [(T, T, "a"), (np.r_[NAN, T[1:]], np.r_[NAN, T[1:] - 5], "b")],
+    "nan first in the first series": [(np.r_[NAN, T[1:]], np.r_[NAN, T[1:]], "a"), (T - 5, T + 5, "b")],
+    "nan first after an empty series": [([], [], "none"), (T, np.r_[NAN, T[1:]], "b"), (T, T, "c")],
+    "signed zero first in each series": [
+        ([-0.0, 0.0], [0.0, -0.0], "a"), ([0.0, -0.0], [-0.0, 0.0], "b"), ([-0.0], [-0.0], "c"),
+    ],
+    "negative zero first, then a positive zero bound": [
+        ([-0.0, 1.0], [-0.0, 1.0], "a"), ([0.0, 2.0], [0.0, -1.0], "b"),
+    ],
     "seven colours": [(T, T * k, f"s{k}") for k in range(7)],
 }
 
@@ -163,6 +174,13 @@ class TestRenderLines:
         r = np.linspace(0.01, 2.1, 4096)
         series = [(r, np.pi / 4 + np.sin(k * r) * np.exp(-r), f"t={k}") for k in range(6)]
         assert_same_document(series, title="u(r) snapshots", xlabel="r", ylabel="u")
+
+
+def test_canonical_plot_peak(traced_peak):
+    # one list of every x and one of every y for the bounds peak at 2.3 MiB
+    r = np.linspace(0.01, 2.1, 4096)
+    series = [(r, np.pi / 4 + np.sin(k * r) * np.exp(-r), f"t={k}") for k in range(6)]
+    assert traced_peak(lambda: plots.render_lines(series)) < 1.0
 
 
 def reference_ticks(lo, hi, n=5):

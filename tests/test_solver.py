@@ -599,6 +599,15 @@ class TestStoredRange:
         # only t = 0 and the first step, whose window is the grid, store all of it
         assert [st.stored == (0, n) for st in states[:3]] == [True, True, False]
 
+    def test_node_u_is_the_u_of_node(self, canonical_setup):
+        grid = Grid.uniform(*canonical_setup.domain, 256)
+        states = []
+        run(canonical_setup, grid, SchemeConfig(max_steps=40), observers=(states.append,))
+        for state in states:
+            got = [state.node_u(i) for i in range(grid.n)]
+            want = [state.node(i)[:1] for i in range(grid.n)]
+            assert bits(np.array(got)).tolist() == bits(np.array(want)).tolist()
+
     def test_per_step_readers_build_no_full_arrays(self, canonical_setup, monkeypatch):
         # guards the saving: the march, its observers and the snapshot table
         # read stepped states through window and node only

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from varwave import (
     TabulatedSpeed,
     validate_bounds,
 )
-from varwave.speed_models import SpeedBoundsReport
+from varwave.speed_models import PROBE_BLOCK, SpeedBoundsReport, WaveSpeedModel
 
 SQRT2 = math.sqrt(2.0)
 
@@ -119,6 +121,14 @@ class TestAngleRange:
         assert np.isfinite(inside).all() and np.isnan(off).all()
 
 
+BOUND_MODELS = {
+    "oseen-frank": OseenFrankSpeed(c0=1.0, c1=SQRT2, k1=2.0, k3=1.0),
+    "oseen-frank-bend": OseenFrankSpeed(c0=0.5, c1=1.5, k1=0.3, k3=2.0),
+    "constant": ConstantSpeed.of(1.3),
+    "tabulated": TabulatedSpeed(c0=1.0, c1=2.0, knots=(0.5, 1.0, 2.0), values=(1.0, 1.5, 2.0)),
+}
+
+
 class TestValidateBounds:
     def test_constant_passes(self):
         report = validate_bounds(ConstantSpeed.of(1.0), probe_count=100)
@@ -156,16 +166,7 @@ class TestValidateBounds:
         with pytest.raises(BoundsViolation):
             validate_bounds(model, probe_count=10_000)
 
-    @pytest.mark.parametrize(
-        "model",
-        [
-            OseenFrankSpeed(c0=1.0, c1=SQRT2, k1=2.0, k3=1.0),
-            OseenFrankSpeed(c0=0.5, c1=1.5, k1=0.3, k3=2.0),
-            ConstantSpeed.of(1.3),
-            TabulatedSpeed(c0=1.0, c1=2.0, knots=(0.5, 1.0, 2.0), values=(1.0, 1.5, 2.0)),
-        ],
-        ids=["oseen-frank", "oseen-frank-bend", "constant", "tabulated"],
-    )
+    @pytest.mark.parametrize("model", BOUND_MODELS.values(), ids=BOUND_MODELS.keys())
     def test_report_equals_separate_c_and_c_prime_probes(self, model):
         # the report as built from one c(u) and one c'(u) call
         u = np.linspace(*model.probe_interval(), 10_001)
@@ -194,6 +195,52 @@ class TestValidateBounds:
         c1 = max(float(c.max()), float(np.abs(cp).max())) * (1 + 1e-9)
         model = OseenFrankSpeed(c0=c0, c1=c1, k1=k1, k3=k3)
         assert validate_bounds(model, probe_count=20_001).ok
+
+
+def whole_probe_report(model, probe_count):
+    """validate_bounds's report from one c_and_c_prime call on the whole probe grid."""
+    c, cp = model.c_and_c_prime(np.linspace(*model.probe_interval(), probe_count))
+    return SpeedBoundsReport(
+        c_min=float(np.min(c)), c_max=float(np.max(c)), c_prime_max=float(np.max(np.abs(cp))),
+        declared_c0=model.c0, declared_c1=model.c1, probe_count=probe_count, ok=True,
+    )
+
+
+@dataclasses.dataclass(frozen=True)
+class NaNAtSpeed(WaveSpeedModel):
+    """Unit speed whose c (or c') is NaN at the probe point u_nan alone."""
+
+    u_nan: float = 0.0
+    in_c: bool = True
+
+    def c_and_c_prime(self, u):
+        hole = np.where(u == self.u_nan, math.nan, 0.0)
+        return (1.0 + hole, np.zeros_like(u)) if self.in_c else (np.ones_like(u), hole)
+
+
+class TestBlockwiseProbe:
+    """validate_bounds walks its probe grid in slices of PROBE_BLOCK points."""
+
+    COUNTS = [2, PROBE_BLOCK - 1, PROBE_BLOCK, PROBE_BLOCK + 1, 3 * PROBE_BLOCK, 3 * PROBE_BLOCK + 1]
+
+    @pytest.mark.parametrize("count", COUNTS)
+    @pytest.mark.parametrize("model", BOUND_MODELS.values(), ids=BOUND_MODELS.keys())
+    def test_report_equals_the_whole_grid_report(self, model, count):
+        assert validate_bounds(model, probe_count=count) == whole_probe_report(model, count)
+
+    @pytest.mark.parametrize("in_c", [True, False], ids=["c", "c_prime"])
+    @pytest.mark.parametrize("k", [0, PROBE_BLOCK - 1, PROBE_BLOCK, 2 * PROBE_BLOCK + 7, -1])
+    def test_nan_in_one_block_raises(self, k, in_c):
+        count = 2 * PROBE_BLOCK + 10
+        u = np.linspace(0.0, 2.0 * np.pi, count)
+        model = NaNAtSpeed(c0=1.0, c1=1.0, u_nan=float(u[k]), in_c=in_c)
+        names = "min c=nan, max c=nan" if in_c else "max |c'|=nan"
+        with pytest.raises(BoundsViolation, match=re.escape(names)):
+            validate_bounds(model, probe_count=count)
+
+    def test_canonical_probe_peak(self, canonical_speed, traced_peak):
+        # one c_and_c_prime call on all 100,000 points peaks at 3.8 MiB
+        assert traced_peak(lambda: validate_bounds(canonical_speed, 100_000)) < 1.5
 
 
 class TestConstruction:
