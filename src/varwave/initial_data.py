@@ -197,8 +197,9 @@ def initial_riemann(setup: ProblemSetup, r):
     R(0,r) = eps * r^alpha * u_r(0,r),
     S(0,r) = (-2c(u(0,r)) + eps) * r^alpha * u_r(0,r),
     with u_r taken analytically from phi', never by differencing.
-    Outside [r0 - eps, r0 + eps] R is +0.0 and S is -0.0: the negative
-    factor -2c + eps multiplies u_r = +0.0 there.  Raises ConfigError when
+    Outside [r0 - eps, r0 + eps] R and S are +0.0: S adds +0.0 to the
+    product, whose negative factor -2c + eps leaves -0.0 where u_r = +0.0,
+    and changes no other value.  Raises ConfigError when
     u leaves the angle range of the speed model (a tabulated speed's table).
     """
     r = np.asarray(r, dtype=float)
@@ -208,7 +209,7 @@ def initial_riemann(setup: ProblemSetup, r):
     u_r = np.asarray(setup.profile.phi_prime(z))
     ralpha = r**setup.alpha
     R = setup.eps * ralpha * u_r
-    S = (-2.0 * np.asarray(setup.speed.c(u)) + setup.eps) * ralpha * u_r
+    S = (-2.0 * np.asarray(setup.speed.c(u)) + setup.eps) * ralpha * u_r + 0.0
     if r.ndim == 0:
         return float(u), float(R), float(S)
     return u, R, S

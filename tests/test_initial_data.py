@@ -181,6 +181,21 @@ class TestInitialFields:
 
 
 class TestInitialRiemann:
+    @pytest.mark.parametrize("d,speed", [(3, OseenFrankSpeed(c0=1.0, c1=SQRT2, k1=2.0, k3=1.0)),
+                                         (1, ConstantSpeed.of(1.0))], ids=["oseen-frank", "constant"])
+    def test_no_signed_zero(self, d, speed):
+        # off the support the factor -2c + eps < 0 multiplies u_r = +0.0
+        setup = ProblemSetup.theorem(
+            d=d, r0=1.0, eps=0.05, u0=np.pi / 4, speed=speed, profile=PolynomialBump(amplitude=1.0)
+        )
+        r = np.linspace(*setup.domain, 4096)
+        _, R, S = initial_riemann(setup, r)
+        assert np.count_nonzero(S == 0.0) > r.size // 2
+        for field in (R, S):
+            assert not np.any(np.signbit(field) & (field == 0.0))
+        _, R0, S0 = initial_riemann(setup, setup.domain[0])
+        assert math.copysign(1.0, R0) == math.copysign(1.0, S0) == 1.0
+
     def test_zero_outside_support(self, canonical_setup):
         r = np.array([0.2, 0.9499, 1.0500001, 1.9])
         u, R, S = initial_riemann(canonical_setup, r)

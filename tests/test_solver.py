@@ -145,9 +145,9 @@ class TestStep:
         grid = Grid.uniform(*canonical_setup.domain, 128)
         cfg = SchemeConfig()
         stepper = Stepper(canonical_setup, grid, cfg)
-        state = init_state(canonical_setup, grid)
-        state.S[50] = 1e300
-        state.S[51] = -1e300
+        u, R, S = initial_riemann(canonical_setup, grid.r)
+        S[50], S[51] = 1e300, -1e300
+        state = GridState(0.0, u, R, S, solver._live_span(u, R, S, canonical_setup.u0))
         with pytest.raises(NonFiniteState) as err:
             s = state
             for _ in range(10):
@@ -289,8 +289,33 @@ class TestLiveWindow:
         )
         grid = Grid.uniform(*setup.domain, 256)
         state = init_state(setup, grid)
-        assert state.live == (0, grid.n)
+        assert 0 < state.live[0] < state.live[1] < grid.n
         assert_window_steps_equal_full_grid_steps(setup, state, scheme, steps=40)
+
+    @pytest.mark.parametrize("scheme", ["upwind1", "muscl2"])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_constant_speed_states_from_step_one_equal_the_negative_zero_s_march(self, d, scheme):
+        # S_neg is initial_riemann's S without its + 0.0: -0.0 off the
+        # support, so its whole grid is live
+        setup = ProblemSetup.theorem(
+            d=d, r0=1.0, eps=0.1, u0=0.5, speed=ConstantSpeed.of(1.0),
+            profile=PolynomialBump(amplitude=1.0),
+        )
+        grid = Grid.uniform(*setup.domain, 256)
+        got = init_state(setup, grid)
+        u, R, S = got.u, got.R, got.S
+        u_r = setup.profile.phi_prime((grid.r - setup.r0) / setup.eps)
+        S_neg = (-2.0 * np.asarray(setup.speed.c(u)) + setup.eps) * grid.r**setup.alpha * u_r
+        off = S == 0.0
+        assert np.signbit(S_neg[off]).all() and not np.signbit(S[off]).any()
+        np.testing.assert_array_equal(bits(S_neg[~off]), bits(S[~off]))
+        want = GridState(0.0, u, R, S_neg, solver._live_span(u, R, S_neg, setup.u0))
+        assert want.live == (0, grid.n) and got.live[1] - got.live[0] < grid.n // 4
+        stepper = Stepper(setup, grid, SchemeConfig(scheme=scheme))
+        for _ in range(40):
+            got, want = stepper.step(got), stepper.step(want)
+            for key in ("u", "R", "S"):
+                np.testing.assert_array_equal(bits(getattr(got, key)), bits(getattr(want, key)))
 
     @pytest.mark.parametrize("scheme", ["upwind1", "muscl2"])
     def test_negative_zero_base_angle_runs_as_positive_zero(self, scheme):
@@ -339,11 +364,11 @@ class TestLiveWindow:
                 return speed.c_and_c_prime(u)
 
         stepper.speed = CountingSpeed()
-        # the initial S is -0.0 on most of the quiescent nodes, so the first
-        # step covers the grid and writes them as +0.0
+        # the initial S is +0.0 off the support, so the first step covers
+        # the support alone
         state = stepper.step(stepper.step(init_state(canonical_setup, grid)))
         lo, hi = stepper._window(state)
-        assert len(sizes) == 2 and sizes[0] == grid.n and sizes[1] < grid.n / 4
+        assert len(sizes) == 2 and max(sizes) < grid.n / 4
         assert 0 < hi - lo < grid.n / 4
 
 
@@ -379,7 +404,11 @@ class TestLiveWindow:
 
         observer = EnergyObserver(grid, CountingSpeed())
         state = init_state(canonical_setup, grid)
-        observer(state)  # S is -0.0 off the support: the whole grid is live
+        observer(state)
+        assert calls == []
+        # S = -0.0 off the support makes the whole grid live
+        u, R, S = state.u, state.R, np.where(state.S == 0.0, -0.0, state.S)
+        EnergyObserver(grid, CountingSpeed())(GridState(0.0, u, R, S, (0, grid.n)))
         assert len(calls) == 2
         state = stepper.step(stepper.step(state))
         a, b = state.live
@@ -596,8 +625,8 @@ class TestStoredRange:
             assert [bits(np.array(state.node(i))).tolist() for i in outside] == (
                 [bits(np.array([u0, 0.0, 0.0])).tolist()] * len(outside)
             )
-        # only t = 0 and the first step, whose window is the grid, store all of it
-        assert [st.stored == (0, n) for st in states[:3]] == [True, True, False]
+        # only t = 0 stores all of it: the first step's window is the support
+        assert [st.stored == (0, n) for st in states[:3]] == [True, False, False]
 
     def test_node_u_is_the_u_of_node(self, canonical_setup):
         grid = Grid.uniform(*canonical_setup.domain, 256)

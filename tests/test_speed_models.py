@@ -109,6 +109,120 @@ class TestCAndCPrime:
         assert (c_s, cp_s) == (model.c(0.7), model.c_prime(0.7))
 
 
+# 400,001 angles on [-4 pi, 4 pi]; a scalar pow(t, 2) missed the array's
+# t*t by one bit in c at index 2398
+DENSE = np.linspace(-4 * np.pi, 4 * np.pi, 400_001)
+
+_OF_KNOTS = np.linspace(-4 * np.pi, 4 * np.pi, 129)
+BITS_MODELS = {
+    "oseen-frank": OseenFrankSpeed(c0=1.0, c1=SQRT2, k1=2.0, k3=1.0),
+    "oseen-frank-bend": OseenFrankSpeed(c0=math.sqrt(0.3), c1=math.sqrt(5.0), k1=5.0, k3=0.3),
+    "constant": ConstantSpeed.of(1.3),
+    "tabulated": TabulatedSpeed(
+        c0=1.0, c1=2.0, knots=tuple(_OF_KNOTS),
+        values=tuple(np.sqrt(2.0 * np.sin(_OF_KNOTS) ** 2 + np.cos(_OF_KNOTS) ** 2)),
+    ),
+}
+METHODS = ("c", "c_prime", "c_and_c_prime")
+
+
+def evaluated(model, method, u):
+    """model.<method>(u) as a (k, *u.shape) uint64 view; k = 2 for c_and_c_prime."""
+    out = getattr(model, method)(u)
+    rows = out if isinstance(out, tuple) else (out,)
+    return np.stack([np.broadcast_to(np.asarray(v, dtype=float), np.shape(u)) for v in rows]).view(
+        np.uint64
+    )
+
+
+class TestScalarArrayBits:
+    """A float angle gets the bits of the same angle in an array: the path
+    tracer and the energy flux evaluate c on floats, the step on arrays."""
+
+    # every 40th angle, and those next to index 2398
+    PROBE = np.concatenate([DENSE[::40], DENSE[2390:2410]])
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("model", BITS_MODELS.values(), ids=BITS_MODELS.keys())
+    def test_scalar_equals_array_element(self, model, method):
+        want = evaluated(model, method, self.PROBE)
+        got = np.stack([evaluated(model, method, x) for x in self.PROBE.tolist()], axis=1)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("model", BITS_MODELS.values(), ids=BITS_MODELS.keys())
+    def test_slices_and_strided_views_equal_the_whole_array(self, model, method):
+        u = DENSE[:4099]
+        want = evaluated(model, method, u)
+        for off, length in [(0, 1), (1, 2), (3, 7), (5, 8), (7, 15), (2, 16), (11, 17),
+                            (13, 64), (1, 1001), (6, 4093)]:
+            part = slice(off, off + length)
+            np.testing.assert_array_equal(evaluated(model, method, u[part]), want[:, part])
+        # a reversed view is left out: numpy takes its libm tan loop there
+        for view in (slice(1, None, 3), slice(2, None, 5)):
+            np.testing.assert_array_equal(evaluated(model, method, u[view]), want[:, view])
+
+
+LONG_DOUBLE_IS_WIDER = np.finfo(np.longdouble).eps < np.finfo(float).eps
+ACCURACY_PROBE = np.concatenate([DENSE, np.arange(-8, 9) * (np.pi / 2)])
+
+
+@pytest.fixture(scope="module")
+def long_double_sin_cos():
+    u = ACCURACY_PROBE.astype(np.longdouble)
+    return np.sin(u), np.cos(u)
+
+
+def ulps(got, ref):
+    """|got - ref| in float64 spacings at ref; ref in long double."""
+    return np.abs(got - ref) / np.spacing(np.abs(ref).astype(float))
+
+
+@pytest.mark.skipif(not LONG_DOUBLE_IS_WIDER, reason="long double is float64 here")
+class TestOseenFrankAccuracy:
+    """The tangent form against sin and cos taken in long double."""
+
+    K = [(2.0, 1.0), (1.0, 2.0), (1.0, 1.0), (5.0, 0.3)]
+
+    @staticmethod
+    def model(k1, k3):
+        return OseenFrankSpeed(c0=math.sqrt(min(k1, k3)), c1=math.sqrt(max(k1, k3)), k1=k1, k3=k3)
+
+    @pytest.mark.parametrize("k1,k3", K)
+    def test_within_ulp_bounds_of_the_sin_cos_formula(self, k1, k3, long_double_sin_cos):
+        s, co = long_double_sin_cos
+        k1l, k3l = np.longdouble(k1), np.longdouble(k3)
+        c_ref = np.sqrt(k1l * s * s + k3l * co * co)
+        cp_ref = (k1l - k3l) * s * co / c_ref
+        c, cp = self.model(k1, k3).c_and_c_prime(ACCURACY_PROBE)
+        assert float(ulps(c, c_ref).max()) <= 2.5
+        sized = np.abs(cp_ref) > 1e-300
+        if k1 == k3:
+            assert not sized.any() and np.all(cp == 0.0)
+        else:
+            assert float(ulps(cp[sized], cp_ref[sized]).max()) <= 5.0
+
+    @pytest.mark.parametrize("k1,k3", K)
+    def test_principal_angles(self, k1, k3):
+        model = self.model(k1, k3)
+        for u, k in ((0.0, k3), (math.pi / 2, k1)):
+            assert abs(model.c(u) - math.sqrt(k)) <= math.ulp(math.sqrt(k))
+
+    @pytest.mark.parametrize("k1,k3", K)
+    def test_finite_for_every_finite_angle(self, k1, k3):
+        tiny, big = 5e-324, np.finfo(float).max
+        extremes = np.array([tiny, -tiny, 1e-300, 1e22, -1e22, 1e300, big, -big])
+        for u in (ACCURACY_PROBE, extremes):
+            c, cp = self.model(k1, k3).c_and_c_prime(u)
+            assert np.isfinite(c).all() and np.isfinite(cp).all()
+
+    def test_nan_gives_nan(self):
+        model = self.model(2.0, 1.0)
+        for u in (math.nan, np.array([0.3, math.nan])):
+            for out in (model.c(u), model.c_prime(u), *model.c_and_c_prime(u)):
+                assert np.isnan(np.atleast_1d(out)[-1])
+
+
 class TestAngleRange:
     def test_analytic_speeds_take_every_angle(self):
         for model in (OseenFrankSpeed(c0=1.0, c1=SQRT2, k1=2.0, k3=1.0), ConstantSpeed.of(1.3)):
