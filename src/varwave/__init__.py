@@ -60,6 +60,7 @@ from .initial_data import (
 from .riemann_core import (
     from_riemann,
     rhs_fields,
+    source_coefficients,
     to_riemann,
 )
 from .solver import (

@@ -68,7 +68,7 @@ import numpy as np
 from .characteristics import PathSamples
 from .errors import NonFiniteState
 from .initial_data import ProblemSetup, initial_riemann
-from .solver import DEFAULT_CEILING_FACTOR
+from .solver import default_ceiling
 
 GRADING = 80.0  # off the support each cell is exp(GRADING/(N-1)) times its inner neighbour
 _SERIES_LIMIT = 1e-4  # |a b h^2| up to which three series terms are exact to rounding
@@ -270,10 +270,9 @@ def _failure(setup: ProblemSetup, W: _Diagonal, E: _Diagonal, hX, hY, bad, k: in
     because an angle lies off the speed table: at a predecessor, or at the
     predictor, whose u the corrector overwrites."""
     t = float(np.max(np.maximum(W.t, E.t)[bad]))
-    lo, hi = setup.speed.angle_range()
     with np.errstate(all="ignore"):
         u = np.concatenate([W.u[bad], E.u[bad], _predicted_u(W, E, hX, hY)[bad]])
-    if np.any((u < lo) | (u > hi)):
+    if setup.speed.off_table(u):
         return f"angle left the speed table at t={t}"
     return f"non-finite node on diagonal {k} after t={t}"
 
@@ -391,7 +390,7 @@ def march(
 
     D = _initial_diagonal(setup, nodes)
     g0 = float(np.max(gradient(D.Sn, D.Sd, D.ralpha)))
-    gradient_ceiling = DEFAULT_CEILING_FACTOR * g0 if g0 > 0 else math.inf
+    gradient_ceiling = default_ceiling(g0)
     peak = g0
 
     records = {key: [] for key in want}

@@ -341,7 +341,7 @@ def _simulate_once(config: dict, setup: ProblemSetup, out_dir: Path, svg: bool) 
 
     stride = _read(_read(config, "output"), "output.snapshot_stride")
     if stride <= 0:  # about ten states of the run's estimated steps
-        stride = max(1, math.ceil(setup.t_final / (cfg.cfl * grid.h / setup.speed.c1)) // 10)
+        stride = max(1, math.ceil(setup.t_final / cfg.cfl_step(grid, setup.speed)) // 10)
 
     energy = EnergyObserver(grid, setup.speed)
     hat = CharacteristicPath("plus", setup.r0, grid, setup.speed)

@@ -106,9 +106,10 @@ def initial_energy_exact(setup: ProblemSetup) -> float:
     def integrand(z: np.ndarray) -> np.ndarray:
         u = setup.u0 + eps * profile.phi(z)
         dp = profile.phi_prime(z)
-        c = speed.c(u)
+        # w * w, not w**2, which sends the float w of a constant speed through libm's pow
+        w = -2.0 * speed.c(u) + eps
         rr = r0 + eps * z
-        return (eps**2 + (-2.0 * c + eps) ** 2) * rr ** (2.0 * alpha) * dp**2
+        return (eps**2 + w * w) * rr ** (2.0 * alpha) * dp**2
 
     return eps * _gauss_legendre(integrand)
 
@@ -150,11 +151,7 @@ def compute_constants(setup: ProblemSetup, require_hypothesis: bool = True) -> T
     ) * ralpha0 / math.sqrt(r0 * c0)
 
     eps_prime_proxy = r0 / 2.0
-    candidates = [
-        math.sqrt(eps_prime_proxy),
-        math.sqrt(r0 / 2.0),
-        math.sqrt(c0),
-    ]
+    candidates = [math.sqrt(eps_prime_proxy), math.sqrt(c0)]
     if m > 0.0:  # the M-scaled terms drop out (are +inf) for zero-energy data
         candidates.append(r0 * cp0 / (64.0 * m * c1**2 * (2.0 * r0) ** alpha))
         candidates.append(1.0 / (2.0 * m))

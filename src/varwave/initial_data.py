@@ -87,10 +87,11 @@ class CustomBump(BumpProfile):
 
 
 def _check_angles(speed: WaveSpeedModel, u) -> None:
-    """Raise ConfigError when an initial angle u lies outside speed.angle_range()."""
-    lo, hi = speed.angle_range()
-    u_min, u_max = float(np.min(u)), float(np.max(u))
-    if u_min < lo or u_max > hi:
+    """ConfigError when an initial angle u is off the speed's table, which a
+    model with a table probes for its bounds (``probe_interval``)."""
+    if speed.off_table(u):
+        u_min, u_max = float(np.min(u)), float(np.max(u))
+        lo, hi = speed.probe_interval()
         raise ConfigError(
             f"initial angles [{u_min}, {u_max}] leave the speed table [{lo}, {hi}]"
         )
@@ -113,9 +114,10 @@ def theorem_amplitude(d: int, r0: float, u0: float, speed: WaveSpeedModel) -> fl
 def auto_domain(d: int, r0: float, eps: float, speed: WaveSpeedModel) -> tuple[float, float]:
     """Radial interval covering the maximal support reach plus a margin.
 
-    The left reach r0 - eps - c1*t_final is exactly 0, so the left endpoint
-    is floored at 0.01*r0 (the physical speed near the leading edge is
-    c(u0) < c1, so the true support stays right of the floor until t_final).
+    The left reach r0 - eps - c1*t_final is 0 up to rounding, of either
+    sign, so the left endpoint is floored at 0.01*r0.  Where c(u0) < c1 the
+    support stays right of the floor until t_final; a constant speed c = c1
+    carries it to the floor at t_final - 0.01*r0/c1.
     """
     t_final = (r0 - eps) / speed.c1
     reach_lo = r0 - eps - speed.c1 * t_final

@@ -15,9 +15,10 @@ whose quadratic combination yields the conservation law
 u itself is carried as a third evolved field with u_t = (R+S)/(2 r^alpha)
 because c(u) and c'(u) are needed pointwise.
 
-``to_riemann`` maps (u_t, u_r) to (R, S), ``from_riemann`` maps back, and
-``rhs_fields`` evaluates the right-hand sides of the system above from the
-factors that ``source_coefficients`` gives.
+``to_riemann`` maps (u_t, u_r) to (R, S), ``from_riemann`` maps back,
+``source_coefficients`` gives the factors c'/(4 c r^alpha) and alpha c / r
+of the sources, and ``rhs_fields`` evaluates the right-hand sides of the
+system above from those factors.
 """
 
 from __future__ import annotations
@@ -48,22 +49,18 @@ def from_riemann(r, u, R, S, speed: WaveSpeedModel, alpha: float):
 
 
 def source_coefficients(inv_r, ralpha, c, c_prime, alpha: float):
-    """The factors (c'/(4 c r^alpha), alpha c / r) of the source terms."""
+    """The factors (c'/(4 c r^alpha), alpha c / r) of the source terms, from
+    ``inv_r`` = 1/r, ``ralpha`` = r**alpha and the speed and its derivative at u."""
     return c_prime / (4.0 * c * ralpha), alpha * c * inv_r
 
 
-def rhs_fields(inv_r, ralpha, c, c_prime, R, S, alpha: float, coefficients=None):
+def rhs_fields(quad, geom, R, S):
     """Source terms (f_R, f_S) of the characteristic system, vectorized.
 
-    ``inv_r`` is 1/r and ``ralpha`` is r**alpha, precomputed once per grid
-    by the caller; ``c`` and ``c_prime`` are the speed and its derivative
-    already evaluated at u, so each is computed once per stage.  A caller
-    that holds ``source_coefficients`` of these arguments already passes
-    them as ``coefficients``, and then only R and S are read.  Arrays or
-    scalars; the augmented assignments update only the temporaries made
-    here, so the arguments are never written.
+    ``quad`` and ``geom`` are the factors that ``source_coefficients`` gives
+    at the same nodes.  Arrays or scalars; the augmented assignments update
+    only the temporaries made here, so the arguments are never written.
     """
-    quad, geom = coefficients or source_coefficients(inv_r, ralpha, c, c_prime, alpha)
     R2, S2 = R * R, S * S
     f_R = R2 - S2
     f_R *= quad
@@ -72,4 +69,3 @@ def rhs_fields(inv_r, ralpha, c, c_prime, R, S, alpha: float, coefficients=None)
     f_S *= quad
     f_S += geom * R
     return f_R, f_S
-

@@ -11,12 +11,15 @@ Two schemes:
   * muscl2  — minmod-limited second-order reconstruction + two-stage
     strong-stability-preserving Runge-Kutta.
 
-The time step is cfl*h/c1 with the global speed bound c1, so the discrete
-domain of dependence always contains the physical one.  Fields at both
-boundary nodes are clamped to the quiescent state (u=u0, R=S=0), valid
-while the support stays interior.  ``run`` is the one march loop: it stops
-at t_end (t_final by default), when a caller's stop rule fires, on a
-gradient ceiling crossing (the blow-up signal), or on a step budget.
+The time step is cfl*h/c1 (``SchemeConfig.cfl_step``) with the global
+speed bound c1, so the discrete domain of dependence always contains the
+physical one.  Fields at both boundary nodes are clamped to the quiescent
+state (u=u0, R=S=0), valid while the support stays interior.  A stage
+fails by name if the speed model finds an angle it reads off its table,
+and otherwise makes one c_and_c_prime and one rhs_fields call.  ``run`` is
+the one march loop: it stops at t_end (t_final by default), when a
+caller's stop rule fires, on a gradient ceiling crossing (the blow-up
+signal; ``default_ceiling`` unless set), or on a step budget.
 
 A node is quiescent when it is bitwise (u0, +0.0, +0.0) in all three
 fields; any other bits, NaN and the other signed zero among them, are live.
@@ -223,6 +226,15 @@ class SchemeConfig:
         if self.gradient_ceiling is not None and self.gradient_ceiling <= 0:
             raise ValueError("gradient_ceiling must be positive")
 
+    def cfl_step(self, grid: Grid, speed: WaveSpeedModel) -> float:
+        """The time step cfl*h/c1 on the grid, with the speed's global bound c1."""
+        return self.cfl * grid.h / speed.c1
+
+
+def default_ceiling(g0: float) -> float:
+    """DEFAULT_CEILING_FACTOR times the initial gradient maximum g0; inf if g0 is 0."""
+    return DEFAULT_CEILING_FACTOR * g0 if g0 > 0 else np.inf
+
 
 @dataclass
 class RunResult:
@@ -272,7 +284,7 @@ class Stepper:
         self.ralpha = np.exp(self.alpha * np.log(grid.r)) if self.alpha else np.ones_like(grid.r)
         self.two_ralpha = 2.0 * self.ralpha
         self.inv_r = 1.0 / grid.r
-        self.base_dt = cfg.cfl * grid.h / setup.speed.c1
+        self.base_dt = cfg.cfl_step(grid, setup.speed)
         # Stencil reach of one step in nodes: an upwind1 stage reads i-1..i+1,
         # a muscl2 stage i-2..i+2 (minmod slopes of the neighbouring faces),
         # twice.  Nodes farther than that from every live node stay exactly
@@ -285,14 +297,14 @@ class Stepper:
     def _tendencies(self, u, R, S, w: slice) -> np.ndarray:
         """Rows (du/dt, dR/dt, dS/dt) of one stage on the window w."""
         c, c_prime = self.speed.c_and_c_prime(u)
-        coefficients = None
         if isinstance(c, float):  # a speed free of u: its factors once per grid
-            grid_args = self.inv_r, self.ralpha, c, c_prime, self.alpha
-            self._coefficients = self._coefficients or source_coefficients(*grid_args)
-            coefficients = tuple(k[w] for k in self._coefficients)
-        f_R, f_S = rhs_fields(
-            self.inv_r[w], self.ralpha[w], c, c_prime, R, S, self.alpha, coefficients
-        )
+            if self._coefficients is None:
+                grid_args = self.inv_r, self.ralpha, c, c_prime, self.alpha
+                self._coefficients = source_coefficients(*grid_args)
+            quad, geom = (k[w] for k in self._coefficients)
+        else:
+            quad, geom = source_coefficients(self.inv_r[w], self.ralpha[w], c, c_prime, self.alpha)
+        f_R, f_S = rhs_fields(quad, geom, R, S)
 
         h = self.h
         f = np.empty((3, u.size))
@@ -351,8 +363,13 @@ class Stepper:
         if lo < hi == self.grid.n:
             fields[:, -1:] = self._rest
 
+    def _check_table(self, u, t: float, state: GridState) -> None:
+        """NonFiniteState naming the stage at t whose input angles u leave the speed table."""
+        if self.speed.off_table(u):
+            raise NonFiniteState(f"angle left the speed table at t={t}", last_state=state)
+
     def step(self, state: GridState, dt: float | None = None) -> GridState:
-        """One explicit step; raises NonFiniteState if the result overflows."""
+        """One explicit step; NonFiniteState names a table exit or a non-finite result."""
         if dt is None:
             dt = self.base_dt
         lo, hi = self._window(state)
@@ -367,6 +384,7 @@ class Stepper:
         u1, R1, S1 = fields
         # overflow in intermediates is caught by the finite check below
         with np.errstate(over="ignore", invalid="ignore"):
+            self._check_table(u, state.t, state)
             f = self._tendencies(u, R, S, w)
             f *= dt
             np.add(u, f[0], out=u1)
@@ -375,6 +393,7 @@ class Stepper:
             self._clamp_boundary(fields, lo, hi)
             if self.cfg.scheme == "muscl2":
                 # (q + q1 + dt f(q1)) / 2, summed in that order
+                self._check_table(u1, state.t + dt, state)
                 f = self._tendencies(u1, R1, S1, w)
                 f *= dt
                 u1 += u
@@ -385,27 +404,10 @@ class Stepper:
                 self._clamp_boundary(fields, lo, hi)
         # every node outside the window is (u0, 0, 0), which is finite
         if not np.isfinite(fields).all():
-            raise NonFiniteState(self._failure(state, w, dt), last_state=state)
+            message = f"non-finite values after step to t={state.t + dt}"
+            raise NonFiniteState(message, last_state=state)
         live = _live_span(u1, R1, S1, self.setup.u0, lo)
         return GridState(state.t + dt, *new, live, s_lo, self.grid.n, self.setup.u0)
-
-    def _failure(self, state: GridState, w: slice, dt: float) -> str:
-        """Why a step from state over the window w gave a non-finite value.
-
-        Named when an angle lies off the speed table, where c is NaN: in the
-        state, or in the first muscl2 stage, which the second overwrites.
-        """
-        lo, hi = self.speed.angle_range()
-        u, R, S = state.window(w.start, w.stop)
-        stages = [(state.t, u)]
-        if self.cfg.scheme == "muscl2":
-            with np.errstate(all="ignore"):
-                u1 = u + (R + S) / self.two_ralpha[w] * dt
-            stages.append((state.t + dt, u1))
-        for t, angles in stages:
-            if np.any((angles < lo) | (angles > hi)):
-                return f"angle left the speed table at t={t}"
-        return f"non-finite values after step to t={state.t + dt}"
 
     def gradient_max(self, state: GridState) -> tuple[float, int]:
         """max_i |S_i|/r_i^alpha and its node index, the first one on ties.
@@ -442,11 +444,9 @@ def run(
     stepper = Stepper(setup, grid, cfg)
     state = init_state(setup, grid)
 
-    g0, _ = stepper.gradient_max(state)
-    if cfg.gradient_ceiling is not None:
-        ceiling = cfg.gradient_ceiling
-    else:
-        ceiling = DEFAULT_CEILING_FACTOR * g0 if g0 > 0 else np.inf
+    ceiling = cfg.gradient_ceiling
+    if ceiling is None:
+        ceiling = default_ceiling(stepper.gradient_max(state)[0])
 
     for obs in observers:
         obs(state)

@@ -41,7 +41,10 @@ class SpeedBoundsReport:
 
 @dataclass(frozen=True)
 class WaveSpeedModel:
-    """Base for all speed models; subclasses implement c and c_prime."""
+    """Base for all speed models; subclasses implement c and c_prime.
+
+    Every result of c, c_prime and c_and_c_prime need only broadcast against u.
+    """
 
     c0: float
     c1: float
@@ -59,11 +62,7 @@ class WaveSpeedModel:
         raise NotImplementedError
 
     def c_and_c_prime(self, u):
-        """(c(u), c'(u)), each broadcastable against u.
-
-        Models override it to share work between the two; a model whose
-        speed does not depend on u may return two floats.
-        """
+        """(c(u), c'(u)); models override it to share work between the two."""
         return self.c(u), self.c_prime(u)
 
     def probe_interval(self) -> tuple[float, float]:
@@ -73,6 +72,10 @@ class WaveSpeedModel:
     def angle_range(self) -> tuple[float, float]:
         """Angles u at which c(u) is defined (every angle by default)."""
         return (-math.inf, math.inf)
+
+    def off_table(self, u) -> bool:
+        """Whether an angle of u lies outside ``angle_range``; a NaN angle never does."""
+        return False
 
 
 @dataclass(frozen=True)
@@ -134,7 +137,7 @@ class OseenFrankSpeed(WaveSpeedModel):
 
 @dataclass(frozen=True)
 class ConstantSpeed(WaveSpeedModel):
-    """Fixed speed; the d=1 linear-transport regression case."""
+    """Fixed speed, a float whatever u; the d=1 linear-transport regression case."""
 
     value: float = 1.0
 
@@ -150,17 +153,13 @@ class ConstantSpeed(WaveSpeedModel):
         return cls(c0=value, c1=value, value=value)
 
     def c(self, u):
-        u = np.asarray(u, dtype=float)
-        out = np.full_like(u, self.value, dtype=float)
-        return out if out.ndim else float(out)
+        return float(self.value)
 
     def c_prime(self, u):
-        u = np.asarray(u, dtype=float)
-        out = np.zeros_like(u, dtype=float)
-        return out if out.ndim else float(out)
+        return 0.0
 
     def c_and_c_prime(self, u):
-        # floats broadcast to the values of c(u) and c'(u) with no array made
+        # one call, as the other models make, rather than the base's two
         return float(self.value), 0.0
 
 
@@ -213,6 +212,10 @@ class TabulatedSpeed(WaveSpeedModel):
     def angle_range(self) -> tuple[float, float]:
         """The table: off it c and c' are NaN."""
         return self.probe_interval()
+
+    def off_table(self, u) -> bool:
+        lo, hi = self.angle_range()
+        return bool(np.any((u < lo) | (u > hi)))
 
     def c(self, u):
         u = np.asarray(u, dtype=float)

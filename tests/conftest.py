@@ -48,8 +48,18 @@ def gentle_setup(canonical_speed):
 
 
 class ArrayConstantSpeed(ConstantSpeed):
-    """ConstantSpeed whose c_and_c_prime is the base class's: the arrays
-    c(u) and c'(u) that ConstantSpeed's floats stand for."""
+    """ConstantSpeed as arrays shaped like u: c(u) and c'(u) that
+    ConstantSpeed's floats stand for, through the base c_and_c_prime."""
+
+    def c(self, u):
+        u = np.asarray(u, dtype=float)
+        out = np.full_like(u, self.value)
+        return out if out.ndim else float(out)
+
+    def c_prime(self, u):
+        u = np.asarray(u, dtype=float)
+        out = np.zeros_like(u)
+        return out if out.ndim else float(out)
 
     c_and_c_prime = WaveSpeedModel.c_and_c_prime
 

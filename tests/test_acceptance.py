@@ -58,6 +58,7 @@ from varwave import (
     run,
     u_drift_along,
 )
+from varwave.charsolver import march, place_nodes
 from varwave.diagnostics import EnergyObserver
 
 SQRT2 = math.sqrt(2.0)
@@ -217,8 +218,34 @@ class TestCriterion3:
             assert passed, f"E(0) exceeds envelope at eps={eps}"
 
 
+@pytest.fixture(scope="module")
+def triangle_passage():
+    """Full sweeps (no stop at detection) of criterion 4's triangle on 512 and 1024 feet."""
+    setup = canonical_setup(0.1)
+    return {
+        n: march(
+            setup, place_nodes(setup, n, 0.85, 1.15),
+            lines=[("plus", 0.85), ("minus", 1.15)], stop_at_detection=False,
+        )
+        for n in (512, 1024)
+    }
+
+
 class TestCriterion4:
-    def test_triangle_identity_residual(self):
+    def test_triangle_contains_a_blow_up(self, triangle_passage):
+        # z passes pi at t = 0.011133 / 0.011129, far below the apex at
+        # t = 0.120 / 0.124; the first detection's r moves from 1.035 to
+        # 1.096 between the grids, so it is not pinned
+        t_detect = {}
+        for n, res in triangle_passage.items():
+            apex = res.line("plus", 0.85).t[-1]
+            assert res.reason == "apex" and apex == res.line("minus", 1.15).t[-1]
+            assert res.detected and math.isinf(res.peak_gradient)
+            assert res.t_detect < apex / 5.0
+            t_detect[n] = res.t_detect
+        assert t_detect[512] == pytest.approx(t_detect[1024], rel=1e-3)
+
+    def test_triangle_identity_residual(self, triangle_passage):
         # r2 - r1 = 0.3 < 2 c0 (r0 - eps)/c1 ~ 1.27 at eps = 0.1
         setup = canonical_setup(0.1)
         residuals = {}
@@ -239,7 +266,8 @@ class TestCriterion4:
             f"triangle residuals 2048/4096/8192 = "
             f"{residuals[2048]:.3e}/{residuals[4096]:.3e}/{residuals[8192]:.3e}, "
             f"refinement order {order:.3f} (need residual<=0.08 at N=4096, "
-            f"order>=0.9), apex t_m={rep.t_m:.4f}"
+            f"order>=0.9), apex t_m={rep.t_m:.4f}, through the z = pi passage "
+            f"at t={triangle_passage[1024].t_detect:.4f} inside the triangle"
             + ("" if ok else "; fails: " + "; ".join(causes)),
         )
         assert residuals[4096] <= 0.08, "triangle residual above 8% at N=4096"

@@ -26,7 +26,7 @@ from varwave import (
     run,
     u_drift_along,
 )
-from varwave.riemann_core import rhs_fields
+from varwave.riemann_core import rhs_fields, source_coefficients
 from varwave.speed_models import PROBE_BLOCK, OseenFrankSpeed
 
 
@@ -191,8 +191,9 @@ class TestPathProperties:
             um = 0.5 * (u[:-1] + u[1:])
             Rm = 0.5 * (R[:-1] + R[1:])
             Sm = 0.5 * (S[:-1] + S[1:])
-            _, f_S = rhs_fields(1.0 / rm, rm**setup.alpha, canonical_speed.c(um),
-                                canonical_speed.c_prime(um), Rm, Sm, setup.alpha)
+            factors = source_coefficients(1.0 / rm, rm**setup.alpha, canonical_speed.c(um),
+                                          canonical_speed.c_prime(um), setup.alpha)
+            _, f_S = rhs_fields(*factors, Rm, Sm)
             residuals.append(float(np.mean(np.abs(dSdt - f_S))))
         assert residuals[1] <= 0.75 * residuals[0]
         assert residuals[2] <= 0.75 * residuals[1]

@@ -251,6 +251,30 @@ class TestDetection:
         assert 1.0 <= res.peak_gradient / res.initial_gradient < 2.0
 
 
+class TestAmplitudeBracket:
+    """Blow-up needs far less than the theorem's amplitude (627 here): on the
+    canonical speed, d = 3, eps = 0.05, u0 = pi/4 the threshold lies between
+    the bump amplitudes 10 and 30, at two grids."""
+
+    @pytest.mark.parametrize("amplitude", [10.0, 30.0])
+    def test_threshold_lies_between_10_and_30(self, canonical_speed, amplitude):
+        setup = ProblemSetup.theorem(
+            d=3, r0=1.0, eps=0.05, u0=np.pi / 4, speed=canonical_speed,
+            profile=PolynomialBump(amplitude=amplitude),
+        )
+        runs = [blowup_sweep(setup, n) for n in (1024, 2048)]
+        if amplitude == 10.0:
+            # the peak gradient grows only about 2.5x over the whole window
+            for res in runs:
+                assert not res.detected and res.reason == "t_final"
+                assert res.peak_gradient < 3.0 * res.initial_gradient
+        else:
+            # t_detect 0.184130 / 0.184133
+            assert all(res.detected for res in runs)
+            assert runs[0].t_detect == pytest.approx(runs[1].t_detect, rel=1e-4)
+            assert runs[0].t_detect == pytest.approx(0.18413, rel=1e-4)
+
+
 class TestCharacteristicTriangle:
     def test_zero_data_both_sides_vanish(self, canonical_speed):
         setup = ProblemSetup.theorem(

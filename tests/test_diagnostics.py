@@ -143,6 +143,16 @@ class TestConstants:
         e0_trapz = float(np.trapezoid(R**2 + S**2, r))
         assert initial_energy_exact(s) == pytest.approx(e0_trapz, rel=1e-7)
 
+    def test_constant_speed_energy_has_the_array_bits(self, with_array_speed):
+        # ConstantSpeed's c is a float: at this (c, eps) libm's pow(2c - eps, 2)
+        # is one ulp off the square numpy takes of the array c(u), and E(0)
+        # moved by an ulp while the integrand squared with **
+        setup = ProblemSetup.theorem(
+            d=3, r0=1.0, eps=0.293213, u0=0.5, speed=ConstantSpeed.of(0.57309),
+            profile=PolynomialBump(amplitude=3.0),
+        )
+        assert initial_energy_exact(setup) == initial_energy_exact(with_array_speed(setup))
+
     def test_drift_bound_formula(self, canonical_setup):
         s = canonical_setup
         constants = compute_constants(s)

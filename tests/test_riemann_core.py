@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varwave import ConstantSpeed, OseenFrankSpeed, from_riemann, rhs_fields, to_riemann
+from varwave import (
+    ConstantSpeed,
+    OseenFrankSpeed,
+    from_riemann,
+    rhs_fields,
+    source_coefficients,
+    to_riemann,
+)
 
 SQRT2 = math.sqrt(2.0)
 SQRT15 = math.sqrt(1.5)
@@ -13,7 +20,8 @@ SQRT15 = math.sqrt(1.5)
 
 def point_rhs(r, u, R, S, speed, alpha):
     """rhs_fields at one radius, with 1/r, r**alpha, c and c' evaluated here."""
-    return rhs_fields(1.0 / r, r**alpha, speed.c(u), speed.c_prime(u), R, S, alpha)
+    factors = source_coefficients(1.0 / r, r**alpha, speed.c(u), speed.c_prime(u), alpha)
+    return rhs_fields(*factors, R, S)
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +173,8 @@ class TestRhs:
         u = rng.uniform(-1.0, 1.0, 50)
         R = rng.uniform(-5.0, 5.0, 50)
         S = rng.uniform(-5.0, 5.0, 50)
-        f_R, f_S = rhs_fields(1.0 / r, r**1.0, of_speed.c(u), of_speed.c_prime(u), R, S, 1.0)
+        factors = source_coefficients(1.0 / r, r**1.0, of_speed.c(u), of_speed.c_prime(u), 1.0)
+        f_R, f_S = rhs_fields(*factors, R, S)
         for i in range(0, 50, 7):
             fr, fs = point_rhs(float(r[i]), float(u[i]), float(R[i]), float(S[i]), of_speed, 1.0)
             assert f_R[i] == pytest.approx(fr, rel=1e-14)

@@ -20,6 +20,7 @@ from varwave import (
     ProblemSetup,
     SchemeConfig,
     Stepper,
+    TabulatedSpeed,
     init_state,
     initial_riemann,
     run,
@@ -99,6 +100,41 @@ class TestInitState:
         grid = Grid.uniform(0.02, 2.0, 512)
         with pytest.raises(DomainMismatch):
             init_state(canonical_setup, grid)
+
+
+class TestTableExit:
+    """The step names an angle off the speed table at the stage that reads it:
+    the state's angles at t, and muscl2's first-stage angles at t + dt."""
+
+    @staticmethod
+    def leaving_state(scheme):
+        # u = 0.99 at one node, on the table [0, 1], and u_t = (R + S)/2 = 1/dt there
+        speed = TabulatedSpeed(c0=1.0, c1=1.0, knots=(0.0, 0.5, 1.0), values=(1.0, 1.0, 1.0))
+        setup = ProblemSetup.theorem(
+            d=1, r0=1.0, eps=0.1, u0=0.5, speed=speed, profile=PolynomialBump(amplitude=1.0)
+        )
+        grid = Grid.uniform(*setup.domain, 64)
+        stepper = Stepper(setup, grid, SchemeConfig(scheme=scheme))
+        n, k = grid.n, grid.n // 2
+        u, R, S = np.full(n, 0.5), np.zeros(n), np.zeros(n)
+        u[k], R[k], S[k] = 0.99, 1.0 / stepper.base_dt, 1.0 / stepper.base_dt
+        return stepper, GridState(0.25, u, R, S, (k, k + 1))
+
+    def test_upwind1_names_the_exit_at_the_next_step(self):
+        stepper, state = self.leaving_state("upwind1")
+        left = stepper.step(state)
+        assert left.u.max() > 1.0
+        with pytest.raises(NonFiniteState) as err:
+            stepper.step(left)
+        assert str(err.value) == f"angle left the speed table at t={left.t}"
+        assert err.value.last_state is left
+
+    def test_muscl2_names_the_exit_at_its_first_stage(self):
+        stepper, state = self.leaving_state("muscl2")
+        with pytest.raises(NonFiniteState) as err:
+            stepper.step(state)
+        assert str(err.value) == f"angle left the speed table at t={state.t + stepper.base_dt}"
+        assert err.value.last_state is state
 
 
 class TestStep:
@@ -362,6 +398,8 @@ class TestLiveWindow:
             def c_and_c_prime(self, u):
                 sizes.append(u.size)
                 return speed.c_and_c_prime(u)
+
+            off_table = speed.off_table
 
         stepper.speed = CountingSpeed()
         # the initial S is +0.0 off the support, so the first step covers
@@ -688,7 +726,9 @@ class TestConstantSpeedFloats:
         setup = with_array_speed(CONSTANT_SETUPS[1])
         c, c_prime = setup.speed.c_and_c_prime(u)
         assert c.shape == c_prime.shape == u.shape
-        assert CONSTANT_SETUPS[1].speed.c_and_c_prime(u) == (1.3, 0.0)
+        speed = CONSTANT_SETUPS[1].speed
+        assert speed.c_and_c_prime(u) == (speed.c(u), speed.c_prime(u)) == (1.3, 0.0)
+        assert type(speed.c(u)) is type(speed.c_prime(u)) is float
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(constant_speed_states(), st.sampled_from(("upwind1", "muscl2")))

@@ -234,6 +234,18 @@ class TestAngleRange:
         inside, off = model.c(np.array([0.5, 2.0])), model.c(np.array([0.49, 2.01]))
         assert np.isfinite(inside).all() and np.isnan(off).all()
 
+    def test_off_table_is_any_angle_off_the_knots(self):
+        model = TabulatedSpeed(c0=1.0, c1=2.0, knots=(0.5, 1.0, 2.0), values=(1.0, 1.5, 2.0))
+        assert model.off_table(0.49) and model.off_table(np.array([1.0, 2.01]))
+        assert not model.off_table(np.array([0.5, 1.3, 2.0]))
+        # a NaN angle is no angle off the table; its c is NaN all the same
+        assert not model.off_table(math.nan) and not model.off_table(np.array([math.nan, 1.0]))
+        assert model.off_table(np.array([math.nan, 0.4]))
+
+    def test_analytic_speeds_have_no_table_to_leave(self):
+        for model in (OseenFrankSpeed(c0=1.0, c1=SQRT2, k1=2.0, k3=1.0), ConstantSpeed.of(1.3)):
+            assert model.off_table(np.array([-1e300, 0.0, 1e300, math.inf])) is False
+
 
 BOUND_MODELS = {
     "oseen-frank": OseenFrankSpeed(c0=1.0, c1=SQRT2, k1=2.0, k3=1.0),
