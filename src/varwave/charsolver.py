@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characteristics import PathSamples
-from .errors import NonFiniteState
+from .errors import HypothesisViolated, NonFiniteState
 from .initial_data import ProblemSetup, initial_riemann
 from .solver import default_ceiling
 
@@ -131,7 +131,9 @@ def place_nodes(
 
     The ends, the support edges r0 -+ eps and every anchor inside (lo, hi)
     are feet.  Between two of these the feet are evenly spaced in the
-    graded cell count, each such piece getting at least one cell.
+    graded cell count, each such piece getting at least one cell.  Raises
+    HypothesisViolated when the feet are not strictly increasing, as when
+    eps is so small that the support's feet round onto a few floats.
     """
     if not (0.0 < lo < hi):
         raise ValueError("need 0 < lo < hi")
@@ -166,6 +168,11 @@ def place_nodes(
     x = g.x(label)
     for a_ in breaks:
         x[int(np.argmin(np.abs(x - a_)))] = a_
+    if not np.all(x[1:] > x[:-1]):
+        raise HypothesisViolated(
+            f"feet collapse: {np.unique(x).size} distinct of {n} feet "
+            f"at eps={setup.eps}, r0={setup.r0}"
+        )
     return CharNodes(x=x, label=label, rho=g.rho(x))
 
 
@@ -268,12 +275,22 @@ def _advance(W: _Diagonal, E: _Diagonal, hX, hY, setup: ProblemSetup) -> _Diagon
 def _failure(setup: ProblemSetup, W: _Diagonal, E: _Diagonal, hX, hY, bad, k: int) -> str:
     """Why the nodes ``bad`` of diagonal k are not finite.  Named when c is NaN
     because an angle lies off the speed table: at a predecessor, or at the
-    predictor, whose u the corrector overwrites."""
-    t = float(np.max(np.maximum(W.t, E.t)[bad]))
+    predictor, whose u the corrector overwrites.  Otherwise, when every field
+    of both predecessors is finite, derived ones included, the flow across
+    one cell overflowed: the grid is too coarse for the weights there."""
+    t_pred = np.maximum(W.t, E.t)
+    t = float(np.max(t_pred[bad]))
     with np.errstate(all="ignore"):
         u = np.concatenate([W.u[bad], E.u[bad], _predicted_u(W, E, hX, hY)[bad]])
     if setup.speed.off_table(u):
         return f"angle left the speed table at t={t}"
+    if all(np.isfinite(getattr(D, f)[bad]).all() for D in (W, E) for f in D.__slots__):
+        i = np.flatnonzero(bad)[int(np.argmax(t_pred[bad]))]
+        r = 0.5 * float(W.r[i] + E.r[i])
+        return (
+            "characteristic grid under-resolved: the flow across one cell "
+            f"overflows at t={t}, r={r}"
+        )
     return f"non-finite node on diagonal {k} after t={t}"
 
 

@@ -37,9 +37,7 @@ scheme's stencil reach and clipped to the grid.  Every node outside it is
 gives there, bit for bit.  The new state stores its fields only on the
 window padded by the reach again, its stored range, which holds the next
 window.  So every per-step pass (the step and its finite check,
-``gradient_max``, the observers and the snapshot rows) costs O(window),
-apart from the energy sum of ``diagnostics``, which adds all N - 1
-summands to keep np.trapezoid's bits.
+``gradient_max``, the observers and the snapshot rows) costs O(window).
 
 A step computes the same floating-point operations, in the same order, as
 the plain formulas (kept as the reference stepper of the tests), but in

@@ -16,9 +16,10 @@ coordinates (``varwave.charsolver``); the measured causes:
   smooth grid, and the canonical eps=0.05 data blow up at t* = 0.0083,
   r* = 1.0145 (criterion 5).
 * The criterion-4 triangle (eps=0.1, feet 0.85/1.15, apex t_m = 0.124)
-  contains blow-ups.  The upwind scheme dissipates about 72% of the energy
-  the identity counts (residual 0.49 at N = 2048 to 8192); the
-  conservative solution keeps the identity through the singularities.
+  contains blow-ups.  The upwind scheme dissipates about 49% of the energy
+  the identity counts (residual |lhs - rhs|/rhs = 0.49 at N = 2048 to
+  8192); the conservative solution keeps the identity through the
+  singularities.
 * Criterion 6 runs at eps = 1e-7.  On the eps = 0.05 data u on the hat path
   falls from pi/4 to about 0.12 by t = 0.007, c' drops below c'(u0)/4 and
   the blow-up happens off the hat path, so no solver can pass the sign

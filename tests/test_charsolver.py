@@ -17,6 +17,7 @@ from varwave import (
     CharacteristicPath,
     ConstantSpeed,
     Grid,
+    HypothesisViolated,
     NonFiniteState,
     PolynomialBump,
     ProblemSetup,
@@ -89,6 +90,18 @@ class TestPlaceNodes:
         growth = h[1:] / h[:-1]
         assert np.max(np.maximum(growth, 1.0 / growth)) <= math.exp(GRADING / (n - 1)) + 1e-9
 
+    def test_collapsed_feet_raise(self, canonical_speed):
+        # at eps = 1e-16 the support's feet round onto 233 floats of 256;
+        # at 1e-12 all 8192 stay distinct
+        def setup(eps):
+            return ProblemSetup.theorem(d=3, r0=1.0, eps=eps, u0=np.pi / 4, speed=canonical_speed)
+
+        with pytest.raises(HypothesisViolated, match=r"^feet collapse: 233 distinct of 256 feet"):
+            blowup_sweep(setup(1e-16), 256)
+        fine = setup(1e-12)
+        nodes = place_nodes(fine, 8192, *fine.domain, anchors=(fine.r0,))
+        assert np.all(np.diff(nodes.x) > 0)
+
     def test_label_density_matches_label_steps(self, gentle_setup):
         # rho = dX/dx: the trapezoid rule over each cell gives its label step
         # up to the O(kappa^2) curvature of the graded map
@@ -148,6 +161,50 @@ class TestTransportExact:
                 np.testing.assert_array_equal(
                     getattr(a, key).view(np.uint64), getattr(b, key).view(np.uint64)
                 )
+
+
+class TestClosedFormD3:
+    """Constant speed c = 1 in d = 3: v = r (u - u0) solves v_tt = v_rr, so
+    d'Alembert gives u and S = v_t - v_r + v/r in closed form."""
+
+    @staticmethod
+    def exact_S(setup, t, r):
+        r0, eps, A = setup.r0, setup.eps, setup.profile.amplitude
+        phi, dphi = setup.profile.phi, setup.profile.phi_prime
+
+        def f(s):  # v(0, s)
+            return s * eps * phi((s - r0) / eps)
+
+        def G(s):  # antiderivative of g(s) = v_t(0, s) = (eps - 1) s phi'(z), 0 off the support
+            z = (s - r0) / eps
+            w = np.where(np.abs(z) < 1.0, 1.0 - z * z, 0.0)
+            return (eps - 1.0) * eps * (r0 * phi(z) + eps * (z * phi(z) - A * w**3 / 6.0))
+
+        def g_minus_f_prime(s):
+            z = (s - r0) / eps
+            return (eps - 2.0) * s * dphi(z) - eps * phi(z)
+
+        v = 0.5 * (f(r + t) + f(r - t)) + 0.5 * (G(r + t) - G(r - t))
+        return g_minus_f_prime(r - t) + v / r
+
+    def test_sweep_is_second_order_in_S(self):
+        # measured max |S - S_exact|: 7.26e-7, 1.82e-7, 4.49e-8
+        setup = ProblemSetup.theorem(
+            d=3, r0=1.0, eps=0.1, u0=0.5, speed=ConstantSpeed.of(1.0),
+            profile=PolynomialBump(amplitude=1.0),
+        )
+        errs = []
+        for n in (256, 512, 1024):
+            nodes = place_nodes(setup, n, 0.5, 1.5, anchors=(1.0,))
+            res = march(setup, nodes, lines=[("plus", 1.0), ("minus", 1.0)])
+            assert not res.detected
+            err = 0.0
+            for family in ("plus", "minus"):
+                s = res.samples(family, 1.0)
+                err = max(err, float(np.max(np.abs(s.S - self.exact_S(setup, s.t, s.r)))))
+            errs.append(err)
+        assert errs[2] < 1e-7
+        assert errs[0] / errs[1] >= 3.5 and errs[1] / errs[2] >= 3.5
 
 
 class TestAgreesWithMuscl:
@@ -249,6 +306,28 @@ class TestDetection:
         assert res.reason == "t_final" and not res.detected
         assert res.line("plus", 1.0).t.max() < 0.05
         assert 1.0 <= res.peak_gradient / res.initial_gradient < 2.0
+
+
+class TestUnderResolved:
+    """A cell whose finite predecessors give a non-finite node: the weights'
+    flow across it overflowed, on the canonical data (eps = 0.05)."""
+
+    def test_full_sweep_on_128_feet_is_named(self, canonical_setup):
+        # the failing node's Y-predecessor has Sn = 2.4e38, Sd = 2.6e36
+        s = canonical_setup
+        nodes = place_nodes(s, 128, *s.domain, anchors=(s.r0,))
+        with pytest.raises(
+            NonFiniteState,
+            match=r"^characteristic grid under-resolved: the flow across one cell "
+            r"overflows at t=0\.4442\d*, r=1\.435",
+        ):
+            march(s, nodes, lines=[("plus", s.r0)], t_end=s.t_final, stop_at_detection=False)
+
+    def test_sweep_on_16_feet_is_named(self, canonical_setup):
+        with pytest.raises(NonFiniteState, match=r"^characteristic grid under-resolved.* t=0\.3732"):
+            blowup_sweep(canonical_setup, 16)
+        res = blowup_sweep(canonical_setup, 32)
+        assert res.detected and res.t_detect == pytest.approx(0.01729, rel=1e-3)
 
 
 class TestAmplitudeBracket:

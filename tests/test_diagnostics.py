@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -216,9 +217,9 @@ class TestEnergyObserver:
         assert drifts[0] > 0.0
         assert 1.4 <= drifts[0] / drifts[1] <= 2.8
 
-    def test_standing_buffer_keeps_no_stale_summands(self, gentle_setup):
-        # the live range grows and shrinks between calls of one observer: a
-        # summand left in the buffer by a wider state would show in a later E
+    def test_energy_sums_the_cells_touching_the_live_range(self, gentle_setup):
+        # the live range grows, shrinks and empties between calls of one
+        # observer; each E is the trapezoid rule on that state's touched cells
         grid = Grid.uniform(*gentle_setup.domain, 256)
         n, u0 = grid.n, gentle_setup.u0
         rng = np.random.default_rng(7)
@@ -235,7 +236,11 @@ class TestEnergyObserver:
         obs = EnergyObserver(grid, gentle_setup.speed)
         for st in states:
             obs(st)
-        want = [np.trapezoid(st.R**2 + st.S**2, grid.r) for st in states]
+        want = []
+        for st in states:
+            a, b = st.live
+            lo, hi = max(a - 1, 0), min(b + 1, n)
+            want.append(np.trapezoid((st.R**2 + st.S**2)[lo:hi], grid.r[lo:hi]))
         assert want[2] == 0.0 < want[1] < want[0] == want[3]
         np.testing.assert_array_equal(
             np.asarray(obs.E).view(np.uint64), np.asarray(want).view(np.uint64)
@@ -373,6 +378,7 @@ class TestInvSObserver:
         class _Stub:
             inv_s_decay_rate = 0.0
             c_prime_u0 = 0.0
+            S0_lower = math.inf  # compute_constants' value for c'(u0) = 0
             t_star_bound = setup.t_final
 
         states = _constant_field_states(setup, grid)
@@ -385,14 +391,20 @@ class TestInvSObserver:
         assert report.t_star_extrapolated is None  # flat line never crosses zero
 
     def test_initial_reciprocal_gradient_small_enough(self, canonical_setup):
-        # the constructed data start below min{(r0-eps) c'(u0)/(32 c1^2 (2 r0)^alpha), 1/2}
+        # the constructed data start above S0_lower, that is 1/S(0) below
+        # min{(r0-eps) c'(u0)/(32 c1^2 (2 r0)^alpha), 1/2}
         s = canonical_setup
         constants = compute_constants(s)
         grid = Grid.uniform(*s.domain, 512)
         path = CharacteristicPath("plus", s.r0, grid, s.speed)
         result = run(s, grid, SchemeConfig(max_steps=0), observers=(path,))
-        report = build_blowup_report(result, path.samples(), constants, s)
-        assert report.initial_inv_s_ok
+        samples = path.samples()
+        assert build_blowup_report(result, samples, constants, s).initial_inv_s_ok is True
+        # the flag is S(0) > S0_lower, strictly
+        s0 = float(samples.S[0])
+        for bound, ok in ((np.nextafter(s0, 0.0), True), (s0, False), (math.inf, False)):
+            bounded = dataclasses.replace(constants, S0_lower=bound)
+            assert build_blowup_report(result, samples, bounded, s).initial_inv_s_ok is ok
 
     def test_matches_the_sample_by_sample_loop(self, canonical_setup):
         # a traced path, then the same samples with large R, every fifth S
@@ -497,6 +509,7 @@ class TestVerdict:
         class _Stub:
             inv_s_decay_rate = 0.0
             c_prime_u0 = 0.0
+            S0_lower = math.inf  # compute_constants' value for c'(u0) = 0
             t_star_bound = setup.t_final
 
         result = run(setup, grid, SchemeConfig(), observers=(path,))

@@ -52,12 +52,12 @@ def private_imports(source: str) -> set[str]:
 
 def test_guard_sees_both_forms():
     src = (
-        "from .diagnostics import EnergyObserver, _trapezoid_energy\n"
+        "from .diagnostics import EnergyObserver, _gauss_legendre\n"
         "from . import plots\n"
         "import numpy as np\n"
         "plots._ticks(0, 1); np._x; plots.__name__\n"
     )
-    assert private_imports(src) == {"diagnostics._trapezoid_energy", "plots._ticks"}
+    assert private_imports(src) == {"diagnostics._gauss_legendre", "plots._ticks"}
 
 
 def test_no_module_imports_a_private_name():
