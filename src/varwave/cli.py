@@ -340,10 +340,12 @@ def _simulate_once(config: dict, setup: ProblemSetup, out_dir: Path, svg: bool) 
     constants = compute_constants(setup, require_hypothesis=False)
 
     stride = _read(_read(config, "output"), "output.snapshot_stride")
-    if stride <= 0:  # about ten states of the run's estimated steps
+    if stride < 0:
+        raise ConfigError(f"output.snapshot_stride must be non-negative, got {stride}")
+    if stride == 0:  # about ten states of the run's estimated steps
         stride = max(1, math.ceil(setup.t_final / cfg.cfl_step(grid, setup.speed)) // 10)
 
-    energy = EnergyObserver(grid, setup.speed)
+    energy = EnergyObserver(grid)
     hat = CharacteristicPath("plus", setup.r0, grid, setup.speed)
     snaps = SnapshotRecorder(stride)
     result = run(setup, grid, cfg, observers=(energy, hat, snaps))
@@ -365,7 +367,7 @@ def _simulate_once(config: dict, setup: ProblemSetup, out_dir: Path, svg: bool) 
     }
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    ea = energy.arrays()
+    ea = {"t": np.asarray(energy.t), "E": np.asarray(energy.E)}
     write_csv(out_dir / "energy.csv", config, ea)
     write_csv(out_dir / "hat_path.csv", config, hat_samples.columns())
 
@@ -476,11 +478,15 @@ def cmd_convergence(config: dict, out_dir: Path, svg: bool) -> int:
         t_cmp = float(min(0.5 * blowup_time_estimate(setup), 0.5 * setup.t_final))
     elif t_cmp <= 0.0:
         raise ConfigError(f"experiment.t_compare must be positive, got {t_cmp}")
+    elif t_cmp > setup.t_final:
+        raise ConfigError(
+            f"experiment.t_compare must not exceed t_final = {setup.t_final}, got {t_cmp}"
+        )
 
     def solve(n: int):
         grid = Grid.uniform(*setup.domain, n)
         stepper = Stepper(setup, grid, cfg)
-        energy = EnergyObserver(grid, setup.speed)
+        energy = EnergyObserver(grid)
         state = init_state(setup, grid)
         energy(state)
         while state.t < t_cmp - 1e-15:

@@ -204,48 +204,24 @@ class EnergyObserver:
     nodes [lo, hi) = [a - 1, b + 1) clipped to the grid: it is
     np.trapezoid(R**2 + S**2, r[lo:hi]) bit for bit, and 0.0 when no node
     is live.  Every other cell holds two quiescent nodes and adds +0.0.
-    Also records the boundary flux c(S^2 - R^2) at both domain ends.  An
-    end node outside the live range is quiescent, so its flux is
-    c(u0)(0 - 0) = +0.0 and c is not evaluated there.  In a run the flux is
-    0.0 by construction: ``ProblemSetup`` keeps the initial support inside
-    the domain and ``Stepper`` clamps both end nodes to rest in every step,
-    so no run state has a live end node.
     """
 
-    def __init__(self, grid: Grid, speed):
+    def __init__(self, grid: Grid):
         self.grid = grid
-        self.speed = speed
         self.dr = np.diff(grid.r)
         self.t: list[float] = []
         self.E: list[float] = []
-        self.flux_lo: list[float] = []
-        self.flux_hi: list[float] = []
 
     def __call__(self, state: GridState):
         self.t.append(state.t)
-        n = self.grid.n
         a, b = state.live
         if a < b:
-            lo, hi = max(a - 1, 0), min(b + 1, n)
+            lo, hi = max(a - 1, 0), min(b + 1, self.grid.n)
             _, R, S = state.window(lo, hi)
             y = R**2 + S**2
             self.E.append(float(np.sum(self.dr[lo:hi - 1] * (y[1:] + y[:-1]) / 2.0)))
         else:
             self.E.append(0.0)
-        for store, i in ((self.flux_lo, 0), (self.flux_hi, n - 1)):
-            if not a <= i < b:
-                store.append(0.0)
-                continue
-            u, R, S = state.node(i)
-            store.append(float(self.speed.c(u)) * (S**2 - R**2))
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "t": np.asarray(self.t),
-            "E": np.asarray(self.E),
-            "flux_lo": np.asarray(self.flux_lo),
-            "flux_hi": np.asarray(self.flux_hi),
-        }
 
     @property
     def max_relative_drift(self) -> float:
@@ -486,7 +462,6 @@ def build_report(
             "S0_lower": constants.S0_lower,
             "t_star_bound": constants.t_star_bound,
         },
-        "energy": [[float(t), float(e)] for t, e in zip(energy.t, energy.E)],
         "energy_max_relative_drift": energy.max_relative_drift,
         "blowup": {
             "detected": blowup.detected,

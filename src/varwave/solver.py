@@ -197,9 +197,6 @@ class GridState:
         u = self._rows[0]
         return (u.item(k),) if 0 <= k < u.size else (self.u0,)
 
-    def copy(self) -> "GridState":
-        return GridState(self.t, self.u.copy(), self.R.copy(), self.S.copy(), self.live)
-
 
 @dataclass(frozen=True)
 class SchemeConfig:

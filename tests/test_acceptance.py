@@ -182,7 +182,7 @@ class TestCriterion2:
         drifts = {}
         for n in (4096, 8192):
             grid = Grid.uniform(*setup.domain, n)
-            obs = EnergyObserver(grid, setup.speed)
+            obs = EnergyObserver(grid)
             run(setup, grid, SchemeConfig(), observers=(obs,), t_end=T)
             drifts[n] = obs.max_relative_drift
         drift_4096, drift_8192 = drifts[4096], drifts[8192]

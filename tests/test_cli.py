@@ -85,9 +85,23 @@ class TestSimulate:
         assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 0
         rows = (out / "energy.csv").read_text().splitlines()
         assert rows[0].startswith("# config ")
-        assert rows[1] == "t,E,flux_lo,flux_hi"
+        assert rows[1] == "t,E"
         energies = [float(line.split(",")[1]) for line in rows[2:]]
         assert all(e == 0.0 for e in energies)
+
+    def test_energy_csv_holds_the_series_behind_the_json_drift(self, tmp_path):
+        path = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 0
+        rows = (out / "energy.csv").read_text().splitlines()
+        assert rows[1] == "t,E"
+        E = np.array([float(line.split(",")[1]) for line in rows[2:]])
+        drift = np.float64(np.max(np.abs(E - E[0])) / E[0])
+        doc = json.loads((out / "diagnostics.json").read_text())
+        assert "energy" not in doc
+        want = np.float64(doc["energy_max_relative_drift"])
+        assert drift > 0.0
+        assert drift.view(np.uint64) == want.view(np.uint64)
 
     def test_auto_domain_matches_rule(self):
         cfg = base_config()
@@ -692,6 +706,26 @@ class TestValidation:
         )
         assert not (tmp_path / "o").exists()
 
+    def test_t_compare_must_not_exceed_t_final(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["setup"]["d"] = 1
+        cfg["setup"]["speed"] = {"kind": "constant", "c": 1.0}
+        cfg["setup"]["profile"] = {"kind": "polynomial", "amplitude": 1.0}
+        t_final = build_setup(cfg).t_final
+        cfg["experiment"] = {"kind": "convergence", "n_list": [64, 128, 256], "t_compare": 3.0}
+        path = write_config(tmp_path, cfg)
+        assert main(["convergence", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "varwave: invalid configuration: experiment.t_compare must not exceed "
+            f"t_final = {t_final}, got 3.0\n"
+        )
+        assert not (tmp_path / "o").exists()
+        # the window may end at t_final itself
+        cfg["experiment"]["t_compare"] = t_final
+        path = write_config(tmp_path, cfg)
+        assert main(["convergence", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+
     @pytest.mark.parametrize(
         "domain, shown",
         [
@@ -996,6 +1030,7 @@ class TestExitCodes:
             ("scheme", "max_steps", -1, "max_steps must be non-negative"),
             ("grid", "n", 4, "grid needs at least 8 nodes"),
             ("setup", "profile", {"amplitude": -1.0}, "amplitude must be non-negative"),
+            ("output", "snapshot_stride", -1, "output.snapshot_stride must be non-negative"),
         ],
         ids=str,
     )

@@ -186,32 +186,24 @@ class TestEnergyObserver:
             profile=PolynomialBump(amplitude=0.0),
         )
         grid = Grid.uniform(*setup.domain, 128)
-        obs = EnergyObserver(grid, setup.speed)
+        obs = EnergyObserver(grid)
         obs(init_state(setup, grid))
         assert obs.E == [0.0]
-        assert obs.flux_lo == [0.0] and obs.flux_hi == [0.0]
 
     def test_initial_energy_within_envelope(self, canonical_setup):
         # quadrature inequality E(0) <= K_envelope r0^{2 alpha} eps, no tolerance
         grid = Grid.uniform(*canonical_setup.domain, 4096)
-        obs = EnergyObserver(grid, canonical_setup.speed)
+        obs = EnergyObserver(grid)
         obs(init_state(canonical_setup, grid))
         constants = compute_constants(canonical_setup)
         s = canonical_setup
         assert obs.E[0] <= constants.K_envelope * s.r0 ** (2 * s.alpha) * s.eps
 
-    def test_boundary_flux_zero_through_run(self, gentle_setup):
-        grid = Grid.uniform(*gentle_setup.domain, 512)
-        obs = EnergyObserver(grid, gentle_setup.speed)
-        run(gentle_setup, grid, SchemeConfig(), observers=(obs,), t_end=0.2)
-        assert np.all(np.asarray(obs.flux_lo) == 0.0)
-        assert np.all(np.asarray(obs.flux_hi) == 0.0)
-
     def test_drift_halves_under_refinement(self, gentle_setup):
         drifts = []
         for n in (512, 1024):
             grid = Grid.uniform(*gentle_setup.domain, n)
-            obs = EnergyObserver(grid, gentle_setup.speed)
+            obs = EnergyObserver(grid)
             run(gentle_setup, grid, SchemeConfig(), observers=(obs,), t_end=0.25)
             drifts.append(obs.max_relative_drift)
         assert drifts[0] > 0.0
@@ -233,7 +225,7 @@ class TestEnergyObserver:
 
         wide = state(0.0, 1, n - 1, (0, n))
         states = [wide, state(1.0, 120, 131, (110, 140)), state(2.0, 0, 0, (60, 70)), wide]
-        obs = EnergyObserver(grid, gentle_setup.speed)
+        obs = EnergyObserver(grid)
         for st in states:
             obs(st)
         want = []
@@ -532,7 +524,7 @@ class TestReportAssembly:
         s = canonical_setup
         constants = compute_constants(s)
         grid = Grid.uniform(*s.domain, 256)
-        energy = EnergyObserver(grid, s.speed)
+        energy = EnergyObserver(grid)
         path = CharacteristicPath("plus", s.r0, grid, s.speed)
         result = run(s, grid, SchemeConfig(max_steps=10), observers=(energy, path))
         hat = path.samples()
@@ -550,4 +542,4 @@ class TestReportAssembly:
             "u_drift_ok", "c_prime_sign_ok", "inv_S_inequality_ok",
             "t_star_within_paper_bound",
         }
-        assert len(doc["energy"]) == 11
+        assert "energy" not in doc

@@ -429,32 +429,6 @@ class TestLiveWindow:
         stepper.step(state)
         assert scanned and max(scanned) <= hi - lo
 
-    def test_energy_observer_skips_c_on_quiescent_ends(self, canonical_setup):
-        grid = Grid.uniform(*canonical_setup.domain, 4096)
-        stepper = Stepper(canonical_setup, grid, SchemeConfig())
-        speed = canonical_setup.speed
-        calls = []
-
-        class CountingSpeed:
-            def c(self, u):
-                calls.append(u)
-                return speed.c(u)
-
-        observer = EnergyObserver(grid, CountingSpeed())
-        state = init_state(canonical_setup, grid)
-        observer(state)
-        assert calls == []
-        # S = -0.0 off the support makes the whole grid live
-        u, R, S = state.u, state.R, np.where(state.S == 0.0, -0.0, state.S)
-        EnergyObserver(grid, CountingSpeed())(GridState(0.0, u, R, S, (0, grid.n)))
-        assert len(calls) == 2
-        state = stepper.step(stepper.step(state))
-        a, b = state.live
-        assert 0 < a and b < grid.n
-        observer(state)
-        assert len(calls) == 2
-        assert observer.flux_lo[-1] == observer.flux_hi[-1] == 0.0
-
 
 class TestCarriedLiveRange:
     """The live range a step carries, and the passes that read it."""
@@ -466,7 +440,7 @@ class TestCarriedLiveRange:
         n = state.u.size
         grid = Grid.uniform(*setup.domain, n)
         stepper = Stepper(setup, grid, SchemeConfig(scheme=scheme))
-        observer = EnergyObserver(grid, setup.speed)
+        observer = EnergyObserver(grid)
         for k in range(5):
             if k:
                 state = stepper.step(state)
@@ -483,9 +457,6 @@ class TestCarriedLiveRange:
             observer(state)
             assert same_bits(observer.E[-1], energy)
             assert observer.E[-1] == pytest.approx(np.trapezoid(y, grid.r), rel=1e-14, abs=0.0)
-            for flux, j in ((observer.flux_lo, 0), (observer.flux_hi, n - 1)):
-                c = float(setup.speed.c(state.u[j]))
-                assert same_bits(flux[-1], c * (float(state.S[j]) ** 2 - float(state.R[j]) ** 2))
 
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(perturbed_states(), st.sampled_from(("upwind1", "muscl2")),
@@ -497,7 +468,7 @@ class TestCarriedLiveRange:
         state = stepper.step(stepper.step(state))
         a, b = state.live
         assume(a < b)
-        bad = state.copy()
+        bad = GridState(state.t, state.u.copy(), state.R.copy(), state.S.copy(), state.live)
         getattr(bad, field)[a + int(where * (b - 1 - a))] = np.nan
         with pytest.raises(NonFiniteState):
             stepper.step(bad)
@@ -686,7 +657,7 @@ class TestStoredRange:
         monkeypatch.setattr(GridState, "_fields", lambda st: built.append(st.t) or fields(st))
         grid = Grid.uniform(*canonical_setup.domain, 512)
         speed = canonical_setup.speed
-        energy = EnergyObserver(grid, speed)
+        energy = EnergyObserver(grid)
         paths = [CharacteristicPath(f, canonical_setup.r0, grid, speed) for f in ("plus", "minus")]
         states = []
         cfg = SchemeConfig(scheme="muscl2", max_steps=60)

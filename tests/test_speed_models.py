@@ -137,7 +137,7 @@ def evaluated(model, method, u):
 
 class TestScalarArrayBits:
     """A float angle gets the bits of the same angle in an array: the path
-    tracer and the energy flux evaluate c on floats, the step on arrays."""
+    tracer evaluates c on floats, the step on arrays."""
 
     # every 40th angle, and those next to index 2398
     PROBE = np.concatenate([DENSE[::40], DENSE[2390:2410]])
