@@ -28,8 +28,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import plots
-from .characteristics import CharacteristicPath, c_prime_sign_along, u_drift_along
 from .diagnostics import (
     EnergyObserver,
     blowup_time_estimate,
@@ -308,6 +306,8 @@ def write_json(path, config: dict, doc: dict) -> None:
 
 def _write_svgs(out_dir: Path, config: dict, figures: dict) -> None:
     """Each name -> (series, title, xlabel, ylabel) as an SVG that echoes the config."""
+    from . import plots
+
     comment = _config_comment(config)
     for name, (series, title, xlabel, ylabel) in figures.items():
         labels = {"title": title, "xlabel": xlabel, "ylabel": ylabel}
@@ -332,18 +332,31 @@ class SnapshotRecorder:
             self.states.append(state)
 
 
-def _simulate_once(config: dict, setup: ProblemSetup, out_dir: Path, svg: bool) -> dict:
-    """Shared body of simulate / eps-sweep: run, write artifacts, return doc."""
+def _plan(config: dict, setup: ProblemSetup) -> tuple[SchemeConfig, Grid, int]:
+    """The scheme, grid and snapshot stride of one simulate run, checked.
+
+    eps-sweep plans every run before it makes its output directory, so a
+    fault of the config leaves no directory behind.
+    """
     cfg = build_scheme(config)
     grid = build_grid(config, setup)
-    # tolerate c'(u0) <= 0 so negative-control runs still produce reports
-    constants = compute_constants(setup, require_hypothesis=False)
-
     stride = _read(_read(config, "output"), "output.snapshot_stride")
     if stride < 0:
         raise ConfigError(f"output.snapshot_stride must be non-negative, got {stride}")
     if stride == 0:  # about ten states of the run's estimated steps
         stride = max(1, math.ceil(setup.t_final / cfg.cfl_step(grid, setup.speed)) // 10)
+    return cfg, grid, stride
+
+
+def _simulate_once(
+    config: dict, setup: ProblemSetup, plan: tuple, out_dir: Path, svg: bool
+) -> dict:
+    """Shared body of simulate / eps-sweep: run, write artifacts, return doc."""
+    from .characteristics import CharacteristicPath, c_prime_sign_along, u_drift_along
+
+    cfg, grid, stride = plan
+    # tolerate c'(u0) <= 0 so negative-control runs still produce reports
+    constants = compute_constants(setup, require_hypothesis=False)
 
     energy = EnergyObserver(grid)
     hat = CharacteristicPath("plus", setup.r0, grid, setup.speed)
@@ -394,7 +407,8 @@ def _simulate_once(config: dict, setup: ProblemSetup, out_dir: Path, svg: bool) 
 
 
 def cmd_simulate(config: dict, out_dir: Path, svg: bool) -> int:
-    _simulate_once(config, build_setup(config), out_dir, svg)
+    setup = build_setup(config)
+    _simulate_once(config, setup, _plan(config, setup), out_dir, svg)
     return 0
 
 
@@ -429,15 +443,17 @@ def cmd_eps_sweep(config: dict, out_dir: Path, svg: bool) -> int:
         raise ConfigError("experiment.eps_list must be nonempty")
     if len(set(eps_list)) < len(eps_list):
         raise ConfigError(f"experiment.eps_list repeats an entry: {json.dumps(eps_list)}")
-    # build every setup up front so the sweep fails fast on bad input
+    # build every setup and plan up front so the sweep fails fast on bad
+    # input, before it makes any directory
     setups = [build_setup(config, eps_override=eps) for eps in eps_list]
+    plans = [_plan(config, setup) for setup in setups]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = {"eps": [], "detected": [], "t_detect": [], "t_star_extrapolated": [], "t_final": []}
     errors = {}
-    for eps, setup in zip(eps_list, setups):
+    for eps, setup, plan in zip(eps_list, setups, plans):
         try:
-            doc = _simulate_once(config, setup, out_dir / f"eps_{eps!r}", svg)
+            doc = _simulate_once(config, setup, plan, out_dir / f"eps_{eps!r}", svg)
         except ConfigError:  # a fault of the config stops the sweep
             raise
         except VarwaveError as exc:  # collect, keep sweeping

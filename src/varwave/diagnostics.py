@@ -23,21 +23,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .characteristics import (
-    CharacteristicPath,
-    DriftReport,
-    PathSamples,
-    SignReport,
-    find_intersection,
-    truncate_at,
-)
-from .charsolver import CharRun, march, place_nodes
 from .errors import HypothesisViolated, NoIntersection
 from .initial_data import PolynomialBump, ProblemSetup, initial_riemann
 from .solver import Grid, GridState, RunResult, SchemeConfig, run
+
+# the path tracer and the characteristic solver are imported by the two
+# triangle identities that use them, so that the commands that never call
+# either do not load them
+if TYPE_CHECKING:
+    from .characteristics import DriftReport, PathSamples, SignReport
+    from .charsolver import CharRun
 
 INEQUALITY_PASS_FRACTION = 0.95
 
@@ -273,6 +272,8 @@ def triangle_identity(
     the report and the samples of both paths.  Raises NoIntersection when the
     run ends any other way (t_final, gradient ceiling, or step budget) first.
     """
+    from .characteristics import CharacteristicPath, find_intersection, truncate_at
+
     _check_feet(setup, r1, r2)
     plus = CharacteristicPath("plus", r1, grid, setup.speed)
     minus = CharacteristicPath("minus", r2, grid, setup.speed)
@@ -319,6 +320,8 @@ def characteristic_triangle_identity(
     the solution is the conservative one.  Same preconditions as
     ``triangle_identity``, and the same return value.
     """
+    from .charsolver import march, place_nodes
+
     _check_feet(setup, r1, r2)
     nodes = place_nodes(setup, n, r1, r2)
     run_ = march(setup, nodes, lines=[("plus", r1), ("minus", r2)], stop_at_detection=False)

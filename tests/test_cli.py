@@ -1047,7 +1047,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"varwave: invalid configuration: {message}")
         assert len(err.splitlines()) == 1
-        assert not [p for p in (tmp_path / "o").rglob("*") if p.is_file()]  # nothing ran
+        assert not (tmp_path / "o").exists()  # checked before any directory is made
 
     def test_sweep_config_error_is_not_collected_per_eps(self, tmp_path, capsys):
         cfg = base_config(grid={"n": 64}, output={"snapshot_stride": "x"})
@@ -1214,7 +1214,15 @@ class TestAnglesOffTheTable:
 
 
 class TestColdStart:
-    """The package loads without scipy; only ``speed.kind: tabulated`` needs it."""
+    """A command loads only what it runs, in a fresh interpreter.
+
+    The package loads without scipy; only ``speed.kind: tabulated`` needs it.
+    The package names resolve on first use, so ``import varwave.cli`` loads
+    neither the characteristic solver, the path tracer nor the SVG writer:
+    ``convergence`` runs without all three, ``triangle`` without ``--svg``
+    needs only the path tracer, and no command loads the characteristic
+    solver.
+    """
 
     SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -1229,10 +1237,50 @@ class TestColdStart:
     def test_import_loads_no_scipy(self):
         proc = self._python(
             "import sys, varwave.cli, varwave\n"
+            "[getattr(varwave, name) for name in varwave.__all__]\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    LAZY = ("varwave.characteristics", "varwave.charsolver", "varwave.plots")
+    LOADED = f"print(json.dumps(sorted(m for m in {LAZY!r} if m in sys.modules)))"
+
+    def test_import_loads_no_path_tracer_solver_or_writer(self):
+        proc = self._python(
+            "import json, sys, varwave.cli, varwave.diagnostics, varwave.solver\n" + self.LOADED
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "command, flags, unloaded",
+        [
+            ("convergence", (), LAZY),
+            ("triangle", (), ("varwave.charsolver", "varwave.plots")),
+            ("simulate", ("--svg",), ("varwave.charsolver",)),
+            ("eps-sweep", ("--svg",), ("varwave.charsolver",)),
+        ],
+        ids=["convergence", "triangle", "simulate-svg", "eps-sweep-svg"],
+    )
+    def test_command_loads_only_what_it_runs(self, tmp_path, command, flags, unloaded):
+        cfg = base_config(grid={"n": 128})
+        cfg["experiment"] = {
+            "convergence": {"kind": "convergence", "n_list": [64, 128, 256], "t_compare": 0.1},
+            "triangle": {"kind": "triangle", "r1": 0.85, "r2": 1.15},
+            "simulate": {},
+            "eps-sweep": {"kind": "eps_sweep", "eps_list": [0.1]},
+        }[command]
+        path = write_config(tmp_path, cfg)
+        proc = self._python(
+            "import json, sys\n"
+            "from varwave.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n" + self.LOADED,
+            command, *flags, "--config", str(path), "--out-dir", str(tmp_path / "o"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout)
+        assert not set(loaded) & set(unloaded), loaded
 
     def test_canonical_simulate_runs_with_scipy_blocked(self, tmp_path):
         cfg = base_config(grid={"n": 512})
