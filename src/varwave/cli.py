@@ -30,6 +30,7 @@ import numpy as np
 
 from .diagnostics import (
     EnergyObserver,
+    TheoremConstants,
     blowup_time_estimate,
     build_blowup_report,
     build_report,
@@ -273,16 +274,15 @@ def _snapshot_rows(grid: Grid, setup: ProblemSetup, states: list[GridState]) -> 
     is (t, r, u0, 0, 0, 0): u_r = (+0 - +0)/(2 c(u0) r^alpha) = +0.0.  Those
     rows are joined from text made once per run, with t formatted once per
     state; only the live rows go through %.17g and from_riemann.  The bytes
-    are those of the whole columns written by write_csv.  Every state is all
-    live when 2 c0 r_lo^alpha is near underflow (u_r would be 0/0 there).
+    are those of the whole columns written by write_csv.  ProblemSetup
+    rejects a weight c0 r_lo^alpha near underflow, where u_r would be 0/0.
     """
     n = grid.n
     r_text = [f"{x:.17g}" for x in grid.r.tolist()]
     rest = [f",{x},{setup.u0:.17g},0,0,0\n" for x in r_text]
-    all_live = setup.speed.c0 * grid.r_lo**setup.alpha < 1e-300
     for st in states:
         t = f"{st.t:.17g}"
-        a, b = (0, n) if all_live else st.live
+        a, b = st.live
         u, R, S = st.window(a, b)
         _, u_r = from_riemann(grid.r[a:b], u, R, S, setup.speed, setup.alpha)
         row = t + ",%s,%.17g,%.17g,%.17g,%.17g\n"
@@ -332,11 +332,12 @@ class SnapshotRecorder:
             self.states.append(state)
 
 
-def _plan(config: dict, setup: ProblemSetup) -> tuple[SchemeConfig, Grid, int]:
-    """The scheme, grid and snapshot stride of one simulate run, checked.
+def _plan(config: dict, setup: ProblemSetup) -> tuple[SchemeConfig, Grid, int, TheoremConstants]:
+    """The scheme, grid, snapshot stride and theorem constants of one simulate run, checked.
 
     eps-sweep plans every run before it makes its output directory, so a
-    fault of the config leaves no directory behind.
+    fault of the config, such as a constant that overflows a float, leaves
+    no directory behind.
     """
     cfg = build_scheme(config)
     grid = build_grid(config, setup)
@@ -345,7 +346,8 @@ def _plan(config: dict, setup: ProblemSetup) -> tuple[SchemeConfig, Grid, int]:
         raise ConfigError(f"output.snapshot_stride must be non-negative, got {stride}")
     if stride == 0:  # about ten states of the run's estimated steps
         stride = max(1, math.ceil(setup.t_final / cfg.cfl_step(grid, setup.speed)) // 10)
-    return cfg, grid, stride
+    # tolerate c'(u0) <= 0 so negative-control runs still produce reports
+    return cfg, grid, stride, compute_constants(setup, require_hypothesis=False)
 
 
 def _simulate_once(
@@ -354,9 +356,7 @@ def _simulate_once(
     """Shared body of simulate / eps-sweep: run, write artifacts, return doc."""
     from .characteristics import CharacteristicPath, c_prime_sign_along, u_drift_along
 
-    cfg, grid, stride = plan
-    # tolerate c'(u0) <= 0 so negative-control runs still produce reports
-    constants = compute_constants(setup, require_hypothesis=False)
+    cfg, grid, stride, constants = plan
 
     energy = EnergyObserver(grid)
     hat = CharacteristicPath("plus", setup.r0, grid, setup.speed)
@@ -499,15 +499,15 @@ def cmd_convergence(config: dict, out_dir: Path, svg: bool) -> int:
             f"experiment.t_compare must not exceed t_final = {setup.t_final}, got {t_cmp}"
         )
 
+    # the march without run's gradient ceiling, which would cost a
+    # gradient_max per step
     def solve(n: int):
         grid = Grid.uniform(*setup.domain, n)
-        stepper = Stepper(setup, grid, cfg)
         energy = EnergyObserver(grid)
         state = init_state(setup, grid)
         energy(state)
-        while state.t < t_cmp - 1e-15:
-            state = stepper.step(state, min(stepper.base_dt, t_cmp - state.t))
-            energy(state)
+        for state in Stepper(setup, grid, cfg).march(state, t_cmp, (energy,)):
+            pass
         return grid, state, energy.max_relative_drift
 
     with ThreadPoolExecutor(max_workers=_JOB_WORKERS) as pool:

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import HypothesisViolated, NoIntersection
-from .initial_data import PolynomialBump, ProblemSetup, initial_riemann
+from .initial_data import PolynomialBump, ProblemSetup, checked_power, initial_riemann
 from .solver import Grid, GridState, RunResult, SchemeConfig, run
 
 # the path tracer and the characteristic solver are imported by the two
@@ -135,14 +135,12 @@ def compute_constants(setup: ProblemSetup, require_hypothesis: bool = True) -> T
     cp0 = max(cp0, 0.0)
 
     iphi = _phi_prime_sq_integral(setup.profile)
-    k_env = (
-        (eps**2 + (2.0 * c1 + eps) ** 2)
-        * (r0 + eps) ** (2.0 * alpha)
-        / r0 ** (2.0 * alpha)
-        * iphi
-    )
+    reach_2alpha = checked_power(r0 + eps, 2.0 * alpha, "(r0 + eps)**(2 alpha)")
+    r0_2alpha = checked_power(r0, 2.0 * alpha, "r0**(2 alpha)")
+    two_r0_alpha = checked_power(2.0 * r0, alpha, "(2 r0)**alpha")
+    k_env = (eps**2 + (2.0 * c1 + eps) ** 2) * reach_2alpha / r0_2alpha * iphi
     e0 = initial_energy_exact(setup)
-    k_meas = e0 / (r0 ** (2.0 * alpha) * eps)
+    k_meas = e0 / (r0_2alpha * eps)
 
     ralpha0 = r0**alpha
     m = k_env * c1 * ralpha0 * math.sqrt(r0) / (4.0 * c0**2) + alpha * math.sqrt(
@@ -152,16 +150,16 @@ def compute_constants(setup: ProblemSetup, require_hypothesis: bool = True) -> T
     eps_prime_proxy = r0 / 2.0
     candidates = [math.sqrt(eps_prime_proxy), math.sqrt(c0)]
     if m > 0.0:  # the M-scaled terms drop out (are +inf) for zero-energy data
-        candidates.append(r0 * cp0 / (64.0 * m * c1**2 * (2.0 * r0) ** alpha))
+        candidates.append(r0 * cp0 / (64.0 * m * c1**2 * two_r0_alpha))
         candidates.append(1.0 / (2.0 * m))
     sqrt_eps0 = min(candidates)
     if cp0 > 0.0:
-        s0_lower = max(32.0 * c1**2 * (2.0 * r0) ** alpha / ((r0 - eps) * cp0), 2.0)
+        s0_lower = max(32.0 * c1**2 * two_r0_alpha / ((r0 - eps) * cp0), 2.0)
     else:
         s0_lower = math.inf
     t_star_bound = (r0 - eps) / (2.0 * c1) + r0 / (4.0 * c1)
     drift_bound = math.sqrt(k_env * (r0 - eps) / (c0 * c1)) * math.sqrt(eps)
-    decay = cp0 / (16.0 * c1 * (2.0 * r0) ** alpha)
+    decay = cp0 / (16.0 * c1 * two_r0_alpha)
 
     return TheoremConstants(
         K_measured=k_meas,
@@ -188,7 +186,7 @@ def blowup_time_estimate(setup: ProblemSetup) -> float:
     cp0 = float(setup.speed.c_prime(setup.u0))
     if cp0 <= 0.0:
         return math.inf
-    ralpha0 = setup.r0**setup.alpha
+    ralpha0 = checked_power(setup.r0, setup.alpha, "r0**alpha")
     s0 = (2.0 * c_at_u0 - setup.eps) * ralpha0 * setup.profile.amplitude
     if s0 <= 0.0:
         return math.inf

@@ -21,6 +21,14 @@ from .errors import ConfigError, HypothesisViolated, SpeedNotIncreasing
 from .speed_models import WaveSpeedModel, validate_bounds
 
 
+def checked_power(base: float, exponent: float, name: str) -> float:
+    """base**exponent; HypothesisViolated naming the quantity where it overflows a float."""
+    try:
+        return base**exponent
+    except OverflowError:
+        raise HypothesisViolated(f"{name} = {base!r}**{exponent!r} overflows a float") from None
+
+
 class BumpProfile:
     """C1 compactly supported profile phi on (-1, 1); zero outside."""
 
@@ -64,7 +72,7 @@ class PolynomialBump(BumpProfile):
 
     def phi_prime_sq_integral(self) -> float:
         """Exact integral of phi'(z)^2 over (-1, 1)."""
-        return self.amplitude**2 * 256.0 / 315.0
+        return checked_power(self.amplitude, 2, "amplitude**2") * 256.0 / 315.0
 
 
 @dataclass(frozen=True)
@@ -106,8 +114,8 @@ def theorem_amplitude(d: int, r0: float, u0: float, speed: WaveSpeedModel) -> fl
         raise SpeedNotIncreasing(
             f"c'(u0) = {cp0} at u0 = {u0}; blow-up construction needs c'(u0) > 0"
         )
-    a1 = 32.0 * speed.c1**2 * 2.0**alpha / (r0 * speed.c0 * cp0)
-    a2 = 1.0 / (speed.c0 * r0**alpha)
+    a1 = 32.0 * speed.c1**2 * checked_power(2.0, alpha, "2**alpha") / (r0 * speed.c0 * cp0)
+    a2 = 1.0 / (speed.c0 * checked_power(r0, alpha, "r0**alpha"))
     return 2.0 * max(a1, a2)
 
 
@@ -157,6 +165,12 @@ class ProblemSetup:
             raise HypothesisViolated("domain must satisfy r_lo > 0")
         if r_lo >= self.r0 - self.eps:
             raise HypothesisViolated("domain left end must lie left of the bump")
+        # u_r = (R - S)/(2 c r^alpha) is 0/0 where the weight underflows
+        weight = self.speed.c0 * checked_power(r_lo, self.alpha, "r_lo**alpha")
+        if weight < 1e-300:
+            raise HypothesisViolated(
+                f"the weight c0 * r_lo**alpha = {weight} at r_lo = {r_lo} is below 1e-300"
+            )
         if r_hi < self.r0 + self.eps + self.speed.c1 * self.t_final:
             raise HypothesisViolated(
                 "domain right end does not cover the support reach "

@@ -16,10 +16,12 @@ speed bound c1, so the discrete domain of dependence always contains the
 physical one.  Fields at both boundary nodes are clamped to the quiescent
 state (u=u0, R=S=0), valid while the support stays interior.  A stage
 fails by name if the speed model finds an angle it reads off its table,
-and otherwise makes one c_and_c_prime and one rhs_fields call.  ``run`` is
-the one march loop: it stops at t_end (t_final by default), when a
-caller's stop rule fires, on a gradient ceiling crossing (the blow-up
-signal; ``default_ceiling`` unless set), or on a step budget.
+and otherwise makes one c_and_c_prime and one rhs_fields call.
+``Stepper.march`` is the one march loop: it steps to t_end, shortening the
+last step to land on it, and stops once t is within ``_reached`` of t_end
+or after a step budget.  ``run`` marches to t_final by default and adds its
+policies: a caller's stop rule and the gradient ceiling crossing (the
+blow-up signal; ``default_ceiling`` unless set).
 
 A node is quiescent when it is bitwise (u0, +0.0, +0.0) in all three
 fields; any other bits, NaN and the other signed zero among them, are live.
@@ -52,7 +54,7 @@ regrouped product such as c*(alpha*inv_r) for (alpha*c)*inv_r.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,13 +176,17 @@ class GridState:
     S = property(lambda self: self._fields()[2])
 
     def window(self, lo: int, hi: int):
-        """(u, R, S) on the nodes [lo, hi): views of the stored rows where they reach."""
+        """(u, R, S) on the nodes [lo, hi) as views of the stored rows; empty if hi <= lo.
+
+        IndexError if the nodes leave the stored range.
+        """
         s_lo, s_hi = self.stored
-        if hi <= lo or s_lo <= lo and hi <= s_hi:
-            u, R, S = self._rows
-            lo, hi = lo - s_lo, hi - s_lo
-        else:
-            u, R, S = self._fields()
+        if hi <= lo:
+            lo = hi = s_lo
+        elif lo < s_lo or hi > s_hi:
+            raise IndexError(f"nodes [{lo}, {hi}) leave the stored range [{s_lo}, {s_hi})")
+        u, R, S = self._rows
+        lo, hi = lo - s_lo, hi - s_lo
         return u[lo:hi], R[lo:hi], S[lo:hi]
 
     def node(self, i: int) -> tuple[float, float, float]:
@@ -224,6 +230,11 @@ class SchemeConfig:
     def cfl_step(self, grid: Grid, speed: WaveSpeedModel) -> float:
         """The time step cfl*h/c1 on the grid, with the speed's global bound c1."""
         return self.cfl * grid.h / speed.c1
+
+
+def _reached(t: float, t_end: float) -> bool:
+    """True once t lies within 1e-14 * t_end of t_end, the march's end rule."""
+    return t >= t_end - 1e-14 * t_end
 
 
 def default_ceiling(g0: float) -> float:
@@ -404,6 +415,24 @@ class Stepper:
         live = _live_span(u1, R1, S1, self.setup.u0, lo)
         return GridState(state.t + dt, *new, live, s_lo, self.grid.n, self.setup.u0)
 
+    def march(
+        self, state: GridState, t_end: float, observers: tuple = (), max_steps: int | None = None
+    ) -> Iterator[GridState]:
+        """Step from state towards t_end, yielding each new state.
+
+        Each step is base_dt, or t_end - t when that is shorter, so the last
+        one lands on t_end.  Observers see each new state, in list order,
+        before it is yielded.  The march ends once ``_reached(t, t_end)``, or
+        after max_steps states when it is given.
+        """
+        steps = 0
+        while not _reached(state.t, t_end) and (max_steps is None or steps < max_steps):
+            state = self.step(state, min(self.base_dt, t_end - state.t))
+            steps += 1
+            for obs in observers:
+                obs(state)
+            yield state
+
     def gradient_max(self, state: GridState) -> tuple[float, int]:
         """max_i |S_i|/r_i^alpha and its node index, the first one on ties.
 
@@ -426,11 +455,12 @@ def run(
     t_end: float | None = None,
     stop: Callable[[GridState], bool] | None = None,
 ) -> RunResult:
-    """March from t=0 until t_end, a stop rule, a ceiling crossing or max_steps.
+    """``Stepper.march`` from t=0 until t_end, a stop rule, a ceiling crossing or max_steps.
 
     t_end defaults to setup.t_final; the last step is shortened to land on
-    it, and reaching it reports reason "t_final".  Observers are callables
-    invoked with the state once at t=0 and after every step, in list order.
+    it, and reaching it reports reason "t_final", also when that step uses
+    up max_steps.  Observers are callables invoked with the state once at
+    t=0 and after every step, in list order.
     After the observers of a step, ``stop(state)`` is asked first: if it
     returns True the run ends with reason "stop", even when the same step
     crosses the gradient ceiling.  NonFiniteState propagates with the last
@@ -452,19 +482,8 @@ def run(
     detected = False
     t_detect = None
     r_detect = None
-    reason = "max_steps"
-    while True:
-        if state.t >= t_end - 1e-14 * t_end:
-            reason = "t_final"
-            break
-        if steps >= cfg.max_steps:
-            reason = "max_steps"
-            break
-        dt = min(stepper.base_dt, t_end - state.t)
-        state = stepper.step(state, dt)
+    for state in stepper.march(state, t_end, observers, cfg.max_steps):
         steps += 1
-        for obs in observers:
-            obs(state)
         if stop is not None and stop(state):
             reason = "stop"
             break
@@ -475,6 +494,9 @@ def run(
             r_detect = float(grid.r[i])
             reason = "gradient_ceiling"
             break
+    else:
+        # t_end wins over the budget when the last step reaches both
+        reason = "t_final" if _reached(state.t, t_end) else "max_steps"
 
     return RunResult(
         state=state,

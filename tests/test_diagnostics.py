@@ -54,6 +54,25 @@ class TestConstants:
         assert constants.K_envelope == 0.0
         assert constants.E0_exact == 0.0
 
+    def test_overflowing_power_is_named(self):
+        # (r0 + eps)^(2 alpha) and r0^(2 alpha) are finite, (2 r0)^alpha is not
+        setup = ProblemSetup(
+            d=1300, r0=1.5, eps=0.1, u0=0.5, speed=ConstantSpeed.of(1.0),
+            profile=PolynomialBump(amplitude=1.0), domain=(1.0, 3.1),
+        )
+        with pytest.raises(HypothesisViolated, match=r"^\(2 r0\)\*\*alpha = 3.0\*\*649.5 overflows"):
+            compute_constants(setup, require_hypothesis=False)
+
+    def test_overflowing_riccati_weight_is_named(self, canonical_speed):
+        # the domain keeps r_lo^alpha finite; convergence's default
+        # t_compare reads r0^alpha
+        setup = ProblemSetup(
+            d=5, r0=1e200, eps=0.1, u0=np.pi / 4, speed=canonical_speed,
+            profile=PolynomialBump(amplitude=1.0), domain=(1.0, 3e200),
+        )
+        with pytest.raises(HypothesisViolated, match=r"^r0\*\*alpha = 1e\+200\*\*2.0 overflows"):
+            blowup_time_estimate(setup)
+
     @pytest.mark.parametrize("eps", [0.4999, 0.05, 1e-7])
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_initial_energy_matches_tight_quad(self, canonical_speed, d, eps):

@@ -133,6 +133,27 @@ class TestProblemSetup:
                 profile=prof, domain=(0.0, 2.1),
             )
 
+    def test_underflowing_weight_rejected(self):
+        # r_lo^alpha is 0 at the left end, where u_r would be 0/0
+        with pytest.raises(HypothesisViolated, match=r"c0 \* r_lo\*\*alpha = 0.0 at r_lo = 1e-170"):
+            ProblemSetup(
+                d=5, r0=1e-160, eps=1e-161, u0=0.5, speed=ConstantSpeed.of(1.0),
+                profile=PolynomialBump(amplitude=1.0), domain=(1e-170, 2.5e-160),
+            )
+
+    def test_overflowing_powers_are_named(self, canonical_speed):
+        with pytest.raises(HypothesisViolated, match=r"^2\*\*alpha = 2.0\*\*1024.5 overflows"):
+            theorem_amplitude(2050, 1.0, math.pi / 4, canonical_speed)
+        with pytest.raises(HypothesisViolated, match=r"^r0\*\*alpha = 1e\+300\*\*2.0 overflows"):
+            theorem_amplitude(5, 1e300, math.pi / 4, canonical_speed)
+        with pytest.raises(HypothesisViolated, match=r"^amplitude\*\*2 = 1e\+200\*\*2 overflows"):
+            PolynomialBump(amplitude=1e200).phi_prime_sq_integral()
+        with pytest.raises(HypothesisViolated, match=r"^r_lo\*\*alpha = 1e\+200\*\*2.0 overflows"):
+            ProblemSetup(
+                d=5, r0=1e201, eps=0.1, u0=0.5, speed=ConstantSpeed.of(1.0),
+                profile=PolynomialBump(amplitude=1.0), domain=(1e200, 3e201),
+            )
+
     @given(st.floats(allow_nan=False))
     def test_base_angle_kept_bit_for_bit_with_one_zero(self, u0):
         s = ProblemSetup(

@@ -980,6 +980,14 @@ class TestRun:
         assert result.reason == "t_final"
         assert abs(result.state.t - t_end) <= 1e-14 * t_end
 
+    @pytest.mark.parametrize("budget, reason", [(3, "max_steps"), (4, "t_final"), (5, "t_final")])
+    def test_t_end_wins_over_the_budget_on_the_same_step(self, gentle_setup, budget, reason):
+        grid = Grid.uniform(*gentle_setup.domain, 128)
+        cfg = SchemeConfig(max_steps=budget)
+        t_end = 3.5 * Stepper(gentle_setup, grid, cfg).base_dt
+        result = run(gentle_setup, grid, cfg, t_end=t_end)
+        assert (result.steps, result.reason) == (min(budget, 4), reason)
+
     def test_observers_called_every_step_plus_initial(self, canonical_setup):
         grid = Grid.uniform(*canonical_setup.domain, 128)
         times = []
@@ -1001,6 +1009,49 @@ class TestRun:
         lam = s.speed.c_prime(s.u0) / (4 * c)
         S0 = (2 * c - s.eps) * s.profile.amplitude
         assert blowup_time_estimate(s) == pytest.approx(1.0 / (lam * S0), rel=1e-12)
+
+
+class TestMarch:
+    def test_yields_each_state_after_its_observers(self, gentle_setup):
+        grid = Grid.uniform(*gentle_setup.domain, 128)
+        stepper = Stepper(gentle_setup, grid, SchemeConfig())
+        start = init_state(gentle_setup, grid)
+        t_end = 2.5 * stepper.base_dt
+        seen = []
+        yielded = []
+        for state in stepper.march(start, t_end, (seen.append,)):
+            assert seen[-1] is state
+            yielded.append(state)
+        assert seen == yielded and len(yielded) == 3
+        # the last step is shortened to land on t_end
+        dts = [b.t - a.t for a, b in zip([start, *yielded], yielded)]
+        assert dts[:2] == [stepper.base_dt] * 2 and yielded[-1].t == t_end
+
+    def test_ends_on_the_relative_rule_or_the_budget(self, gentle_setup):
+        grid = Grid.uniform(*gentle_setup.domain, 128)
+        stepper = Stepper(gentle_setup, grid, SchemeConfig())
+        start = init_state(gentle_setup, grid)
+        assert len(list(stepper.march(start, 1e-16))) == 1
+        assert len(list(stepper.march(start, 10 * stepper.base_dt, max_steps=4))) == 4
+        assert list(stepper.march(start, 1.0, max_steps=0)) == []
+        # within 1e-14 * t_end of t_end counts as there
+        there = GridState(1.0 - 5e-15, start.u, start.R, start.S, start.live)
+        assert list(stepper.march(there, 1.0)) == []
+
+
+class TestStateWindow:
+    def test_window_outside_the_stored_range_raises(self, canonical_setup):
+        grid = Grid.uniform(*canonical_setup.domain, 256)
+        stepper = Stepper(canonical_setup, grid, SchemeConfig())
+        state = stepper.step(init_state(canonical_setup, grid))
+        lo, hi = state.stored
+        assert 0 < lo < hi < grid.n
+        u, _, _ = state.window(lo, hi)
+        assert bits(u).tolist() == bits(state.u[lo:hi]).tolist()
+        for a, b in ((lo - 1, hi), (lo, hi + 1), (0, grid.n)):
+            with pytest.raises(IndexError, match=r"leave the stored range"):
+                state.window(a, b)
+        assert all(f.size == 0 for f in (*state.window(0, 0), *state.window(hi + 5, lo - 3)))
 
 
 class TestSchemeConfig:
