@@ -10,7 +10,11 @@ comment syntax).  Identical configs produce bit-identical outputs: the
 summation order is fixed and floats are written with round-trip precision.
 Exit codes: 0 success, 1 invalid input (a ConfigError or a subclass), 2 any
 other failure of the run.  The jobs of eps-sweep and convergence run one
-after another.
+after another.  Given two CPUs, simulate and eps-sweep format each run's
+snapshots.csv on one worker process while the march runs
+(_snapshot_worker), with the bytes of the in-process table; only they
+import multiprocessing, inside the call, and every call joins its worker
+before it returns.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import sys
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -34,6 +39,7 @@ from .diagnostics import (
     blowup_time_estimate,
     build_blowup_report,
     build_report,
+    check_initial_energy,
     compute_constants,
     triangle_identity,
 )
@@ -267,33 +273,109 @@ def write_csv(path, config: dict, columns) -> None:
             fh.write(block)
 
 
-def _snapshot_rows(grid: Grid, setup: ProblemSetup, states: list[GridState]) -> Iterator[str]:
-    """Text of the snapshot table, state by state, a chunk of rows at a time.
+# Columns of snapshots.csv.
+SNAPSHOT_COLUMNS = ["t", "r", "u", "R", "S", "u_r"]
+
+
+class _SnapshotText:
+    """Text of the snapshot table of one grid, state by state, a chunk of rows at a time.
 
     Outside a state's live range every node is (u0, +0.0, +0.0), so its row
     is (t, r, u0, 0, 0, 0): u_r = (+0 - +0)/(2 c(u0) r^alpha) = +0.0.  Those
-    rows are joined from text made once per run, with t formatted once per
+    rows are joined from text made once per table, with t formatted once per
     state; only the live rows go through %.17g and from_riemann.  The bytes
     are those of the whole columns written by write_csv.  ProblemSetup
     rejects a weight c0 r_lo^alpha near underflow, where u_r would be 0/0.
     """
-    n = grid.n
-    r_text = [f"{x:.17g}" for x in grid.r.tolist()]
-    rest = [f",{x},{setup.u0:.17g},0,0,0\n" for x in r_text]
-    for st in states:
-        t = f"{st.t:.17g}"
-        a, b = st.live
-        u, R, S = st.window(a, b)
-        _, u_r = from_riemann(grid.r[a:b], u, R, S, setup.speed, setup.alpha)
+
+    def __init__(self, grid: Grid, setup: ProblemSetup):
+        self.grid, self.setup = grid, setup
+        self.r_text = [f"{x:.17g}" for x in grid.r.tolist()]
+        self.rest = [f",{x},{setup.u0:.17g},0,0,0\n" for x in self.r_text]
+
+    def rows(self, t: float, live: tuple[int, int], fields) -> Iterator[str]:
+        """Text of the rows of the state at time t with live range [a, b) and
+        (u, R, S) on the nodes [a, b)."""
+        r_text, rest, t = self.r_text, self.rest, f"{t:.17g}"
+        a, b = live
+        u, R, S = fields
+        _, u_r = from_riemann(self.grid.r[a:b], u, R, S, self.setup.speed, self.setup.alpha)
         row = t + ",%s,%.17g,%.17g,%.17g,%.17g\n"
         for i, j in _chunks(0, a):
             yield t + t.join(rest[i:j])
         for i, j in _chunks(a, b):
-            fields = (f[i - a : j - a] for f in (u, R, S, u_r))
-            cells = zip(r_text[i:j], *(f.tolist() for f in fields))
+            cells = zip(r_text[i:j], *(f[i - a : j - a].tolist() for f in (u, R, S, u_r)))
             yield row * (j - i) % tuple(itertools.chain.from_iterable(cells))
-        for i, j in _chunks(b, n):
+        for i, j in _chunks(b, self.grid.n):
             yield t + t.join(rest[i:j])
+
+
+def _live_fields(state: GridState) -> tuple:
+    """(t, live, (u, R, S) on the live range) of a state: all its table rows need."""
+    return state.t, state.live, state.window(*state.live)
+
+
+def _snapshot_rows(grid: Grid, setup: ProblemSetup, states: list[GridState]) -> Iterator[str]:
+    """Text of the snapshot table of the states, in order (see _SnapshotText)."""
+    text = _SnapshotText(grid, setup)
+    for st in states:
+        yield from text.rows(*_live_fields(st))
+
+
+# The snapshot worker's table of the run in progress: its row maker and the
+# text of the states sent so far.  It lives in the worker process only.
+_worker_table: tuple[_SnapshotText, list[str]] | None = None
+
+
+def _table_open(grid: Grid, setup: ProblemSetup) -> None:
+    global _worker_table
+    _worker_table = (_SnapshotText(grid, setup), [])
+
+
+def _table_add(t: float, live: tuple[int, int], fields) -> None:
+    text, done = _worker_table
+    done.extend(text.rows(t, live, fields))
+
+
+def _table_write(path, config: dict) -> None:
+    write_csv(path, config, (SNAPSHOT_COLUMNS, _worker_table[1]))
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        return os.cpu_count() or 1
+
+
+def _snapshot_worker(grid: Grid, setup: ProblemSetup):
+    """A one-worker process pool that formats the snapshot table of one run,
+    or None where this process may use one CPU only.
+
+    The %.17g text of a table is CPU work that needs the interpreter lock,
+    so a thread could not overlap it with the march; a process on a second
+    CPU does.  On one CPU the worker only takes turns with the march, and
+    the fork, the copy-on-write faults and the job traffic made the
+    canonical simulate about 7% slower, so the table is written in-process
+    there.  The worker is forked where the platform offers fork, and started
+    by the platform default otherwise; the pool forks it before it starts
+    its own threads, and the worker runs no BLAS call.  It runs the jobs in
+    the order they were submitted: _table_add per kept state, then
+    _table_write.
+    """
+    if _cpus() < 2:
+        return None
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    return ProcessPoolExecutor(
+        max_workers=1,
+        mp_context=multiprocessing.get_context("fork" if fork else None),
+        initializer=_table_open,
+        initargs=(grid, setup),
+    )
 
 
 def write_json(path, config: dict, doc: dict) -> None:
@@ -315,21 +397,30 @@ def _write_svgs(out_dir: Path, config: dict, figures: dict) -> None:
 
 
 class SnapshotRecorder:
-    """Keeps every stride-th state (plus the initial one) for CSV dumping."""
+    """Keeps every stride-th state (plus the initial one) for CSV dumping.
 
-    def __init__(self, stride: int):
+    Each state it keeps is also passed to sink, when one is given.
+    """
+
+    def __init__(self, stride: int, sink=None):
         self.stride = stride
+        self.sink = sink
         self.count = 0
         self.states: list[GridState] = []
 
     def __call__(self, state: GridState):
         if self.count % self.stride == 0:
-            self.states.append(state)
+            self._keep(state)
         self.count += 1
 
     def ensure_last(self, state: GridState):
         if not self.states or self.states[-1] is not state:
-            self.states.append(state)
+            self._keep(state)
+
+    def _keep(self, state: GridState):
+        self.states.append(state)
+        if self.sink is not None:
+            self.sink(state)
 
 
 def _plan(config: dict, setup: ProblemSetup) -> tuple[SchemeConfig, Grid, int, TheoremConstants]:
@@ -346,6 +437,7 @@ def _plan(config: dict, setup: ProblemSetup) -> tuple[SchemeConfig, Grid, int, T
         raise ConfigError(f"output.snapshot_stride must be non-negative, got {stride}")
     if stride == 0:  # about ten states of the run's estimated steps
         stride = max(1, math.ceil(setup.t_final / cfg.cfl_step(grid, setup.speed)) // 10)
+    check_initial_energy(setup, grid)
     # tolerate c'(u0) <= 0 so negative-control runs still produce reports
     return cfg, grid, stride, compute_constants(setup, require_hypothesis=False)
 
@@ -358,51 +450,67 @@ def _simulate_once(
 
     cfg, grid, stride, constants = plan
 
-    energy = EnergyObserver(grid)
-    hat = CharacteristicPath("plus", setup.r0, grid, setup.speed)
-    snaps = SnapshotRecorder(stride)
-    result = run(setup, grid, cfg, observers=(energy, hat, snaps))
-    snaps.ensure_last(result.state)
+    # given two CPUs, the snapshot table is formatted by the worker while the
+    # march runs, and written by it while the parent writes the other artifacts
+    worker = _snapshot_worker(grid, setup)
+    try:
+        jobs = []
+        energy = EnergyObserver(grid)
+        hat = CharacteristicPath("plus", setup.r0, grid, setup.speed)
 
-    hat_samples = hat.samples()
-    blowup = build_blowup_report(result, hat_samples, constants, setup)
-    doc = build_report(
-        constants, energy, blowup,
-        u_drift_along(hat_samples, constants), c_prime_sign_along(hat_samples, setup),
-    )
-    doc["run"] = {
-        "reason": result.reason,
-        "steps": result.steps,
-        "t_end": result.state.t,
-        "t_final": setup.t_final,
-        "gradient_ceiling": result.gradient_ceiling,
-        "grid_n": grid.n,
-    }
+        def send(state: GridState):
+            jobs.append(worker.submit(_table_add, *_live_fields(state)))
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ea = {"t": np.asarray(energy.t), "E": np.asarray(energy.E)}
-    write_csv(out_dir / "energy.csv", config, ea)
-    write_csv(out_dir / "hat_path.csv", config, hat_samples.columns())
+        snaps = SnapshotRecorder(stride, None if worker is None else send)
+        result = run(setup, grid, cfg, observers=(energy, hat, snaps))
+        snaps.ensure_last(result.state)
 
-    write_csv(
-        out_dir / "snapshots.csv",
-        config,
-        (["t", "r", "u", "R", "S", "u_r"], _snapshot_rows(grid, setup, snaps.states)),
-    )
-    write_json(out_dir / "diagnostics.json", config, doc)
-
-    if svg:
-        kept = snaps.states[:: max(1, len(snaps.states) // 5)]
-        u_lines = [(grid.r, st.u, f"t={st.t:.4g}") for st in kept]
-        figures = {
-            "u_snapshots.svg": (u_lines, "u(r) snapshots", "r", "u"),
-            "energy.svg": ([(ea["t"], ea["E"], "E(t)")], "energy", "t", "E"),
+        hat_samples = hat.samples()
+        blowup = build_blowup_report(result, hat_samples, constants, setup)
+        doc = build_report(
+            constants, energy, blowup,
+            u_drift_along(hat_samples, constants), c_prime_sign_along(hat_samples, setup),
+        )
+        doc["run"] = {
+            "reason": result.reason,
+            "steps": result.steps,
+            "t_end": result.state.t,
+            "t_final": setup.t_final,
+            "gradient_ceiling": result.gradient_ceiling,
+            "grid_n": grid.n,
         }
-        ht = blowup.inv_S_trace
-        if ht.size:
-            inv_s = [(ht[:, 0], ht[:, 1], "1/S along hat path")]
-            figures["inv_s.svg"] = (inv_s, "reciprocal steepening gradient", "t", "1/S")
-        _write_svgs(out_dir, config, figures)
+
+        out_dir.mkdir(parents=True, exist_ok=True)
+        table = out_dir / "snapshots.csv"
+        if worker is None:
+            rows = _snapshot_rows(grid, setup, snaps.states)
+            write_csv(table, config, (SNAPSHOT_COLUMNS, rows))
+        else:
+            jobs.append(worker.submit(_table_write, table, config))
+        ea = {"t": np.asarray(energy.t), "E": np.asarray(energy.E)}
+        write_csv(out_dir / "energy.csv", config, ea)
+        write_csv(out_dir / "hat_path.csv", config, hat_samples.columns())
+        write_json(out_dir / "diagnostics.json", config, doc)
+
+        if svg:
+            kept = snaps.states[:: max(1, len(snaps.states) // 5)]
+            u_lines = [(grid.r, st.u, f"t={st.t:.4g}") for st in kept]
+            figures = {
+                "u_snapshots.svg": (u_lines, "u(r) snapshots", "r", "u"),
+                "energy.svg": ([(ea["t"], ea["E"], "E(t)")], "energy", "t", "E"),
+            }
+            ht = blowup.inv_S_trace
+            if ht.size:
+                inv_s = [(ht[:, 0], ht[:, 1], "1/S along hat path")]
+                figures["inv_s.svg"] = (inv_s, "reciprocal steepening gradient", "t", "1/S")
+            _write_svgs(out_dir, config, figures)
+        for job in jobs:
+            job.result()
+    finally:
+        # on a failure the jobs not yet started are dropped; the worker is
+        # joined either way, so no process outlives the call
+        if worker is not None:
+            worker.shutdown(cancel_futures=True)
     return doc
 
 
@@ -499,10 +607,13 @@ def cmd_convergence(config: dict, out_dir: Path, svg: bool) -> int:
             f"experiment.t_compare must not exceed t_final = {setup.t_final}, got {t_cmp}"
         )
 
+    grids = [Grid.uniform(*setup.domain, n) for n in n_list]
+    for grid in grids:
+        check_initial_energy(setup, grid)
+
     # the march without run's gradient ceiling, which would cost a
     # gradient_max per step
-    def solve(n: int):
-        grid = Grid.uniform(*setup.domain, n)
+    def solve(grid: Grid):
         energy = EnergyObserver(grid)
         state = init_state(setup, grid)
         energy(state)
@@ -511,7 +622,7 @@ def cmd_convergence(config: dict, out_dir: Path, svg: bool) -> int:
         return grid, state, energy.max_relative_drift
 
     with ThreadPoolExecutor(max_workers=_JOB_WORKERS) as pool:
-        solved = list(pool.map(solve, n_list))
+        solved = list(pool.map(solve, grids))
 
     errs = {"R": [], "S": [], "u": []}
     drifts = [d for _, _, d in solved]

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import HypothesisViolated, NoIntersection
 from .initial_data import PolynomialBump, ProblemSetup, checked_power, initial_riemann
-from .solver import Grid, GridState, RunResult, SchemeConfig, run
+from .solver import Grid, GridState, RunResult, SchemeConfig, init_state, run
 
 # the path tracer and the characteristic solver are imported by the two
 # triangle identities that use them, so that the commands that never call
@@ -139,7 +139,7 @@ def compute_constants(setup: ProblemSetup, require_hypothesis: bool = True) -> T
     r0_2alpha = checked_power(r0, 2.0 * alpha, "r0**(2 alpha)")
     two_r0_alpha = checked_power(2.0 * r0, alpha, "(2 r0)**alpha")
     k_env = (eps**2 + (2.0 * c1 + eps) ** 2) * reach_2alpha / r0_2alpha * iphi
-    e0 = initial_energy_exact(setup)
+    e0 = _finite_energy(lambda: initial_energy_exact(setup), "by quadrature of the initial data")
     k_meas = e0 / (r0_2alpha * eps)
 
     ralpha0 = r0**alpha
@@ -194,6 +194,47 @@ def blowup_time_estimate(setup: ProblemSetup) -> float:
     return 1.0 / (lam * s0)
 
 
+def _energy(dr: np.ndarray, state: GridState) -> float:
+    """E of the state by trapezoidal quadrature over the cells that touch its
+    live range; dr holds the grid's cell widths (see EnergyObserver)."""
+    a, b = state.live
+    if a >= b:
+        return 0.0
+    lo, hi = max(a - 1, 0), min(b + 1, dr.size + 1)
+    _, R, S = state.window(lo, hi)
+    y = R**2 + S**2
+    return float(np.sum(dr[lo:hi - 1] * (y[1:] + y[:-1]) / 2.0))
+
+
+def _finite_energy(energy, what: str) -> float:
+    """energy() without numpy's overflow warning; HypothesisViolated naming
+    it as the initial energy <what> where it overflows a float.
+
+    No term of an energy sum is negative, so the sum is inf exactly when a
+    density R**2 + S**2, or a partial sum, overflows.
+    """
+    with np.errstate(over="ignore"):
+        e = energy()
+    if not math.isfinite(e):
+        raise HypothesisViolated(f"the initial energy {what} overflows a float")
+    return e
+
+
+def check_initial_energy(setup: ProblemSetup, grid: Grid) -> None:
+    """HypothesisViolated when the initial energy on the grid, summed as
+    EnergyObserver sums it, overflows a float.
+
+    simulate, eps-sweep and convergence call it on each grid before the
+    first step, and simulate and eps-sweep before the theorem constants,
+    which square the same data; data whose energy cannot be measured is
+    invalid input, not a fault of the run.
+    """
+    _finite_energy(
+        lambda: _energy(np.diff(grid.r), init_state(setup, grid)),
+        f"on {grid.n} nodes, the sum of (R**2 + S**2) dr,",
+    )
+
+
 class EnergyObserver:
     """Accumulates (t, E) samples by trapezoidal quadrature.
 
@@ -211,14 +252,7 @@ class EnergyObserver:
 
     def __call__(self, state: GridState):
         self.t.append(state.t)
-        a, b = state.live
-        if a < b:
-            lo, hi = max(a - 1, 0), min(b + 1, self.grid.n)
-            _, R, S = state.window(lo, hi)
-            y = R**2 + S**2
-            self.E.append(float(np.sum(self.dr[lo:hi - 1] * (y[1:] + y[:-1]) / 2.0)))
-        else:
-            self.E.append(0.0)
+        self.E.append(_energy(self.dr, state))
 
     @property
     def max_relative_drift(self) -> float:

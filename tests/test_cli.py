@@ -5,11 +5,13 @@ import inspect
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +96,10 @@ def ci_config(name):
         cfg["grid"]["n"] = 1024
         cfg["experiment"] = {"kind": "convergence", "n_list": [256, 512, 1024], "t_compare": 0.3}
     return cfg
+
+
+# the message of an initial energy that overflows on an n-node grid
+ENERGY_OVERFLOW = "the initial energy on {n} nodes, the sum of (R**2 + S**2) dr, overflows a float"
 
 
 def bits(values):
@@ -582,6 +588,128 @@ class TestSnapshotTable:
         lives = [s.live for s in snaps.states]
         assert all(0 < a < b < grid.n for a, b in lives[:3])
         self.assert_table_matches(tmp_path, grid, setup, snaps.states)
+
+
+class TestSnapshotWorker:
+    """Given two CPUs, simulate and eps-sweep format the snapshot table on one
+    worker process, which writes the bytes of the in-process table and
+    outlives no call; given one, they write it in-process.  Each test sets
+    the CPU count, so both sides run on any host."""
+
+    @staticmethod
+    def spy_shutdowns(monkeypatch) -> list:
+        """The arguments of each snapshot worker's shutdown, in call order."""
+        shutdowns = []
+        real = cli._snapshot_worker
+
+        def worker(grid, setup):
+            pool = real(grid, setup)
+            if pool is None:  # one CPU: no worker
+                return None
+            shutdown = pool.shutdown
+
+            def record(**kwargs):
+                shutdowns.append(kwargs)
+                shutdown(**kwargs)
+
+            pool.shutdown = record
+            return pool
+
+        monkeypatch.setattr(cli, "_snapshot_worker", worker)
+        return shutdowns
+
+    @staticmethod
+    def spy_recorders(monkeypatch) -> list:
+        """Every SnapshotRecorder the calls build."""
+        recorders = []
+
+        class Recorder(SnapshotRecorder):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                recorders.append(self)
+
+        monkeypatch.setattr(cli, "SnapshotRecorder", Recorder)
+        return recorders
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("command", ["simulate", "eps-sweep"])
+    def test_no_process_outlives_a_call(self, tmp_path, monkeypatch, command, cpus):
+        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        shutdowns = self.spy_shutdowns(monkeypatch)
+        cfg = base_config(grid={"n": 128})
+        runs = [tmp_path / "o"]
+        if command == "eps-sweep":
+            cfg["experiment"] = {"kind": "eps_sweep", "eps_list": [0.1, 0.05]}
+            runs = [tmp_path / "o" / "eps_0.1", tmp_path / "o" / "eps_0.05"]
+        path = write_config(tmp_path, cfg)
+        assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+        assert multiprocessing.active_children() == []
+        assert shutdowns == [{"cancel_futures": True}] * len(runs) * (cpus - 1)
+        assert all((run_dir / "snapshots.csv").stat().st_size > 0 for run_dir in runs)
+
+    @pytest.mark.parametrize("command", ["simulate", "eps-sweep"])
+    def test_no_process_outlives_a_failed_march(self, tmp_path, capsys, monkeypatch, command):
+        # the angles of TestAnglesOffTheTable's run leave the table mid-run,
+        # after the worker has been sent the first states
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        shutdowns = self.spy_shutdowns(monkeypatch)
+        cfg = base_config(grid={"n": 256})
+        cfg["setup"].update(
+            u0=0.6, speed=TestAnglesOffTheTable.tabulated([0.31, 0.5, 0.7, 0.89]),
+            profile={"kind": "polynomial", "amplitude": 10.0},
+        )
+        if command == "eps-sweep":
+            cfg["experiment"] = {"kind": "eps_sweep", "eps_list": [0.1]}
+        path = write_config(tmp_path, cfg)
+        code = main([command, "--config", str(path), "--out-dir", str(tmp_path / "o")])
+        assert multiprocessing.active_children() == []
+        assert shutdowns == [{"cancel_futures": True}]
+        if command == "simulate":
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("varwave: run failed: angle left the speed table")
+            assert not (tmp_path / "o").exists()
+        else:  # the sweep collects the failure and makes no directory for its eps
+            assert code == 0
+            errors = json.loads((tmp_path / "o" / "sweep.json").read_text())["errors"]
+            assert errors["0.1"].startswith("angle left the speed table")
+            assert not (tmp_path / "o" / "eps_0.1").exists()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 0], ids=["stride=1", "stride=auto"])
+    @pytest.mark.parametrize("scheme", ["upwind1", "muscl2"])
+    def test_worker_table_equals_the_in_process_table(
+        self, tmp_path, monkeypatch, scheme, stride, cpus
+    ):
+        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        recorders = self.spy_recorders(monkeypatch)
+        cfg = base_config(grid={"n": 256}, output={"snapshot_stride": stride})
+        cfg["scheme"]["scheme"] = scheme
+        path = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+        (recorder,) = recorders
+        steps = json.loads((tmp_path / "o" / "diagnostics.json").read_text())["run"]["steps"]
+        assert len(recorder.states) == (steps + 1 if stride == 1 else 12)
+        setup = build_setup(cfg)
+        grid = cli.build_grid(cfg, setup)
+        write_csv(
+            tmp_path / "in_process.csv", cfg,
+            (cli.SNAPSHOT_COLUMNS, cli._snapshot_rows(grid, setup, recorder.states)),
+        )
+        table = (tmp_path / "o" / "snapshots.csv").read_bytes()
+        assert table == (tmp_path / "in_process.csv").read_bytes()
+
+    def test_recorder_passes_each_kept_state_to_its_sink(self):
+        states = [object() for _ in range(8)]
+        sent = []
+        plain, sinking = SnapshotRecorder(3), SnapshotRecorder(3, sent.append)
+        for snaps in (plain, sinking):
+            for state in states:
+                snaps(state)
+            snaps.ensure_last(states[-1])
+            snaps.ensure_last(states[-1])
+            assert snaps.states == [states[0], states[3], states[6], states[7]]
+        assert sent == sinking.states
 
 
 class TestValidation:
@@ -1156,11 +1284,26 @@ class TestExitCodes:
             ("simulate", "simulate", "r0", 1e300,
              "(r0 + eps)**(2 alpha) = 1e+300**2.0 overflows a float"),
             ("zero_u0", "simulate", "profile", {"kind": "polynomial", "amplitude": 1e200},
-             "amplitude**2 = 1e+200**2 overflows a float"),
+             ENERGY_OVERFLOW.format(n=256)),
             ("zero_u0", "eps-sweep", "profile", {"kind": "polynomial", "amplitude": 1e200},
-             "amplitude**2 = 1e+200**2 overflows a float"),
+             ENERGY_OVERFLOW.format(n=256)),
+            # R**2 overflows at 1e200; at 1.2e154 S**2 does, but R**2 and the
+            # energy of the bump (about 4.2e307) do not
+            ("convergence", "convergence", "profile", {"kind": "polynomial", "amplitude": 1e200},
+             ENERGY_OVERFLOW.format(n=256)),
+            ("convergence", "convergence", "profile",
+             {"kind": "polynomial", "amplitude": 1.2e154}, ENERGY_OVERFLOW.format(n=256)),
+            ("convergence", "simulate", "profile", {"kind": "polynomial", "amplitude": 1e200},
+             ENERGY_OVERFLOW.format(n=1024)),
+            ("convergence", "simulate", "profile",
+             {"kind": "polynomial", "amplitude": 1.2e154}, ENERGY_OVERFLOW.format(n=1024)),
         ],
-        ids=["d=700", "d=2050", "r0=1e300", "amplitude=1e200", "sweep-amplitude=1e200"],
+        ids=[
+            "d=700", "d=2050", "r0=1e300", "amplitude=1e200", "sweep-amplitude=1e200",
+            "convergence-amplitude=1e200", "convergence-amplitude=1.2e154",
+            "simulate-convergence-data-amplitude=1e200",
+            "simulate-convergence-data-amplitude=1.2e154",
+        ],
     )
     def test_out_of_range_float_is_named(
         self, tmp_path, capsys, name, command, key, value, message
@@ -1171,10 +1314,34 @@ class TestExitCodes:
             cfg["grid"]["n"] = 64
         if command == "eps-sweep":  # its constants are checked before any directory is made
             cfg["experiment"] = {"kind": "eps_sweep", "eps_list": [0.1, 0.05]}
+        if name == "convergence" and command == "simulate":
+            del cfg["experiment"]
         path = write_config(tmp_path, cfg)
-        assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
         assert err == f"varwave: invalid configuration: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_energy_quadrature_overflow_is_named(self, tmp_path, capsys):
+        # on 64 nodes the grid's sum of the d = 1 data stays finite at
+        # amplitude 6.1e153, but the theorem constants' quadrature of E(0)
+        # does not: it is named the same way, without a warning
+        cfg = ci_config("convergence")
+        del cfg["experiment"]
+        cfg["grid"]["n"] = 64
+        cfg["setup"]["profile"]["amplitude"] = 6.1e153
+        path = write_config(tmp_path, cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == (
+            "varwave: invalid configuration: "
+            "the initial energy by quadrature of the initial data overflows a float\n"
+        )
         assert not (tmp_path / "o").exists()
 
     def test_builders_raise_config_error_with_the_message(self):
@@ -1324,7 +1491,9 @@ class TestColdStart:
         assert proc.stdout.strip() == "[]"
 
     LAZY = ("varwave.characteristics", "varwave.charsolver", "varwave.plots")
-    LOADED = f"print(json.dumps(sorted(m for m in {LAZY!r} if m in sys.modules)))"
+    # the snapshot worker's process pool, which only simulate and eps-sweep open
+    POOL = ("multiprocessing", "concurrent.futures.process")
+    LOADED = f"print(json.dumps(sorted(m for m in {LAZY + POOL!r} if m in sys.modules)))"
 
     def test_import_loads_no_path_tracer_solver_or_writer(self):
         proc = self._python(
@@ -1336,12 +1505,13 @@ class TestColdStart:
     @pytest.mark.parametrize(
         "command, flags, unloaded",
         [
-            ("convergence", (), LAZY),
-            ("triangle", (), ("varwave.charsolver", "varwave.plots")),
+            ("convergence", (), LAZY + POOL),
+            ("triangle", (), ("varwave.charsolver", "varwave.plots", *POOL)),
             ("simulate", ("--svg",), ("varwave.charsolver",)),
             ("eps-sweep", ("--svg",), ("varwave.charsolver",)),
+            ("simulate", ("--one-cpu",), ("varwave.charsolver", "varwave.plots", *POOL)),
         ],
-        ids=["convergence", "triangle", "simulate-svg", "eps-sweep-svg"],
+        ids=["convergence", "triangle", "simulate-svg", "eps-sweep-svg", "simulate-one-cpu"],
     )
     def test_command_loads_only_what_it_runs(self, tmp_path, command, flags, unloaded):
         cfg = base_config(grid={"n": 128})
@@ -1352,15 +1522,22 @@ class TestColdStart:
             "eps-sweep": {"kind": "eps_sweep", "eps_list": [0.1]},
         }[command]
         path = write_config(tmp_path, cfg)
+        # "--one-cpu" pins the interpreter to one of its CPUs before the command
+        pin = "--one-cpu" in flags
+        flags = tuple(f for f in flags if f != "--one-cpu")
         proc = self._python(
-            "import json, sys\n"
-            "from varwave.cli import main\n"
-            "assert main(sys.argv[1:]) == 0\n" + self.LOADED,
+            "import json, os, sys\n"
+            + ("os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n" if pin else "")
+            + "from varwave.cli import main, _cpus\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(_cpus())\n" + self.LOADED,
             command, *flags, "--config", str(path), "--out-dir", str(tmp_path / "o"),
         )
         assert proc.returncode == 0, proc.stderr
-        loaded = json.loads(proc.stdout)
+        cpus, loaded = map(json.loads, proc.stdout.splitlines())
         assert not set(loaded) & set(unloaded), loaded
+        if command in ("simulate", "eps-sweep") and cpus >= 2:
+            assert set(self.POOL) <= set(loaded), loaded
 
     def test_canonical_simulate_runs_with_scipy_blocked(self, tmp_path):
         cfg = base_config(grid={"n": 512})
