@@ -46,7 +46,7 @@ from .diagnostics import (
 from .errors import ConfigError, VarwaveError
 from .initial_data import PolynomialBump, ProblemSetup
 from .riemann_core import from_riemann
-from .solver import Grid, GridState, SchemeConfig, Stepper, init_state, run
+from .solver import Grid, GridState, SchemeConfig, Stepper, init_state, reached, run
 from .speed_models import ConstantSpeed, OseenFrankSpeed, TabulatedSpeed
 
 
@@ -612,13 +612,19 @@ def cmd_convergence(config: dict, out_dir: Path, svg: bool) -> int:
         check_initial_energy(setup, grid)
 
     # the march without run's gradient ceiling, which would cost a
-    # gradient_max per step
+    # gradient_max per step; t_compare wins over the budget when the last
+    # step reaches both, as t_final does in run
     def solve(grid: Grid):
         energy = EnergyObserver(grid)
         state = init_state(setup, grid)
         energy(state)
-        for state in Stepper(setup, grid, cfg).march(state, t_cmp, (energy,)):
+        for state in Stepper(setup, grid, cfg).march(state, t_cmp, (energy,), cfg.max_steps):
             pass
+        if not reached(state.t, t_cmp):
+            raise VarwaveError(
+                f"the grid of {grid.n} nodes used up scheme.max_steps = {cfg.max_steps} "
+                f"at t={state.t}, before t_compare = {t_cmp}"
+            )
         return grid, state, energy.max_relative_drift
 
     with ThreadPoolExecutor(max_workers=_JOB_WORKERS) as pool:

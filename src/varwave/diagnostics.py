@@ -194,16 +194,30 @@ def blowup_time_estimate(setup: ProblemSetup) -> float:
     return 1.0 / (lam * s0)
 
 
-def _energy(dr: np.ndarray, state: GridState) -> float:
-    """E of the state by trapezoidal quadrature over the cells that touch its
-    live range; dr holds the grid's cell widths (see EnergyObserver)."""
+def _node_weights(r: np.ndarray) -> np.ndarray:
+    """Trapezoid weights of the nodes r: (dr[i-1] + dr[i])/2 inside and dr/2
+    at the two ends, with dr = np.diff(r)."""
+    dr = np.diff(r)
+    w = np.empty(r.size)
+    w[1:-1] = (dr[:-1] + dr[1:]) / 2.0
+    w[0], w[-1] = dr[0] / 2.0, dr[-1] / 2.0
+    return w
+
+
+def _energy(weights: np.ndarray, state: GridState) -> float:
+    """E of the state as the node-weighted sum of R**2 + S**2 over its live
+    range [a, b); weights are the grid's _node_weights (see EnergyObserver).
+
+    The sum is numpy's pairwise np.add.reduce, not a BLAS dot: OpenBLAS
+    splits a dot of more than 10,000 elements across threads, so its bits
+    would follow the CPU count.
+    """
     a, b = state.live
-    if a >= b:
-        return 0.0
-    lo, hi = max(a - 1, 0), min(b + 1, dr.size + 1)
-    _, R, S = state.window(lo, hi)
-    y = R**2 + S**2
-    return float(np.sum(dr[lo:hi - 1] * (y[1:] + y[:-1]) / 2.0))
+    _, R, S = state.window(a, b)
+    y = R * R
+    y += S * S
+    y *= weights[a:b]
+    return float(np.add.reduce(y))
 
 
 def _finite_energy(energy, what: str) -> float:
@@ -230,29 +244,30 @@ def check_initial_energy(setup: ProblemSetup, grid: Grid) -> None:
     invalid input, not a fault of the run.
     """
     _finite_energy(
-        lambda: _energy(np.diff(grid.r), init_state(setup, grid)),
+        lambda: _energy(_node_weights(grid.r), init_state(setup, grid)),
         f"on {grid.n} nodes, the sum of (R**2 + S**2) dr,",
     )
 
 
 class EnergyObserver:
-    """Accumulates (t, E) samples by trapezoidal quadrature.
+    """Accumulates (t, E) samples, E the trapezoid rule summed node by node.
 
-    E sums only the cells that touch the state's live range [a, b), the
-    nodes [lo, hi) = [a - 1, b + 1) clipped to the grid: it is
-    np.trapezoid(R**2 + S**2, r[lo:hi]) bit for bit, and 0.0 when no node
-    is live.  Every other cell holds two quiescent nodes and adds +0.0.
+    E is the sum over the state's live range [a, b) of w_i (R_i**2 + S_i**2),
+    with the grid's node weights w (``_node_weights``), and 0.0 when no node is
+    live.  Every node outside [a, b) holds R = S = +0.0, so in exact
+    arithmetic E is np.trapezoid(R**2 + S**2, r) over the whole grid; in
+    floats the two differ in the last bits only.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        self.dr = np.diff(grid.r)
+        self.weights = _node_weights(grid.r)
         self.t: list[float] = []
         self.E: list[float] = []
 
     def __call__(self, state: GridState):
         self.t.append(state.t)
-        self.E.append(_energy(self.dr, state))
+        self.E.append(_energy(self.weights, state))
 
     @property
     def max_relative_drift(self) -> float:

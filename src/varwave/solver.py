@@ -18,7 +18,7 @@ state (u=u0, R=S=0), valid while the support stays interior.  A stage
 fails by name if the speed model finds an angle it reads off its table,
 and otherwise makes one c_and_c_prime and one rhs_fields call.
 ``Stepper.march`` is the one march loop: it steps to t_end, shortening the
-last step to land on it, and stops once t is within ``_reached`` of t_end
+last step to land on it, and stops once t is within ``reached`` of t_end
 or after a step budget.  ``run`` marches to t_final by default and adds its
 policies: a caller's stop rule and the gradient ceiling crossing (the
 blow-up signal; ``default_ceiling`` unless set).
@@ -232,7 +232,7 @@ class SchemeConfig:
         return self.cfl * grid.h / speed.c1
 
 
-def _reached(t: float, t_end: float) -> bool:
+def reached(t: float, t_end: float) -> bool:
     """True once t lies within 1e-14 * t_end of t_end, the march's end rule."""
     return t >= t_end - 1e-14 * t_end
 
@@ -422,11 +422,11 @@ class Stepper:
 
         Each step is base_dt, or t_end - t when that is shorter, so the last
         one lands on t_end.  Observers see each new state, in list order,
-        before it is yielded.  The march ends once ``_reached(t, t_end)``, or
+        before it is yielded.  The march ends once ``reached(t, t_end)``, or
         after max_steps states when it is given.
         """
         steps = 0
-        while not _reached(state.t, t_end) and (max_steps is None or steps < max_steps):
+        while not reached(state.t, t_end) and (max_steps is None or steps < max_steps):
             state = self.step(state, min(self.base_dt, t_end - state.t))
             steps += 1
             for obs in observers:
@@ -496,7 +496,7 @@ def run(
             break
     else:
         # t_end wins over the budget when the last step reaches both
-        reason = "t_final" if _reached(state.t, t_end) else "max_steps"
+        reason = "t_final" if reached(state.t, t_end) else "max_steps"
 
     return RunResult(
         state=state,

@@ -94,7 +94,10 @@ class OseenFrankSpeed(WaveSpeedModel):
     within 5 ULP (where |c'| > 1e-300) on [-4*pi, 4*pi], and c(0) and
     c(pi/2) within 1 ULP of sqrt(k3) and sqrt(k1).  t^2 is t*t, not t**2,
     which sends a float through libm's pow: so a float gets the bits of the
-    same angle in a slice or a strided view of an array.  The bits follow
+    same angle in a slice or a strided view of an array.  c of a Python
+    float takes np.tan and then the same IEEE operations in float
+    arithmetic, with math.sqrt, which skips numpy's 0-d overhead on the
+    path tracer's calls.  The bits follow
     np.tan, whose kernel numpy picks by the CPU it runs on (with AVX-512 it
     leaves a reversed view to libm's tan, which can differ in the last bit).
     """
@@ -108,6 +111,10 @@ class OseenFrankSpeed(WaveSpeedModel):
             raise BoundsViolation("elastic constants k1, k3 must be positive")
 
     def c(self, u):
+        if type(u) is float:  # the path tracer's call: np.tan, then float arithmetic
+            t = float(np.tan(u))
+            tt = t * t
+            return math.sqrt((self.k1 * tt + self.k3) / (1.0 + tt))
         t = np.tan(np.asarray(u, dtype=float))
         tt = t * t
         out = self._c(tt, 1.0 + tt)

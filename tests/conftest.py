@@ -77,6 +77,21 @@ def with_array_speed():
     return replace
 
 
+@pytest.fixture(scope="session")
+def node_weighted_energy():
+    """(r, state) -> np.sum(w[a:b] * (R**2 + S**2)) on the state's live range
+    [a, b), w the trapezoid weights of the nodes r, built here from np.diff(r):
+    the sum the energy observer makes, written out."""
+
+    def energy(r, state):
+        dr = np.diff(r)
+        w = np.concatenate(([dr[0] / 2.0], (dr[:-1] + dr[1:]) / 2.0, [dr[-1] / 2.0]))
+        a, b = state.live
+        return np.sum(w[a:b] * (state.R[a:b] ** 2 + state.S[a:b] ** 2))
+
+    return energy
+
+
 MIB = 2**20
 
 

@@ -402,6 +402,28 @@ class TestConvergence:
             for key in ("u", "R", "S"):
                 assert bits(getattr(got.last, key)) == bits(getattr(result.state, key))
 
+    # the CI grids of 256, 512 and 1024 nodes take 41, 82 and 164 steps to
+    # t_compare = 0.3; the first grid in n_list that runs out is named
+    @pytest.mark.parametrize("max_steps, short", [(0, 256), (81, 512), (163, 1024), (164, None)])
+    def test_step_budget_stops_a_grid_before_t_compare(self, tmp_path, capsys, max_steps, short):
+        cfg = ci_config("convergence")
+        cfg["scheme"] = {"max_steps": max_steps}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        rc = main(["convergence", "--config", str(path), "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        if short is None:  # the last step reaches t_compare and the budget together
+            assert rc == 0 and err == "" and (out / "convergence.json").exists()
+            return
+        assert rc == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith(
+            f"varwave: run failed: the grid of {short} nodes used up "
+            f"scheme.max_steps = {max_steps} at t="
+        )
+        assert err.rstrip().endswith("before t_compare = 0.3")
+        assert not out.exists()
+
     def test_non_doubling_rejected(self, tmp_path):
         cfg = base_config()
         cfg["experiment"] = {"kind": "convergence", "n_list": [100, 150, 300]}

@@ -228,12 +228,15 @@ class TestEnergyObserver:
         assert drifts[0] > 0.0
         assert 1.4 <= drifts[0] / drifts[1] <= 2.8
 
-    def test_energy_sums_the_cells_touching_the_live_range(self, gentle_setup):
+    def test_energy_sums_the_cells_touching_the_live_range(
+        self, gentle_setup, node_weighted_energy
+    ):
         # the live range grows, shrinks and empties between calls of one
-        # observer; each E is the trapezoid rule on that state's touched cells
+        # observer; each E is the node-weighted sum over that state's live
+        # range, which is the trapezoid rule on its touched cells
         grid = Grid.uniform(*gentle_setup.domain, 256)
         n, u0 = grid.n, gentle_setup.u0
-        rng = np.random.default_rng(7)
+        rng = np.random.default_rng(11)
 
         def state(t, lo, hi, stored):
             u, R, S = np.full(n, u0), np.zeros(n), np.zeros(n)
@@ -247,15 +250,40 @@ class TestEnergyObserver:
         obs = EnergyObserver(grid)
         for st in states:
             obs(st)
-        want = []
-        for st in states:
-            a, b = st.live
-            lo, hi = max(a - 1, 0), min(b + 1, n)
-            want.append(np.trapezoid((st.R**2 + st.S**2)[lo:hi], grid.r[lo:hi]))
+        want = [node_weighted_energy(grid.r, st) for st in states]
         assert want[2] == 0.0 < want[1] < want[0] == want[3]
         np.testing.assert_array_equal(
             np.asarray(obs.E).view(np.uint64), np.asarray(want).view(np.uint64)
         )
+        for st, e in zip(states, obs.E):
+            y = st.R**2 + st.S**2
+            assert e == pytest.approx(np.trapezoid(y, grid.r), rel=1e-14, abs=0.0)
+        # the data tells the pin from the cell by cell trapezoid
+        a, b = states[0].live
+        cells = np.trapezoid((states[0].R**2 + states[0].S**2)[a - 1:b + 1], grid.r[a - 1:b + 1])
+        assert cells != want[0]
+
+    def test_energy_of_a_live_range_past_ten_thousand_nodes(
+        self, gentle_setup, node_weighted_energy
+    ):
+        # past 10,000 elements a BLAS dot splits the sum across threads; the
+        # observer's pairwise numpy sum keeps one order whatever the CPU count
+        grid = Grid.uniform(*gentle_setup.domain, 16384)
+        n, u0 = grid.n, gentle_setup.u0
+        rng = np.random.default_rng(17)
+        lo, hi = 1500, 13800
+        u, R, S = np.full(n, u0), np.zeros(n), np.zeros(n)
+        for field in (u, R, S):
+            field[lo:hi] += rng.uniform(-2.0, 2.0, hi - lo)
+        state = GridState(0.5, u, R, S, (lo, hi))
+        obs = EnergyObserver(grid)
+        obs(state)
+        want = node_weighted_energy(grid.r, state)
+        assert np.float64(obs.E[0]).view(np.uint64) == np.float64(want).view(np.uint64)
+        y = R**2 + S**2
+        assert obs.E[0] == pytest.approx(np.trapezoid(y, grid.r), rel=1e-14, abs=0.0)
+        # the data tells the pin from the cell by cell trapezoid
+        assert np.trapezoid(y[lo - 1:hi + 1], grid.r[lo - 1:hi + 1]) != want
 
 
 class TestTriangleIdentity:
