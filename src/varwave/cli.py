@@ -9,9 +9,11 @@ config; JSON artifacts embed it under the "config" key (JSON has no
 comment syntax).  Identical configs produce bit-identical outputs: the
 summation order is fixed and floats are written with round-trip precision.
 Exit codes: 0 success, 1 invalid input (a ConfigError or a subclass), 2 any
-other failure of the run.  The jobs of eps-sweep and convergence run one
-after another.  Given two CPUs, simulate and eps-sweep format each run's
-snapshots.csv on one worker process while the march runs
+other failure of the run, an output path that cannot be written or a dead
+snapshot worker among them.  The jobs of eps-sweep and convergence run one
+after another, each after the previous one has returned, and the first grid
+that fails ends convergence.  Given two CPUs, simulate and eps-sweep
+format each run's snapshots.csv on one worker process while the march runs
 (_snapshot_worker), with the bytes of the in-process table; only they
 import multiprocessing, inside the call, and every call joins its worker
 before it returns.
@@ -27,7 +29,7 @@ import math
 import os
 import sys
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -538,13 +540,6 @@ def cmd_triangle(config: dict, out_dir: Path, svg: bool) -> int:
     return 0
 
 
-# The convergence grids run one after another on a one-worker pool: the
-# step loop holds the GIL, so two worker threads ran them at 0.94x the speed
-# of one.  The pool stays while the benchmark's tracer test pins its job
-# spans (ROADMAP item 2f); eps-sweep runs its jobs in a plain loop.
-_JOB_WORKERS = 1
-
-
 def cmd_eps_sweep(config: dict, out_dir: Path, svg: bool) -> int:
     eps_list = _read(_read(config, "experiment"), "experiment.eps_list")
     if not eps_list:
@@ -627,8 +622,9 @@ def cmd_convergence(config: dict, out_dir: Path, svg: bool) -> int:
             )
         return grid, state, energy.max_relative_drift
 
-    with ThreadPoolExecutor(max_workers=_JOB_WORKERS) as pool:
-        solved = list(pool.map(solve, grids))
+    # a one-worker pool only for the benchmark tracer's job spans (ROADMAP 2f)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        solved = [pool.submit(solve, grid).result() for grid in grids]
 
     errs = {"R": [], "S": [], "u": []}
     drifts = [d for _, _, d in solved]
@@ -698,8 +694,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"varwave: invalid configuration: {exc}", file=sys.stderr)
         return 1
-    # past the builders, a ValueError or KeyError is a fault of the run
-    except (VarwaveError, ValueError, KeyError) as exc:
+    # past the builders, a ValueError or KeyError is a fault of the run, and
+    # so are an output error and a snapshot worker that died
+    except (VarwaveError, ValueError, KeyError, OSError, BrokenExecutor) as exc:
         print(f"varwave: run failed: {exc}", file=sys.stderr)
         return 2
 

@@ -101,6 +101,19 @@ class TestIntersection:
         with pytest.raises(ValueError):
             find_intersection(plus.samples(), minus.samples())
 
+    def test_one_sample_paths_are_too_short(self):
+        one = [np.array([x]) for x in (0.0, 1.0, 0.5, 0.0, 0.0)]
+        with pytest.raises(NoIntersection, match=r"^paths too short to intersect$"):
+            find_intersection(PathSamples("plus", *one), PathSamples("minus", *one))
+
+    def test_paths_on_two_time_grids_rejected(self):
+        def path(family, t, r):
+            return PathSamples(family, np.array(t), np.array(r), *np.zeros((3, 2)))
+
+        plus, minus = path("plus", [0.0, 0.1], [0.9, 1.0]), path("minus", [0.0, 0.2], [1.1, 0.9])
+        with pytest.raises(ValueError, match=r"^paths do not share the solver time grid$"):
+            find_intersection(plus, minus)
+
     def test_variable_speed_crossing_converges_under_refinement(self, canonical_speed):
         # Richardson-style: the crossing location stabilizes at first order
         setup = ProblemSetup.theorem(
@@ -121,6 +134,11 @@ class TestIntersection:
 
 
 class TestPathProperties:
+    def test_family_other_than_plus_or_minus_rejected(self, unit_speed):
+        grid = Grid.uniform(0.5, 1.5, 16)
+        with pytest.raises(ValueError, match=r"^family must be 'plus' or 'minus'$"):
+            CharacteristicPath("zero", 1.0, grid, unit_speed)
+
     def test_increment_magnitudes_within_speed_bounds(self, canonical_setup):
         grid = Grid.uniform(*canonical_setup.domain, 512)
         plus = CharacteristicPath("plus", canonical_setup.r0, grid, canonical_setup.speed)

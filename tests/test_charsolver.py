@@ -102,6 +102,21 @@ class TestPlaceNodes:
         nodes = place_nodes(fine, 8192, *fine.domain, anchors=(fine.r0,))
         assert np.all(np.diff(nodes.x) > 0)
 
+    @pytest.mark.parametrize("lo, hi", [(1.3, 0.7), (1.0, 1.0), (0.0, 1.3)])
+    def test_empty_interval_rejected(self, gentle_setup, lo, hi):
+        with pytest.raises(ValueError, match=r"^need 0 < lo < hi$"):
+            place_nodes(gentle_setup, 300, lo, hi)
+
+    def test_fewer_nodes_than_breaks_rejected(self, gentle_setup):
+        # the breaks are 0.7, 0.9, 1.0, 1.1 and 1.3
+        with pytest.raises(ValueError, match=r"^need at least 5 nodes$"):
+            place_nodes(gentle_setup, 4, 0.7, 1.3, anchors=(1.0,))
+
+    def test_line_family_other_than_plus_or_minus_rejected(self, gentle_setup):
+        nodes = place_nodes(gentle_setup, 64, 0.7, 1.3, anchors=(1.0,))
+        with pytest.raises(ValueError, match=r"^family must be 'plus' or 'minus'$"):
+            march(gentle_setup, nodes, lines=[("plus", 1.0), ("zero", 1.0)])
+
     def test_label_density_matches_label_steps(self, gentle_setup):
         # rho = dX/dx: the trapezoid rule over each cell gives its label step
         # up to the O(kappa^2) curvature of the graded map

@@ -1,4 +1,5 @@
 import ast
+import collections
 import copy
 import dataclasses
 import inspect
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -246,6 +248,19 @@ class TestTriangle:
         assert (out / "plus_path.csv").exists()
         assert (out / "minus_path.csv").exists()
 
+    def test_svg_writes_the_paths_figure(self, tmp_path):
+        cfg = base_config(grid={"n": 256})
+        cfg["experiment"] = {"kind": "triangle", "r1": 0.85, "r2": 1.15}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["triangle", "--config", str(path), "--out-dir", str(out), "--svg"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "minus_path.csv", "plus_path.csv", "triangle.json", "triangle_paths.svg",
+        ]
+        svg = (out / "triangle_paths.svg").read_text()
+        assert f"<!-- {cli._config_comment(cfg)} -->" in svg.splitlines()
+        assert "characteristic triangle" in svg
+
     def test_budget_exhaustion_is_runtime_error(self, tmp_path):
         cfg = base_config()
         cfg["scheme"]["max_steps"] = 5
@@ -422,6 +437,39 @@ class TestConvergence:
             f"scheme.max_steps = {max_steps} at t="
         )
         assert err.rstrip().endswith("before t_compare = 0.3")
+        assert not out.exists()
+
+    def test_first_failed_grid_ends_the_command(self, tmp_path, capsys, monkeypatch):
+        # the 1024-node grid reaches t_compare in 164 steps, the 2048-node one
+        # uses up the budget of 200: no later grid may take a step
+        steps = collections.Counter()
+        step = cli.Stepper.step
+
+        def counted(self, state, dt=None):
+            steps[self.grid.n] += 1
+            return step(self, state, dt)
+
+        jobs, unfinished = [], []  # the count of jobs not yet done at each submit
+
+        class Pool(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                unfinished.append(sum(not job.done() for job in jobs))
+                jobs.append(super().submit(fn, *args, **kwargs))
+                return jobs[-1]
+
+        monkeypatch.setattr(cli.Stepper, "step", counted)
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
+        cfg = ci_config("convergence")
+        cfg["experiment"]["n_list"] = [1024, 2048, 4096, 8192, 16384]
+        cfg["scheme"] = {"max_steps": 200}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert main(["convergence", "--config", str(path), "--out-dir", str(out)]) == 2
+        assert dict(steps) == {1024: 164, 2048: 200}
+        assert unfinished == [0, 0]
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("varwave: run failed: the grid of 2048 nodes used up")
         assert not out.exists()
 
     def test_non_doubling_rejected(self, tmp_path):
@@ -1379,6 +1427,101 @@ class TestExitCodes:
         assert err == (
             "varwave: invalid configuration: experiment.n_list entries must be at least 8, got 4\n"
         )
+
+
+def _kill_worker(*args):
+    """A snapshot job that ends the worker process running it."""
+    os._exit(3)
+
+
+class TestOneLineFailures:
+    """An output error, a snapshot worker that dies, a bump center r0 <= 0
+    and declared constants that overflow each exit with their code and one
+    stderr line, with no traceback and no numpy warning, and leave no output
+    directory and no process behind."""
+
+    @staticmethod
+    def fails(tmp_path, capsys, command, cfg, code, out=None, absent=None) -> str:
+        """The one stderr line of a command that exits with code, checked as
+        above; absent, the output directory out by default, must not exist."""
+        out = tmp_path / "o" if out is None else out
+        path = write_config(tmp_path, cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", str(path), "--out-dir", str(out)]) == code
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (out if absent is None else absent).exists()
+        assert multiprocessing.active_children() == []
+        return err.rstrip("\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "eps-sweep", "convergence"])
+    def test_output_dir_under_a_file_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)  # simulate writes with its worker
+        cfg = ci_config("convergence" if command == "convergence" else "simulate")
+        cfg["grid"]["n"] = 128
+        if command == "eps-sweep":
+            cfg["experiment"] = {"kind": "eps_sweep", "eps_list": [0.1]}
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "o"
+        err = self.fails(tmp_path, capsys, command, cfg, 2, out)
+        assert err == f"varwave: run failed: [Errno 20] Not a directory: '{out}'"
+
+    @pytest.mark.parametrize("command", ["simulate", "eps-sweep"])
+    def test_dead_snapshot_worker_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        # the worker dies at its first job, and the march of about 2,000
+        # steps sends one job a step: a job sent once the pool has seen the
+        # death fails, long before the march would end and make the directory
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "_table_add", _kill_worker)
+        cfg = base_config(grid={"n": 4096}, output={"snapshot_stride": 1})
+        absent = None
+        if command == "eps-sweep":  # the sweep stops: it records no such failure per eps
+            cfg["experiment"] = {"kind": "eps_sweep", "eps_list": [0.1, 0.05]}
+            absent = tmp_path / "o" / "eps_0.1"
+        err = self.fails(tmp_path, capsys, command, cfg, 2, absent=absent)
+        assert err == (
+            "varwave: run failed: A child process terminated abruptly, "
+            "the process pool is not usable anymore"
+        )
+        assert not (tmp_path / "o" / "sweep.json").exists()
+
+    @pytest.mark.parametrize(
+        "d, r0", [(3, 0.0), (3, -0.0), (2, -1.0), (3, -1.0)], ids=["0", "-0", "-1-d=2", "-1-d=3"]
+    )
+    def test_bump_center_not_positive_is_named(self, tmp_path, capsys, d, r0):
+        cfg = ci_config("simulate")
+        cfg["setup"].update(d=d, r0=r0)
+        err = self.fails(tmp_path, capsys, "simulate", cfg, 1)
+        assert err == "varwave: invalid configuration: bump center r0 must be positive"
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("c1", 1e300, "c1**2 = 1e+300**2 overflows a float"),
+            ("k1", 1e300, "declared bounds c0=1.0, c1=1.4142135623730951 violated: "
+             "sampled min c=1.0, max c=inf, max |c'|=1e+150"),
+        ],
+        ids=["c1", "k1"],
+    )
+    def test_overflowing_speed_constant_is_named(self, tmp_path, capsys, key, value, message):
+        cfg = ci_config("simulate")
+        cfg["setup"]["speed"][key] = value
+        err = self.fails(tmp_path, capsys, "simulate", cfg, 1)
+        assert err == f"varwave: invalid configuration: {message}"
+
+    @pytest.mark.parametrize("eps", [1e-200, 5e-324])
+    def test_tiny_eps_runs_without_a_warning(self, tmp_path, capsys, eps):
+        # off the support z = (r - r0)/eps overflows, or z * z does
+        cfg = ci_config("simulate")
+        cfg["setup"]["eps"] = eps
+        path = write_config(tmp_path, cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
 
 
 class TestTabulatedConfig:

@@ -61,6 +61,20 @@ class TestPolynomialBump:
         fd = (bump.phi(z + h) - bump.phi(z - h)) / (2 * h)
         np.testing.assert_allclose(bump.phi_prime(z), fd, rtol=1e-7, atol=1e-8)
 
+    def test_support_bits_match_the_whole_array_formula(self):
+        # the reference evaluates the polynomial at every z and drops it off
+        # the support; on it both give the same bits, off it +0.0
+        bump = PolynomialBump(amplitude=3.0)
+        z = np.concatenate([
+            np.linspace(-1.5, 1.5, 3001), [-0.0, 0.0, 1.0 - 1e-16, 1e200, -np.inf, np.nan],
+        ])
+        with np.errstate(all="ignore"):
+            w = 1.0 - z * z
+            phi = np.where(np.abs(z) < 1.0, -bump.amplitude * z * w * w, 0.0)
+            dphi = np.where(np.abs(z) < 1.0, -bump.amplitude * w * (1.0 - 5.0 * z * z), 0.0)
+        assert bump.phi(z).view(np.uint64).tolist() == phi.view(np.uint64).tolist()
+        assert bump.phi_prime(z).view(np.uint64).tolist() == dphi.view(np.uint64).tolist()
+
     @given(st.floats(-3, 3, allow_nan=False))
     @settings(max_examples=50, deadline=None)
     def test_support_property(self, z):
@@ -100,6 +114,21 @@ class TestTheoremProfile:
         with pytest.raises(HypothesisViolated):
             ProblemSetup.theorem(3, 1.0, 0.6, math.pi / 4, canonical_speed)
 
+    # the amplitude divides by r0 and takes r0**alpha: d and r0 are checked first
+    @pytest.mark.parametrize(
+        "d, r0, message",
+        [
+            (0, 1.0, "spatial dimension must be >= 1"),
+            (3, 0.0, "bump center r0 must be positive"),
+            (3, -0.0, "bump center r0 must be positive"),
+            (2, -1.0, "bump center r0 must be positive"),
+            (3, -1.0, "bump center r0 must be positive"),
+        ],
+    )
+    def test_placement_checked_before_the_amplitude(self, canonical_speed, d, r0, message):
+        with pytest.raises(HypothesisViolated, match=f"^{message}$"):
+            ProblemSetup.theorem(d, r0, 0.05, math.pi / 4, canonical_speed)
+
 
 class TestProblemSetup:
     def test_alpha_and_t_final_derived(self, canonical_setup):
@@ -133,6 +162,21 @@ class TestProblemSetup:
                 profile=prof, domain=(0.0, 2.1),
             )
 
+    def test_dimension_below_one_rejected(self, canonical_speed):
+        with pytest.raises(HypothesisViolated, match=r"^spatial dimension must be >= 1$"):
+            ProblemSetup(
+                d=0, r0=1.0, eps=0.05, u0=math.pi / 4, speed=canonical_speed,
+                profile=PolynomialBump(amplitude=1.0), domain=(0.01, 2.1),
+            )
+
+    def test_domain_left_end_left_of_the_bump(self, canonical_speed):
+        # the support starts at r0 - eps = 0.95
+        with pytest.raises(HypothesisViolated, match=r"^domain left end must lie left of the bump$"):
+            ProblemSetup(
+                d=3, r0=1.0, eps=0.05, u0=math.pi / 4, speed=canonical_speed,
+                profile=PolynomialBump(amplitude=1.0), domain=(0.95, 2.1),
+            )
+
     def test_underflowing_weight_rejected(self):
         # r_lo^alpha is 0 at the left end, where u_r would be 0/0
         with pytest.raises(HypothesisViolated, match=r"c0 \* r_lo\*\*alpha = 0.0 at r_lo = 1e-170"):
@@ -146,6 +190,9 @@ class TestProblemSetup:
             theorem_amplitude(2050, 1.0, math.pi / 4, canonical_speed)
         with pytest.raises(HypothesisViolated, match=r"^r0\*\*alpha = 1e\+300\*\*2.0 overflows"):
             theorem_amplitude(5, 1e300, math.pi / 4, canonical_speed)
+        loose = OseenFrankSpeed(c0=1.0, c1=1e300, k1=2.0, k3=1.0)
+        with pytest.raises(HypothesisViolated, match=r"^c1\*\*2 = 1e\+300\*\*2 overflows"):
+            theorem_amplitude(3, 1.0, math.pi / 4, loose)
         with pytest.raises(HypothesisViolated, match=r"^amplitude\*\*2 = 1e\+200\*\*2 overflows"):
             PolynomialBump(amplitude=1e200).phi_prime_sq_integral()
         with pytest.raises(HypothesisViolated, match=r"^r_lo\*\*alpha = 1e\+200\*\*2.0 overflows"):

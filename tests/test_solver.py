@@ -75,6 +75,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(r)
 
+    def test_radii_not_increasing_rejected(self):
+        r = np.concatenate([np.linspace(0.5, 1.0, 8), [0.9]])
+        with pytest.raises(ValueError, match=r"^radii must be strictly increasing$"):
+            Grid(r)
+
 
 class TestInitState:
     def test_matches_initial_riemann(self, canonical_setup):

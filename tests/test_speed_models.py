@@ -382,6 +382,10 @@ class TestConstruction:
         with pytest.raises(BoundsViolation):
             OseenFrankSpeed(c0=0.5, c1=1.0, k1=-1.0, k3=1.0)
 
+    def test_constant_speed_outside_its_bounds_rejected(self):
+        with pytest.raises(BoundsViolation, match=r"^constant speed 3.0 outside declared \[1.0, 2.0\]$"):
+            ConstantSpeed(c0=1.0, c1=2.0, value=3.0)
+
 
 class TestTabulated:
     @staticmethod
@@ -429,3 +433,12 @@ class TestTabulated:
     def test_needs_increasing_knots(self):
         with pytest.raises(BoundsViolation):
             TabulatedSpeed(c0=1.0, c1=2.0, knots=(0.0, 0.0, 1.0), values=(1.0, 1.0, 1.0))
+
+    def test_needs_two_knots(self):
+        with pytest.raises(BoundsViolation, match=r"^tabulated speed needs at least two knots$"):
+            TabulatedSpeed(c0=1.0, c1=2.0, knots=(0.0,), values=(1.0,))
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_needs_positive_values(self, value):
+        with pytest.raises(BoundsViolation, match=r"^tabulated speeds must be positive$"):
+            TabulatedSpeed(c0=1.0, c1=2.0, knots=(0.0, 0.5, 1.0), values=(1.0, value, 1.0))
