@@ -10,11 +10,11 @@ Interpolation in r is ``np.interp``'s own formula, slope * (r - r_j) + y_j
 with slope = (y_j+1 - y_j) / (r_j+1 - r_j), evaluated in Python floats on
 the bracket j that ``bisect`` finds once per radius; every field sampled at
 that radius shares it, and one ``GridState.node`` lookup reads the (u, R, S)
-of a bracket node (``GridState.node_u`` its u alone, for the midpoint
-stage).  Its rules are kept bit for bit: a radius on a node or at or past
-the last node gives y_j, one left of the grid gives y_0, a NaN radius gives
-itself, and a NaN result is retried from the right node, then replaced by
-y_j when y_j = y_j+1.
+column of a bracket node from the state's block (``GridState.node_u`` its u
+alone, for the midpoint stage).  Its rules are kept bit for bit: a radius on
+a node or at or past the last node gives y_j, one left of the grid gives
+y_0, a NaN radius gives itself, and a NaN result is retried from the right
+node, then replaced by y_j when y_j = y_j+1.
 """
 
 from __future__ import annotations

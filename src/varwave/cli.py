@@ -297,7 +297,7 @@ class _SnapshotText:
 
     def rows(self, t: float, live: tuple[int, int], fields) -> Iterator[str]:
         """Text of the rows of the state at time t with live range [a, b) and
-        (u, R, S) on the nodes [a, b)."""
+        fields the (3, b - a) block (u, R, S) on the nodes [a, b)."""
         r_text, rest, t = self.r_text, self.rest, f"{t:.17g}"
         a, b = live
         u, R, S = fields
@@ -313,7 +313,7 @@ class _SnapshotText:
 
 
 def _live_fields(state: GridState) -> tuple:
-    """(t, live, (u, R, S) on the live range) of a state: all its table rows need."""
+    """(t, live, the block (u, R, S) on the live range): all a state's table rows need."""
     return state.t, state.live, state.window(*state.live)
 
 
@@ -612,9 +612,10 @@ def cmd_convergence(config: dict, out_dir: Path, svg: bool) -> int:
     def solve(grid: Grid):
         energy = EnergyObserver(grid)
         state = init_state(setup, grid)
-        energy(state)
-        for state in Stepper(setup, grid, cfg).march(state, t_cmp, (energy,), cfg.max_steps):
-            pass
+        with np.errstate(over="ignore"):  # as in run: the energy names its overflow
+            energy(state)
+            for state in Stepper(setup, grid, cfg).march(state, t_cmp, (energy,), cfg.max_steps):
+                pass
         if not reached(state.t, t_cmp):
             raise VarwaveError(
                 f"the grid of {grid.n} nodes used up scheme.max_steps = {cfg.max_steps} "

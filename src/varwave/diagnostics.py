@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import HypothesisViolated, NoIntersection
+from .errors import HypothesisViolated, NoIntersection, NonFiniteState
 from .initial_data import PolynomialBump, ProblemSetup, checked_power, initial_riemann
 from .solver import Grid, GridState, RunResult, SchemeConfig, init_state, run
 
@@ -138,7 +138,9 @@ def compute_constants(setup: ProblemSetup, require_hypothesis: bool = True) -> T
     reach_2alpha = checked_power(r0 + eps, 2.0 * alpha, "(r0 + eps)**(2 alpha)")
     r0_2alpha = checked_power(r0, 2.0 * alpha, "r0**(2 alpha)")
     two_r0_alpha = checked_power(2.0 * r0, alpha, "(2 r0)**alpha")
-    k_env = (eps**2 + (2.0 * c1 + eps) ** 2) * reach_2alpha / r0_2alpha * iphi
+    reach_sq = checked_power(2.0 * c1 + eps, 2, "(2 c1 + eps)**2")
+    c1_sq = checked_power(c1, 2, "c1**2")
+    k_env = (eps**2 + reach_sq) * reach_2alpha / r0_2alpha * iphi
     e0 = _finite_energy(lambda: initial_energy_exact(setup), "by quadrature of the initial data")
     k_meas = e0 / (r0_2alpha * eps)
 
@@ -150,11 +152,11 @@ def compute_constants(setup: ProblemSetup, require_hypothesis: bool = True) -> T
     eps_prime_proxy = r0 / 2.0
     candidates = [math.sqrt(eps_prime_proxy), math.sqrt(c0)]
     if m > 0.0:  # the M-scaled terms drop out (are +inf) for zero-energy data
-        candidates.append(r0 * cp0 / (64.0 * m * c1**2 * two_r0_alpha))
+        candidates.append(r0 * cp0 / (64.0 * m * c1_sq * two_r0_alpha))
         candidates.append(1.0 / (2.0 * m))
     sqrt_eps0 = min(candidates)
     if cp0 > 0.0:
-        s0_lower = max(32.0 * c1**2 * two_r0_alpha / ((r0 - eps) * cp0), 2.0)
+        s0_lower = max(32.0 * c1_sq * two_r0_alpha / ((r0 - eps) * cp0), 2.0)
     else:
         s0_lower = math.inf
     t_star_bound = (r0 - eps) / (2.0 * c1) + r0 / (4.0 * c1)
@@ -256,7 +258,10 @@ class EnergyObserver:
     with the grid's node weights w (``_node_weights``), and 0.0 when no node is
     live.  Every node outside [a, b) holds R = S = +0.0, so in exact
     arithmetic E is np.trapezoid(R**2 + S**2, r) over the whole grid; in
-    floats the two differ in the last bits only.
+    floats the two differ in the last bits only.  A finite state whose E
+    overflows raises NonFiniteState naming its t; ``run`` and the convergence
+    grids march under ``np.errstate(over="ignore")``, so numpy does not warn
+    first.
     """
 
     def __init__(self, grid: Grid):
@@ -266,8 +271,11 @@ class EnergyObserver:
         self.E: list[float] = []
 
     def __call__(self, state: GridState):
+        e = _energy(self.weights, state)
+        if e == math.inf:
+            raise NonFiniteState(f"the energy overflows a float at t={state.t}", last_state=state)
         self.t.append(state.t)
-        self.E.append(_energy(self.weights, state))
+        self.E.append(e)
 
     @property
     def max_relative_drift(self) -> float:

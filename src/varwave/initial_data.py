@@ -130,7 +130,10 @@ def theorem_amplitude(d: int, r0: float, u0: float, speed: WaveSpeedModel) -> fl
     c1_sq = checked_power(speed.c1, 2, "c1**2")
     a1 = 32.0 * c1_sq * checked_power(2.0, alpha, "2**alpha") / (r0 * speed.c0 * cp0)
     a2 = 1.0 / (speed.c0 * checked_power(r0, alpha, "r0**alpha"))
-    return 2.0 * max(a1, a2)
+    amplitude = 2.0 * max(a1, a2)
+    if not np.isfinite(amplitude):
+        raise HypothesisViolated(f"the theorem amplitude {amplitude} is not a finite float")
+    return amplitude
 
 
 def auto_domain(d: int, r0: float, eps: float, speed: WaveSpeedModel) -> tuple[float, float]:

@@ -118,17 +118,19 @@ class Grid:
 _EDGE_WALK = 9
 
 
-def _live_span(u, R, S, u0: float, start: int = 0) -> tuple[int, int]:
-    """[first, last + 1) of the nodes not bitwise (u0, +0.0, +0.0), offset by start.
+def _live_span(fields, u0: float, start: int = 0) -> tuple[int, int]:
+    """[first, last + 1) of the columns of the (3, m) block fields that are not
+    bitwise (u0, +0.0, +0.0), offset by start.
 
     (0, 0) if no node is live.  The first and the last live node are looked
     for among the _EDGE_WALK nodes at each end, one node at a time; only when
-    an end holds none of them is the whole array scanned.  Both ways give the
+    an end holds none of them is the whole block scanned.  Both ways give the
     same range.
     """
-    Ub, Rb, Sb = u.view(np.uint64), R.view(np.uint64), S.view(np.uint64)
+    bits = fields.view(np.uint64)
+    Ub, Rb, Sb = bits
     u0b = np.float64(u0).view(np.uint64)
-    m = u.size
+    m = bits.shape[1]
     k = min(_EDGE_WALK, m)
     for first in range(k):
         if Ub[first] != u0b or Rb[first] or Sb[first]:
@@ -136,47 +138,47 @@ def _live_span(u, R, S, u0: float, start: int = 0) -> tuple[int, int]:
                 if Ub[last] != u0b or Rb[last] or Sb[last]:
                     return start + first, start + last + 1
             break
-    live = (Ub != u0b) | (Rb != 0) | (Sb != 0)
+    live = (bits != np.array([[u0], [0.0], [0.0]]).view(np.uint64)).any(axis=0)
     if not live.any():
         return 0, 0
     return start + int(np.argmax(live)), start + m - int(np.argmax(live[::-1]))
 
 
 class GridState:
-    """Discrete solution (u, R, S) at one time level.
+    """Discrete solution (u, R, S) at one time level, as one (3, m) block.
 
     live is the range [a, b) outside which every node is quiescent (see the
-    module docstring).  The fields are stored on ``stored = [lo, lo + u.size)``
-    only; every node outside it is (u0, +0.0, +0.0).  Given no n, the arrays
-    are the whole grid and ``state.u`` is u itself.  Otherwise ``state.u``,
-    ``.R`` and ``.S`` are built on first access, read-only, and hot readers
-    use ``window`` and ``node`` instead.
+    module docstring).  The rows (u, R, S) of ``fields`` are stored on
+    ``stored = [lo, lo + m)`` only; every node outside it is (u0, +0.0, +0.0).
+    A state whose stored range is its whole grid (given no n, the block is
+    the whole grid) has ``state.u`` as row 0 of its block.  Otherwise
+    ``state.u``, ``.R`` and ``.S`` are built on first access, read-only, and
+    hot readers use ``window`` and ``node`` instead.
     """
 
-    def __init__(self, t, u, R, S, live, lo=0, n=None, u0=None):
-        self.t, self.live, self.u0 = t, live, u0
-        self.stored = (lo, lo + u.size)
-        self._rows = (u, R, S)
-        self._full = self._rows if n is None else None
-        self.n = u.size if n is None else n
+    def __init__(self, t, fields, live, lo=0, n=None, u0=None):
+        self.t, self.fields, self.live, self.u0 = t, fields, live, u0
+        m = fields.shape[1]
+        self.stored = (lo, lo + m)
+        self.n = m if n is None else n
+        self._full = fields if m == self.n else None
 
     def _fields(self):
         if self._full is None:
             lo, hi = self.stored
             full = np.empty((3, self.n))
             full[0], full[1:] = self.u0, 0.0
-            for row, stored in zip(full, self._rows):
-                row[lo:hi] = stored
+            full[:, lo:hi] = self.fields
             full.flags.writeable = False
-            self._full = tuple(full)
+            self._full = full
         return self._full
 
     u = property(lambda self: self._fields()[0])
     R = property(lambda self: self._fields()[1])
     S = property(lambda self: self._fields()[2])
 
-    def window(self, lo: int, hi: int):
-        """(u, R, S) on the nodes [lo, hi) as views of the stored rows; empty if hi <= lo.
+    def window(self, lo: int, hi: int) -> np.ndarray:
+        """The (3, hi - lo) view of the block on the nodes [lo, hi); (3, 0) if hi <= lo.
 
         IndexError if the nodes leave the stored range.
         """
@@ -185,23 +187,20 @@ class GridState:
             lo = hi = s_lo
         elif lo < s_lo or hi > s_hi:
             raise IndexError(f"nodes [{lo}, {hi}) leave the stored range [{s_lo}, {s_hi})")
-        u, R, S = self._rows
-        lo, hi = lo - s_lo, hi - s_lo
-        return u[lo:hi], R[lo:hi], S[lo:hi]
+        return self.fields[:, lo - s_lo : hi - s_lo]
 
     def node(self, i: int) -> tuple[float, float, float]:
         """(u, R, S) at node i as floats; (u0, 0.0, 0.0) off the stored range."""
-        k = i - self.stored[0]
-        u, R, S = self._rows
-        if 0 <= k < u.size:
-            return u.item(k), R.item(k), S.item(k)
+        lo, hi = self.stored
+        if lo <= i < hi:
+            f, k = self.fields, i - lo
+            return f.item(0, k), f.item(1, k), f.item(2, k)
         return self.u0, 0.0, 0.0
 
     def node_u(self, i: int) -> tuple[float]:
         """(u,) at node i as a float, as ``node`` reads it."""
-        k = i - self.stored[0]
-        u = self._rows[0]
-        return (u.item(k),) if 0 <= k < u.size else (self.u0,)
+        lo, hi = self.stored
+        return (self.fields.item(0, i - lo),) if lo <= i < hi else (self.u0,)
 
 
 @dataclass(frozen=True)
@@ -265,8 +264,8 @@ def init_state(setup: ProblemSetup, grid: Grid) -> GridState:
         raise DomainMismatch(
             f"grid [{grid.r_lo}, {grid.r_hi}] != setup domain [{r_lo}, {r_hi}]"
         )
-    u, R, S = initial_riemann(setup, grid.r)
-    return GridState(0.0, u, R, S, _live_span(u, R, S, setup.u0))
+    fields = np.stack(initial_riemann(setup, grid.r))
+    return GridState(0.0, fields, _live_span(fields, setup.u0))
 
 
 class Stepper:
@@ -274,9 +273,10 @@ class Stepper:
 
     Node updates read a fixed stencil of the previous state only, so the
     update loops are plain vectorized array expressions over the live window.
-    A step writes its stages straight into the rows (u, R, S) of one new
-    block over the window padded by the reach, the new state's stored range;
-    the module docstring lists the exact rewrites the stages use.
+    A step writes its stages straight into one new (3, m) block (u, R, S)
+    over the window padded by the reach, the new state's stored range, and
+    the state keeps that block; the module docstring lists the exact
+    rewrites the stages use.
     """
 
     def __init__(self, setup: ProblemSetup, grid: Grid, cfg: SchemeConfig):
@@ -300,8 +300,9 @@ class Stepper:
         self._rest = np.array([[setup.u0], [0.0], [0.0]])
         self._coefficients = None  # source_coefficients on the grid, for float c and c'
 
-    def _tendencies(self, u, R, S, w: slice) -> np.ndarray:
-        """Rows (du/dt, dR/dt, dS/dt) of one stage on the window w."""
+    def _tendencies(self, q, w: slice) -> np.ndarray:
+        """Rows (du/dt, dR/dt, dS/dt) of one stage from the (3, w) block q on the window w."""
+        u, R, S = q
         c, c_prime = self.speed.c_and_c_prime(u)
         if isinstance(c, float):  # a speed free of u: its factors once per grid
             if self._coefficients is None:
@@ -380,31 +381,26 @@ class Stepper:
             dt = self.base_dt
         lo, hi = self._window(state)
         w = slice(lo, hi)
-        u, R, S = state.window(lo, hi)
+        prev = state.window(lo, hi)
         # stored range: the window padded by the reach holds the next window
         s_lo, s_hi = max(lo - self.reach, 0), min(hi + self.reach, self.grid.n)
         new = np.empty((3, s_hi - s_lo))
         new[:, : lo - s_lo] = self._rest
         new[:, hi - s_lo :] = self._rest
         fields = new[:, lo - s_lo : hi - s_lo]
-        u1, R1, S1 = fields
         # overflow in intermediates is caught by the finite check below
         with np.errstate(over="ignore", invalid="ignore"):
-            self._check_table(u, state.t, state)
-            f = self._tendencies(u, R, S, w)
+            self._check_table(prev[0], state.t, state)
+            f = self._tendencies(prev, w)
             f *= dt
-            np.add(u, f[0], out=u1)
-            np.add(R, f[1], out=R1)
-            np.add(S, f[2], out=S1)
+            np.add(prev, f, out=fields)
             self._clamp_boundary(fields, lo, hi)
             if self.cfg.scheme == "muscl2":
                 # (q + q1 + dt f(q1)) / 2, summed in that order
-                self._check_table(u1, state.t + dt, state)
-                f = self._tendencies(u1, R1, S1, w)
+                self._check_table(fields[0], state.t + dt, state)
+                f = self._tendencies(fields, w)
                 f *= dt
-                u1 += u
-                R1 += R
-                S1 += S
+                fields += prev
                 fields += f
                 fields *= 0.5
                 self._clamp_boundary(fields, lo, hi)
@@ -412,8 +408,8 @@ class Stepper:
         if not np.isfinite(fields).all():
             message = f"non-finite values after step to t={state.t + dt}"
             raise NonFiniteState(message, last_state=state)
-        live = _live_span(u1, R1, S1, self.setup.u0, lo)
-        return GridState(state.t + dt, *new, live, s_lo, self.grid.n, self.setup.u0)
+        live = _live_span(fields, self.setup.u0, lo)
+        return GridState(state.t + dt, new, live, s_lo, self.grid.n, self.setup.u0)
 
     def march(
         self, state: GridState, t_end: float, observers: tuple = (), max_steps: int | None = None
@@ -473,30 +469,31 @@ def run(
     if ceiling is None:
         ceiling = default_ceiling(stepper.gradient_max(state)[0])
 
-    for obs in observers:
-        obs(state)
-
     if t_end is None:
         t_end = setup.t_final
     steps = 0
     detected = False
     t_detect = None
     r_detect = None
-    for state in stepper.march(state, t_end, observers, cfg.max_steps):
-        steps += 1
-        if stop is not None and stop(state):
-            reason = "stop"
-            break
-        gmax, i = stepper.gradient_max(state)
-        if gmax >= ceiling:
-            detected = True
-            t_detect = state.t
-            r_detect = float(grid.r[i])
-            reason = "gradient_ceiling"
-            break
-    else:
-        # t_end wins over the budget when the last step reaches both
-        reason = "t_final" if reached(state.t, t_end) else "max_steps"
+    # an observer's overflow is its own to name (EnergyObserver raises)
+    with np.errstate(over="ignore"):
+        for obs in observers:
+            obs(state)
+        for state in stepper.march(state, t_end, observers, cfg.max_steps):
+            steps += 1
+            if stop is not None and stop(state):
+                reason = "stop"
+                break
+            gmax, i = stepper.gradient_max(state)
+            if gmax >= ceiling:
+                detected = True
+                t_detect = state.t
+                r_detect = float(grid.r[i])
+                reason = "gradient_ceiling"
+                break
+        else:
+            # t_end wins over the budget when the last step reaches both
+            reason = "t_final" if reached(state.t, t_end) else "max_steps"
 
     return RunResult(
         state=state,

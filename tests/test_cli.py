@@ -549,7 +549,7 @@ def hand_state(setup, n, t, live, values):
     a, b = live
     for k, (uk, Rk, Sk) in enumerate(values[: b - a]):
         u[a + k], R[a + k], S[a + k] = uk, Rk, Sk
-    return GridState(t, u, R, S, live)
+    return GridState(t, np.array([u, R, S]), live)
 
 
 SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 0.75, -3.5e7)
@@ -618,9 +618,10 @@ class TestSnapshotTable:
             grid = Grid.uniform(*setup.domain, N_SNAP)
             u, R, S = np.full(N_SNAP, other), np.zeros(N_SNAP), np.zeros(N_SNAP)
             R[6:9] = 0.25
-            live = _live_span(u, R, S, setup.u0)
+            fields = np.array([u, R, S])
+            live = _live_span(fields, setup.u0)
             assert live == ((6, 9) if math.copysign(1, other) > 0 else (0, N_SNAP))
-            self.assert_table_matches(tmp_path, grid, setup, [GridState(0.5, u, R, S, live)])
+            self.assert_table_matches(tmp_path, grid, setup, [GridState(0.5, fields, live)])
 
     @pytest.mark.parametrize("scheme", ["upwind1", "muscl2"])
     @pytest.mark.parametrize("u0", [0.0, -0.0], ids=["+0", "-0"])
@@ -1435,10 +1436,10 @@ def _kill_worker(*args):
 
 
 class TestOneLineFailures:
-    """An output error, a snapshot worker that dies, a bump center r0 <= 0
-    and declared constants that overflow each exit with their code and one
-    stderr line, with no traceback and no numpy warning, and leave no output
-    directory and no process behind."""
+    """An output error, a snapshot worker that dies, a bump center r0 <= 0,
+    declared constants that overflow and an energy that overflows each exit
+    with their code and one stderr line, with no traceback and no numpy
+    warning, and leave no output directory and no process behind."""
 
     @staticmethod
     def fails(tmp_path, capsys, command, cfg, code, out=None, absent=None) -> str:
@@ -1500,16 +1501,35 @@ class TestOneLineFailures:
         "key, value, message",
         [
             ("c1", 1e300, "c1**2 = 1e+300**2 overflows a float"),
+            # c1**2 is finite, 32 c1**2 is not
+            ("c1", 1e154, "the theorem amplitude inf is not a finite float"),
             ("k1", 1e300, "declared bounds c0=1.0, c1=1.4142135623730951 violated: "
              "sampled min c=1.0, max c=inf, max |c'|=1e+150"),
         ],
-        ids=["c1", "k1"],
+        ids=["c1", "c1-amplitude", "k1"],
     )
     def test_overflowing_speed_constant_is_named(self, tmp_path, capsys, key, value, message):
         cfg = ci_config("simulate")
         cfg["setup"]["speed"][key] = value
         err = self.fails(tmp_path, capsys, "simulate", cfg, 1)
         assert err == f"varwave: invalid configuration: {message}"
+
+    def test_overflowing_speed_square_in_the_constants_is_named(self, tmp_path, capsys):
+        # an explicit profile skips theorem_amplitude, whose c1**2 is checked
+        cfg = ci_config("simulate")
+        cfg["setup"]["speed"]["c1"] = 1e300
+        cfg["setup"]["profile"] = {"kind": "polynomial", "amplitude": 100.0}
+        err = self.fails(tmp_path, capsys, "simulate", cfg, 1)
+        message = "(2 c1 + eps)**2 = 2e+300**2 overflows a float"
+        assert err == f"varwave: invalid configuration: {message}"
+
+    def test_energy_overflow_is_named_by_the_observer(self, tmp_path, capsys):
+        # the ceiling lets R grow until R**2 overflows on a finite state
+        cfg = ci_config("simulate")
+        cfg["grid"]["n"] = 64
+        cfg["scheme"] = {"cfl": 1.0, "gradient_ceiling": 1e300}
+        err = self.fails(tmp_path, capsys, "simulate", cfg, 2)
+        assert err.startswith("varwave: run failed: the energy overflows a float at t=")
 
     @pytest.mark.parametrize("eps", [1e-200, 5e-324])
     def test_tiny_eps_runs_without_a_warning(self, tmp_path, capsys, eps):

@@ -14,6 +14,8 @@ from varwave import (
     GridState,
     HypothesisViolated,
     NoIntersection,
+    NonFiniteState,
+    OseenFrankSpeed,
     PolynomialBump,
     ProblemSetup,
     SchemeConfig,
@@ -62,6 +64,17 @@ class TestConstants:
         )
         with pytest.raises(HypothesisViolated, match=r"^\(2 r0\)\*\*alpha = 3.0\*\*649.5 overflows"):
             compute_constants(setup, require_hypothesis=False)
+
+    def test_overflowing_speed_square_is_named(self):
+        # an explicit profile skips theorem_amplitude, whose c1**2 is checked
+        loose = OseenFrankSpeed(c0=1.0, c1=1e300, k1=2.0, k3=1.0)
+        setup = ProblemSetup.theorem(
+            d=3, r0=1.0, eps=0.05, u0=np.pi / 4, speed=loose,
+            profile=PolynomialBump(amplitude=100.0),
+        )
+        message = r"^\(2 c1 \+ eps\)\*\*2 = 2e\+300\*\*2 overflows a float$"
+        with pytest.raises(HypothesisViolated, match=message):
+            compute_constants(setup)
 
     def test_overflowing_riccati_weight_is_named(self, canonical_speed):
         # the domain keeps r_lo^alpha finite; convergence's default
@@ -218,6 +231,18 @@ class TestEnergyObserver:
         s = canonical_setup
         assert obs.E[0] <= constants.K_envelope * s.r0 ** (2 * s.alpha) * s.eps
 
+    def test_overflowing_energy_is_named_with_its_state(self, gentle_setup):
+        grid = Grid.uniform(*gentle_setup.domain, 64)
+        n = grid.n
+        fields = np.array([np.full(n, gentle_setup.u0), np.zeros(n), np.zeros(n)])
+        fields[1, 30] = 1e200
+        state = GridState(0.25, fields, (30, 31))
+        obs = EnergyObserver(grid)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteState) as err:
+            obs(state)
+        assert str(err.value) == "the energy overflows a float at t=0.25"
+        assert err.value.last_state is state and obs.t == obs.E == []
+
     def test_drift_halves_under_refinement(self, gentle_setup):
         drifts = []
         for n in (512, 1024):
@@ -243,7 +268,7 @@ class TestEnergyObserver:
             for field in (u, R, S):
                 field[lo:hi] += rng.uniform(0.5, 2.0, hi - lo)
             a, b = stored
-            return GridState(t, u[a:b], R[a:b], S[a:b], (lo, hi), a, n, u0)
+            return GridState(t, np.array([u, R, S])[:, a:b], (lo, hi), a, n, u0)
 
         wide = state(0.0, 1, n - 1, (0, n))
         states = [wide, state(1.0, 120, 131, (110, 140)), state(2.0, 0, 0, (60, 70)), wide]
@@ -275,7 +300,7 @@ class TestEnergyObserver:
         u, R, S = np.full(n, u0), np.zeros(n), np.zeros(n)
         for field in (u, R, S):
             field[lo:hi] += rng.uniform(-2.0, 2.0, hi - lo)
-        state = GridState(0.5, u, R, S, (lo, hi))
+        state = GridState(0.5, np.array([u, R, S]), (lo, hi))
         obs = EnergyObserver(grid)
         obs(state)
         want = node_weighted_energy(grid.r, state)
@@ -364,7 +389,7 @@ def _constant_field_states(setup, grid, n_steps=8, dt=1e-3):
     states = []
     for k in range(n_steps + 1):
         states.append(
-            GridState(k * dt, np.full(n, setup.u0), np.zeros(n), np.ones(n), (0, n))
+            GridState(k * dt, np.array([np.full(n, setup.u0), np.zeros(n), np.ones(n)]), (0, n))
         )
     return states
 

@@ -185,6 +185,13 @@ class TestProblemSetup:
                 profile=PolynomialBump(amplitude=1.0), domain=(1e-170, 2.5e-160),
             )
 
+    def test_overflowing_theorem_amplitude_is_named(self):
+        # c1**2 = 1e308 is finite; 32 c1**2 overflows in the float product
+        loose = OseenFrankSpeed(c0=1.0, c1=1e154, k1=2.0, k3=1.0)
+        message = r"^the theorem amplitude inf is not a finite float$"
+        with pytest.raises(HypothesisViolated, match=message):
+            theorem_amplitude(3, 1.0, math.pi / 4, loose)
+
     def test_overflowing_powers_are_named(self, canonical_speed):
         with pytest.raises(HypothesisViolated, match=r"^2\*\*alpha = 2.0\*\*1024.5 overflows"):
             theorem_amplitude(2050, 1.0, math.pi / 4, canonical_speed)

@@ -123,7 +123,7 @@ class TestTableExit:
         n, k = grid.n, grid.n // 2
         u, R, S = np.full(n, 0.5), np.zeros(n), np.zeros(n)
         u[k], R[k], S[k] = 0.99, 1.0 / stepper.base_dt, 1.0 / stepper.base_dt
-        return stepper, GridState(0.25, u, R, S, (k, k + 1))
+        return stepper, GridState(0.25, np.array([u, R, S]), (k, k + 1))
 
     def test_upwind1_names_the_exit_at_the_next_step(self):
         stepper, state = self.leaving_state("upwind1")
@@ -167,7 +167,7 @@ class TestStep:
         cfg = SchemeConfig(scheme="upwind1")
         stepper = Stepper(setup, grid, cfg)
         n = grid.n
-        state = GridState(0.0, np.full(n, 0.3), np.zeros(n), np.ones(n), (0, n))
+        state = GridState(0.0, np.array([np.full(n, 0.3), np.zeros(n), np.ones(n)]), (0, n))
         dt = stepper.base_dt
         new = stepper.step(state, dt)
         inner = slice(1, -1)
@@ -188,7 +188,8 @@ class TestStep:
         stepper = Stepper(canonical_setup, grid, cfg)
         u, R, S = initial_riemann(canonical_setup, grid.r)
         S[50], S[51] = 1e300, -1e300
-        state = GridState(0.0, u, R, S, solver._live_span(u, R, S, canonical_setup.u0))
+        fields = np.array([u, R, S])
+        state = GridState(0.0, fields, solver._live_span(fields, canonical_setup.u0))
         with pytest.raises(NonFiniteState) as err:
             s = state
             for _ in range(10):
@@ -252,7 +253,7 @@ def perturbed_states(draw, setups=None, extremes=False):
             for field in {"R": (R,), "S": (S,), "both": (R, S)}[
                     draw(st.sampled_from(("R", "S", "both")))]:
                 field[i:i + len(values)] = values
-    return setup, GridState(0.0, u, R, S, mask_span(u, R, S, setup.u0)), (lo, hi)
+    return setup, GridState(0.0, np.array([u, R, S]), mask_span(u, R, S, setup.u0)), (lo, hi)
 
 
 @st.composite
@@ -350,7 +351,8 @@ class TestLiveWindow:
         off = S == 0.0
         assert np.signbit(S_neg[off]).all() and not np.signbit(S[off]).any()
         np.testing.assert_array_equal(bits(S_neg[~off]), bits(S[~off]))
-        want = GridState(0.0, u, R, S_neg, solver._live_span(u, R, S_neg, setup.u0))
+        fields = np.array([u, R, S_neg])
+        want = GridState(0.0, fields, solver._live_span(fields, setup.u0))
         assert want.live == (0, grid.n) and got.live[1] - got.live[0] < grid.n // 4
         stepper = Stepper(setup, grid, SchemeConfig(scheme=scheme))
         for _ in range(40):
@@ -423,9 +425,9 @@ class TestLiveWindow:
         scanned = []
         span = solver._live_span
 
-        def counting_span(u, R, S, u0, start=0):
-            scanned.append(u.size)
-            return span(u, R, S, u0, start)
+        def counting_span(fields, u0, start=0):
+            scanned.append(fields.shape[1])
+            return span(fields, u0, start)
 
         monkeypatch.setattr(solver, "_live_span", counting_span)
         lo, hi = stepper._window(state)
@@ -470,7 +472,7 @@ class TestCarriedLiveRange:
         state = stepper.step(stepper.step(state))
         a, b = state.live
         assume(a < b)
-        bad = GridState(state.t, state.u.copy(), state.R.copy(), state.S.copy(), state.live)
+        bad = GridState(state.t, np.array([state.u, state.R, state.S]), state.live)
         getattr(bad, field)[a + int(where * (b - 1 - a))] = np.nan
         with pytest.raises(NonFiniteState):
             stepper.step(bad)
@@ -601,7 +603,7 @@ class TestReferenceStep:
             dt = min(stepper.base_dt, t_end - want.t)
             got = stepper.step(got, dt)
             fields = reference.step(want, dt)
-            want = GridState(want.t + dt, *fields, mask_span(*fields, canonical_setup.u0))
+            want = GridState(want.t + dt, np.array(fields), mask_span(*fields, canonical_setup.u0))
             steps += 1
         assert steps > 200 and got.t == want.t
         for key in ("u", "R", "S"):
@@ -629,7 +631,7 @@ class TestStoredRange:
             assert s_hi - s_lo <= hi - lo + 2 * reach
             assert s_lo <= max(a - reach, 0) and min(b + reach, n) <= s_hi
             fields = reference.step(want, stepper.base_dt)
-            want = GridState(state.t, *fields, mask_span(*fields, u0))
+            want = GridState(state.t, np.array(fields), mask_span(*fields, u0))
             for key, w in zip(("u", "R", "S"), fields):
                 got = getattr(state, key)
                 np.testing.assert_array_equal(bits(got), bits(w), err_msg=key)
@@ -716,7 +718,7 @@ class TestConstantSpeedFloats:
         arrays = Stepper(with_array_speed(setup), grid, cfg)
         with np.errstate(all="ignore"):
             got, want = (
-                s._tendencies(state.u, state.R, state.S, slice(0, grid.n)) for s in (floats, arrays)
+                s._tendencies(state.fields, slice(0, grid.n)) for s in (floats, arrays)
             )
         np.testing.assert_array_equal(bits(got), bits(want))
         assert floats._coefficients is not None and arrays._coefficients is None
@@ -774,7 +776,7 @@ class TestLiveSpan:
     def test_live_ends_at_any_offset(self, head, tail, row, value):
         fields = self.quiescent(64)
         fields[row][head] = fields[row][63 - tail] = value
-        span = solver._live_span(*fields, self.U0)
+        span = solver._live_span(np.array(fields), self.U0)
         assert span == mask_span(*fields, self.U0) == (head, 64 - tail)
 
     @pytest.mark.parametrize("m", [1, 2, WALK, 2 * WALK - 1, 2 * WALK + 1, 64])
@@ -784,20 +786,21 @@ class TestLiveSpan:
         fields = self.quiescent(m)
         i = round(where * (m - 1))
         fields[row][i] = value
-        assert solver._live_span(*fields, self.U0) == mask_span(*fields, self.U0) == (i, i + 1)
+        span = solver._live_span(np.array(fields), self.U0)
+        assert span == mask_span(*fields, self.U0) == (i, i + 1)
 
     @pytest.mark.parametrize("m", [0, 1, WALK, 3 * WALK])
     def test_quiescent_array_has_no_live_range(self, m):
-        assert solver._live_span(*self.quiescent(m), self.U0) == (0, 0)
-        assert solver._live_span(*self.quiescent(m), self.U0, 5) == (0, 0)
+        assert solver._live_span(np.array(self.quiescent(m)), self.U0) == (0, 0)
+        assert solver._live_span(np.array(self.quiescent(m)), self.U0, 5) == (0, 0)
 
     @pytest.mark.parametrize("u0", [0.0, -0.0], ids=["+0", "-0"])
     @pytest.mark.parametrize("i", [0, WALK, 40, 63])
     def test_other_signed_zero_of_u_is_live(self, u0, i):
         u, R, S = np.full(64, u0), np.zeros(64), np.zeros(64)
         u[i] = -u0
-        assert solver._live_span(u, R, S, u0) == mask_span(u, R, S, u0) == (i, i + 1)
-        assert solver._live_span(u, R, S, u0, 7) == (7 + i, 8 + i)
+        assert solver._live_span(np.array([u, R, S]), u0) == mask_span(u, R, S, u0) == (i, i + 1)
+        assert solver._live_span(np.array([u, R, S]), u0, 7) == (7 + i, 8 + i)
 
 
 class TestTransportRegression:
@@ -1037,7 +1040,7 @@ class TestMarch:
         assert len(list(stepper.march(start, 10 * stepper.base_dt, max_steps=4))) == 4
         assert list(stepper.march(start, 1.0, max_steps=0)) == []
         # within 1e-14 * t_end of t_end counts as there
-        there = GridState(1.0 - 5e-15, start.u, start.R, start.S, start.live)
+        there = GridState(1.0 - 5e-15, start.fields, start.live)
         assert list(stepper.march(there, 1.0)) == []
 
 
@@ -1054,6 +1057,36 @@ class TestStateWindow:
             with pytest.raises(IndexError, match=r"leave the stored range"):
                 state.window(a, b)
         assert all(f.size == 0 for f in (*state.window(0, 0), *state.window(hi + 5, lo - 3)))
+
+    def test_window_is_a_view_of_the_block(self, canonical_setup):
+        grid = Grid.uniform(*canonical_setup.domain, 256)
+        stepper = Stepper(canonical_setup, grid, SchemeConfig(scheme="muscl2"))
+        state = stepper.step(init_state(canonical_setup, grid))
+        a, b = state.live
+        block = state.window(a, b)
+        assert block.shape == (3, b - a) and np.shares_memory(block, state.fields)
+        assert bits(block).tolist() == bits(np.array([state.u, state.R, state.S])[:, a:b]).tolist()
+
+    def test_node_reads_the_full_arrays_on_and_off_the_stored_range(self, canonical_setup):
+        grid = Grid.uniform(*canonical_setup.domain, 256)
+        states = []
+        run(canonical_setup, grid, SchemeConfig(max_steps=20), observers=(states.append,))
+        for state in (states[0], states[-1]):
+            lo, hi = state.stored
+            nodes = [0, lo - 1, lo, (lo + hi) // 2, hi - 1, hi, grid.n - 1]
+            nodes = [i for i in nodes if 0 <= i < grid.n]
+            full = np.array([state.u, state.R, state.S])
+            for i in nodes:
+                assert bits(np.array(state.node(i))).tolist() == bits(full[:, i]).tolist()
+                assert bits(np.array(state.node_u(i))).tolist() == bits(full[:1, i]).tolist()
+        assert states[-1].stored != (0, grid.n)
+
+    def test_full_grid_state_reads_its_own_block(self, canonical_setup):
+        grid = Grid.uniform(*canonical_setup.domain, 256)
+        state = init_state(canonical_setup, grid)
+        assert state.fields.shape == (3, grid.n)
+        for k, row in enumerate((state.u, state.R, state.S)):
+            assert row.base is state.fields and np.shares_memory(row, state.fields[k])
 
 
 class TestSchemeConfig:
