@@ -183,20 +183,18 @@ def find_intersection(plus: PathSamples, minus: PathSamples) -> tuple[float, flo
     return t_m, r_m
 
 
-def truncate_at(path: PathSamples, t_m: float) -> dict[str, np.ndarray]:
-    """Path columns up to t_m, with a linearly interpolated final sample."""
-    a = path.columns()
-    t = a["t"]
+def truncate_at(path: PathSamples, t_m: float) -> PathSamples:
+    """The samples before t_m, with a linearly interpolated final sample at t_m."""
+    columns = path.columns().values()
+    t = path.t
     keep = t < t_m
     k = int(np.count_nonzero(keep))
     if k == 0 or k >= t.size:
-        return {key: v[keep] if k else v[:0] for key, v in a.items()}
+        return PathSamples(path.family, *(v[keep] if k else v[:0] for v in columns))
     theta = (t_m - t[k - 1]) / (t[k] - t[k - 1])
-    out = {}
-    for key, v in a.items():
-        tail = v[k - 1] + theta * (v[k] - v[k - 1])
-        out[key] = np.append(v[:k], tail)
-    return out
+    return PathSamples(
+        path.family, *(np.append(v[:k], v[k - 1] + theta * (v[k] - v[k - 1])) for v in columns)
+    )
 
 
 @dataclass(frozen=True)

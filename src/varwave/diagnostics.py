@@ -124,7 +124,9 @@ def compute_constants(setup: ProblemSetup, require_hypothesis: bool = True) -> T
     With require_hypothesis=False a non-steepening speed is tolerated
     (negative-control runs): the energy constants are still exact while
     the c'(u0)-scaled quantities degrade (eps0 = 0, S0_lower = inf,
-    zero guaranteed decay rate).
+    zero guaranteed decay rate).  Any other constant that is not a finite
+    float (it overflows, or a divisor underflows to 0.0) raises
+    HypothesisViolated naming it.
     """
     speed = setup.speed
     r0, eps, alpha, u0 = setup.r0, setup.eps, setup.alpha, setup.u0
@@ -140,30 +142,39 @@ def compute_constants(setup: ProblemSetup, require_hypothesis: bool = True) -> T
     two_r0_alpha = checked_power(2.0 * r0, alpha, "(2 r0)**alpha")
     reach_sq = checked_power(2.0 * c1 + eps, 2, "(2 c1 + eps)**2")
     c1_sq = checked_power(c1, 2, "c1**2")
-    k_env = (eps**2 + reach_sq) * reach_2alpha / r0_2alpha * iphi
+    # a divisor that underflows to 0.0 makes its quotient inf, as IEEE
+    # division would; the check at the end names each constant left infinite
+    k_env = (eps**2 + reach_sq) * reach_2alpha / r0_2alpha * iphi if r0_2alpha else math.inf
     e0 = _finite_energy(lambda: initial_energy_exact(setup), "by quadrature of the initial data")
-    k_meas = e0 / (r0_2alpha * eps)
+    k_meas = e0 / (r0_2alpha * eps) if r0_2alpha * eps else math.inf
 
     ralpha0 = r0**alpha
-    m = k_env * c1 * ralpha0 * math.sqrt(r0) / (4.0 * c0**2) + alpha * math.sqrt(
-        k_env * c1
-    ) * ralpha0 / math.sqrt(r0 * c0)
+    four_c0_sq, r0_c0 = 4.0 * c0**2, r0 * c0
+    if four_c0_sq and r0_c0:
+        m = k_env * c1 * ralpha0 * math.sqrt(r0) / four_c0_sq + alpha * math.sqrt(
+            k_env * c1
+        ) * ralpha0 / math.sqrt(r0_c0)
+    else:
+        m = math.inf
 
     eps_prime_proxy = r0 / 2.0
     candidates = [math.sqrt(eps_prime_proxy), math.sqrt(c0)]
     if m > 0.0:  # the M-scaled terms drop out (are +inf) for zero-energy data
-        candidates.append(r0 * cp0 / (64.0 * m * c1_sq * two_r0_alpha))
+        div = 64.0 * m * c1_sq * two_r0_alpha
+        candidates.append(r0 * cp0 / div if div else math.inf)
         candidates.append(1.0 / (2.0 * m))
     sqrt_eps0 = min(candidates)
     if cp0 > 0.0:
-        s0_lower = max(32.0 * c1_sq * two_r0_alpha / ((r0 - eps) * cp0), 2.0)
+        div = (r0 - eps) * cp0
+        s0_lower = max(32.0 * c1_sq * two_r0_alpha / div, 2.0) if div else math.inf
     else:
         s0_lower = math.inf
     t_star_bound = (r0 - eps) / (2.0 * c1) + r0 / (4.0 * c1)
-    drift_bound = math.sqrt(k_env * (r0 - eps) / (c0 * c1)) * math.sqrt(eps)
+    div = c0 * c1
+    drift_bound = math.sqrt(k_env * (r0 - eps) / div) * math.sqrt(eps) if div else math.inf
     decay = cp0 / (16.0 * c1 * two_r0_alpha)
 
-    return TheoremConstants(
+    constants = TheoremConstants(
         K_measured=k_meas,
         K_envelope=k_env,
         M=m,
@@ -176,6 +187,10 @@ def compute_constants(setup: ProblemSetup, require_hypothesis: bool = True) -> T
         u_drift_bound=drift_bound,
         inv_s_decay_rate=decay,
     )
+    for name, value in vars(constants).items():
+        if not math.isfinite(value) and not (name == "S0_lower" and cp0 == 0.0):
+            raise HypothesisViolated(f"the constant {name} = {value} is not a finite float")
+    return constants
 
 
 def blowup_time_estimate(setup: ProblemSetup) -> float:
@@ -183,6 +198,9 @@ def blowup_time_estimate(setup: ProblemSetup) -> float:
 
     Heuristic only (assumes R stays negligible and the path stays near r0);
     used to pick pre-blow-up comparison windows for convergence studies.
+    inf where c'(u0) <= 0, S(0,r0) <= 0 or the rate lambda S(0,r0)
+    underflows to 0.0: then no finite time is predicted.  HypothesisViolated
+    where S(0,r0) overflows a float.
     """
     c_at_u0 = float(setup.speed.c(setup.u0))
     cp0 = float(setup.speed.c_prime(setup.u0))
@@ -192,8 +210,10 @@ def blowup_time_estimate(setup: ProblemSetup) -> float:
     s0 = (2.0 * c_at_u0 - setup.eps) * ralpha0 * setup.profile.amplitude
     if s0 <= 0.0:
         return math.inf
-    lam = cp0 / (4.0 * c_at_u0 * ralpha0)
-    return 1.0 / (lam * s0)
+    if s0 == math.inf:
+        raise HypothesisViolated("the initial S(0, r0) overflows a float")
+    rate = cp0 / (4.0 * c_at_u0 * ralpha0) * s0
+    return 1.0 / rate if rate else math.inf
 
 
 def _node_weights(r: np.ndarray) -> np.ndarray:
@@ -227,9 +247,10 @@ def _finite_energy(energy, what: str) -> float:
     it as the initial energy <what> where it overflows a float.
 
     No term of an energy sum is negative, so the sum is inf exactly when a
-    density R**2 + S**2, or a partial sum, overflows.
+    density R**2 + S**2, or a partial sum, overflows; it is NaN where a
+    factor of a density overflows and another underflows to 0.0.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         e = energy()
     if not math.isfinite(e):
         raise HypothesisViolated(f"the initial energy {what} overflows a float")
@@ -345,9 +366,9 @@ def triangle_identity(
     t_m, r_m = find_intersection(plus, minus)
     pa = truncate_at(plus, t_m)
     ma = truncate_at(minus, t_m)
-    lhs_plus = float(np.trapezoid(pa["R"] ** 2, pa["r"]))
+    lhs_plus = float(np.trapezoid(pa.R**2, pa.r))
     # minus path r decreases from r2; negate to integrate in increasing r
-    lhs_minus = -float(np.trapezoid(ma["S"] ** 2, ma["r"]))
+    lhs_minus = -float(np.trapezoid(ma.S**2, ma.r))
     lhs = lhs_plus + lhs_minus
 
     inside = grid.r[(grid.r > r1) & (grid.r < r2)]

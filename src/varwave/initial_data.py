@@ -12,6 +12,7 @@ S = r^alpha (u_t - c u_r) starts above the self-steepening threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -118,7 +119,11 @@ def _check_placement(d: int, r0: float) -> None:
 
 
 def theorem_amplitude(d: int, r0: float, u0: float, speed: WaveSpeedModel) -> float:
-    """Minimal center slope 2*max{32*c1^2*2^alpha/(r0*c0*c'(u0)), 1/(c0*r0^alpha)}."""
+    """Minimal center slope 2*max{32*c1^2*2^alpha/(r0*c0*c'(u0)), 1/(c0*r0^alpha)}.
+
+    HypothesisViolated where it is not a finite float: a term overflows, or
+    its divisor underflows to 0.0.
+    """
     _check_placement(d, r0)
     _check_angles(speed, u0)
     alpha = (d - 1) / 2.0
@@ -128,8 +133,10 @@ def theorem_amplitude(d: int, r0: float, u0: float, speed: WaveSpeedModel) -> fl
             f"c'(u0) = {cp0} at u0 = {u0}; blow-up construction needs c'(u0) > 0"
         )
     c1_sq = checked_power(speed.c1, 2, "c1**2")
-    a1 = 32.0 * c1_sq * checked_power(2.0, alpha, "2**alpha") / (r0 * speed.c0 * cp0)
-    a2 = 1.0 / (speed.c0 * checked_power(r0, alpha, "r0**alpha"))
+    two_alpha = checked_power(2.0, alpha, "2**alpha")
+    div1, div2 = r0 * speed.c0 * cp0, speed.c0 * checked_power(r0, alpha, "r0**alpha")
+    a1 = 32.0 * c1_sq * two_alpha / div1 if div1 else math.inf
+    a2 = 1.0 / div2 if div2 else math.inf
     amplitude = 2.0 * max(a1, a2)
     if not np.isfinite(amplitude):
         raise HypothesisViolated(f"the theorem amplitude {amplitude} is not a finite float")
@@ -230,7 +237,7 @@ def initial_riemann(setup: ProblemSetup, r):
     Outside [r0 - eps, r0 + eps] R and S are +0.0: S adds +0.0 to the
     product, whose negative factor -2c + eps leaves -0.0 where u_r = +0.0,
     and changes no other value.  Raises ConfigError when
-    u leaves the angle range of the speed model (a tabulated speed's table).
+    u leaves the speed model's table (``off_table``).
     """
     r = np.asarray(r, dtype=float)
     with np.errstate(over="ignore"):  # an eps near underflow: an infinite z is off the support

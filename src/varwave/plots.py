@@ -101,10 +101,10 @@ def render_lines(
     first point makes its axis NaN and a later NaN is passed over.  They are
     folded one polyline at a time (``_bounds``), so a call holds the Python
     floats of one polyline, not of every point.  Each polyline is mapped to
-    pixels as whole arrays, with the operations of ``sx`` and ``sy`` in
-    their order, and formatted by one ``%``; a polyline pairs its points up
-    to the shorter of x and y, as ``zip`` does.  An axis that overflows a
-    float is drawn scaled (see ``_axis``).
+    pixels as whole arrays by ``sx`` and ``sy``, the maps of the ticks, and
+    formatted by one ``%``; a polyline pairs its points up to the shorter of
+    x and y, as ``zip`` does.  An axis that overflows a float is drawn
+    scaled (see ``_axis``).
     """
     arrays = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float)) for x, y, _ in series]
     x_bounds = _bounds(x for x, _ in arrays)
@@ -119,10 +119,10 @@ def render_lines(
     px_w = _WIDTH - _MARGIN_L - _MARGIN_R
     px_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
-    def sx(x: float) -> float:
+    def sx(x):  # a float, or an array of them
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * px_w
 
-    def sy(y: float) -> float:
+    def sy(y):
         return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * px_h
 
     parts = [
@@ -177,10 +177,8 @@ def render_lines(
     for k, ((x, y), (_, _, label)) in enumerate(zip(arrays, series)):
         color = _COLORS[k % len(_COLORS)]
         m = min(x.size, y.size)
-        xy = np.empty((m, 2))
         with np.errstate(all="ignore"):  # Python floats give inf and NaN silently
-            xy[:, 0] = _MARGIN_L + (kx * x[:m] - x_lo) / (x_hi - x_lo) * px_w
-            xy[:, 1] = _MARGIN_T + (y_hi - ky * y[:m]) / (y_hi - y_lo) * px_h
+            xy = np.column_stack((sx(kx * x[:m]), sy(ky * y[:m])))
         pts = ("%.2f,%.2f " * m % tuple(xy.ravel().tolist()))[:-1]
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'

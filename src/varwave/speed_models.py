@@ -69,12 +69,8 @@ class WaveSpeedModel:
         """Interval over which bounds are sampled (one period by default)."""
         return (0.0, 2.0 * np.pi)
 
-    def angle_range(self) -> tuple[float, float]:
-        """Angles u at which c(u) is defined (every angle by default)."""
-        return (-math.inf, math.inf)
-
     def off_table(self, u) -> bool:
-        """Whether an angle of u lies outside ``angle_range``; a NaN angle never does."""
+        """Whether an angle of u lies off the model's table; a NaN angle never does."""
         return False
 
 
@@ -216,12 +212,9 @@ class TabulatedSpeed(WaveSpeedModel):
     def probe_interval(self) -> tuple[float, float]:
         return (float(self.knots[0]), float(self.knots[-1]))
 
-    def angle_range(self) -> tuple[float, float]:
-        """The table: off it c and c' are NaN."""
-        return self.probe_interval()
-
     def off_table(self, u) -> bool:
-        lo, hi = self.angle_range()
+        """Whether an angle of u lies off the knots, where c and c' are NaN."""
+        lo, hi = self.probe_interval()
         return bool(np.any((u < lo) | (u > hi)))
 
     def c(self, u):

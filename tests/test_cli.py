@@ -1347,41 +1347,58 @@ class TestExitCodes:
             assert summary["errors"] == {"0.1": "boom", "1e-07": "boom"}
 
     @pytest.mark.parametrize(
-        "name, command, key, value, message",
+        "name, command, changes, message",
         [
-            ("simulate", "simulate", "d", 700,
+            ("simulate", "simulate", {"d": 700},
              "the weight c0 * r_lo**alpha = 0.0 at r_lo = 0.01 is below 1e-300"),
-            ("simulate", "simulate", "d", 2050, "2**alpha = 2.0**1024.5 overflows a float"),
-            ("simulate", "simulate", "r0", 1e300,
+            ("simulate", "simulate", {"d": 2050}, "2**alpha = 2.0**1024.5 overflows a float"),
+            ("simulate", "simulate", {"r0": 1e300},
              "(r0 + eps)**(2 alpha) = 1e+300**2.0 overflows a float"),
-            ("zero_u0", "simulate", "profile", {"kind": "polynomial", "amplitude": 1e200},
+            ("zero_u0", "simulate", {"profile": {"kind": "polynomial", "amplitude": 1e200}},
              ENERGY_OVERFLOW.format(n=256)),
-            ("zero_u0", "eps-sweep", "profile", {"kind": "polynomial", "amplitude": 1e200},
+            ("zero_u0", "eps-sweep", {"profile": {"kind": "polynomial", "amplitude": 1e200}},
              ENERGY_OVERFLOW.format(n=256)),
             # R**2 overflows at 1e200; at 1.2e154 S**2 does, but R**2 and the
             # energy of the bump (about 4.2e307) do not
-            ("convergence", "convergence", "profile", {"kind": "polynomial", "amplitude": 1e200},
+            ("convergence", "convergence", {"profile": {"kind": "polynomial", "amplitude": 1e200}},
              ENERGY_OVERFLOW.format(n=256)),
-            ("convergence", "convergence", "profile",
-             {"kind": "polynomial", "amplitude": 1.2e154}, ENERGY_OVERFLOW.format(n=256)),
-            ("convergence", "simulate", "profile", {"kind": "polynomial", "amplitude": 1e200},
+            ("convergence", "convergence",
+             {"profile": {"kind": "polynomial", "amplitude": 1.2e154}},
+             ENERGY_OVERFLOW.format(n=256)),
+            ("convergence", "simulate", {"profile": {"kind": "polynomial", "amplitude": 1e200}},
              ENERGY_OVERFLOW.format(n=1024)),
-            ("convergence", "simulate", "profile",
-             {"kind": "polynomial", "amplitude": 1.2e154}, ENERGY_OVERFLOW.format(n=1024)),
+            ("convergence", "simulate",
+             {"profile": {"kind": "polynomial", "amplitude": 1.2e154}},
+             ENERGY_OVERFLOW.format(n=1024)),
+            # r0 c0 c'(u0) underflows to 0.0, a divisor of the amplitude
+            ("simulate", "simulate", {"r0": 0.5, "speed": {"c0": 5e-324}},
+             "the theorem amplitude inf is not a finite float"),
+            # 4 c0**2 underflows to 0.0, a divisor of M
+            ("simulate", "simulate",
+             {"eps": 1e-201, "speed": {"c0": 1e-200},
+              "profile": {"kind": "polynomial", "amplitude": 1.0}},
+             "the constant M = inf is not a finite float"),
+            # c1**2 is finite, K_envelope = (eps**2 + (2 c1 + eps)**2) ... is not
+            ("simulate", "simulate",
+             {"speed": {"c1": 1e150}, "profile": {"kind": "polynomial", "amplitude": 1e5}},
+             "the constant K_envelope = inf is not a finite float"),
         ],
         ids=[
             "d=700", "d=2050", "r0=1e300", "amplitude=1e200", "sweep-amplitude=1e200",
             "convergence-amplitude=1e200", "convergence-amplitude=1.2e154",
             "simulate-convergence-data-amplitude=1e200",
             "simulate-convergence-data-amplitude=1.2e154",
+            "c0=5e-324", "c0=1e-200", "c1=1e150",
         ],
     )
-    def test_out_of_range_float_is_named(
-        self, tmp_path, capsys, name, command, key, value, message
-    ):
+    def test_out_of_range_float_is_named(self, tmp_path, capsys, name, command, changes, message):
         cfg = ci_config(name)
-        cfg["setup"][key] = value
-        if key == "d" and value == 700:
+        for key, value in changes.items():  # a speed takes its keys, other values replace
+            if key == "speed":
+                cfg["setup"]["speed"].update(value)
+            else:
+                cfg["setup"][key] = value
+        if changes == {"d": 700}:
             cfg["grid"]["n"] = 64
         if command == "eps-sweep":  # its constants are checked before any directory is made
             cfg["experiment"] = {"kind": "eps_sweep", "eps_list": [0.1, 0.05]}
@@ -1395,6 +1412,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"varwave: invalid configuration: {message}\n"
         assert not (tmp_path / "o").exists()
+
+    def test_underflowing_riccati_rate_takes_half_t_final(self, tmp_path, capsys):
+        # lambda S(0, r0) underflows to 0.0: the estimate predicts no finite
+        # time, so the default t_compare is half of t_final
+        cfg = ci_config("convergence")
+        cfg["setup"].update(
+            u0=1e-300, speed=ci_config("simulate")["setup"]["speed"],
+            profile={"kind": "polynomial", "amplitude": 1e-30},
+        )
+        del cfg["experiment"]["t_compare"]
+        path = write_config(tmp_path, cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["convergence", "--config", str(path), "--out-dir", str(tmp_path / "o")])
+        assert code == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+        summary = json.loads((tmp_path / "o" / "convergence.json").read_text())
+        assert summary["t_compare"] == 0.5 * (1.0 - 0.1) / SQRT2
 
     def test_energy_quadrature_overflow_is_named(self, tmp_path, capsys):
         # on 64 nodes the grid's sum of the d = 1 data stays finite at

@@ -1,13 +1,17 @@
+import contextlib
 import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from varwave import (
     CharacteristicPath,
+    ConfigError,
     ConstantSpeed,
     CustomBump,
     Grid,
@@ -30,6 +34,7 @@ from varwave import (
     init_state,
     initial_energy_exact,
     run,
+    theorem_amplitude,
     triangle_identity,
 )
 from varwave import diagnostics
@@ -209,6 +214,43 @@ class TestConstants:
             profile=PolynomialBump(amplitude=1.0),
         )
         assert blowup_time_estimate(flat) == math.inf
+
+    # base-2 exponents of positive floats, from the least subnormal to the largest power of 2
+    EXPONENTS = st.floats(-1074.0, 1023.0)
+
+    @given(
+        d=st.sampled_from([1, 2, 3]),
+        speed_bounds=st.lists(EXPONENTS, min_size=2, max_size=2),
+        r0=EXPONENTS, eps=EXPONENTS, amplitude=EXPONENTS,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_constants_are_finite_floats_or_named(self, d, speed_bounds, r0, eps, amplitude):
+        # an Oseen-Frank speed of scale s, c in [s, sqrt(2) s], between its declared
+        # bounds c0 <= s and c1 >= 2 s, with s**2 a normal float
+        e0, e1 = sorted(speed_bounds)
+        es = min(max((e0 + e1) / 2.0, -500.0), 500.0)
+        assume(e0 <= es <= e1 - 1.0)
+        s = 2.0**es
+        speed = OseenFrankSpeed(c0=2.0**e0, c1=2.0**e1, k1=2.0 * s * s, k3=s * s)
+        r0, eps, amplitude = 2.0**r0, 2.0**eps, 2.0**amplitude
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning fails the example
+            with contextlib.suppress(ConfigError):
+                assert math.isfinite(theorem_amplitude(d, r0, math.pi / 4, speed))
+            try:
+                setup = ProblemSetup.theorem(
+                    d=d, r0=r0, eps=eps, u0=math.pi / 4, speed=speed,
+                    profile=PolynomialBump(amplitude=amplitude),
+                )
+            except ConfigError:
+                return
+            with contextlib.suppress(ConfigError):
+                constants = compute_constants(setup, require_hypothesis=False)
+                # c'(u0) > 0, so S0_lower is finite too
+                assert all(math.isfinite(v) for v in dataclasses.astuple(constants))
+            with contextlib.suppress(ConfigError):
+                # inf where no finite time is predicted
+                assert blowup_time_estimate(setup) >= 0.0
 
 
 class TestEnergyObserver:

@@ -70,28 +70,6 @@ def test_no_module_imports_a_private_name():
     assert found == set()
 
 
-def angle_range_calls(source: str) -> int:
-    """Calls of a method named angle_range in the source."""
-    return sum(
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "angle_range"
-        for node in ast.walk(ast.parse(source))
-    )
-
-
-def test_only_the_speed_models_read_the_angle_range():
-    # the other modules ask the model whether an angle is off its table
-    assert angle_range_calls("lo, hi = setup.speed.angle_range()\nspeed.off_table(u)\n") == 1
-    package = Path(varwave.__file__).parent
-    found = {
-        path.stem
-        for path in sorted(package.glob("*.py"))
-        if angle_range_calls(path.read_text(encoding="utf-8"))
-    }
-    assert found == {"speed_models"}
-
-
 def test_both_triangle_identities_return_path_samples(gentle_setup):
     grid = Grid.uniform(*gentle_setup.domain, 256)
     eulerian = triangle_identity(gentle_setup, grid, SchemeConfig(), 0.85, 1.15)

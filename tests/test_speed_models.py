@@ -224,13 +224,9 @@ class TestOseenFrankAccuracy:
 
 
 class TestAngleRange:
-    def test_analytic_speeds_take_every_angle(self):
-        for model in (OseenFrankSpeed(c0=1.0, c1=SQRT2, k1=2.0, k3=1.0), ConstantSpeed.of(1.3)):
-            assert model.angle_range() == (-math.inf, math.inf)
-
     def test_tabulated_speed_takes_its_table(self):
         model = TabulatedSpeed(c0=1.0, c1=2.0, knots=(0.5, 1.0, 2.0), values=(1.0, 1.5, 2.0))
-        assert model.angle_range() == model.probe_interval() == (0.5, 2.0)
+        assert model.probe_interval() == (0.5, 2.0)
         inside, off = model.c(np.array([0.5, 2.0])), model.c(np.array([0.49, 2.01]))
         assert np.isfinite(inside).all() and np.isnan(off).all()
 
