@@ -595,6 +595,10 @@ def cmd_convergence(config: dict, out_dir: Path, svg: bool) -> int:
     t_cmp = _read(exp, "experiment.t_compare")
     if t_cmp is None:
         t_cmp = float(min(0.5 * blowup_time_estimate(setup), 0.5 * setup.t_final))
+        if not t_cmp > 0.0:  # 1/lambda underflows where the Riccati rate lambda overflows
+            raise ConfigError(
+                f"the default t_compare {t_cmp} is not positive; set experiment.t_compare"
+            )
     elif t_cmp <= 0.0:
         raise ConfigError(f"experiment.t_compare must be positive, got {t_cmp}")
     elif t_cmp > setup.t_final:

@@ -181,7 +181,14 @@ class ProblemSetup:
                 f"need 0 < eps < min(c0, r0/2) = {limit}, got eps={self.eps}"
             )
         validate_bounds(self.speed)
+        if not math.isfinite(self.t_final):
+            raise HypothesisViolated(
+                f"t_final = (r0 - eps)/c1 = {self.t_final} is not a finite float"
+            )
         r_lo, r_hi = self.domain
+        for end in (r_lo, r_hi):
+            if not math.isfinite(end):
+                raise HypothesisViolated(f"the domain end {end} is not a finite float")
         if r_lo <= 0.0:
             raise HypothesisViolated("domain must satisfy r_lo > 0")
         if r_lo >= self.r0 - self.eps:

@@ -16,7 +16,7 @@ speed bound c1, so the discrete domain of dependence always contains the
 physical one.  Fields at both boundary nodes are clamped to the quiescent
 state (u=u0, R=S=0), valid while the support stays interior.  A stage
 fails by name if the speed model finds an angle it reads off its table,
-and otherwise makes one c_and_c_prime and one rhs_fields call.
+and otherwise makes one c_and_c_prime and at most one rhs_fields call.
 ``Stepper.march`` is the one march loop: it steps to t_end, shortening the
 last step to land on it, and stops once t is within ``reached`` of t_end
 or after a step budget.  ``run`` marches to t_final by default and adds its
@@ -50,6 +50,19 @@ operands, and minmod takes the slope of smaller magnitude where a*b > 0.
 Rewrites that change a bit are not used: -(R^2 - S^2) for S^2 - R^2 (it
 gives -0.0 where R^2 = S^2), a product by 1/h for a division by h, and a
 regrouped product such as c*(alpha*inv_r) for (alpha*c)*inv_r.
+
+A stage leaves out rhs_fields where its source terms are exactly zero and
+adding them would change no bit of the stepped state.  Where the cached
+factors (c'/(4 c r^alpha), alpha c / r) are all zero (d = 1, constant
+speed), f_R and f_S are signed zeros, or NaN where R*R or S*S overflows.
+Adding a signed zero to a tendency changes at most the sign of a zero
+tendency, so the tendencies scaled by dt differ at most in the sign of a
+zero, and adding that to a stage input q changes q only where q is -0.0
+(muscl2's second stage adds it to q + q1, which is -0.0 only where its
+input q1 is).  So a stage whose R and S rows hold no -0.0 and no magnitude
+of 2^512 or more (whose square overflows; NaN fails that test too) takes
+c dR/h and -(c dS/h) as its R and S tendencies.  muscl2 can make a -0.0
+(half a negative subnormal), so each stage checks its own input.
 """
 
 from __future__ import annotations
@@ -67,6 +80,11 @@ from .speed_models import WaveSpeedModel
 SCHEMES = ("upwind1", "muscl2")
 
 DEFAULT_CEILING_FACTOR = 1e4
+
+# -0.0 read as an int64 is the least int64
+_NEGATIVE_ZERO = np.float64(-0.0).view(np.int64)
+# the least magnitude whose square overflows a float
+_SQUARE_OVERFLOW = 2.0**512
 
 
 @dataclass(frozen=True)
@@ -299,19 +317,30 @@ class Stepper:
         self.reach = 1 if cfg.scheme == "upwind1" else 4
         self._rest = np.array([[setup.u0], [0.0], [0.0]])
         self._coefficients = None  # source_coefficients on the grid, for float c and c'
+        # whether those factors are all zero; None until a stage has seen c
+        self._zero_source = None
 
-    def _tendencies(self, q, w: slice) -> np.ndarray:
-        """Rows (du/dt, dR/dt, dS/dt) of one stage from the (3, w) block q on the window w."""
+    def _tendencies(self, q, w: slice, source: bool = True) -> np.ndarray:
+        """Rows (du/dt, dR/dt, dS/dt) of one stage from the (3, w) block q on the window w.
+
+        source=False leaves out the source terms where the cached factors are
+        all zero; ``step`` passes it only for a q on which that leaves every
+        bit of the stepped state as it is (see the module docstring).
+        """
         u, R, S = q
         c, c_prime = self.speed.c_and_c_prime(u)
         if isinstance(c, float):  # a speed free of u: its factors once per grid
             if self._coefficients is None:
                 grid_args = self.inv_r, self.ralpha, c, c_prime, self.alpha
                 self._coefficients = source_coefficients(*grid_args)
+                self._zero_source = not any(k.any() for k in self._coefficients)
             quad, geom = (k[w] for k in self._coefficients)
         else:
+            self._zero_source = False
             quad, geom = source_coefficients(self.inv_r[w], self.ralpha[w], c, c_prime, self.alpha)
-        f_R, f_S = rhs_fields(quad, geom, R, S)
+        source = source or not self._zero_source
+        if source:
+            f_R, f_S = rhs_fields(quad, geom, R, S)
 
         h = self.h
         f = np.empty((3, u.size))
@@ -338,9 +367,23 @@ class Stepper:
         # the zeroed ends stay +0.0; (R, S) tendencies c dR + f_R, f_S - c dS
         f[1:] /= h
         f[1:] *= c
-        dR += f_R
-        np.subtract(f_S, dS, out=dS)
+        if source:
+            dR += f_R
+            np.subtract(f_S, dS, out=dS)
+        else:
+            np.negative(dS, out=dS)
         return f
+
+    def _source_needed(self, q) -> bool:
+        """False when a zero source of the stage on the (3, w) block q may be
+        skipped: no nonzero factor has been seen, and R and S hold no -0.0
+        and no magnitude of 2^512 or more (see the module docstring)."""
+        if self._zero_source is False:
+            return True
+        RS = q[1:]
+        return RS.view(np.int64).min(initial=0) == _NEGATIVE_ZERO or not (
+            np.abs(RS).max(initial=0.0) < _SQUARE_OVERFLOW
+        )
 
     def _minmod_slopes(self, q):
         """Minmod-limited slopes of q, zero at both ends.
@@ -391,14 +434,14 @@ class Stepper:
         # overflow in intermediates is caught by the finite check below
         with np.errstate(over="ignore", invalid="ignore"):
             self._check_table(prev[0], state.t, state)
-            f = self._tendencies(prev, w)
+            f = self._tendencies(prev, w, self._source_needed(prev))
             f *= dt
             np.add(prev, f, out=fields)
             self._clamp_boundary(fields, lo, hi)
             if self.cfg.scheme == "muscl2":
                 # (q + q1 + dt f(q1)) / 2, summed in that order
                 self._check_table(fields[0], state.t + dt, state)
-                f = self._tendencies(fields, w)
+                f = self._tendencies(fields, w, self._source_needed(fields))
                 f *= dt
                 fields += prev
                 fields += f

@@ -1382,13 +1382,18 @@ class TestExitCodes:
             ("simulate", "simulate",
              {"speed": {"c1": 1e150}, "profile": {"kind": "polynomial", "amplitude": 1e5}},
              "the constant K_envelope = inf is not a finite float"),
+            # (r0 - eps)/c1 overflows: t_final and the auto domain are inf
+            ("zero_u0", "simulate", {"r0": 1e300, "eps": 1e-11, "speed": {"c": 1e-10}},
+             "t_final = (r0 - eps)/c1 = inf is not a finite float"),
+            # t_final is finite, the auto domain's right end r0 + eps + c1 t_final is not
+            ("zero_u0", "simulate", {"r0": 1e308}, "the domain end inf is not a finite float"),
         ],
         ids=[
             "d=700", "d=2050", "r0=1e300", "amplitude=1e200", "sweep-amplitude=1e200",
             "convergence-amplitude=1e200", "convergence-amplitude=1.2e154",
             "simulate-convergence-data-amplitude=1e200",
             "simulate-convergence-data-amplitude=1.2e154",
-            "c0=5e-324", "c0=1e-200", "c1=1e150",
+            "c0=5e-324", "c0=1e-200", "c1=1e150", "t_final=inf", "domain-end=inf",
         ],
     )
     def test_out_of_range_float_is_named(self, tmp_path, capsys, name, command, changes, message):
@@ -1431,6 +1436,31 @@ class TestExitCodes:
         assert capsys.readouterr().err == ""
         summary = json.loads((tmp_path / "o" / "convergence.json").read_text())
         assert summary["t_compare"] == 0.5 * (1.0 - 0.1) / SQRT2
+
+    def test_default_t_compare_that_underflows_is_named(self, tmp_path, capsys):
+        # lambda S(0, r0) overflows, so the estimate 1/lambda is 0.0 and so is
+        # the default t_compare: no grid would take a step
+        cfg = ci_config("convergence")
+        cfg["setup"] = {
+            "d": 2, "r0": 1.3200860322505988e-187, "eps": 3.4414581864378946e-277,
+            "u0": math.pi / 4,
+            "speed": {"kind": "oseen_frank", "k1": 8.335381453938766e73,
+                      "k3": 4.167690726969383e73, "c0": 1.0000000413147923,
+                      "c1": 4.167690554782114e73},
+            "profile": {"kind": "polynomial", "amplitude": 6.99343111910548e280},
+        }
+        del cfg["experiment"]["t_compare"]
+        path = write_config(tmp_path, cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["convergence", "--config", str(path), "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == (
+            "varwave: invalid configuration: the default t_compare 0.0 is not positive; "
+            "set experiment.t_compare\n"
+        )
+        assert not (tmp_path / "o").exists()
 
     def test_energy_quadrature_overflow_is_named(self, tmp_path, capsys):
         # on 64 nodes the grid's sum of the d = 1 data stays finite at

@@ -217,6 +217,19 @@ class TestProblemSetup:
         want = 0.0 if u0 == 0.0 else u0  # -0.0 is read as +0.0
         assert np.float64(s.u0).view(np.uint64) == np.float64(want).view(np.uint64)
 
+    def test_non_finite_t_final_and_domain_end_are_named(self):
+        bump = PolynomialBump(amplitude=1.0)
+        # (r0 - eps)/c1 overflows, and the auto domain with it
+        slow = ConstantSpeed.of(1e-10)
+        assert auto_domain(1, 1e300, 1e-11, slow)[1] == math.inf
+        with pytest.raises(HypothesisViolated, match=r"^t_final = \(r0 - eps\)/c1 = inf is not"):
+            ProblemSetup.theorem(d=1, r0=1e300, eps=1e-11, u0=0.5, speed=slow, profile=bump)
+        # t_final is finite, r0 + eps + c1 t_final is not
+        with pytest.raises(HypothesisViolated, match=r"^the domain end inf is not a finite float"):
+            ProblemSetup.theorem(
+                d=1, r0=1e308, eps=0.1, u0=0.5, speed=ConstantSpeed.of(1.0), profile=bump
+            )
+
     def test_auto_domain_properties(self, canonical_speed):
         lo, hi = auto_domain(3, 1.0, 0.05, canonical_speed)
         t_final = 0.95 / SQRT2

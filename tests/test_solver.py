@@ -301,6 +301,26 @@ ZERO_U0_SETUPS = (
 )
 
 
+def negative_zero_s_case(d):
+    """(setup, grid, initial state, S_neg state) of a d-dimensional bump at
+    constant speed 1.  S_neg is initial_riemann's S without its + 0.0: -0.0
+    off the support, so its whole grid is live."""
+    setup = ProblemSetup.theorem(
+        d=d, r0=1.0, eps=0.1, u0=0.5, speed=ConstantSpeed.of(1.0),
+        profile=PolynomialBump(amplitude=1.0),
+    )
+    grid = Grid.uniform(*setup.domain, 256)
+    state = init_state(setup, grid)
+    u, R, S = state.u, state.R, state.S
+    u_r = setup.profile.phi_prime((grid.r - setup.r0) / setup.eps)
+    S_neg = (-2.0 * np.asarray(setup.speed.c(u)) + setup.eps) * grid.r**setup.alpha * u_r
+    off = S == 0.0
+    assert np.signbit(S_neg[off]).all() and not np.signbit(S[off]).any()
+    np.testing.assert_array_equal(bits(S_neg[~off]), bits(S[~off]))
+    fields = np.array([u, R, S_neg])
+    return setup, grid, state, GridState(0.0, fields, solver._live_span(fields, setup.u0))
+
+
 def assert_window_steps_equal_full_grid_steps(setup, got, scheme, steps):
     windowed, full = window_and_full_steppers(setup, got.u.size, scheme)
     want = got
@@ -337,22 +357,7 @@ class TestLiveWindow:
     @pytest.mark.parametrize("scheme", ["upwind1", "muscl2"])
     @pytest.mark.parametrize("d", [1, 3])
     def test_constant_speed_states_from_step_one_equal_the_negative_zero_s_march(self, d, scheme):
-        # S_neg is initial_riemann's S without its + 0.0: -0.0 off the
-        # support, so its whole grid is live
-        setup = ProblemSetup.theorem(
-            d=d, r0=1.0, eps=0.1, u0=0.5, speed=ConstantSpeed.of(1.0),
-            profile=PolynomialBump(amplitude=1.0),
-        )
-        grid = Grid.uniform(*setup.domain, 256)
-        got = init_state(setup, grid)
-        u, R, S = got.u, got.R, got.S
-        u_r = setup.profile.phi_prime((grid.r - setup.r0) / setup.eps)
-        S_neg = (-2.0 * np.asarray(setup.speed.c(u)) + setup.eps) * grid.r**setup.alpha * u_r
-        off = S == 0.0
-        assert np.signbit(S_neg[off]).all() and not np.signbit(S[off]).any()
-        np.testing.assert_array_equal(bits(S_neg[~off]), bits(S[~off]))
-        fields = np.array([u, R, S_neg])
-        want = GridState(0.0, fields, solver._live_span(fields, setup.u0))
+        setup, grid, got, want = negative_zero_s_case(d)
         assert want.live == (0, grid.n) and got.live[1] - got.live[0] < grid.n // 4
         stepper = Stepper(setup, grid, SchemeConfig(scheme=scheme))
         for _ in range(40):
@@ -682,22 +687,74 @@ CONSTANT_SETUPS = tuple(
 )
 
 
+# where the d = 1 step must keep its zero source terms: about 2^512, the
+# least magnitude whose square overflows, and -0.0; and subnormals
+SOURCE_EDGE_VALUES = (np.nextafter(2.0**512, 0.0), 2.0**512, -0.0, 5e-324, 2.2e-308)
+
+
 @st.composite
 def constant_speed_states(draw):
-    """perturbed_states on CONSTANT_SETUPS with extreme values, and a NaN
-    in one field at one node half of the time."""
+    """perturbed_states on CONSTANT_SETUPS with extreme values; half of the
+    time one of SOURCE_EDGE_VALUES, of either sign, in R or S at one node;
+    and a NaN in one field at one node half of the time.  The live range
+    covers the nodes drawn."""
     setup, state, _ = draw(perturbed_states(CONSTANT_SETUPS, extremes=True))
+    if draw(st.booleans()):
+        field = getattr(state, draw(st.sampled_from(("R", "S"))))
+        sign = draw(st.sampled_from((1.0, -1.0)))
+        value = sign * draw(st.sampled_from(SOURCE_EDGE_VALUES))
+        field[draw(st.integers(0, field.size - 1))] = value
     if draw(st.booleans()):
         field = getattr(state, draw(st.sampled_from(("u", "R", "S"))))
         field[draw(st.integers(0, field.size - 1))] = np.nan
+    state.live = mask_span(state.u, state.R, state.S, setup.u0)
     return setup, state
+
+
+@pytest.fixture
+def rhs_calls(monkeypatch):
+    """The list to which every later solver.rhs_fields call appends its node count."""
+    calls = []
+    rhs = solver.rhs_fields
+
+    def counting(quad, geom, R, S):
+        calls.append(R.size)
+        return rhs(quad, geom, R, S)
+
+    monkeypatch.setattr(solver, "rhs_fields", counting)
+    return calls
+
+
+def assert_steps_equal(floats, arrays, state, steps):
+    """floats steps state as arrays does, bit for bit, up to steps times;
+    where arrays raises NonFiniteState, floats raises the same."""
+    for _ in range(steps):
+        try:
+            want = arrays.step(state)
+        except NonFiniteState as exc:
+            with pytest.raises(NonFiniteState) as got:
+                floats.step(state)
+            assert str(got.value) == str(exc)
+            assert got.value.last_state is exc.last_state is state
+            return
+        got = floats.step(state)
+        assert got.t == want.t and got.live == want.live
+        for key in ("u", "R", "S"):
+            np.testing.assert_array_equal(bits(getattr(got, key)), bits(getattr(want, key)))
+        state = got
+
+
+def negative_zeros(a):
+    return int(np.count_nonzero(bits(a) == bits(np.array(-0.0))))
 
 
 class TestConstantSpeedFloats:
     """ConstantSpeed hands the stepper the floats (c, 0.0); the arrays c(u)
     and c'(u) of the base-class c_and_c_prime give the same bits.  With the
     floats the stepper computes the source coefficients on the whole grid at
-    its first stage and slices them at every later one."""
+    its first stage and slices them at every later one; in d = 1 they are
+    all zero, and a stage whose R and S hold no -0.0 and no magnitude of
+    2^512 or more skips the source terms.  The array speed never skips."""
 
     def test_array_model_makes_arrays(self, with_array_speed):
         u = np.linspace(0.0, 1.0, 5)
@@ -722,18 +779,75 @@ class TestConstantSpeedFloats:
             )
         np.testing.assert_array_equal(bits(got), bits(want))
         assert floats._coefficients is not None and arrays._coefficients is None
-        for _ in range(3):
-            try:
-                want = arrays.step(state)
-            except NonFiniteState:
-                with pytest.raises(NonFiniteState):
-                    floats.step(state)
-                return
-            got = floats.step(state)
-            assert got.t == want.t and got.live == want.live
-            for key in ("u", "R", "S"):
-                np.testing.assert_array_equal(bits(getattr(got, key)), bits(getattr(want, key)))
-            state = got
+        assert_steps_equal(floats, arrays, state, 3)
+
+    @pytest.mark.parametrize("scheme", ["upwind1", "muscl2"])
+    @pytest.mark.parametrize("row", [1, 2], ids=["R", "S"])
+    @pytest.mark.parametrize(
+        "value", [s * v for v in SOURCE_EDGE_VALUES for s in (1.0, -1.0)], ids=repr
+    )
+    def test_source_edge_value_steps_bitwise_equal_array_speed(
+        self, with_array_speed, scheme, row, value
+    ):
+        # d = 1, c = 1.3: the value on the support and on its quiescent flank
+        setup = CONSTANT_SETUPS[1]
+        n = 32
+        fields = np.array([np.full(n, setup.u0), np.zeros(n), np.zeros(n)])
+        fields[:, 10:20] += np.random.default_rng(0).uniform(-1.0, 1.0, (3, 10))
+        fields[row, [15, 23]] = value
+        state = GridState(0.0, fields, solver._live_span(fields, setup.u0))
+        grid = Grid.uniform(*setup.domain, n)
+        cfg = SchemeConfig(scheme=scheme)
+        floats = Stepper(setup, grid, cfg)
+        arrays = Stepper(with_array_speed(setup), grid, cfg)
+        assert_steps_equal(floats, arrays, state, 3)
+
+    def test_halved_subnormal_makes_the_next_step_keep_the_source(
+        self, with_array_speed, rhs_calls
+    ):
+        # muscl2 halves q + q1 + dt f(q1), which is -5e-324 next to a lone
+        # S = -5e-324: the -0.0 it leaves makes the next step keep its zero
+        # source terms, which turn a -0.0 of S into +0.0
+        setup = CONSTANT_SETUPS[0]
+        grid = Grid.uniform(*setup.domain, 16)
+        fields = np.array([np.full(16, setup.u0), np.zeros(16), np.zeros(16)])
+        fields[2, 8] = -5e-324
+        state = GridState(0.0, fields, solver._live_span(fields, setup.u0))
+        cfg = SchemeConfig(scheme="muscl2")
+        floats = Stepper(setup, grid, cfg)
+        got = [floats.step(state)]
+        assert rhs_calls == [] and negative_zeros(got[0].S) > 0
+        got.append(floats.step(got[0]))
+        assert rhs_calls
+        arrays = Stepper(with_array_speed(setup), grid, cfg)
+        want = [arrays.step(state)]
+        want.append(arrays.step(want[0]))
+        for g, w in zip(got, want):
+            assert g.t == w.t and g.live == w.live
+            np.testing.assert_array_equal(bits(g.fields), bits(w.fields))
+
+    @pytest.mark.parametrize("scheme", ["upwind1", "muscl2"])
+    def test_rhs_fields_runs_only_where_the_source_may_change_a_bit(self, rhs_calls, scheme):
+        cfg = SchemeConfig(scheme=scheme)
+        # d = 1 transport: every factor is zero, and no stage holds a -0.0
+        setup = transport_setup()
+        grid = Grid.uniform(*setup.domain, 512)
+        assert run(setup, grid, cfg, t_end=0.3).steps > 50
+        assert rhs_calls == []
+        # d = 3 at the same constant speed: the factor alpha c / r is not zero
+        d3 = dataclasses.replace(setup, d=3)
+        steps = run(d3, grid, cfg, t_end=0.3).steps
+        assert len(rhs_calls) == steps * (1 if scheme == "upwind1" else 2)
+        # d = 1: the first step of the -0.0 S state keeps the source, and the
+        # later ones, whose states hold no -0.0, skip it
+        setup, grid, _, state = negative_zero_s_case(1)
+        stepper = Stepper(setup, grid, cfg)
+        rhs_calls.clear()
+        state = stepper.step(state)
+        assert rhs_calls and negative_zeros(state.fields) == 0
+        rhs_calls.clear()
+        stepper.step(stepper.step(state))
+        assert rhs_calls == []
 
     @pytest.mark.parametrize("scheme", ["upwind1", "muscl2"])
     def test_convergence_grid_march_bitwise_equal_array_speed(self, with_array_speed, scheme):
