@@ -41,28 +41,34 @@ window padded by the reach again, its stored range, which holds the next
 window.  So every per-step pass (the step and its finite check,
 ``gradient_max``, the observers and the snapshot rows) costs O(window).
 
-A step computes the same floating-point operations, in the same order, as
-the plain formulas (kept as the reference stepper of the tests), but in
-place and in fewer array passes.  The only rewrites are exact ones:
-(-c)*dS + f_S is computed as f_S - c*dS (IEEE defines x - y as x + (-y)),
-2*r^alpha is cached (a power-of-two scaling), sums and products swap their
-operands, and minmod takes the slope of smaller magnitude where a*b > 0.
-Rewrites that change a bit are not used: -(R^2 - S^2) for S^2 - R^2 (it
-gives -0.0 where R^2 = S^2), a product by 1/h for a division by h, and a
-regrouped product such as c*(alpha*inv_r) for (alpha*c)*inv_r.
+A stage adds dt times its tendencies as increments, one product per row;
+du = (R + S) dt/(2 r^alpha), dR = lambda c (R_{i+1} - R_i) + dt f_R and
+dS = lambda c (S_{i-1} - S_i) + dt f_S, lambda = dt/h (muscl2 differences
+its minmod-limited faces), dt f_R and dt f_S by rhs_fields from the factors
+c' dt/(4 c r^alpha) and (alpha c / r) dt.  A step makes the floating-point
+operations of these plain formulas (the reference stepper of the tests), in
+their order, in fewer array passes; sums and products swap their operands,
+and minmod takes the slope of smaller magnitude where a*b > 0.  Bit-changing
+rewrites are not used: -(R^2 - S^2) for S^2 - R^2 (-0.0 where R^2 = S^2), a
+product by 1/h for a division by h, c*(alpha*inv_r) for (alpha*c)*inv_r.
 
-A stage leaves out rhs_fields where its source terms are exactly zero and
-adding them would change no bit of the stepped state.  Where the cached
-factors (c'/(4 c r^alpha), alpha c / r) are all zero (d = 1, constant
-speed), f_R and f_S are signed zeros, or NaN where R*R or S*S overflows.
-Adding a signed zero to a tendency changes at most the sign of a zero
-tendency, so the tendencies scaled by dt differ at most in the sign of a
-zero, and adding that to a stage input q changes q only where q is -0.0
-(muscl2's second stage adds it to q + q1, which is -0.0 only where its
-input q1 is).  So a stage whose R and S rows hold no -0.0 and no magnitude
-of 2^512 or more (whose square overflows; NaN fails that test too) takes
-c dR/h and -(c dS/h) as its R and S tendencies.  muscl2 can make a -0.0
-(half a negative subnormal), so each stage checks its own input.
+The factors for base_dt are built at the first step and kept; any other dt
+(the shortened last step) builds its own.  None is r^alpha/dt or dt/r, which
+overflow where r^alpha and 1/r do not: dt/(2 r^alpha) and (alpha c / r) dt
+take dt in one rounding, c' dt <= c1 dt <= cfl h is divided by the unscaled
+4 c r^alpha, and lambda <= cfl/c1 is finite unless c1 < 1/MAX, which
+ProblemSetup (a finite t_final, c0 r_lo^alpha >= 1e-300) allows only for
+alpha > 1e16.  Those checks bound the factors by cfl h/(2 c0 r_lo^alpha)
+<= 5e299 h and alpha cfl h/r_lo.
+
+Where the scaled source factors are all zero (d = 1, constant speed), dt f_R
+and dt f_S are signed zeros, or NaN where R*R or S*S overflows.  Adding one
+to the increment lambda c dR changes at most the sign of a zero increment,
+and adding that to a stage input q changes q only where q is -0.0 (muscl2's
+second stage adds it to q + q1, -0.0 only where q1 is).  So a stage keeps
+every bit skipping rhs_fields when its R and S rows hold no -0.0 (muscl2 can
+make one, half a negative subnormal) and no magnitude of 2^512 or more
+(whose square overflows; NaN fails that test too).
 """
 
 from __future__ import annotations
@@ -293,8 +299,8 @@ class Stepper:
     update loops are plain vectorized array expressions over the live window.
     A step writes its stages straight into one new (3, m) block (u, R, S)
     over the window padded by the reach, the new state's stored range, and
-    the state keeps that block; the module docstring lists the exact
-    rewrites the stages use.
+    the state keeps that block.  A stage folds dt, 1/h and c into one factor
+    per row of increments, built for base_dt at the first step, not here.
     """
 
     def __init__(self, setup: ProblemSetup, grid: Grid, cfg: SchemeConfig):
@@ -306,7 +312,6 @@ class Stepper:
         self.h = grid.h
         # r^alpha via exp(alpha*ln r), cached once; alpha is non-integer for even d
         self.ralpha = np.exp(self.alpha * np.log(grid.r)) if self.alpha else np.ones_like(grid.r)
-        self.two_ralpha = 2.0 * self.ralpha
         self.inv_r = 1.0 / grid.r
         self.base_dt = cfg.cfl_step(grid, setup.speed)
         # Stencil reach of one step in nodes: an upwind1 stage reads i-1..i+1,
@@ -316,83 +321,80 @@ class Stepper:
         # quiescent nodes, as the full ones do, so both give +0.0.
         self.reach = 1 if cfg.scheme == "upwind1" else 4
         self._rest = np.array([[setup.u0], [0.0], [0.0]])
-        self._coefficients = None  # source_coefficients on the grid, for float c and c'
-        # whether those factors are all zero; None until a stage has seen c
-        self._zero_source = None
+        self._base = None  # _scaled(base_dt, ...), built at the first step
 
-    def _tendencies(self, q, w: slice, source: bool = True) -> np.ndarray:
-        """Rows (du/dt, dR/dt, dS/dt) of one stage from the (3, w) block q on the window w.
+    def _scaled(self, dt: float, c, c_prime):
+        """(dt/(2 r^alpha), a float speed's scaled source factors or None, whether
+        those are all zero) on the grid; kept for base_dt, built for other dt."""
+        if dt == self.base_dt and self._base is not None:
+            return self._base
+        source, zero = None, False
+        if isinstance(c, float):
+            quad, geom = source_coefficients(self.inv_r, self.ralpha, c, c_prime * dt, self.alpha)
+            source = quad, geom * dt
+            zero = not any(map(np.any, source))
+        scaled = dt / (2.0 * self.ralpha), source, zero
+        if dt == self.base_dt:
+            self._base = scaled
+        return scaled
 
-        source=False leaves out the source terms where the cached factors are
-        all zero; ``step`` passes it only for a q on which that leaves every
-        bit of the stepped state as it is (see the module docstring).
-        """
+    def _increments(self, q, w: slice, dt: float) -> np.ndarray:
+        """Rows (du, dR, dS), dt times the tendencies of one stage, from the
+        (3, w) block q on the window w; the source terms are left out where
+        that changes no bit of the stepped state (see the module docstring)."""
         u, R, S = q
         c, c_prime = self.speed.c_and_c_prime(u)
-        if isinstance(c, float):  # a speed free of u: its factors once per grid
-            if self._coefficients is None:
-                grid_args = self.inv_r, self.ralpha, c, c_prime, self.alpha
-                self._coefficients = source_coefficients(*grid_args)
-                self._zero_source = not any(k.any() for k in self._coefficients)
-            quad, geom = (k[w] for k in self._coefficients)
-        else:
-            self._zero_source = False
-            quad, geom = source_coefficients(self.inv_r[w], self.ralpha[w], c, c_prime, self.alpha)
-        source = source or not self._zero_source
-        if source:
-            f_R, f_S = rhs_fields(quad, geom, R, S)
-
-        h = self.h
+        k_u, factors, zero = self._scaled(dt, c, c_prime)
+        lam_c = c * (dt / self.h)
         f = np.empty((3, u.size))
         du, dR, dS = f
         np.add(R, S, out=du)
-        du /= self.two_ralpha[w]
+        du *= k_u[w]
+        # R winds from the right, S from the left; undivided differences
         if self.cfg.scheme == "upwind1":
             np.subtract(R[1:], R[:-1], out=dR[:-1])
-            np.subtract(S[1:], S[:-1], out=dS[1:])
-            dR[-1:] = 0.0
-            dS[:1] = 0.0
+            np.subtract(S[:-1], S[1:], out=dS[1:])
+            dR[-1:] = dS[:1] = 0.0
         else:
-            # R winds from the right, S from the left
             face_R = self._minmod_slopes(R)[1:]
-            face_R *= 0.5 * h
+            face_R *= 0.5
             np.subtract(R[1:], face_R, out=face_R)
             face_S = self._minmod_slopes(S)[:-1]
-            face_S *= 0.5 * h
+            face_S *= 0.5
             face_S += S[:-1]
             np.subtract(face_R[1:], face_R[:-1], out=dR[1:-1])
-            np.subtract(face_S[1:], face_S[:-1], out=dS[1:-1])
-            f[1:, :1] = 0.0
-            f[1:, -1:] = 0.0
-        # the zeroed ends stay +0.0; (R, S) tendencies c dR + f_R, f_S - c dS
-        f[1:] /= h
-        f[1:] *= c
-        if source:
+            np.subtract(face_S[:-1], face_S[1:], out=dS[1:-1])
+            f[1:, :1] = f[1:, -1:] = 0.0
+        # the zeroed ends stay +0.0; increments lambda c dR + dt f_R and lambda c dS + dt f_S
+        f[1:] *= lam_c
+        if not zero or self._source_needed(q):
+            if factors is None:  # an array speed scales its factors on the window
+                args = self.inv_r[w], self.ralpha[w], c, c_prime * dt, self.alpha
+                quad, geom = source_coefficients(*args)
+                geom *= dt
+            else:
+                quad, geom = factors[0][w], factors[1][w]
+            f_R, f_S = rhs_fields(quad, geom, R, S)
             dR += f_R
-            np.subtract(f_S, dS, out=dS)
-        else:
-            np.negative(dS, out=dS)
+            dS += f_S
         return f
 
-    def _source_needed(self, q) -> bool:
-        """False when a zero source of the stage on the (3, w) block q may be
-        skipped: no nonzero factor has been seen, and R and S hold no -0.0
-        and no magnitude of 2^512 or more (see the module docstring)."""
-        if self._zero_source is False:
-            return True
+    @staticmethod
+    def _source_needed(q) -> bool:
+        """Whether zero source terms may change a bit of a stage on the (3, w)
+        block q: its R or S row holds a -0.0 or a magnitude of 2^512 or more."""
         RS = q[1:]
         return RS.view(np.int64).min(initial=0) == _NEGATIVE_ZERO or not (
             np.abs(RS).max(initial=0.0) < _SQUARE_OVERFLOW
         )
 
     def _minmod_slopes(self, q):
-        """Minmod-limited slopes of q, zero at both ends.
+        """Minmod-limited slopes of q per cell (undivided by h), zero at both ends.
 
         Where the one-sided differences a, b have a*b > 0 they share a sign,
         so the one of smaller magnitude equals sign(a)*min(|a|, |b|).
         """
         dq = np.subtract(q[1:], q[:-1])
-        dq /= self.h
         mag = np.abs(dq)
         a, b = dq[:-1], dq[1:]
         s = np.zeros_like(q)
@@ -434,15 +436,13 @@ class Stepper:
         # overflow in intermediates is caught by the finite check below
         with np.errstate(over="ignore", invalid="ignore"):
             self._check_table(prev[0], state.t, state)
-            f = self._tendencies(prev, w, self._source_needed(prev))
-            f *= dt
+            f = self._increments(prev, w, dt)
             np.add(prev, f, out=fields)
             self._clamp_boundary(fields, lo, hi)
             if self.cfg.scheme == "muscl2":
                 # (q + q1 + dt f(q1)) / 2, summed in that order
                 self._check_table(fields[0], state.t + dt, state)
-                f = self._tendencies(fields, w, self._source_needed(fields))
-                f *= dt
+                f = self._increments(fields, w, dt)
                 fields += prev
                 fields += f
                 fields *= 0.5

@@ -347,6 +347,53 @@ class TestEpsSweep:
         assert not (tmp_path / "o").exists()
 
 
+# The figures of two CI configs as written before a stage took its increments
+# as one product (dt, 1/h and c folded into one factor), which moved the last
+# bits of every Eulerian artifact: the transport convergence study on the
+# grids 512, 1024 and 2048, and the canonical simulate on 512 nodes
+PINNED_CONVERGENCE = {
+    "l1_self_errors": {
+        "R": [0.0007897506375813788, 0.0004413084467141379],
+        "S": [0.015027839763495764, 0.00839562755350011],
+        "u": [0.00028680908345964806, 0.00014656560023695877],
+    },
+    "l1_self_rates": {
+        "R": [0.8396098356973691], "S": [0.8399275658493273], "u": [0.968544181364351],
+    },
+    "energy_drifts": [0.20134696988713846, 0.11040401250168556, 0.059286913599543176],
+    "energy_drift_rates": [0.8668911549328616, 0.897007007146097],
+}
+PINNED_SIMULATE = {"energy_max_relative_drift": 0.9945427993872192, "steps": 259}
+
+
+class TestPinnedAccuracy:
+    """Both configs keep their pinned figures within 1e-9 relative, the
+    benchmark gate's tolerance, and their step counts and end reasons."""
+
+    def test_transport_convergence_and_canonical_simulate(self, tmp_path):
+        conv = ci_config("convergence")
+        conv["experiment"]["n_list"] = [512, 1024, 2048]
+        sim = ci_config("simulate")
+        for name, cfg in (("convergence", conv), ("simulate", sim)):
+            path = write_config(tmp_path, cfg, name=f"{name}.json")
+            assert main([name, "--config", str(path), "--out-dir", str(tmp_path / name)]) == 0
+        doc = json.loads((tmp_path / "convergence" / "convergence.json").read_text())
+        for key, want in PINNED_CONVERGENCE.items():
+            got = doc[key]
+            if isinstance(want, dict):
+                assert got.keys() == want.keys()
+                for field in want:
+                    np.testing.assert_allclose(got[field], want[field], rtol=1e-9, atol=0.0)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+        diag = json.loads((tmp_path / "simulate" / "diagnostics.json").read_text())
+        assert diag["energy_max_relative_drift"] == pytest.approx(
+            PINNED_SIMULATE["energy_max_relative_drift"], rel=1e-9, abs=0.0
+        )
+        assert diag["run"]["steps"] == PINNED_SIMULATE["steps"]
+        assert diag["run"]["reason"] == diag["blowup"]["reason"] == "t_final"
+
+
 class TestConvergence:
     def test_transport_first_order(self, tmp_path):
         cfg = base_config()

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -39,8 +39,31 @@ from varwave import (
 )
 from varwave import diagnostics
 from varwave.diagnostics import EnergyObserver
+from varwave.riemann_core import source_coefficients
 
 SQRT2 = math.sqrt(2.0)
+
+
+def assert_scaled_factors_finite(setup):
+    """The stepper's dt-scaled factors on a 16-node grid, at the speed of u0,
+    raise no overflow where its own r**alpha, 1/r and source factors raise
+    none: at base_dt, at a last step 1e-14 of it and at the least subnormal
+    step."""
+    try:
+        grid = Grid.uniform(*setup.domain, 16)
+    except ValueError:  # 16 floats cannot span the domain evenly
+        return
+    c, c_prime = setup.speed.c_and_c_prime(setup.u0)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        try:
+            stepper = Stepper(setup, grid, SchemeConfig())
+            source_coefficients(stepper.inv_r, stepper.ralpha, c, c_prime, setup.alpha)
+        except FloatingPointError:
+            return
+        for dt in (stepper.base_dt, 1e-14 * stepper.base_dt, 5e-324):
+            k_u, factors, _ = stepper._scaled(dt, c, c_prime)
+            for k in (k_u, *factors, c * (dt / grid.h)):
+                assert np.isfinite(k).all()
 
 
 class TestConstants:
@@ -223,6 +246,8 @@ class TestConstants:
         speed_bounds=st.lists(EXPONENTS, min_size=2, max_size=2),
         r0=EXPONENTS, eps=EXPONENTS, amplitude=EXPONENTS,
     )
+    # d = 5 with r_hi**alpha = 3.1e306, which r**alpha / dt overflows at a tiny dt
+    @example(d=5, speed_bounds=[0.0, 2.0], r0=508.0, eps=-4.0, amplitude=0.0)
     @settings(max_examples=60, deadline=None)
     def test_constants_are_finite_floats_or_named(self, d, speed_bounds, r0, eps, amplitude):
         # an Oseen-Frank speed of scale s, c in [s, sqrt(2) s], between its declared
@@ -251,6 +276,7 @@ class TestConstants:
             with contextlib.suppress(ConfigError):
                 # inf where no finite time is predicted
                 assert blowup_time_estimate(setup) >= 0.0
+            assert_scaled_factors_finite(setup)
 
 
 class TestEnergyObserver:

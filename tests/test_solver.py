@@ -484,11 +484,15 @@ class TestCarriedLiveRange:
 
 
 class ReferenceStepper:
-    """The step's arithmetic as first written, over every node: the oracle
+    """The step's arithmetic as plain formulas over every node: the oracle
     that pins the order of its floating-point operations.
 
-    Stepper.step computes the same formulas in fewer array passes; it must
-    give the same bits, so any reordering that changes a result shows here.
+    Each stage adds dt times its tendencies as increments: (dt/h) c times
+    the undivided upwind differences, dt times the source terms from the
+    factors c' dt/(4 c r^alpha) and (alpha c / r) dt, and (R + S) times
+    dt/(2 r^alpha).  Stepper.step computes the same formulas in fewer array
+    passes; it must give the same bits, so any reordering that changes a
+    result shows here.
     """
 
     def __init__(self, setup, grid, scheme):
@@ -497,39 +501,39 @@ class ReferenceStepper:
         self.ralpha = np.exp(self.alpha * np.log(grid.r)) if self.alpha else np.ones_like(grid.r)
         self.inv_r = 1.0 / grid.r
 
-    def rhs_fields(self, c, c_prime, R, S):
-        quad = c_prime / (4.0 * c * self.ralpha)
-        geom = self.alpha * c * self.inv_r
+    def rhs_fields(self, c, c_prime, R, S, dt):
+        quad = c_prime * dt / (4.0 * c * self.ralpha)
+        geom = self.alpha * c * self.inv_r * dt
         f_R = quad * (R * R - S * S) - geom * S
         f_S = quad * (S * S - R * R) + geom * R
         return f_R, f_S
 
     def minmod_slopes(self, q):
-        dq = np.diff(q) / self.h
+        dq = np.diff(q)
         s = np.zeros_like(q)
         a, b = dq[:-1], dq[1:]
         keep = a * b > 0.0
         s[1:-1] = np.where(keep, np.sign(a) * np.minimum(np.abs(a), np.abs(b)), 0.0)
         return s
 
-    def tendencies(self, u, R, S):
+    def increments(self, u, R, S, dt):
         c, c_prime = self.speed.c_and_c_prime(u)
-        f_R, f_S = self.rhs_fields(c, c_prime, R, S)
-        h = self.h
+        f_R, f_S = self.rhs_fields(c, c_prime, R, S, dt)
+        lam_c = c * (dt / self.h)
         dR = np.zeros_like(R)
         dS = np.zeros_like(S)
         if self.scheme == "upwind1":
-            dR[:-1] = (R[1:] - R[:-1]) / h
-            dS[1:] = (S[1:] - S[:-1]) / h
+            dR[:-1] = R[1:] - R[:-1]
+            dS[1:] = S[:-1] - S[1:]
         else:
             sR = self.minmod_slopes(R)
             sS = self.minmod_slopes(S)
-            face_R = R[1:] - 0.5 * h * sR[1:]
-            face_S = S[:-1] + 0.5 * h * sS[:-1]
-            dR[1:-1] = (face_R[1:] - face_R[:-1]) / h
-            dS[1:-1] = (face_S[1:] - face_S[:-1]) / h
-        du_dt = (R + S) / (2.0 * self.ralpha)
-        return c * dR + f_R, -c * dS + f_S, du_dt
+            face_R = R[1:] - 0.5 * sR[1:]
+            face_S = S[:-1] + 0.5 * sS[:-1]
+            dR[1:-1] = face_R[1:] - face_R[:-1]
+            dS[1:-1] = face_S[:-1] - face_S[1:]
+        du = (R + S) * (dt / (2.0 * self.ralpha))
+        return lam_c * dR + f_R, lam_c * dS + f_S, du
 
     def clamp(self, u, R, S):
         u[0] = u[-1] = self.setup.u0
@@ -539,16 +543,16 @@ class ReferenceStepper:
         """(u, R, S) one step on; NonFiniteState if any node is not finite."""
         u, R, S = state.u, state.R, state.S
         with np.errstate(over="ignore", invalid="ignore"):
-            fR, fS, fu = self.tendencies(u, R, S)
-            R1 = R + dt * fR
-            S1 = S + dt * fS
-            u1 = u + dt * fu
+            dR, dS, du = self.increments(u, R, S, dt)
+            R1 = R + dR
+            S1 = S + dS
+            u1 = u + du
             self.clamp(u1, R1, S1)
             if self.scheme == "muscl2":
-                fR1, fS1, fu1 = self.tendencies(u1, R1, S1)
-                R1 = 0.5 * (R + R1 + dt * fR1)
-                S1 = 0.5 * (S + S1 + dt * fS1)
-                u1 = 0.5 * (u + u1 + dt * fu1)
+                dR1, dS1, du1 = self.increments(u1, R1, S1, dt)
+                R1 = 0.5 * (R + R1 + dR1)
+                S1 = 0.5 * (S + S1 + dS1)
+                u1 = 0.5 * (u + u1 + du1)
                 self.clamp(u1, R1, S1)
         if not all(np.isfinite(a).all() for a in (u1, R1, S1)):
             raise NonFiniteState("reference step", last_state=state)
@@ -613,6 +617,52 @@ class TestReferenceStep:
         assert steps > 200 and got.t == want.t
         for key in ("u", "R", "S"):
             np.testing.assert_array_equal(bits(getattr(got, key)), bits(getattr(want, key)))
+
+
+@pytest.fixture(params=["float", "array"])
+def speed_kind_setup(request, with_array_speed):
+    """d = 3 at the constant speed 1.3, which hands the stepper floats, or its
+    array twin; alpha = 1 makes the geometric source term."""
+    setup = ProblemSetup.theorem(
+        d=3, r0=1.0, eps=0.1, u0=0.5, speed=ConstantSpeed.of(1.3),
+        profile=PolynomialBump(amplitude=1.0),
+    )
+    return setup if request.param == "float" else with_array_speed(setup)
+
+
+class TestScaledFactorCache:
+    """The factors scaled by base_dt are built at the first step and kept; a
+    step of any other dt builds its own.  A shortened last step and a stepper
+    that alternates two steps give the reference bits at every step."""
+
+    @pytest.mark.parametrize("scheme", ["upwind1", "muscl2"])
+    def test_march_with_a_shortened_last_step(self, speed_kind_setup, scheme):
+        setup = speed_kind_setup
+        grid = Grid.uniform(*setup.domain, 256)
+        stepper = Stepper(setup, grid, SchemeConfig(scheme=scheme))
+        reference = ReferenceStepper(setup, grid, scheme)
+        t_end = 40.37 * stepper.base_dt
+        want = init_state(setup, grid)
+        steps = []
+        for got in stepper.march(want, t_end):
+            steps.append(min(stepper.base_dt, t_end - want.t))
+            fields = reference.step(want, steps[-1])
+            want = GridState(want.t + steps[-1], np.array(fields), mask_span(*fields, setup.u0))
+            assert got.t == want.t and got.live == want.live
+            for key in ("u", "R", "S"):
+                np.testing.assert_array_equal(bits(getattr(got, key)), bits(getattr(want, key)))
+        assert len(steps) == 41 and steps[:-1] == [stepper.base_dt] * 40
+        assert 0.0 < steps[-1] < stepper.base_dt
+
+    @pytest.mark.parametrize("scheme", ["upwind1", "muscl2"])
+    def test_alternating_steps(self, speed_kind_setup, scheme):
+        setup = speed_kind_setup
+        grid = Grid.uniform(*setup.domain, 256)
+        stepper = Stepper(setup, grid, SchemeConfig(scheme=scheme))
+        reference = ReferenceStepper(setup, grid, scheme)
+        state = init_state(setup, grid)
+        for dt in [stepper.base_dt, 0.6 * stepper.base_dt] * 10:
+            state = assert_steps_match_reference(stepper, reference, state, dt)
 
 
 class TestStoredRange:
@@ -775,10 +825,10 @@ class TestConstantSpeedFloats:
         arrays = Stepper(with_array_speed(setup), grid, cfg)
         with np.errstate(all="ignore"):
             got, want = (
-                s._tendencies(state.fields, slice(0, grid.n)) for s in (floats, arrays)
+                s._increments(state.fields, slice(0, grid.n), s.base_dt) for s in (floats, arrays)
             )
         np.testing.assert_array_equal(bits(got), bits(want))
-        assert floats._coefficients is not None and arrays._coefficients is None
+        assert floats._base[1] is not None and arrays._base[1] is None
         assert_steps_equal(floats, arrays, state, 3)
 
     @pytest.mark.parametrize("scheme", ["upwind1", "muscl2"])
