@@ -287,7 +287,8 @@ class _SnapshotText:
     rows are joined from text made once per table, with t formatted once per
     state; only the live rows go through %.17g and from_riemann.  The bytes
     are those of the whole columns written by write_csv.  ProblemSetup
-    rejects a weight c0 r_lo^alpha near underflow, where u_r would be 0/0.
+    rejects a weight c0 r_lo^alpha below 1e-300, where u_r would be 0/0, and
+    one that is not a finite float.
     """
 
     def __init__(self, grid: Grid, setup: ProblemSetup):

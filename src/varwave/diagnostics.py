@@ -22,13 +22,13 @@ time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import HypothesisViolated, NoIntersection, NonFiniteState
-from .initial_data import PolynomialBump, ProblemSetup, checked_power, initial_riemann
+from .initial_data import PolynomialBump, ProblemSetup, checked_float, initial_riemann
 from .solver import Grid, GridState, RunResult, SchemeConfig, init_state, run
 
 # the path tracer and the characteristic solver are imported by the two
@@ -101,6 +101,7 @@ def initial_energy_exact(setup: ProblemSetup) -> float:
     """E(0) by composite Gauss-Legendre quadrature of the analytic initial data."""
     r0, eps, alpha = setup.r0, setup.eps, setup.alpha
     speed, profile = setup.speed, setup.profile
+    eps_sq = np.float64(eps) ** 2  # inf past the largest float, where a Python ** raises
 
     def integrand(z: np.ndarray) -> np.ndarray:
         u = setup.u0 + eps * profile.phi(z)
@@ -108,7 +109,7 @@ def initial_energy_exact(setup: ProblemSetup) -> float:
         # w * w, not w**2, which sends the float w of a constant speed through libm's pow
         w = -2.0 * speed.c(u) + eps
         rr = r0 + eps * z
-        return (eps**2 + w * w) * rr ** (2.0 * alpha) * dp**2
+        return (eps_sq + w * w) * rr ** (2.0 * alpha) * dp**2
 
     return eps * _gauss_legendre(integrand)
 
@@ -124,72 +125,55 @@ def compute_constants(setup: ProblemSetup, require_hypothesis: bool = True) -> T
     With require_hypothesis=False a non-steepening speed is tolerated
     (negative-control runs): the energy constants are still exact while
     the c'(u0)-scaled quantities degrade (eps0 = 0, S0_lower = inf,
-    zero guaranteed decay rate).  Any other constant that is not a finite
-    float (it overflows, or a divisor underflows to 0.0) raises
-    HypothesisViolated naming it.
+    zero guaranteed decay rate).  Every field follows the rule of
+    ``checked_float``, S0_lower excepted where c'(u0) = 0, and so do E(0) and
+    the divisor r0^{2 alpha} eps of K_measured.
     """
     speed = setup.speed
-    r0, eps, alpha, u0 = setup.r0, setup.eps, setup.alpha, setup.u0
-    c0, c1 = speed.c0, speed.c1
+    alpha, u0 = setup.alpha, setup.u0
+    r0, eps, c0, c1 = (np.float64(x) for x in (setup.r0, setup.eps, speed.c0, speed.c1))
     cp0 = float(speed.c_prime(u0))
     if cp0 <= 0.0 and require_hypothesis:
         raise HypothesisViolated(f"c'(u0) = {cp0} <= 0 at u0 = {u0}")
-    cp0 = max(cp0, 0.0)
+    cp0 = max(cp0, 0.0)  # NaN stays NaN
 
-    iphi = _phi_prime_sq_integral(setup.profile)
-    reach_2alpha = checked_power(r0 + eps, 2.0 * alpha, "(r0 + eps)**(2 alpha)")
-    r0_2alpha = checked_power(r0, 2.0 * alpha, "r0**(2 alpha)")
-    two_r0_alpha = checked_power(2.0 * r0, alpha, "(2 r0)**alpha")
-    reach_sq = checked_power(2.0 * c1 + eps, 2, "(2 c1 + eps)**2")
-    c1_sq = checked_power(c1, 2, "c1**2")
-    # a divisor that underflows to 0.0 makes its quotient inf, as IEEE
-    # division would; the check at the end names each constant left infinite
-    k_env = (eps**2 + reach_sq) * reach_2alpha / r0_2alpha * iphi if r0_2alpha else math.inf
-    e0 = _finite_energy(lambda: initial_energy_exact(setup), "by quadrature of the initial data")
-    k_meas = e0 / (r0_2alpha * eps) if r0_2alpha * eps else math.inf
+    with np.errstate(all="ignore"):
+        iphi = _phi_prime_sq_integral(setup.profile)
+        r0_2alpha = r0 ** (2.0 * alpha)
+        two_r0_alpha = (2.0 * r0) ** alpha
+        c1_sq = c1**2
+        # (r0 + eps)^{2 alpha} >= r0^{2 alpha}: where the divisor overflows, so does the factor
+        k_env = (eps**2 + (2.0 * c1 + eps) ** 2) * (r0 + eps) ** (2.0 * alpha) / r0_2alpha * iphi
+        e0 = _finite_energy(
+            lambda: initial_energy_exact(setup), "by quadrature of the initial data"
+        )
+        k_meas = e0 / (r0_2alpha * eps)
 
-    ralpha0 = r0**alpha
-    four_c0_sq, r0_c0 = 4.0 * c0**2, r0 * c0
-    if four_c0_sq and r0_c0:
-        m = k_env * c1 * ralpha0 * math.sqrt(r0) / four_c0_sq + alpha * math.sqrt(
-            k_env * c1
-        ) * ralpha0 / math.sqrt(r0_c0)
-    else:
-        m = math.inf
+        ralpha0 = r0**alpha
+        m = k_env * c1 * ralpha0 * np.sqrt(r0) / (4.0 * c0**2)
+        m += alpha * np.sqrt(k_env * c1) * ralpha0 / np.sqrt(r0 * c0)
 
-    eps_prime_proxy = r0 / 2.0
-    candidates = [math.sqrt(eps_prime_proxy), math.sqrt(c0)]
-    if m > 0.0:  # the M-scaled terms drop out (are +inf) for zero-energy data
-        div = 64.0 * m * c1_sq * two_r0_alpha
-        candidates.append(r0 * cp0 / div if div else math.inf)
-        candidates.append(1.0 / (2.0 * m))
-    sqrt_eps0 = min(candidates)
-    if cp0 > 0.0:
-        div = (r0 - eps) * cp0
-        s0_lower = max(32.0 * c1_sq * two_r0_alpha / div, 2.0) if div else math.inf
-    else:
+        candidates = [np.sqrt(r0 / 2.0), np.sqrt(c0)]
+        if m > 0.0:  # the M-scaled terms drop out (are +inf) for zero-energy data
+            # 0 where c'(u0) = 0, whatever the divisor
+            candidates.append(r0 * cp0 / (64.0 * m * c1_sq * two_r0_alpha) if cp0 > 0.0 else 0.0)
+            candidates.append(1.0 / (2.0 * m))
+        sqrt_eps0 = np.min(candidates)
         s0_lower = math.inf
-    t_star_bound = (r0 - eps) / (2.0 * c1) + r0 / (4.0 * c1)
-    div = c0 * c1
-    drift_bound = math.sqrt(k_env * (r0 - eps) / div) * math.sqrt(eps) if div else math.inf
-    decay = cp0 / (16.0 * c1 * two_r0_alpha)
+        if cp0 > 0.0:
+            s0_lower = np.maximum(32.0 * c1_sq * two_r0_alpha / ((r0 - eps) * cp0), 2.0)
+        t_star_bound = (r0 - eps) / (2.0 * c1) + r0 / (4.0 * c1)
+        drift = np.sqrt(k_env * (r0 - eps) / (c0 * c1)) * np.sqrt(eps)
+        decay = cp0 / (16.0 * c1 * two_r0_alpha)
 
-    constants = TheoremConstants(
-        K_measured=k_meas,
-        K_envelope=k_env,
-        M=m,
-        eps0=sqrt_eps0**2,
-        S0_lower=s0_lower,
-        t_star_bound=t_star_bound,
-        c_prime_u0=cp0,
-        phi_prime_sq_integral=iphi,
-        E0_exact=e0,
-        u_drift_bound=drift_bound,
-        inv_s_decay_rate=decay,
-    )
-    for name, value in vars(constants).items():
-        if not math.isfinite(value) and not (name == "S0_lower" and cp0 == 0.0):
-            raise HypothesisViolated(f"the constant {name} = {value} is not a finite float")
+    values = (k_meas, k_env, m, sqrt_eps0**2, s0_lower, t_star_bound, cp0, iphi, e0, drift, decay)
+    constants = TheoremConstants(*(
+        v if f.name == "S0_lower" and cp0 == 0.0 else checked_float(f"the constant {f.name}", v)
+        for f, v in zip(fields(TheoremConstants), values)
+    ))
+    # where it overflows, K_measured reads 0.0; checked after the fields, which
+    # name its overflow first where r0^{2 alpha} overflows (K_envelope)
+    checked_float("the divisor r0**(2 alpha) * eps of K_measured", r0_2alpha * eps)
     return constants
 
 
@@ -199,21 +183,20 @@ def blowup_time_estimate(setup: ProblemSetup) -> float:
     Heuristic only (assumes R stays negligible and the path stays near r0);
     used to pick pre-blow-up comparison windows for convergence studies.
     inf where c'(u0) <= 0, S(0,r0) <= 0 or the rate lambda S(0,r0)
-    underflows to 0.0: then no finite time is predicted.  HypothesisViolated
-    where S(0,r0) overflows a float.
+    underflows to 0.0: then no finite time is predicted; 0.0 where the rate
+    overflows.  S(0,r0) follows the rule of ``checked_float``.
     """
     c_at_u0 = float(setup.speed.c(setup.u0))
     cp0 = float(setup.speed.c_prime(setup.u0))
     if cp0 <= 0.0:
         return math.inf
-    ralpha0 = checked_power(setup.r0, setup.alpha, "r0**alpha")
-    s0 = (2.0 * c_at_u0 - setup.eps) * ralpha0 * setup.profile.amplitude
-    if s0 <= 0.0:
-        return math.inf
-    if s0 == math.inf:
-        raise HypothesisViolated("the initial S(0, r0) overflows a float")
-    rate = cp0 / (4.0 * c_at_u0 * ralpha0) * s0
-    return 1.0 / rate if rate else math.inf
+    with np.errstate(all="ignore"):
+        ralpha0 = np.float64(setup.r0) ** setup.alpha
+        s0 = (2.0 * c_at_u0 - setup.eps) * ralpha0 * setup.profile.amplitude
+        if s0 <= 0.0:
+            return math.inf
+        s0 = checked_float("the initial S(0, r0)", s0)
+        return float(1.0 / (cp0 / (4.0 * c_at_u0 * ralpha0) * s0))
 
 
 def _node_weights(r: np.ndarray) -> np.ndarray:

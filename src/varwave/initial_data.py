@@ -22,12 +22,22 @@ from .errors import ConfigError, HypothesisViolated, SpeedNotIncreasing
 from .speed_models import WaveSpeedModel, validate_bounds
 
 
-def checked_power(base: float, exponent: float, name: str) -> float:
-    """base**exponent; HypothesisViolated naming the quantity where it overflows a float."""
-    try:
-        return base**exponent
-    except OverflowError:
-        raise HypothesisViolated(f"{name} = {base!r}**{exponent!r} overflows a float") from None
+def checked_float(name: str, value, positive: bool = False) -> float:
+    """value as a Python float; HypothesisViolated naming it unless it is a
+    finite float (a positive one, with positive).
+
+    The construction's one rule for its derived floats, which its callers
+    compute on np.float64 scalars under np.errstate, in IEEE arithmetic:
+    an overflow is inf and a zero divisor gives inf or NaN, which
+    carry through + - * / sqrt, np.maximum and np.min to the checked float.
+    A divisor that overflows makes its quotient 0.0 instead: callers check
+    such a divisor where the quotient could matter.
+    """
+    value = float(value)
+    if not (math.isfinite(value) and (value > 0.0 or not positive)):
+        kind = "positive finite" if positive else "finite"
+        raise HypothesisViolated(f"{name} = {value} is not a {kind} float")
+    return value
 
 
 class BumpProfile:
@@ -77,7 +87,8 @@ class PolynomialBump(BumpProfile):
 
     def phi_prime_sq_integral(self) -> float:
         """Exact integral of phi'(z)^2 over (-1, 1)."""
-        return checked_power(self.amplitude, 2, "amplitude**2") * 256.0 / 315.0
+        with np.errstate(over="ignore"):  # inf past the largest float
+            return float(np.float64(self.amplitude) ** 2 * 256.0 / 315.0)
 
 
 @dataclass(frozen=True)
@@ -121,8 +132,8 @@ def _check_placement(d: int, r0: float) -> None:
 def theorem_amplitude(d: int, r0: float, u0: float, speed: WaveSpeedModel) -> float:
     """Minimal center slope 2*max{32*c1^2*2^alpha/(r0*c0*c'(u0)), 1/(c0*r0^alpha)}.
 
-    HypothesisViolated where it is not a finite float: a term overflows, or
-    its divisor underflows to 0.0.
+    HypothesisViolated (``checked_float``) unless it is a positive finite
+    float, and where the divisor r0 c0 c'(u0) overflows.
     """
     _check_placement(d, r0)
     _check_angles(speed, u0)
@@ -132,14 +143,14 @@ def theorem_amplitude(d: int, r0: float, u0: float, speed: WaveSpeedModel) -> fl
         raise SpeedNotIncreasing(
             f"c'(u0) = {cp0} at u0 = {u0}; blow-up construction needs c'(u0) > 0"
         )
-    c1_sq = checked_power(speed.c1, 2, "c1**2")
-    two_alpha = checked_power(2.0, alpha, "2**alpha")
-    div1, div2 = r0 * speed.c0 * cp0, speed.c0 * checked_power(r0, alpha, "r0**alpha")
-    a1 = 32.0 * c1_sq * two_alpha / div1 if div1 else math.inf
-    a2 = 1.0 / div2 if div2 else math.inf
-    amplitude = 2.0 * max(a1, a2)
-    if not np.isfinite(amplitude):
-        raise HypothesisViolated(f"the theorem amplitude {amplitude} is not a finite float")
+    r0, c0, c1 = np.float64(r0), np.float64(speed.c0), np.float64(speed.c1)
+    with np.errstate(all="ignore"):
+        div = r0 * c0 * cp0
+        a1 = 32.0 * c1**2 * np.float64(2.0) ** alpha / div
+        amplitude = 2.0 * np.maximum(a1, 1.0 / (c0 * r0**alpha))
+    amplitude = checked_float("the theorem amplitude", amplitude, positive=True)
+    # where it overflows, the first term reads 0.0
+    checked_float("the divisor r0 c0 c'(u0) of the theorem amplitude", div)
     return amplitude
 
 
@@ -161,7 +172,11 @@ def auto_domain(d: int, r0: float, eps: float, speed: WaveSpeedModel) -> tuple[f
 
 @dataclass(frozen=True)
 class ProblemSetup:
-    """Dimension, bump placement, speed model and spatial domain for a run."""
+    """Dimension, bump placement, speed model and spatial domain for a run.
+
+    t_final is a positive finite float and the domain ends and the weight
+    c0 r_lo^alpha are finite (``checked_float``); the weight is at least 1e-300.
+    """
 
     d: int
     r0: float
@@ -181,20 +196,17 @@ class ProblemSetup:
                 f"need 0 < eps < min(c0, r0/2) = {limit}, got eps={self.eps}"
             )
         validate_bounds(self.speed)
-        if not math.isfinite(self.t_final):
-            raise HypothesisViolated(
-                f"t_final = (r0 - eps)/c1 = {self.t_final} is not a finite float"
-            )
-        r_lo, r_hi = self.domain
-        for end in (r_lo, r_hi):
-            if not math.isfinite(end):
-                raise HypothesisViolated(f"the domain end {end} is not a finite float")
+        checked_float("t_final = (r0 - eps)/c1", self.t_final, positive=True)
+        r_lo = checked_float("the domain end r_lo", self.domain[0])
+        r_hi = checked_float("the domain end r_hi", self.domain[1])
         if r_lo <= 0.0:
             raise HypothesisViolated("domain must satisfy r_lo > 0")
         if r_lo >= self.r0 - self.eps:
             raise HypothesisViolated("domain left end must lie left of the bump")
         # u_r = (R - S)/(2 c r^alpha) is 0/0 where the weight underflows
-        weight = self.speed.c0 * checked_power(r_lo, self.alpha, "r_lo**alpha")
+        with np.errstate(over="ignore"):
+            weight = self.speed.c0 * np.float64(r_lo) ** self.alpha
+        weight = checked_float("the weight c0 * r_lo**alpha", weight)
         if weight < 1e-300:
             raise HypothesisViolated(
                 f"the weight c0 * r_lo**alpha = {weight} at r_lo = {r_lo} is below 1e-300"

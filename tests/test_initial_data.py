@@ -188,25 +188,39 @@ class TestProblemSetup:
     def test_overflowing_theorem_amplitude_is_named(self):
         # c1**2 = 1e308 is finite; 32 c1**2 overflows in the float product
         loose = OseenFrankSpeed(c0=1.0, c1=1e154, k1=2.0, k3=1.0)
-        message = r"^the theorem amplitude inf is not a finite float$"
+        message = r"^the theorem amplitude = inf is not a positive finite float$"
         with pytest.raises(HypothesisViolated, match=message):
             theorem_amplitude(3, 1.0, math.pi / 4, loose)
 
-    def test_overflowing_powers_are_named(self, canonical_speed):
-        with pytest.raises(HypothesisViolated, match=r"^2\*\*alpha = 2.0\*\*1024.5 overflows"):
+    def test_overflowing_powers_name_the_field_they_feed(self, canonical_speed):
+        message = r"^the theorem amplitude = inf is not a positive finite float$"
+        with pytest.raises(HypothesisViolated, match=message):  # 2**alpha at d = 2050
             theorem_amplitude(2050, 1.0, math.pi / 4, canonical_speed)
-        with pytest.raises(HypothesisViolated, match=r"^r0\*\*alpha = 1e\+300\*\*2.0 overflows"):
-            theorem_amplitude(5, 1e300, math.pi / 4, canonical_speed)
         loose = OseenFrankSpeed(c0=1.0, c1=1e300, k1=2.0, k3=1.0)
-        with pytest.raises(HypothesisViolated, match=r"^c1\*\*2 = 1e\+300\*\*2 overflows"):
+        with pytest.raises(HypothesisViolated, match=message):  # c1**2
             theorem_amplitude(3, 1.0, math.pi / 4, loose)
-        with pytest.raises(HypothesisViolated, match=r"^amplitude\*\*2 = 1e\+200\*\*2 overflows"):
-            PolynomialBump(amplitude=1e200).phi_prime_sq_integral()
-        with pytest.raises(HypothesisViolated, match=r"^r_lo\*\*alpha = 1e\+200\*\*2.0 overflows"):
+        assert PolynomialBump(amplitude=1e200).phi_prime_sq_integral() == math.inf
+        message = r"^the weight c0 \* r_lo\*\*alpha = inf is not a finite float$"
+        with pytest.raises(HypothesisViolated, match=message):  # r_lo**alpha
             ProblemSetup(
                 d=5, r0=1e201, eps=0.1, u0=0.5, speed=ConstantSpeed.of(1.0),
                 profile=PolynomialBump(amplitude=1.0), domain=(1e200, 3e201),
             )
+
+    def test_underflowing_term_leaves_the_other(self, canonical_speed):
+        # r0**alpha overflows, so 1/(c0 r0**alpha) is 0.0 (its value is below
+        # the least subnormal) and the amplitude is twice the first term
+        alpha, cp0 = 2.0, canonical_speed.c_prime(math.pi / 4)
+        first = 32.0 * canonical_speed.c1**2 * 2.0**alpha / (1e300 * 1.0 * cp0)
+        assert theorem_amplitude(5, 1e300, math.pi / 4, canonical_speed) == 2.0 * first
+
+    def test_overflowing_divisor_of_the_amplitude_is_named(self):
+        # r0 c0 c'(u0) = 1e300 * 1e6 * 4.1e5 overflows: its quotient would read
+        # 0.0, and the amplitude 2/(c0 r0) = 2e-306, where the first term is 6.3e-298
+        speed = OseenFrankSpeed(c0=1e6, c1=2e6, k1=2e12, k3=1e12)
+        message = r"^the divisor r0 c0 c'\(u0\) of the theorem amplitude = inf is not a finite float$"
+        with pytest.raises(HypothesisViolated, match=message):
+            theorem_amplitude(3, 1e300, math.pi / 4, speed)
 
     @given(st.floats(allow_nan=False))
     def test_base_angle_kept_bit_for_bit_with_one_zero(self, u0):
@@ -222,12 +236,25 @@ class TestProblemSetup:
         # (r0 - eps)/c1 overflows, and the auto domain with it
         slow = ConstantSpeed.of(1e-10)
         assert auto_domain(1, 1e300, 1e-11, slow)[1] == math.inf
-        with pytest.raises(HypothesisViolated, match=r"^t_final = \(r0 - eps\)/c1 = inf is not"):
+        message = r"^t_final = \(r0 - eps\)/c1 = inf is not a positive finite float$"
+        with pytest.raises(HypothesisViolated, match=message):
             ProblemSetup.theorem(d=1, r0=1e300, eps=1e-11, u0=0.5, speed=slow, profile=bump)
         # t_final is finite, r0 + eps + c1 t_final is not
-        with pytest.raises(HypothesisViolated, match=r"^the domain end inf is not a finite float"):
+        with pytest.raises(HypothesisViolated, match=r"^the domain end r_hi = inf is not a finite float$"):
             ProblemSetup.theorem(
                 d=1, r0=1e308, eps=0.1, u0=0.5, speed=ConstantSpeed.of(1.0), profile=bump
+            )
+
+    def test_t_final_that_underflows_is_named(self):
+        # (r0 - eps)/c1 = 2^-574/2^501 is below the least subnormal: the auto
+        # domain would be two ulps wide, and no grid would span it
+        s = 2.0**250.5
+        speed = OseenFrankSpeed(c0=1.0, c1=2.0**501, k1=2.0 * s * s, k3=s * s)
+        message = r"^t_final = \(r0 - eps\)/c1 = 0.0 is not a positive finite float$"
+        with pytest.raises(HypothesisViolated, match=message):
+            ProblemSetup.theorem(
+                d=1, r0=2.0**-574, eps=2.0**-624, u0=math.pi / 4, speed=speed,
+                profile=PolynomialBump(amplitude=1.0),
             )
 
     def test_auto_domain_properties(self, canonical_speed):
