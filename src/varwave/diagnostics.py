@@ -184,7 +184,10 @@ def blowup_time_estimate(setup: ProblemSetup) -> float:
     used to pick pre-blow-up comparison windows for convergence studies.
     inf where c'(u0) <= 0, S(0,r0) <= 0 or the rate lambda S(0,r0)
     underflows to 0.0: then no finite time is predicted; 0.0 where the rate
-    overflows.  S(0,r0) follows the rule of ``checked_float``.
+    overflows.  S(0,r0) follows the rule of ``checked_float``.  The rate is
+    formed as (c'(u0)/(4 c(u0))) (S(0,r0)/r0^alpha), so r0^alpha is divided
+    out of S before it can overflow the divisor 4 c(u0) r0^alpha; where
+    r0^alpha is 1.0 these are the bits of c'(u0)/(4 c(u0) r0^alpha) S(0,r0).
     """
     c_at_u0 = float(setup.speed.c(setup.u0))
     cp0 = float(setup.speed.c_prime(setup.u0))
@@ -196,7 +199,7 @@ def blowup_time_estimate(setup: ProblemSetup) -> float:
         if s0 <= 0.0:
             return math.inf
         s0 = checked_float("the initial S(0, r0)", s0)
-        return float(1.0 / (cp0 / (4.0 * c_at_u0 * ralpha0) * s0))
+        return float(1.0 / (cp0 / (4.0 * c_at_u0) * (s0 / ralpha0)))
 
 
 def _node_weights(r: np.ndarray) -> np.ndarray:
@@ -407,6 +410,11 @@ def _inv_s_record(path: PathSamples, setup: ProblemSetup, constants: TheoremCons
         d(1/S)/dt <= -c'(u0)/(16 c1 (2 r0)^alpha)
                      + (1/S^2) (c1 R^2/(4 c0 r0^alpha) + alpha c1 |R|/r0).
 
+    A pair with an infinite 1/S (a subnormal S), or whose later 1/S squares
+    to inf, is checked and never a violation: its left side is +-inf or NaN
+    (inf - inf) and its right side +inf, or NaN where R = 0 (inf * 0), and
+    neither NaN nor +inf makes lhs > rhs true.
+
     Returns the kept times, their 1/S, the number of checked pairs and the
     number that violate the inequality.
     """
@@ -414,13 +422,16 @@ def _inv_s_record(path: PathSamples, setup: ProblemSetup, constants: TheoremCons
     t, R, S = path.t, path.R, path.S
     kept = ~(S <= 0.0)
     t = t[kept]
-    inv_s = 1.0 / S[kept]
-    y, Rk = inv_s[1:], R[kept][1:]
-    lhs = np.diff(inv_s) / np.diff(t)
-    rhs = -constants.inv_s_decay_rate + y * y * (
-        sp.c1 / (4.0 * sp.c0 * setup.r0**setup.alpha) * Rk * Rk
-        + setup.alpha * sp.c1 / setup.r0 * np.abs(Rk)
-    )
+    Rk = R[kept][1:]
+    # 1/S of a subnormal S overflows, as does its square: see above
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv_s = 1.0 / S[kept]
+        y = inv_s[1:]
+        lhs = np.diff(inv_s) / np.diff(t)
+        rhs = -constants.inv_s_decay_rate + y * y * (
+            sp.c1 / (4.0 * sp.c0 * setup.r0**setup.alpha) * Rk * Rk
+            + setup.alpha * sp.c1 / setup.r0 * np.abs(Rk)
+        )
     paired = np.diff(np.flatnonzero(kept)) == 1
     return t, inv_s, int(np.count_nonzero(paired)), int(np.count_nonzero(paired & (lhs > rhs)))
 

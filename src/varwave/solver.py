@@ -66,13 +66,26 @@ and dt f_S are signed zeros, or NaN where R*R or S*S overflows.  Adding one
 to the increment lambda c dR changes at most the sign of a zero increment,
 and adding that to a stage input q changes q only where q is -0.0 (muscl2's
 second stage adds it to q + q1, -0.0 only where q1 is).  So a stage keeps
-every bit skipping rhs_fields when its R and S rows hold no -0.0 (muscl2 can
-make one, half a negative subnormal) and no magnitude of 2^512 or more
-(whose square overflows; NaN fails that test too).
+every bit skipping rhs_fields when its R and S rows hold no -0.0 and no
+magnitude of 2^512 or more (whose square overflows; NaN fails that test
+too): when they are tame.  Every state records whether its rows are tame,
+``GridState.tame``: True, False or None (unknown).  ``init_state`` scans its
+rows once (``_source_needed``).  An upwind1 step takes the record from
+scans it makes anyway.  Its finite check is the minimum and the maximum of
+each row of the new block (NaN propagates through both), and they bound
+|R| and |S| too.  And in round-to-nearest x + y is -0.0 only where x and y
+both are, so the output prev + f, whose clamped and padded nodes are +0.0,
+holds a -0.0 only where its input does, with the sources or without them.
+So the output is tame where its input is and the bound holds, not tame
+where the bound fails, and unknown otherwise.  muscl2 halves its sum, and
+half of -5e-324 is -0.0, so its output's record is None.  A stage scans its
+input only where the record is None: a state built by hand, or muscl2's
+second stage.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
@@ -177,11 +190,13 @@ class GridState:
     A state whose stored range is its whole grid (given no n, the block is
     the whole grid) has ``state.u`` as row 0 of its block.  Otherwise
     ``state.u``, ``.R`` and ``.S`` are built on first access, read-only, and
-    hot readers use ``window`` and ``node`` instead.
+    hot readers use ``window`` and ``node`` instead.  tame records whether the
+    R and S rows hold no -0.0 and no magnitude of 2^512 or more: True, False
+    or None if unknown (see the module docstring).
     """
 
-    def __init__(self, t, fields, live, lo=0, n=None, u0=None):
-        self.t, self.fields, self.live, self.u0 = t, fields, live, u0
+    def __init__(self, t, fields, live, lo=0, n=None, u0=None, tame=None):
+        self.t, self.fields, self.live, self.u0, self.tame = t, fields, live, u0, tame
         m = fields.shape[1]
         self.stored = (lo, lo + m)
         self.n = m if n is None else n
@@ -279,7 +294,7 @@ class RunResult:
 
 
 def init_state(setup: ProblemSetup, grid: Grid) -> GridState:
-    """Sample the initial data at every node; t = 0, live range by one scan."""
+    """Sample the initial data at every node; t = 0, live range and record by a scan each."""
     r_lo, r_hi = setup.domain
     if not (
         np.isclose(grid.r_lo, r_lo, rtol=1e-12, atol=0.0)
@@ -289,7 +304,19 @@ def init_state(setup: ProblemSetup, grid: Grid) -> GridState:
             f"grid [{grid.r_lo}, {grid.r_hi}] != setup domain [{r_lo}, {r_hi}]"
         )
     fields = np.stack(initial_riemann(setup, grid.r))
-    return GridState(0.0, fields, _live_span(fields, setup.u0))
+    return GridState(0.0, fields, _live_span(fields, setup.u0), tame=not _source_needed(fields))
+
+
+def _source_needed(q) -> bool:
+    """Whether zero source terms may change a bit of a stage on the (3, w)
+    block q: its R or S row holds a -0.0 or a magnitude of 2^512 or more.
+
+    The scan behind a record of None, and behind ``init_state``'s record.
+    """
+    RS = q[1:]
+    return RS.view(np.int64).min(initial=0) == _NEGATIVE_ZERO or not (
+        np.abs(RS).max(initial=0.0) < _SQUARE_OVERFLOW
+    )
 
 
 class Stepper:
@@ -338,10 +365,12 @@ class Stepper:
             self._base = scaled
         return scaled
 
-    def _increments(self, q, w: slice, dt: float) -> np.ndarray:
+    def _increments(self, q, w: slice, dt: float, tame: bool | None = None) -> np.ndarray:
         """Rows (du, dR, dS), dt times the tendencies of one stage, from the
         (3, w) block q on the window w; the source terms are left out where
-        that changes no bit of the stepped state (see the module docstring)."""
+        that changes no bit of the stepped state: where they are zero and q
+        is tame, by its record tame or, if that is None, by a scan of q (see
+        the module docstring)."""
         u, R, S = q
         c, c_prime = self.speed.c_and_c_prime(u)
         k_u, factors, zero = self._scaled(dt, c, c_prime)
@@ -367,7 +396,7 @@ class Stepper:
             f[1:, :1] = f[1:, -1:] = 0.0
         # the zeroed ends stay +0.0; increments lambda c dR + dt f_R and lambda c dS + dt f_S
         f[1:] *= lam_c
-        if not zero or self._source_needed(q):
+        if not zero or (_source_needed(q) if tame is None else not tame):
             if factors is None:  # an array speed scales its factors on the window
                 args = self.inv_r[w], self.ralpha[w], c, c_prime * dt, self.alpha
                 quad, geom = source_coefficients(*args)
@@ -378,15 +407,6 @@ class Stepper:
             dR += f_R
             dS += f_S
         return f
-
-    @staticmethod
-    def _source_needed(q) -> bool:
-        """Whether zero source terms may change a bit of a stage on the (3, w)
-        block q: its R or S row holds a -0.0 or a magnitude of 2^512 or more."""
-        RS = q[1:]
-        return RS.view(np.int64).min(initial=0) == _NEGATIVE_ZERO or not (
-            np.abs(RS).max(initial=0.0) < _SQUARE_OVERFLOW
-        )
 
     def _minmod_slopes(self, q):
         """Minmod-limited slopes of q per cell (undivided by h), zero at both ends.
@@ -436,7 +456,7 @@ class Stepper:
         # overflow in intermediates is caught by the finite check below
         with np.errstate(over="ignore", invalid="ignore"):
             self._check_table(prev[0], state.t, state)
-            f = self._increments(prev, w, dt)
+            f = self._increments(prev, w, dt, state.tame)
             np.add(prev, f, out=fields)
             self._clamp_boundary(fields, lo, hi)
             if self.cfg.scheme == "muscl2":
@@ -447,12 +467,22 @@ class Stepper:
                 fields += f
                 fields *= 0.5
                 self._clamp_boundary(fields, lo, hi)
-        # every node outside the window is (u0, 0, 0), which is finite
-        if not np.isfinite(fields).all():
+        # every node outside the window is (u0, 0, 0), which is finite and
+        # tame; NaN propagates through min and max and fails each comparison
+        u_lo, R_lo, S_lo = np.minimum.reduce(fields, axis=1, initial=0.0).tolist()
+        u_hi, R_hi, S_hi = np.maximum.reduce(fields, axis=1, initial=0.0).tolist()
+        inf, big = math.inf, _SQUARE_OVERFLOW
+        if not (
+            -inf < u_lo <= u_hi < inf and -inf < R_lo <= R_hi < inf and -inf < S_lo <= S_hi < inf
+        ):
             message = f"non-finite values after step to t={state.t + dt}"
             raise NonFiniteState(message, last_state=state)
+        tame = None
+        if self.cfg.scheme == "upwind1":  # False past the bound, else the input's True or None
+            bounded = -big < R_lo and R_hi < big and -big < S_lo and S_hi < big
+            tame = bounded and (state.tame or None)
         live = _live_span(fields, self.setup.u0, lo)
-        return GridState(state.t + dt, new, live, s_lo, self.grid.n, self.setup.u0)
+        return GridState(state.t + dt, new, live, s_lo, self.grid.n, self.setup.u0, tame)
 
     def march(
         self, state: GridState, t_end: float, observers: tuple = (), max_steps: int | None = None

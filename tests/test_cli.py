@@ -1482,6 +1482,18 @@ def with_exit_1_examples(test):
     return test
 
 
+# drawn_cases draws of d = 2 at the canonical speed whose hat path samples a
+# subnormal S: 1/S overflows, or its square does, in the 1/S record of a run
+# that exits 0
+INV_S_OVERFLOW_CASES = tuple(
+    ("simulate", merged(fuzz_configs()["simulate"], {
+        "setup": {"d": 2, "profile": _polynomial(amplitude)},
+        "grid": {"n": n}, "scheme": {"max_steps": max_steps},
+    }), None)
+    for amplitude, n, max_steps in ((5e-324, 22, 14), (1.87e-242, 38, 200))
+)
+
+
 class TestExitCodes:
     """Exit 1 for a fault of the config, exit 2 for a fault of the run."""
 
@@ -1576,6 +1588,8 @@ class TestExitCodes:
         suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
     )
     @with_exit_1_examples
+    @example(case=INV_S_OVERFLOW_CASES[0])
+    @example(case=INV_S_OVERFLOW_CASES[1])
     @given(case=drawn_cases())
     def test_exit_contract(self, tmp_path, capsys, monkeypatch, case):
         # exit 0; or exit 1 or 2 with one stderr line, no traceback and no

@@ -283,6 +283,20 @@ class TestConstants:
         )
         assert blowup_time_estimate(flat) == math.inf
 
+    def test_blowup_estimate_where_the_divisor_r0_alpha_overflows(self):
+        # 4 c(u0) r0^alpha = 2.4e308 overflows, lambda S(0, r0) = c'(u0)
+        # (2 c(u0) - eps) A/(4 c(u0)) does not: the estimate stays finite
+        speed = OseenFrankSpeed(c0=1e10, c1=2e10, k1=2e20, k3=1e20)
+        setup = ProblemSetup.theorem(
+            d=3, r0=5e297, eps=0.1, u0=np.pi / 4, speed=speed,
+            profile=PolynomialBump(amplitude=0.1),
+        )
+        c, cp = speed.c(setup.u0), speed.c_prime(setup.u0)
+        assert math.isinf(4.0 * c * setup.r0**setup.alpha)
+        want = 1.0 / (cp * (2.0 * c - setup.eps) * 0.1 / (4.0 * c))
+        assert want == pytest.approx(4.9e-9, rel=1e-3)
+        assert blowup_time_estimate(setup) == pytest.approx(want, rel=1e-14)
+
     # base-2 exponents of positive floats, from the least subnormal to the largest power of 2
     EXPONENTS = st.floats(-1074.0, 1023.0)
     # every message the construction may give these draws: the rule of

@@ -917,6 +917,144 @@ class TestConstantSpeedFloats:
                 )
 
 
+def tame(fields):
+    """The record of a (3, m) block by a scan: no -0.0 and no magnitude of
+    2^512 or more in its R and S rows."""
+    return not solver._source_needed(fields)
+
+
+def init_from(monkeypatch, setup, fields):
+    """(grid, init_state(setup, grid)) with the fields in place of the sampled
+    initial data: the state init_state makes of them, record and all."""
+    monkeypatch.setattr(solver, "initial_riemann", lambda setup, r: tuple(fields))
+    grid = Grid.uniform(*setup.domain, fields.shape[1])
+    return grid, init_state(setup, grid)
+
+
+def march_as_reference(setup, grid, scheme, state, steps):
+    """The states of up to steps steps from state, each checked against
+    ReferenceStepper through uint64 views; where the reference meets a
+    non-finite node the stepper raises NonFiniteState, and the march ends."""
+    stepper = Stepper(setup, grid, SchemeConfig(scheme=scheme))
+    reference = ReferenceStepper(setup, grid, scheme)
+    states = [state]
+    for _ in range(steps):
+        try:
+            reference.step(state, stepper.base_dt)
+        except NonFiniteState:
+            with pytest.raises(NonFiniteState):
+                stepper.step(state)
+            break
+        state = assert_steps_match_reference(stepper, reference, state, stepper.base_dt)
+        states.append(state)
+    return states
+
+
+class TestCarriedRecord:
+    """GridState.tame, whether the R and S rows hold no -0.0 and no magnitude
+    of 2^512 or more, as init_state scans it and an upwind1 step carries it.
+
+    The march and record tests fail where a muscl2 step carries its input's
+    record, or writes one from the extremes of its block after halving it in
+    place (half of -5e-324 is -0.0); where the bound is taken over the R row
+    only (or the S row only); and where the first stage ignores a False
+    record of init_state.
+    """
+
+    @pytest.mark.parametrize("setup", [
+        transport_setup(),
+        dataclasses.replace(transport_setup(), speed=ConstantSpeed.of(1.3)),
+        dataclasses.replace(transport_setup(), u0=0.0),
+    ], ids=["c=1", "c=1.3", "u0=0"])
+    def test_upwind1_transport_records_equal_a_scan(self, monkeypatch, rhs_calls, setup):
+        # every state of the march, the shortened last one too, carries the
+        # record that a scan of its block gives, and no stage scans or
+        # computes the zero source terms
+        grid = Grid.uniform(*setup.domain, 512)
+        stepper = Stepper(setup, grid, SchemeConfig())
+        t_end = 60.37 * stepper.base_dt
+        state = init_state(setup, grid)
+        scans = []
+        needed = solver._source_needed
+        monkeypatch.setattr(solver, "_source_needed", lambda q: scans.append(q.shape) or needed(q))
+        states = [state, *stepper.march(state, t_end)]
+        assert len(states) == 62 and states[-1].t == t_end
+        assert states[-1].t - states[-2].t < stepper.base_dt
+        assert scans == [] and rhs_calls == []
+        assert [s.tame for s in states] == [tame(s.fields) for s in states] == [True] * 62
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(constant_speed_states(), st.sampled_from(("upwind1", "muscl2")), st.booleans())
+    def test_step_record_is_unknown_or_a_scan(self, case, scheme, scanned):
+        # from a state with the record init_state gives it, or with none, an
+        # upwind1 step records the scan of its block or None, and None only
+        # where its input's record is not True; a muscl2 step records None
+        setup, state = case
+        if scanned:
+            state = GridState(0.0, state.fields, state.live, tame=tame(state.fields))
+        grid = Grid.uniform(*setup.domain, state.u.size)
+        try:
+            got = Stepper(setup, grid, SchemeConfig(scheme=scheme)).step(state)
+        except NonFiniteState:
+            return
+        if scheme == "muscl2":
+            assert got.tame is None
+        elif got.tame is None:
+            assert state.tame is not True and tame(got.fields)
+        else:
+            assert got.tame == tame(got.fields)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["S-grows", "R-grows"])
+    def test_a_row_grown_past_2_512_is_recorded(self, sign):
+        # d = 3, c = 1: the geometric source alpha c dt/r moves R by -S and S
+        # by +R, so R = x, S = sign * x just below 2^512 takes |S| (sign 1)
+        # or |R| (sign -1) past 2^512 in one finite upwind1 step
+        setup = CONSTANT_SETUPS[2]
+        fields = np.array([np.full(32, setup.u0), np.zeros(32), np.zeros(32)])
+        x = 0.999 * 2.0**512
+        fields[1, 10:20], fields[2, 10:20] = x, sign * x
+        state = GridState(0.0, fields, solver._live_span(fields, setup.u0), tame=True)
+        grid = Grid.uniform(*setup.domain, 32)
+        got = Stepper(setup, grid, SchemeConfig()).step(state)
+        R, S = got.R, got.S
+        assert np.isfinite(got.fields).all()
+        assert np.abs(S if sign > 0 else R).max() >= 2.0**512 > np.abs(R if sign > 0 else S).max()
+        assert got.tame is False
+
+    @pytest.mark.parametrize("scheme", ["upwind1", "muscl2"])
+    @pytest.mark.parametrize("row", [1, 2], ids=["R", "S"])
+    @pytest.mark.parametrize("value", [-0.0, 2.0**600, -(2.0**600)], ids=repr)
+    def test_initial_state_that_is_not_tame_keeps_its_sources(
+        self, monkeypatch, rhs_calls, scheme, row, value
+    ):
+        # d = 1, c = 1.3: init_state records False, so the first stage
+        # computes the zero source terms, as the reference does; from
+        # 2^600 they make NaN of R*R or S*S = inf, and the step raises
+        setup = CONSTANT_SETUPS[1]
+        fields = np.array([np.full(32, setup.u0), np.zeros(32), np.zeros(32)])
+        fields[:, 10:20] += np.random.default_rng(0).uniform(-1.0, 1.0, (3, 10))
+        fields[row, 12] = value
+        grid, state = init_from(monkeypatch, setup, fields)
+        assert state.tame is False
+        states = march_as_reference(setup, grid, scheme, state, 3)
+        assert rhs_calls
+        assert len(states) == (4 if value == 0.0 else 1)
+
+    def test_halved_subnormal_leaves_a_muscl2_record_unknown(self, monkeypatch, rhs_calls):
+        # a lone S = -5e-324 in a tame initial state: the muscl2 halving
+        # leaves a -0.0, so the step's record is None, and the next step,
+        # which scans, keeps the zero source terms that turn it into +0.0
+        setup = CONSTANT_SETUPS[0]
+        fields = np.array([np.full(16, setup.u0), np.zeros(16), np.zeros(16)])
+        fields[2, 8] = -5e-324
+        grid, state = init_from(monkeypatch, setup, fields)
+        assert state.tame is True
+        states = march_as_reference(setup, grid, "muscl2", state, 3)
+        assert len(states) == 4 and [s.tame for s in states[1:]] == [None] * 3
+        assert negative_zeros(states[1].S) > 0 and not tame(states[1].fields)
+        assert len(rhs_calls) >= 1
+
+
 WALK = solver._EDGE_WALK
 # node offsets from an end: the end itself, the next node, the last node the
 # edge walk reads, the first it does not, and one deep inside
