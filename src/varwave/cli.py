@@ -12,11 +12,9 @@ Exit codes: 0 success, 1 invalid input (a ConfigError or a subclass), 2 any
 other failure of the run, an output path that cannot be written or a dead
 snapshot worker among them.  The jobs of eps-sweep and convergence run one
 after another, each after the previous one has returned, and the first grid
-that fails ends convergence.  Given two CPUs, simulate and eps-sweep
-format each run's snapshots.csv on one worker process while the march runs
-(_snapshot_worker), with the bytes of the in-process table; only they
-import multiprocessing, inside the call, and every call joins its worker
-before it returns.
+that fails ends convergence.  simulate, and eps-sweep per eps, solve a run
+into a RunRecord and write it; the run's SnapshotTable formats snapshots.csv
+on a worker process given two CPUs, and joins it before the command returns.
 """
 
 from __future__ import annotations
@@ -31,11 +29,12 @@ import sys
 from collections.abc import Iterator
 from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .diagnostics import (
+    BlowupReport,
     EnergyObserver,
     TheoremConstants,
     blowup_time_estimate,
@@ -48,8 +47,11 @@ from .diagnostics import (
 from .errors import ConfigError, VarwaveError
 from .initial_data import PolynomialBump, ProblemSetup
 from .riemann_core import from_riemann
-from .solver import Grid, GridState, SchemeConfig, Stepper, init_state, reached, run
+from .solver import Grid, GridState, RunResult, SchemeConfig, Stepper, init_state, reached, run
 from .speed_models import ConstantSpeed, OseenFrankSpeed, TabulatedSpeed
+
+if TYPE_CHECKING:  # imported by the commands that trace a path
+    from .characteristics import PathSamples
 
 
 _REQUIRED = object()  # the default of a key that must be given
@@ -296,12 +298,11 @@ class _SnapshotText:
         self.r_text = [f"{x:.17g}" for x in grid.r.tolist()]
         self.rest = [f",{x},{setup.u0:.17g},0,0,0\n" for x in self.r_text]
 
-    def rows(self, t: float, live: tuple[int, int], fields) -> Iterator[str]:
-        """Text of the rows of the state at time t with live range [a, b) and
-        fields the (3, b - a) block (u, R, S) on the nodes [a, b)."""
-        r_text, rest, t = self.r_text, self.rest, f"{t:.17g}"
-        a, b = live
-        u, R, S = fields
+    def rows(self, state: GridState) -> Iterator[str]:
+        """Text of the rows of the state, from its block (u, R, S) on its live range."""
+        r_text, rest, t = self.r_text, self.rest, f"{state.t:.17g}"
+        a, b = state.live
+        u, R, S = state.window(a, b)
         _, u_r = from_riemann(self.grid.r[a:b], u, R, S, self.setup.speed, self.setup.alpha)
         row = t + ",%s,%.17g,%.17g,%.17g,%.17g\n"
         for i, j in _chunks(0, a):
@@ -313,16 +314,11 @@ class _SnapshotText:
             yield t + t.join(rest[i:j])
 
 
-def _live_fields(state: GridState) -> tuple:
-    """(t, live, the block (u, R, S) on the live range): all a state's table rows need."""
-    return state.t, state.live, state.window(*state.live)
-
-
 def _snapshot_rows(grid: Grid, setup: ProblemSetup, states: list[GridState]) -> Iterator[str]:
     """Text of the snapshot table of the states, in order (see _SnapshotText)."""
     text = _SnapshotText(grid, setup)
     for st in states:
-        yield from text.rows(*_live_fields(st))
+        yield from text.rows(st)
 
 
 # The snapshot worker's table of the run in progress: its row maker and the
@@ -335,9 +331,9 @@ def _table_open(grid: Grid, setup: ProblemSetup) -> None:
     _worker_table = (_SnapshotText(grid, setup), [])
 
 
-def _table_add(t: float, live: tuple[int, int], fields) -> None:
+def _table_add(state: GridState) -> None:
     text, done = _worker_table
-    done.extend(text.rows(t, live, fields))
+    done.extend(text.rows(state))
 
 
 def _table_write(path, config: dict) -> None:
@@ -350,35 +346,6 @@ def _cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without affinity masks
         return os.cpu_count() or 1
-
-
-def _snapshot_worker(grid: Grid, setup: ProblemSetup):
-    """A one-worker process pool that formats the snapshot table of one run,
-    or None where this process may use one CPU only.
-
-    The %.17g text of a table is CPU work that needs the interpreter lock,
-    so a thread could not overlap it with the march; a process on a second
-    CPU does.  On one CPU the worker only takes turns with the march, and
-    the fork, the copy-on-write faults and the job traffic made the
-    canonical simulate about 7% slower, so the table is written in-process
-    there.  The worker is forked where the platform offers fork, and started
-    by the platform default otherwise; the pool forks it before it starts
-    its own threads, and the worker runs no BLAS call.  It runs the jobs in
-    the order they were submitted: _table_add per kept state, then
-    _table_write.
-    """
-    if _cpus() < 2:
-        return None
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    fork = "fork" in multiprocessing.get_all_start_methods()
-    return ProcessPoolExecutor(
-        max_workers=1,
-        mp_context=multiprocessing.get_context("fork" if fork else None),
-        initializer=_table_open,
-        initargs=(grid, setup),
-    )
 
 
 def write_json(path, config: dict, doc: dict) -> None:
@@ -399,17 +366,43 @@ def _write_svgs(out_dir: Path, config: dict, figures: dict) -> None:
         plots.write_svg(out_dir / name, series, comment=comment, **labels)
 
 
-class SnapshotRecorder:
-    """Keeps every stride-th state (plus the initial one) for CSV dumping.
+class SnapshotTable:
+    """snapshots.csv of one run: a march observer that keeps every stride-th
+    state, the initial one first, and the last one.
 
-    Each state it keeps is also passed to sink, when one is given.
+    Entered given two CPUs, it starts a worker process, forked where it can
+    be, that runs its jobs in order: each state's rows as it is kept, then
+    the file while the caller writes the rest (a thread would hold the GIL).
+    Else write formats in-process, with the same bytes.  Its exit joins the
+    worker after every job, or drops those not started if the block failed.
     """
 
-    def __init__(self, stride: int, sink=None):
-        self.stride = stride
-        self.sink = sink
+    def __init__(self, grid: Grid, setup: ProblemSetup, stride: int):
+        self.grid, self.setup, self.stride = grid, setup, stride
         self.count = 0
         self.states: list[GridState] = []
+        self._worker = None
+        self._jobs = []
+
+    def __enter__(self) -> SnapshotTable:
+        if _cpus() >= 2:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            fork = "fork" in multiprocessing.get_all_start_methods()
+            self._worker = ProcessPoolExecutor(
+                max_workers=1,
+                mp_context=multiprocessing.get_context("fork" if fork else None),
+                initializer=_table_open,
+                initargs=(self.grid, self.setup),
+            )
+        return self
+
+    def __exit__(self, exc_type, *exc) -> None:
+        if self._worker is not None:
+            self._worker.shutdown(cancel_futures=exc_type is not None)
+        for job in self._jobs if exc_type is None else ():
+            job.result()
 
     def __call__(self, state: GridState):
         if self.count % self.stride == 0:
@@ -422,17 +415,41 @@ class SnapshotRecorder:
 
     def _keep(self, state: GridState):
         self.states.append(state)
-        if self.sink is not None:
-            self.sink(state)
+        if self._worker is not None:
+            self._jobs.append(self._worker.submit(_table_add, state))
+
+    def write(self, path, config: dict) -> None:
+        if self._worker is None:
+            rows = _snapshot_rows(self.grid, self.setup, self.states)
+            write_csv(path, config, (SNAPSHOT_COLUMNS, rows))
+        else:
+            self._jobs.append(self._worker.submit(_table_write, path, config))
 
 
-def _plan(config: dict, setup: ProblemSetup) -> tuple[SchemeConfig, Grid, int, TheoremConstants]:
-    """The scheme, grid, snapshot stride and theorem constants of one simulate run, checked.
+class Plan(NamedTuple):
+    """The setup, scheme, grid, snapshot stride and theorem constants of one simulate run."""
 
-    eps-sweep plans every run before it makes its output directory, so a
-    fault of the config, such as a constant that overflows a float, leaves
-    no directory behind.
-    """
+    setup: ProblemSetup
+    scheme: SchemeConfig
+    grid: Grid
+    stride: int
+    constants: TheoremConstants
+
+
+class RunRecord(NamedTuple):
+    """What one planned run found; energy holds the (t, E) columns, table the kept states."""
+
+    plan: Plan
+    result: RunResult
+    hat: PathSamples
+    blowup: BlowupReport
+    energy_drift: float
+    energy: dict[str, np.ndarray]
+    table: SnapshotTable
+
+
+def _plan(config: dict, setup: ProblemSetup) -> Plan:
+    """The plan of one simulate run, checked before any directory is made."""
     cfg = build_scheme(config)
     grid = build_grid(config, setup)
     stride = _read(_read(config, "output"), "output.snapshot_stride")
@@ -442,84 +459,67 @@ def _plan(config: dict, setup: ProblemSetup) -> tuple[SchemeConfig, Grid, int, T
         stride = max(1, math.ceil(setup.t_final / cfg.cfl_step(grid, setup.speed)) // 10)
     check_initial_energy(setup, grid)
     # tolerate c'(u0) <= 0 so negative-control runs still produce reports
-    return cfg, grid, stride, compute_constants(setup, require_hypothesis=False)
+    return Plan(setup, cfg, grid, stride, compute_constants(setup, require_hypothesis=False))
 
 
-def _simulate_once(
-    config: dict, setup: ProblemSetup, plan: tuple, out_dir: Path, svg: bool
-) -> dict:
-    """Shared body of simulate / eps-sweep: run, write artifacts, return doc."""
-    from .characteristics import CharacteristicPath, c_prime_sign_along, u_drift_along
+def solve(plan: Plan, table: SnapshotTable) -> RunRecord:
+    """March the planned run with the energy, the hat path and the table as
+    observers, and report its blow-up."""
+    from .characteristics import CharacteristicPath
 
-    cfg, grid, stride, constants = plan
+    setup, cfg, grid, _, constants = plan
+    energy = EnergyObserver(grid)
+    hat = CharacteristicPath("plus", setup.r0, grid, setup.speed)
+    result = run(setup, grid, cfg, observers=(energy, hat, table))
+    table.ensure_last(result.state)
+    samples = hat.samples()
+    blowup = build_blowup_report(result, samples, constants, setup)
+    columns = {"t": np.asarray(energy.t), "E": np.asarray(energy.E)}
+    return RunRecord(plan, result, samples, blowup, energy.max_relative_drift, columns, table)
 
-    # given two CPUs, the snapshot table is formatted by the worker while the
-    # march runs, and written by it while the parent writes the other artifacts
-    worker = _snapshot_worker(grid, setup)
-    try:
-        jobs = []
-        energy = EnergyObserver(grid)
-        hat = CharacteristicPath("plus", setup.r0, grid, setup.speed)
 
-        def send(state: GridState):
-            jobs.append(worker.submit(_table_add, *_live_fields(state)))
+def write(record: RunRecord, config: dict, out_dir: Path, svg: bool) -> None:
+    """The artifacts of a solved run in out_dir, made once the report is built;
+    snapshots.csv is whole once the record's table exits."""
+    from .characteristics import c_prime_sign_along, u_drift_along
 
-        snaps = SnapshotRecorder(stride, None if worker is None else send)
-        result = run(setup, grid, cfg, observers=(energy, hat, snaps))
-        snaps.ensure_last(result.state)
+    (setup, _, grid, _, constants), result, hat, blowup, drift, ea, table = record
+    doc = build_report(
+        constants, drift, blowup, u_drift_along(hat, constants), c_prime_sign_along(hat, setup)
+    )
+    doc["run"] = {
+        "reason": result.reason,
+        "steps": result.steps,
+        "t_end": result.state.t,
+        "t_final": setup.t_final,
+        "gradient_ceiling": result.gradient_ceiling,
+        "grid_n": grid.n,
+    }
 
-        hat_samples = hat.samples()
-        blowup = build_blowup_report(result, hat_samples, constants, setup)
-        doc = build_report(
-            constants, energy, blowup,
-            u_drift_along(hat_samples, constants), c_prime_sign_along(hat_samples, setup),
-        )
-        doc["run"] = {
-            "reason": result.reason,
-            "steps": result.steps,
-            "t_end": result.state.t,
-            "t_final": setup.t_final,
-            "gradient_ceiling": result.gradient_ceiling,
-            "grid_n": grid.n,
+    out_dir.mkdir(parents=True, exist_ok=True)
+    table.write(out_dir / "snapshots.csv", config)
+    write_csv(out_dir / "energy.csv", config, ea)
+    write_csv(out_dir / "hat_path.csv", config, hat.columns())
+    write_json(out_dir / "diagnostics.json", config, doc)
+
+    if svg:
+        kept = table.states[:: max(1, len(table.states) // 5)]
+        u_lines = [(grid.r, st.u, f"t={st.t:.4g}") for st in kept]
+        figures = {
+            "u_snapshots.svg": (u_lines, "u(r) snapshots", "r", "u"),
+            "energy.svg": ([(ea["t"], ea["E"], "E(t)")], "energy", "t", "E"),
         }
-
-        out_dir.mkdir(parents=True, exist_ok=True)
-        table = out_dir / "snapshots.csv"
-        if worker is None:
-            rows = _snapshot_rows(grid, setup, snaps.states)
-            write_csv(table, config, (SNAPSHOT_COLUMNS, rows))
-        else:
-            jobs.append(worker.submit(_table_write, table, config))
-        ea = {"t": np.asarray(energy.t), "E": np.asarray(energy.E)}
-        write_csv(out_dir / "energy.csv", config, ea)
-        write_csv(out_dir / "hat_path.csv", config, hat_samples.columns())
-        write_json(out_dir / "diagnostics.json", config, doc)
-
-        if svg:
-            kept = snaps.states[:: max(1, len(snaps.states) // 5)]
-            u_lines = [(grid.r, st.u, f"t={st.t:.4g}") for st in kept]
-            figures = {
-                "u_snapshots.svg": (u_lines, "u(r) snapshots", "r", "u"),
-                "energy.svg": ([(ea["t"], ea["E"], "E(t)")], "energy", "t", "E"),
-            }
-            ht = blowup.inv_S_trace
-            if ht.size:
-                inv_s = [(ht[:, 0], ht[:, 1], "1/S along hat path")]
-                figures["inv_s.svg"] = (inv_s, "reciprocal steepening gradient", "t", "1/S")
-            _write_svgs(out_dir, config, figures)
-        for job in jobs:
-            job.result()
-    finally:
-        # on a failure the jobs not yet started are dropped; the worker is
-        # joined either way, so no process outlives the call
-        if worker is not None:
-            worker.shutdown(cancel_futures=True)
-    return doc
+        ht = blowup.inv_S_trace
+        if ht.size:
+            inv_s = [(ht[:, 0], ht[:, 1], "1/S along hat path")]
+            figures["inv_s.svg"] = (inv_s, "reciprocal steepening gradient", "t", "1/S")
+        _write_svgs(out_dir, config, figures)
 
 
 def cmd_simulate(config: dict, out_dir: Path, svg: bool) -> int:
-    setup = build_setup(config)
-    _simulate_once(config, setup, _plan(config, setup), out_dir, svg)
+    plan = _plan(config, build_setup(config))
+    with SnapshotTable(plan.grid, plan.setup, plan.stride) as table:
+        write(solve(plan, table), config, out_dir, svg)
     return 0
 
 
@@ -547,24 +547,24 @@ def cmd_eps_sweep(config: dict, out_dir: Path, svg: bool) -> int:
         raise ConfigError("experiment.eps_list must be nonempty")
     if len(set(eps_list)) < len(eps_list):
         raise ConfigError(f"experiment.eps_list repeats an entry: {json.dumps(eps_list)}")
-    # build every setup and plan up front so the sweep fails fast on bad
-    # input, before it makes any directory
-    setups = [build_setup(config, eps_override=eps) for eps in eps_list]
-    plans = [_plan(config, setup) for setup in setups]
+    # plan every run up front, so bad input fails before any directory is made
+    plans = [_plan(config, build_setup(config, eps_override=eps)) for eps in eps_list]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = {"eps": [], "detected": [], "t_detect": [], "t_star_extrapolated": [], "t_final": []}
     errors = {}
-    for eps, setup, plan in zip(eps_list, setups, plans):
+    for eps, plan in zip(eps_list, plans):
         try:
-            doc = _simulate_once(config, setup, plan, out_dir / f"eps_{eps!r}", svg)
+            with SnapshotTable(plan.grid, plan.setup, plan.stride) as table:
+                record = solve(plan, table)
+                write(record, config, out_dir / f"eps_{eps!r}", svg)
         except ConfigError:  # a fault of the config stops the sweep
             raise
         except VarwaveError as exc:  # collect, keep sweeping
             errors[eps] = str(exc)
             continue
-        b, t_final = doc["blowup"], doc["run"]["t_final"]
-        row = (eps, float(b["detected"]), b["t_detect"], b["t_star_extrapolated"], t_final)
+        b = record.blowup
+        row = (eps, float(b.detected), b.t_detect, b.t_star_extrapolated, plan.setup.t_final)
         for key, value in zip(rows, row):
             rows[key].append(math.nan if value is None else value)
     detected = [eps for eps, hit in zip(rows["eps"], rows["detected"]) if hit]
@@ -614,7 +614,7 @@ def cmd_convergence(config: dict, out_dir: Path, svg: bool) -> int:
     # the march without run's gradient ceiling, which would cost a
     # gradient_max per step; t_compare wins over the budget when the last
     # step reaches both, as t_final does in run
-    def solve(grid: Grid):
+    def solve_grid(grid: Grid):
         energy = EnergyObserver(grid)
         state = init_state(setup, grid)
         with np.errstate(over="ignore"):  # as in run: the energy names its overflow
@@ -630,7 +630,7 @@ def cmd_convergence(config: dict, out_dir: Path, svg: bool) -> int:
 
     # a one-worker pool only for the benchmark tracer's job spans (ROADMAP 2f)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        solved = [pool.submit(solve, grid).result() for grid in grids]
+        solved = [pool.submit(solve_grid, grid).result() for grid in grids]
 
     errs = {"R": [], "S": [], "u": []}
     drifts = [d for _, _, d in solved]

@@ -520,12 +520,12 @@ def build_blowup_report(
 
 def build_report(
     constants: TheoremConstants,
-    energy: EnergyObserver,
+    energy_drift: float,
     blowup: BlowupReport,
     drift: DriftReport,
     sign: SignReport,
 ) -> dict:
-    """Assemble the JSON-ready diagnostics document."""
+    """The JSON-ready diagnostics document; energy_drift as EnergyObserver.max_relative_drift."""
     return {
         "constants": {
             "K_measured": constants.K_measured,
@@ -535,7 +535,7 @@ def build_report(
             "S0_lower": constants.S0_lower,
             "t_star_bound": constants.t_star_bound,
         },
-        "energy_max_relative_drift": energy.max_relative_drift,
+        "energy_max_relative_drift": energy_drift,
         "blowup": {
             "detected": blowup.detected,
             "t_detect": blowup.t_detect,

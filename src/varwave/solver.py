@@ -92,7 +92,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainMismatch, NonFiniteState
-from .initial_data import ProblemSetup, initial_riemann
+from .initial_data import ProblemSetup, checked_float, initial_riemann
 from .riemann_core import rhs_fields, source_coefficients
 from .speed_models import WaveSpeedModel
 
@@ -266,8 +266,8 @@ class SchemeConfig:
             raise ValueError("gradient_ceiling must be positive")
 
     def cfl_step(self, grid: Grid, speed: WaveSpeedModel) -> float:
-        """The time step cfl*h/c1 on the grid, with the speed's global bound c1."""
-        return self.cfl * grid.h / speed.c1
+        """The time step cfl*h/c1 on the grid, with c1 the speed's bound; checked positive."""
+        return checked_float("the time step cfl*h/c1", self.cfl * grid.h / speed.c1, positive=True)
 
 
 def reached(t: float, t_end: float) -> bool:

@@ -14,7 +14,7 @@ import sys
 import tempfile
 import textwrap
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,7 @@ from varwave.errors import (
     SpeedNotIncreasing,
     VarwaveError,
 )
-from varwave.cli import SnapshotRecorder, build_scheme, build_setup, main, write_csv
+from varwave.cli import SnapshotTable, build_scheme, build_setup, main, write_csv
 from varwave.diagnostics import EnergyObserver
 from varwave.initial_data import PolynomialBump, ProblemSetup, auto_domain
 from varwave.riemann_core import from_riemann
@@ -695,7 +695,7 @@ class TestSnapshotTable:
     def test_zero_u0_recorded_run(self, tmp_path, scheme, u0):
         setup = snapshot_setup(1, u0=u0, speed=ConstantSpeed.of(1.0))
         grid = Grid.uniform(*setup.domain, 128)
-        snaps = SnapshotRecorder(stride=20)
+        snaps = SnapshotTable(grid, setup, stride=20)
         result = run(setup, grid, SchemeConfig(scheme=scheme), observers=(snaps,))
         snaps.ensure_last(result.state)
         lives = [s.live for s in snaps.states]
@@ -709,7 +709,7 @@ class TestSnapshotTable:
         grid = Grid.uniform(*canonical_setup.domain, 4096)
         cfg = SchemeConfig()
         steps = math.ceil(canonical_setup.t_final / (cfg.cfl * grid.h / canonical_setup.speed.c1))
-        snaps = SnapshotRecorder(stride=max(1, steps // 10))
+        snaps = SnapshotTable(grid, canonical_setup, stride=max(1, steps // 10))
         snaps.ensure_last(run(canonical_setup, grid, cfg, observers=(snaps,)).state)
         assert len(snaps.states) == 12
         # chunks of 4,096 rows peak at 2.2 MiB
@@ -720,7 +720,7 @@ class TestSnapshotTable:
     def test_recorded_run(self, tmp_path, scheme):
         setup = snapshot_setup(3)
         grid = Grid.uniform(*setup.domain, 256)
-        snaps = SnapshotRecorder(stride=40)
+        snaps = SnapshotTable(grid, setup, stride=40)
         result = run(setup, grid, SchemeConfig(scheme=scheme), observers=(snaps,))
         snaps.ensure_last(result.state)
         lives = [s.live for s in snaps.states]
@@ -736,38 +736,29 @@ class TestSnapshotWorker:
 
     @staticmethod
     def spy_shutdowns(monkeypatch) -> list:
-        """The arguments of each snapshot worker's shutdown, in call order."""
+        """The arguments of each process pool's shutdown, in call order."""
         shutdowns = []
-        real = cli._snapshot_worker
+        shutdown = ProcessPoolExecutor.shutdown
 
-        def worker(grid, setup):
-            pool = real(grid, setup)
-            if pool is None:  # one CPU: no worker
-                return None
-            shutdown = pool.shutdown
+        def record(pool, **kwargs):
+            shutdowns.append(kwargs)
+            shutdown(pool, **kwargs)
 
-            def record(**kwargs):
-                shutdowns.append(kwargs)
-                shutdown(**kwargs)
-
-            pool.shutdown = record
-            return pool
-
-        monkeypatch.setattr(cli, "_snapshot_worker", worker)
+        monkeypatch.setattr(ProcessPoolExecutor, "shutdown", record)
         return shutdowns
 
     @staticmethod
-    def spy_recorders(monkeypatch) -> list:
-        """Every SnapshotRecorder the calls build."""
-        recorders = []
+    def spy_tables(monkeypatch) -> list:
+        """Every SnapshotTable the calls build."""
+        tables = []
 
-        class Recorder(SnapshotRecorder):
+        class Table(SnapshotTable):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                recorders.append(self)
+                tables.append(self)
 
-        monkeypatch.setattr(cli, "SnapshotRecorder", Recorder)
-        return recorders
+        monkeypatch.setattr(cli, "SnapshotTable", Table)
+        return tables
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("command", ["simulate", "eps-sweep"])
@@ -782,7 +773,8 @@ class TestSnapshotWorker:
         path = write_config(tmp_path, cfg)
         assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 0
         assert multiprocessing.active_children() == []
-        assert shutdowns == [{"cancel_futures": True}] * len(runs) * (cpus - 1)
+        # after a clean run the worker is joined once its jobs are done
+        assert shutdowns == [{"cancel_futures": False}] * len(runs) * (cpus - 1)
         assert all((run_dir / "snapshots.csv").stat().st_size > 0 for run_dir in runs)
 
     @pytest.mark.parametrize("command", ["simulate", "eps-sweep"])
@@ -820,34 +812,47 @@ class TestSnapshotWorker:
         self, tmp_path, monkeypatch, scheme, stride, cpus
     ):
         monkeypatch.setattr(cli, "_cpus", lambda: cpus)
-        recorders = self.spy_recorders(monkeypatch)
+        tables = self.spy_tables(monkeypatch)
         cfg = base_config(grid={"n": 256}, output={"snapshot_stride": stride})
         cfg["scheme"]["scheme"] = scheme
         path = write_config(tmp_path, cfg)
         assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 0
-        (recorder,) = recorders
+        (table,) = tables
         steps = json.loads((tmp_path / "o" / "diagnostics.json").read_text())["run"]["steps"]
-        assert len(recorder.states) == (steps + 1 if stride == 1 else 12)
+        assert len(table.states) == (steps + 1 if stride == 1 else 12)
         setup = build_setup(cfg)
         grid = cli.build_grid(cfg, setup)
         write_csv(
             tmp_path / "in_process.csv", cfg,
-            (cli.SNAPSHOT_COLUMNS, cli._snapshot_rows(grid, setup, recorder.states)),
+            (cli.SNAPSHOT_COLUMNS, cli._snapshot_rows(grid, setup, table.states)),
         )
         table = (tmp_path / "o" / "snapshots.csv").read_bytes()
         assert table == (tmp_path / "in_process.csv").read_bytes()
 
-    def test_recorder_passes_each_kept_state_to_its_sink(self):
-        states = [object() for _ in range(8)]
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_table_sends_each_state_as_it_is_kept(self, monkeypatch, cpus):
+        # every third state, the initial one first, and the last one once; given
+        # two CPUs, each goes to the worker as it is kept, and with none on one
+        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
         sent = []
-        plain, sinking = SnapshotRecorder(3), SnapshotRecorder(3, sent.append)
-        for snaps in (plain, sinking):
+        submit = ProcessPoolExecutor.submit
+
+        def spy(pool, fn, *args):
+            sent.append(args[0])
+            return submit(pool, fn, *args)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", spy)
+        setup = snapshot_setup(1, speed=ConstantSpeed.of(1.0))
+        states = [hand_state(setup, N_SNAP, 0.1 * k, (3, 6), [(0.5, k, 1.0)] * 3) for k in range(8)]
+        with SnapshotTable(Grid.uniform(*setup.domain, N_SNAP), setup, 3) as table:
             for state in states:
-                snaps(state)
-            snaps.ensure_last(states[-1])
-            snaps.ensure_last(states[-1])
-            assert snaps.states == [states[0], states[3], states[6], states[7]]
-        assert sent == sinking.states
+                table(state)
+                assert sent == (table.states if cpus == 2 else [])
+            table.ensure_last(states[-1])
+            table.ensure_last(states[-1])
+            assert table.states == [states[0], states[3], states[6], states[7]]
+            assert sent == (table.states if cpus == 2 else [])
+        assert multiprocessing.active_children() == []
 
 
 class TestValidation:
@@ -1328,6 +1333,14 @@ def _polynomial(amplitude):
     return {"kind": "polynomial", "amplitude": amplitude}
 
 
+# d = 1 data on a domain of about 1e-300, at the canonical Oseen-Frank speed
+# with c1 = 1e20, and at the constant speed 1e20
+TINY_DOMAIN = {"d": 1, "r0": 1e-300, "eps": 4e-301, "u0": 0.5,
+               "speed": {"c1": 1e20}, "profile": _polynomial(1.0)}
+TINY_CONSTANT = {"r0": 1e-300, "eps": 4e-301, "speed": {"c": 1e20}, "profile": _polynomial(1e-300)}
+CFL_STEP_UNDERFLOW = "the time step cfl*h/c1 = 0.0 is not a positive finite float"
+
+
 # The exit-1 configs of the CI workflow (their names there) and the
 # float-range cases, each (command, CI config, changes, the stderr line after
 # "varwave: invalid configuration: ").  The CI keeps one config per message
@@ -1426,6 +1439,27 @@ EXIT_1_CASES = {
          "grid": None, "experiment": {"t_compare": None}},
         "the default t_compare 0.0 is not positive; set experiment.t_compare",
     ),
+    # on a domain of about 1e-300, h/c1 with c1 = 1e20 underflows the step to
+    # 0.0: simulate's and eps-sweep's stride default divided by it,
+    # convergence marched steps of zero length, and triangle read its states
+    # as not bracketing a step
+    "cfl_step_underflow": ("simulate", "simulate",
+                           {"setup": TINY_DOMAIN, "grid": {"n": 100000}}, CFL_STEP_UNDERFLOW),
+    "sweep_cfl_step_underflow": ("eps-sweep", "eps_sweep",
+                                 {"setup": TINY_DOMAIN, "grid": {"n": 100000},
+                                  "experiment": {"eps_list": [4e-301]}},
+                                 CFL_STEP_UNDERFLOW),
+    "conv_cfl_step_underflow": ("convergence", "convergence",
+                                {"setup": TINY_CONSTANT, "scheme": {"max_steps": 5},
+                                 "experiment": {"n_list": [25000, 50000, 100000],
+                                                "t_compare": 1e-321}},
+                                CFL_STEP_UNDERFLOW),
+    "triangle_cfl_step_underflow": ("triangle", "convergence",
+                                    {"setup": TINY_CONSTANT, "grid": {"n": 100000},
+                                     "experiment": {"kind": "triangle", "r1": 9e-301,
+                                                    "r2": 1.1e-300, "n_list": None,
+                                                    "t_compare": None}},
+                                    CFL_STEP_UNDERFLOW),
 }
 
 

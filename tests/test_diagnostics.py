@@ -755,8 +755,9 @@ class TestReportAssembly:
         report = build_blowup_report(result, hat, constants, s)
         from varwave import c_prime_sign_along, u_drift_along
 
+        drift = energy.max_relative_drift
         doc = build_report(
-            constants, energy, report, u_drift_along(hat, constants), c_prime_sign_along(hat, s)
+            constants, drift, report, u_drift_along(hat, constants), c_prime_sign_along(hat, s)
         )
         assert set(doc["constants"]) == {
             "K_measured", "K_envelope", "M", "eps0", "S0_lower", "t_star_bound"
@@ -767,3 +768,4 @@ class TestReportAssembly:
             "t_star_within_paper_bound",
         }
         assert "energy" not in doc
+        assert doc["energy_max_relative_drift"] == drift
