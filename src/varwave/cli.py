@@ -457,7 +457,7 @@ def _plan(config: dict, setup: ProblemSetup) -> Plan:
         raise ConfigError(f"output.snapshot_stride must be non-negative, got {stride}")
     if stride == 0:  # about ten states of the run's estimated steps
         stride = max(1, math.ceil(setup.t_final / cfg.cfl_step(grid, setup.speed)) // 10)
-    check_initial_energy(setup, grid)
+    check_initial_energy(EnergyObserver(grid), init_state(setup, grid))
     # tolerate c'(u0) <= 0 so negative-control runs still produce reports
     return Plan(setup, cfg, grid, stride, compute_constants(setup, require_hypothesis=False))
 
@@ -607,16 +607,19 @@ def cmd_convergence(config: dict, out_dir: Path, svg: bool) -> int:
             f"experiment.t_compare must not exceed t_final = {setup.t_final}, got {t_cmp}"
         )
 
-    grids = [Grid.uniform(*setup.domain, n) for n in n_list]
-    for grid in grids:
-        check_initial_energy(setup, grid)
+    def start(n: int):
+        """The grid of n nodes, its energy observer and its checked initial state."""
+        grid = Grid.uniform(*setup.domain, n)
+        energy, state = EnergyObserver(grid), init_state(setup, grid)
+        check_initial_energy(energy, state)
+        return grid, energy, state
+
+    starts = [start(n) for n in n_list]  # every grid is checked before the first step
 
     # the march without run's gradient ceiling, which would cost a
     # gradient_max per step; t_compare wins over the budget when the last
     # step reaches both, as t_final does in run
-    def solve_grid(grid: Grid):
-        energy = EnergyObserver(grid)
-        state = init_state(setup, grid)
+    def solve_grid(grid: Grid, energy: EnergyObserver, state: GridState):
         with np.errstate(over="ignore"):  # as in run: the energy names its overflow
             energy(state)
             for state in Stepper(setup, grid, cfg).march(state, t_cmp, (energy,), cfg.max_steps):
@@ -628,9 +631,12 @@ def cmd_convergence(config: dict, out_dir: Path, svg: bool) -> int:
             )
         return grid, state, energy.max_relative_drift
 
-    # a one-worker pool only for the benchmark tracer's job spans (ROADMAP 2f)
+    # a one-worker pool only for the benchmark tracer's job spans (ROADMAP 2f); each
+    # start is let go as its grid is marched, so its initial state is freed then
+    solved = []
     with ThreadPoolExecutor(max_workers=1) as pool:
-        solved = [pool.submit(solve_grid, grid).result() for grid in grids]
+        while starts:
+            solved.append(pool.submit(solve_grid, *starts.pop(0)).result())
 
     errs = {"R": [], "S": [], "u": []}
     drifts = [d for _, _, d in solved]

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import HypothesisViolated, NoIntersection, NonFiniteState
 from .initial_data import PolynomialBump, ProblemSetup, checked_float, initial_riemann
-from .solver import Grid, GridState, RunResult, SchemeConfig, init_state, run
+from .solver import Grid, GridState, RunResult, SchemeConfig, run
 
 # the path tracer and the characteristic solver are imported by the two
 # triangle identities that use them, so that the commands that never call
@@ -212,18 +212,20 @@ def _node_weights(r: np.ndarray) -> np.ndarray:
     return w
 
 
-def _energy(weights: np.ndarray, state: GridState) -> float:
+def _energy(weights: np.ndarray, squares: np.ndarray, state: GridState) -> float:
     """E of the state as the node-weighted sum of R**2 + S**2 over its live
-    range [a, b); weights are the grid's _node_weights (see EnergyObserver).
+    range [a, b); weights are the grid's _node_weights and squares a (2, n)
+    buffer for R**2 and S**2 (see EnergyObserver).
 
     The sum is numpy's pairwise np.add.reduce, not a BLAS dot: OpenBLAS
     splits a dot of more than 10,000 elements across threads, so its bits
     would follow the CPU count.
     """
     a, b = state.live
-    _, R, S = state.window(a, b)
-    y = R * R
-    y += S * S
+    RS = state.window(a, b)[1:]
+    sq = np.multiply(RS, RS, out=squares[:, : b - a])
+    y = sq[0]
+    y += sq[1]
     y *= weights[a:b]
     return float(np.add.reduce(y))
 
@@ -243,9 +245,9 @@ def _finite_energy(energy, what: str) -> float:
     return e
 
 
-def check_initial_energy(setup: ProblemSetup, grid: Grid) -> None:
-    """HypothesisViolated when the initial energy on the grid, summed as
-    EnergyObserver sums it, overflows a float.
+def check_initial_energy(energy: EnergyObserver, state: GridState) -> None:
+    """HypothesisViolated when the energy of the initial state, summed with
+    the weights of its grid's observer energy but not recorded, overflows.
 
     simulate, eps-sweep and convergence call it on each grid before the
     first step, and simulate and eps-sweep before the theorem constants,
@@ -253,8 +255,8 @@ def check_initial_energy(setup: ProblemSetup, grid: Grid) -> None:
     invalid input, not a fault of the run.
     """
     _finite_energy(
-        lambda: _energy(_node_weights(grid.r), init_state(setup, grid)),
-        f"on {grid.n} nodes, the sum of (R**2 + S**2) dr,",
+        lambda: _energy(energy.weights, np.empty((2, state.live[1] - state.live[0])), state),
+        f"on {energy.grid.n} nodes, the sum of (R**2 + S**2) dr,",
     )
 
 
@@ -265,20 +267,25 @@ class EnergyObserver:
     with the grid's node weights w (``_node_weights``), and 0.0 when no node is
     live.  Every node outside [a, b) holds R = S = +0.0, so in exact
     arithmetic E is np.trapezoid(R**2 + S**2, r) over the whole grid; in
-    floats the two differ in the last bits only.  A finite state whose E
-    overflows raises NonFiniteState naming its t; ``run`` and the convergence
-    grids march under ``np.errstate(over="ignore")``, so numpy does not warn
-    first.
+    floats the two differ in the last bits only.  R**2 and S**2 are squared
+    by one multiply into squares, a (2, n) buffer made at the first call, on
+    the thread that marches, and overwritten at every call.  A finite state
+    whose E overflows raises NonFiniteState naming its t; ``run`` and the
+    convergence grids march under ``np.errstate(over="ignore")``, so numpy
+    does not warn first.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self.weights = _node_weights(grid.r)
+        self.squares = None
         self.t: list[float] = []
         self.E: list[float] = []
 
     def __call__(self, state: GridState):
-        e = _energy(self.weights, state)
+        if self.squares is None:
+            self.squares = np.empty((2, self.grid.n))
+        e = _energy(self.weights, self.squares, state)
         if e == math.inf:
             raise NonFiniteState(f"the energy overflows a float at t={state.t}", last_state=state)
         self.t.append(state.t)

@@ -78,9 +78,10 @@ both are, so the output prev + f, whose clamped and padded nodes are +0.0,
 holds a -0.0 only where its input does, with the sources or without them.
 So the output is tame where its input is and the bound holds, not tame
 where the bound fails, and unknown otherwise.  muscl2 halves its sum, and
-half of -5e-324 is -0.0, so its output's record is None.  A stage scans its
-input only where the record is None: a state built by hand, or muscl2's
-second stage.
+half of -5e-324 is -0.0, so its output's record is None.  A stage with zero
+source factors scans its input only where the record is None; an upwind1
+step takes that scan as its input's record, so a march from a state built
+by hand, or from one that was not tame, scans once.
 """
 
 from __future__ import annotations
@@ -155,27 +156,31 @@ class Grid:
 _EDGE_WALK = 9
 
 
-def _live_span(fields, u0: float, start: int = 0) -> tuple[int, int]:
+def _float_bits(x: float) -> int:
+    """The bit pattern of the float x as a Python int, -0.0 apart from +0.0."""
+    return np.float64(x).view(np.uint64).item()
+
+
+def _live_span(fields, u0_bits: int, start: int = 0) -> tuple[int, int]:
     """[first, last + 1) of the columns of the (3, m) block fields that are not
-    bitwise (u0, +0.0, +0.0), offset by start.
+    bitwise (u0, +0.0, +0.0), u0 given by its bits u0_bits, offset by start.
 
     (0, 0) if no node is live.  The first and the last live node are looked
-    for among the _EDGE_WALK nodes at each end, one node at a time; only when
-    an end holds none of them is the whole block scanned.  Both ways give the
-    same range.
+    for among the _EDGE_WALK nodes at each end, one node at a time as Python
+    ints; only when an end holds none of them is the whole block scanned.
+    Both ways give the same range.
     """
     bits = fields.view(np.uint64)
-    Ub, Rb, Sb = bits
-    u0b = np.float64(u0).view(np.uint64)
+    item = bits.item
     m = bits.shape[1]
     k = min(_EDGE_WALK, m)
     for first in range(k):
-        if Ub[first] != u0b or Rb[first] or Sb[first]:
+        if item(0, first) != u0_bits or item(1, first) or item(2, first):
             for last in range(m - 1, m - 1 - k, -1):
-                if Ub[last] != u0b or Rb[last] or Sb[last]:
+                if item(0, last) != u0_bits or item(1, last) or item(2, last):
                     return start + first, start + last + 1
             break
-    live = (bits != np.array([[u0], [0.0], [0.0]]).view(np.uint64)).any(axis=0)
+    live = (bits != np.array([[u0_bits], [0], [0]], dtype=np.uint64)).any(axis=0)
     if not live.any():
         return 0, 0
     return start + int(np.argmax(live)), start + m - int(np.argmax(live[::-1]))
@@ -304,7 +309,8 @@ def init_state(setup: ProblemSetup, grid: Grid) -> GridState:
             f"grid [{grid.r_lo}, {grid.r_hi}] != setup domain [{r_lo}, {r_hi}]"
         )
     fields = np.stack(initial_riemann(setup, grid.r))
-    return GridState(0.0, fields, _live_span(fields, setup.u0), tame=not _source_needed(fields))
+    live = _live_span(fields, _float_bits(setup.u0))
+    return GridState(0.0, fields, live, tame=not _source_needed(fields))
 
 
 def _source_needed(q) -> bool:
@@ -346,7 +352,9 @@ class Stepper:
         # twice.  Nodes farther than that from every live node stay exactly
         # quiescent, and at the window edges the clipped stencils read only
         # quiescent nodes, as the full ones do, so both give +0.0.
-        self.reach = 1 if cfg.scheme == "upwind1" else 4
+        self._upwind = cfg.scheme == "upwind1"
+        self.reach = 1 if self._upwind else 4
+        self._n, self._u0_bits = grid.n, _float_bits(setup.u0)
         self._rest = np.array([[setup.u0], [0.0], [0.0]])
         self._base = None  # _scaled(base_dt, ...), built at the first step
 
@@ -365,22 +373,22 @@ class Stepper:
             self._base = scaled
         return scaled
 
-    def _increments(self, q, w: slice, dt: float, tame: bool | None = None) -> np.ndarray:
-        """Rows (du, dR, dS), dt times the tendencies of one stage, from the
-        (3, w) block q on the window w; the source terms are left out where
-        that changes no bit of the stepped state: where they are zero and q
-        is tame, by its record tame or, if that is None, by a scan of q (see
-        the module docstring)."""
-        u, R, S = q
-        c, c_prime = self.speed.c_and_c_prime(u)
+    def _increments(self, q, w: slice, dt: float, tame: bool | None = None):
+        """(rows (du, dR, dS), q's record): dt times the tendencies of one stage
+        from the (3, w) block q on the window w.  The source terms are left out
+        where that changes no bit of the stepped state: where they are zero and
+        q is tame, by its record tame or, if that is None, by a scan of q, which
+        is then the record returned (see the module docstring)."""
+        R, S = q[1], q[2]
+        c, c_prime = self.speed.c_and_c_prime(q[0])
         k_u, factors, zero = self._scaled(dt, c, c_prime)
         lam_c = c * (dt / self.h)
-        f = np.empty((3, u.size))
-        du, dR, dS = f
+        f = np.empty((3, q.shape[1]))
+        du, dR, dS = f[0], f[1], f[2]
         np.add(R, S, out=du)
         du *= k_u[w]
         # R winds from the right, S from the left; undivided differences
-        if self.cfg.scheme == "upwind1":
+        if self._upwind:
             np.subtract(R[1:], R[:-1], out=dR[:-1])
             np.subtract(S[:-1], S[1:], out=dS[1:])
             dR[-1:] = dS[:1] = 0.0
@@ -396,7 +404,8 @@ class Stepper:
             f[1:, :1] = f[1:, -1:] = 0.0
         # the zeroed ends stay +0.0; increments lambda c dR + dt f_R and lambda c dS + dt f_S
         f[1:] *= lam_c
-        if not zero or (_source_needed(q) if tame is None else not tame):
+        tame = not _source_needed(q) if zero and tame is None else tame
+        if not (zero and tame):
             if factors is None:  # an array speed scales its factors on the window
                 args = self.inv_r[w], self.ralpha[w], c, c_prime * dt, self.alpha
                 quad, geom = source_coefficients(*args)
@@ -406,7 +415,7 @@ class Stepper:
             f_R, f_S = rhs_fields(quad, geom, R, S)
             dR += f_R
             dS += f_S
-        return f
+        return f, tame
 
     def _minmod_slopes(self, q):
         """Minmod-limited slopes of q per cell (undivided by h), zero at both ends.
@@ -426,13 +435,13 @@ class Stepper:
         a, b = state.live
         if a == b:
             return 0, 0
-        return max(a - self.reach, 0), min(b + self.reach, self.grid.n)
+        return max(a - self.reach, 0), min(b + self.reach, self._n)
 
     def _clamp_boundary(self, fields, lo, hi):
         """Quiescent state on the grid's end nodes that lie in the window [lo, hi)."""
         if lo == 0 < hi:
             fields[:, :1] = self._rest
-        if lo < hi == self.grid.n:
+        if lo < hi == self._n:
             fields[:, -1:] = self._rest
 
     def _check_table(self, u, t: float, state: GridState) -> None:
@@ -448,21 +457,20 @@ class Stepper:
         w = slice(lo, hi)
         prev = state.window(lo, hi)
         # stored range: the window padded by the reach holds the next window
-        s_lo, s_hi = max(lo - self.reach, 0), min(hi + self.reach, self.grid.n)
+        s_lo, s_hi = max(lo - self.reach, 0), min(hi + self.reach, self._n)
         new = np.empty((3, s_hi - s_lo))
-        new[:, : lo - s_lo] = self._rest
-        new[:, hi - s_lo :] = self._rest
+        new[:, : lo - s_lo] = new[:, hi - s_lo :] = self._rest
         fields = new[:, lo - s_lo : hi - s_lo]
         # overflow in intermediates is caught by the finite check below
         with np.errstate(over="ignore", invalid="ignore"):
             self._check_table(prev[0], state.t, state)
-            f = self._increments(prev, w, dt, state.tame)
+            f, tame = self._increments(prev, w, dt, state.tame)
             np.add(prev, f, out=fields)
             self._clamp_boundary(fields, lo, hi)
-            if self.cfg.scheme == "muscl2":
+            if not self._upwind:
                 # (q + q1 + dt f(q1)) / 2, summed in that order
                 self._check_table(fields[0], state.t + dt, state)
-                f = self._increments(fields, w, dt)
+                f = self._increments(fields, w, dt)[0]
                 fields += prev
                 fields += f
                 fields *= 0.5
@@ -477,12 +485,11 @@ class Stepper:
         ):
             message = f"non-finite values after step to t={state.t + dt}"
             raise NonFiniteState(message, last_state=state)
-        tame = None
-        if self.cfg.scheme == "upwind1":  # False past the bound, else the input's True or None
-            bounded = -big < R_lo and R_hi < big and -big < S_lo and S_hi < big
-            tame = bounded and (state.tame or None)
-        live = _live_span(fields, self.setup.u0, lo)
-        return GridState(state.t + dt, new, live, s_lo, self.grid.n, self.setup.u0, tame)
+        # upwind1: False past the bound, else the input's record or scan, True or None
+        bounded = -big < R_lo and R_hi < big and -big < S_lo and S_hi < big
+        tame = bounded and (tame or None) if self._upwind else None
+        live = _live_span(fields, self._u0_bits, lo)
+        return GridState(state.t + dt, new, live, s_lo, self._n, self.setup.u0, tame)
 
     def march(
         self, state: GridState, t_end: float, observers: tuple = (), max_steps: int | None = None

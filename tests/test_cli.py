@@ -38,7 +38,7 @@ from varwave.cli import SnapshotTable, build_scheme, build_setup, main, write_cs
 from varwave.diagnostics import EnergyObserver
 from varwave.initial_data import PolynomialBump, ProblemSetup, auto_domain
 from varwave.riemann_core import from_riemann
-from varwave.solver import SCHEMES, Grid, GridState, SchemeConfig, _live_span, run
+from varwave.solver import SCHEMES, Grid, GridState, SchemeConfig, _float_bits, _live_span, run
 from varwave.speed_models import ConstantSpeed, OseenFrankSpeed
 
 SQRT2 = math.sqrt(2.0)
@@ -484,6 +484,37 @@ class TestConvergence:
             for key in ("u", "R", "S"):
                 assert bits(getattr(got.last, key)) == bits(getattr(result.state, key))
 
+    def test_each_grid_starts_from_one_checked_initial_state(self, tmp_path, monkeypatch):
+        # one init_state per grid, every grid's E(0) checked before the first
+        # step, and each march starts from the state that was checked
+        events, checked, marched = [], [], []
+        init, check, march = cli.init_state, cli.check_initial_energy, cli.Stepper.march
+
+        def counted_init(setup, grid):
+            events.append(("init", grid.n))
+            return init(setup, grid)
+
+        def counted_check(energy, state):
+            events.append(("check", energy.grid.n))
+            checked.append(state)
+            return check(energy, state)
+
+        def counted_march(self, state, *args):
+            events.append(("march", self.grid.n))
+            marched.append(state)
+            return march(self, state, *args)
+
+        monkeypatch.setattr(cli, "init_state", counted_init)
+        monkeypatch.setattr(cli, "check_initial_energy", counted_check)
+        monkeypatch.setattr(cli.Stepper, "march", counted_march)
+        path = write_config(tmp_path, ci_config("convergence"))
+        assert main(["convergence", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+        sizes = (256, 512, 1024)
+        assert events == [(e, n) for n in sizes for e in ("init", "check")] + [
+            ("march", n) for n in sizes
+        ]
+        assert len(marched) == 3 and all(m is c for m, c in zip(marched, checked))
+
     # the CI grids of 256, 512 and 1024 nodes take 41, 82 and 164 steps to
     # t_compare = 0.3; the first grid in n_list that runs out is named
     @pytest.mark.parametrize("max_steps, short", [(0, 256), (81, 512), (163, 1024), (164, None)])
@@ -686,7 +717,7 @@ class TestSnapshotTable:
             u, R, S = np.full(N_SNAP, other), np.zeros(N_SNAP), np.zeros(N_SNAP)
             R[6:9] = 0.25
             fields = np.array([u, R, S])
-            live = _live_span(fields, setup.u0)
+            live = _live_span(fields, _float_bits(setup.u0))
             assert live == ((6, 9) if math.copysign(1, other) > 0 else (0, N_SNAP))
             self.assert_table_matches(tmp_path, grid, setup, [GridState(0.5, fields, live)])
 

@@ -440,6 +440,36 @@ class TestEnergyObserver:
         cells = np.trapezoid((states[0].R**2 + states[0].S**2)[a - 1:b + 1], grid.r[a - 1:b + 1])
         assert cells != want[0]
 
+    def test_standing_buffer_gives_each_energy_of_a_march(self, gentle_setup):
+        # one observer over a march whose live range grows, then over states
+        # cut from its last one whose range shrinks to one node and empties:
+        # what a wider state left in the (2, n) buffer reaches no later E
+        grid = Grid.uniform(*gentle_setup.domain, 256)
+        n, u0 = grid.n, gentle_setup.u0
+        w = diagnostics._node_weights(grid.r)
+        states = [init_state(gentle_setup, grid)]
+        states += Stepper(gentle_setup, grid, SchemeConfig()).march(states[0], 0.2)
+        last = states[-1]
+        a, b = last.live
+        for lo, hi in ((a + 10, b - 10), (a + 40, a + 41), (a + 40, a + 40)):
+            fields = np.array([last.u, last.R, last.S])
+            fields[:, :lo], fields[:, hi:] = [[u0], [0.0], [0.0]], [[u0], [0.0], [0.0]]
+            states.append(GridState(last.t, fields[:, lo - 1 : hi + 1], (lo, hi), lo - 1, n, u0))
+        widths = [b - a for a, b in (st.live for st in states)]
+        assert widths[0] < widths[-4] and widths[-4] > widths[-3] > widths[-2] == 1
+        obs = EnergyObserver(grid)
+        for st in states:
+            obs(st)
+        want = []
+        for st in states:
+            a, b = st.live
+            R, S = st.R[a:b], st.S[a:b]
+            want.append(np.add.reduce(w[a:b] * (R * R + S * S)))
+        np.testing.assert_array_equal(
+            np.asarray(obs.E).view(np.uint64), np.asarray(want).view(np.uint64)
+        )
+        assert obs.E[-1] == 0.0 and not math.copysign(1.0, obs.E[-1]) < 0.0
+
     def test_energy_of_a_live_range_past_ten_thousand_nodes(
         self, gentle_setup, node_weighted_energy
     ):

@@ -1,4 +1,4 @@
-"""The sha256 of every artifact of five small d = 1 constant-speed commands.
+"""The sha256 of every artifact of six small d = 1 constant-speed commands.
 
 In d = 1 at a constant speed the march uses only +, -, * and / (r^0 = 1,
 and no np.tan), so its bits do not follow numpy's CPU dispatch: the
@@ -32,6 +32,7 @@ TRANSPORT = {
 CONVERGENCE = dict(
     TRANSPORT, experiment={"kind": "convergence", "n_list": [64, 128, 256], "t_compare": 0.3}
 )
+TRIANGLE = {"kind": "triangle", "r1": 0.9, "r2": 1.1}
 # run name: (command, config), each run with --svg
 RUNS = {
     "simulate": ("simulate", TRANSPORT),
@@ -40,8 +41,9 @@ RUNS = {
     "eps_sweep": (
         "eps-sweep", dict(TRANSPORT, experiment={"kind": "eps_sweep", "eps_list": [0.1, 0.05]})
     ),
-    "triangle": (
-        "triangle", dict(TRANSPORT, experiment={"kind": "triangle", "r1": 0.9, "r2": 1.1})
+    "triangle": ("triangle", dict(TRANSPORT, experiment=TRIANGLE)),
+    "triangle_muscl2": (
+        "triangle", dict(TRANSPORT, scheme={"scheme": "muscl2"}, experiment=TRIANGLE)
     ),
 }
 # the runs that write a snapshot table, run once more with two CPUs
@@ -97,6 +99,14 @@ DIGESTS = {
     "triangle/triangle.json": "06298f541ac8a497f2f4cc44ae1e562e66dbddc28d90dda21ce1c3006c157030",
     "triangle/triangle_paths.svg":
         "929caf86c94c4819c6f259ffef2b94a512b85cf64a405bb4d1c56a73b6d39fcc",
+    "triangle_muscl2/minus_path.csv":
+        "69862935c8106e7d029e13a59142c104859cf5224ee1c0f46c9608c91bd357d3",
+    "triangle_muscl2/plus_path.csv":
+        "d88d87ca09fd0977cba32770cfb9e461f360e45af01dcfebb200923b264ee1bf",
+    "triangle_muscl2/triangle.json":
+        "3770424a9824378f972b23cebaedbfa073ed2977c8ca081dd0df7e9cbe1d3786",
+    "triangle_muscl2/triangle_paths.svg":
+        "5fb969aca109ba1f74ea1413d99b7cf2d90a58803b9b7f813f5aff745c66e03a",
 }
 
 

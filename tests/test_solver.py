@@ -189,7 +189,7 @@ class TestStep:
         u, R, S = initial_riemann(canonical_setup, grid.r)
         S[50], S[51] = 1e300, -1e300
         fields = np.array([u, R, S])
-        state = GridState(0.0, fields, solver._live_span(fields, canonical_setup.u0))
+        state = GridState(0.0, fields, live_span(fields, canonical_setup.u0))
         with pytest.raises(NonFiniteState) as err:
             s = state
             for _ in range(10):
@@ -210,6 +210,11 @@ def window_setup(d):
 
 def bits(a):
     return a.view(np.uint64)
+
+
+def live_span(fields, u0, start=0):
+    """solver._live_span of the (3, m) block fields, given u0 as a float."""
+    return solver._live_span(fields, solver._float_bits(u0), start)
 
 
 @st.composite
@@ -318,7 +323,7 @@ def negative_zero_s_case(d):
     assert np.signbit(S_neg[off]).all() and not np.signbit(S[off]).any()
     np.testing.assert_array_equal(bits(S_neg[~off]), bits(S[~off]))
     fields = np.array([u, R, S_neg])
-    return setup, grid, state, GridState(0.0, fields, solver._live_span(fields, setup.u0))
+    return setup, grid, state, GridState(0.0, fields, live_span(fields, setup.u0))
 
 
 def assert_window_steps_equal_full_grid_steps(setup, got, scheme, steps):
@@ -430,9 +435,9 @@ class TestLiveWindow:
         scanned = []
         span = solver._live_span
 
-        def counting_span(fields, u0, start=0):
+        def counting_span(fields, u0_bits, start=0):
             scanned.append(fields.shape[1])
-            return span(fields, u0, start)
+            return span(fields, u0_bits, start)
 
         monkeypatch.setattr(solver, "_live_span", counting_span)
         lo, hi = stepper._window(state)
@@ -825,7 +830,8 @@ class TestConstantSpeedFloats:
         arrays = Stepper(with_array_speed(setup), grid, cfg)
         with np.errstate(all="ignore"):
             got, want = (
-                s._increments(state.fields, slice(0, grid.n), s.base_dt) for s in (floats, arrays)
+                s._increments(state.fields, slice(0, grid.n), s.base_dt)[0]
+                for s in (floats, arrays)
             )
         np.testing.assert_array_equal(bits(got), bits(want))
         assert floats._base[1] is not None and arrays._base[1] is None
@@ -845,7 +851,7 @@ class TestConstantSpeedFloats:
         fields = np.array([np.full(n, setup.u0), np.zeros(n), np.zeros(n)])
         fields[:, 10:20] += np.random.default_rng(0).uniform(-1.0, 1.0, (3, 10))
         fields[row, [15, 23]] = value
-        state = GridState(0.0, fields, solver._live_span(fields, setup.u0))
+        state = GridState(0.0, fields, live_span(fields, setup.u0))
         grid = Grid.uniform(*setup.domain, n)
         cfg = SchemeConfig(scheme=scheme)
         floats = Stepper(setup, grid, cfg)
@@ -862,7 +868,7 @@ class TestConstantSpeedFloats:
         grid = Grid.uniform(*setup.domain, 16)
         fields = np.array([np.full(16, setup.u0), np.zeros(16), np.zeros(16)])
         fields[2, 8] = -5e-324
-        state = GridState(0.0, fields, solver._live_span(fields, setup.u0))
+        state = GridState(0.0, fields, live_span(fields, setup.u0))
         cfg = SchemeConfig(scheme="muscl2")
         floats = Stepper(setup, grid, cfg)
         got = [floats.step(state)]
@@ -1013,7 +1019,7 @@ class TestCarriedRecord:
         fields = np.array([np.full(32, setup.u0), np.zeros(32), np.zeros(32)])
         x = 0.999 * 2.0**512
         fields[1, 10:20], fields[2, 10:20] = x, sign * x
-        state = GridState(0.0, fields, solver._live_span(fields, setup.u0), tame=True)
+        state = GridState(0.0, fields, live_span(fields, setup.u0), tame=True)
         grid = Grid.uniform(*setup.domain, 32)
         got = Stepper(setup, grid, SchemeConfig()).step(state)
         R, S = got.R, got.S
@@ -1040,6 +1046,30 @@ class TestCarriedRecord:
         assert rhs_calls
         assert len(states) == (4 if value == 0.0 else 1)
 
+    @pytest.mark.parametrize("record", [None, False], ids=["unknown", "not-tame"])
+    def test_a_scan_that_finds_the_input_tame_seeds_the_record(
+        self, monkeypatch, rhs_calls, record
+    ):
+        # d = 1, c = 1: a tame state recorded None, or a state with one -0.0
+        # of S recorded False, whose first step keeps the zero sources that
+        # turn the -0.0 into +0.0 and records None.  The one stage that
+        # meets None scans, finds the input tame and records the bound, so
+        # ten steps make one scan
+        setup = transport_setup()
+        grid = Grid.uniform(*setup.domain, 256)
+        fields = init_state(setup, grid).fields.copy()
+        if record is False:
+            fields[2, 100] = -0.0
+        state = GridState(0.0, fields, live_span(fields, setup.u0), tame=record)
+        assert tame(fields) is (record is None)
+        scans = []
+        needed = solver._source_needed
+        monkeypatch.setattr(solver, "_source_needed", lambda q: scans.append(q.shape) or needed(q))
+        states = march_as_reference(setup, grid, "upwind1", state, 10)
+        first = [None] if record is False else []
+        assert len(states) == 11 and len(scans) == 1 and len(rhs_calls) == len(first)
+        assert [s.tame for s in states[1:]] == first + [True] * (10 - len(first))
+
     def test_halved_subnormal_leaves_a_muscl2_record_unknown(self, monkeypatch, rhs_calls):
         # a lone S = -5e-324 in a tame initial state: the muscl2 halving
         # leaves a -0.0, so the step's record is None, and the next step,
@@ -1064,10 +1094,47 @@ LIVE_VALUES = ((0, 0.75), (1, 1e-310), (2, -0.0), (0, np.nan))
 LIVE_IDS = ("u", "R-subnormal", "S-negative-zero", "u-nan")
 
 
+def bit_values(x):
+    """The bits of x, of the next floats either side of it, of the other
+    signed zero, of subnormals either way and of NaNs with payloads."""
+    near = (np.nextafter(x, np.inf), np.nextafter(x, -np.inf), -x, 5e-324, -5e-324, 2.2e-308)
+    nans = (0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0x7FF8000000000ABC)
+    return [solver._float_bits(v) for v in near] + list(nans)
+
+
+@st.composite
+def live_blocks(draw):
+    """(u0, (3, m) block, start): quiescent but for its first and last live
+    node, each at an offset of 0-10 from its end, and a few nodes between;
+    each live node holds one of bit_values in one row; or no live node."""
+    u0 = draw(st.sampled_from((0.0, -0.0, 0.5)))
+    m = draw(st.integers(0, 40))
+    fields = np.array([np.full(m, u0), np.zeros(m), np.zeros(m)])
+    view = fields.view(np.uint64)
+    if m and draw(st.booleans()):
+        head = min(draw(st.integers(0, 10)), m - 1)
+        tail = max(m - 1 - draw(st.integers(0, 10)), head)
+        inside = st.integers(head, tail)
+        for i in {head, tail, *draw(st.lists(inside, max_size=3))}:
+            row = draw(st.integers(0, 2))
+            view[row, i] = draw(st.sampled_from(bit_values(u0 if row == 0 else 0.0)))
+    return u0, fields, draw(st.integers(0, 5))
+
+
 class TestLiveSpan:
     """The edge walk of _live_span returns the range of the plain scan."""
 
     U0 = 0.5
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(live_blocks())
+    def test_walk_equals_the_mask_scan(self, case):
+        # a walk that compares floats, or caches u0's bits by value (0.0 ==
+        # -0.0), or misses a payload NaN or a signed zero, fails here
+        u0, fields, start = case
+        a, b = mask_span(*fields, u0)
+        want = (start + a, start + b) if a < b else (0, 0)
+        assert live_span(fields, u0, start) == want
 
     def quiescent(self, m):
         return np.full(m, self.U0), np.zeros(m), np.zeros(m)
@@ -1078,7 +1145,7 @@ class TestLiveSpan:
     def test_live_ends_at_any_offset(self, head, tail, row, value):
         fields = self.quiescent(64)
         fields[row][head] = fields[row][63 - tail] = value
-        span = solver._live_span(np.array(fields), self.U0)
+        span = live_span(np.array(fields), self.U0)
         assert span == mask_span(*fields, self.U0) == (head, 64 - tail)
 
     @pytest.mark.parametrize("m", [1, 2, WALK, 2 * WALK - 1, 2 * WALK + 1, 64])
@@ -1088,21 +1155,21 @@ class TestLiveSpan:
         fields = self.quiescent(m)
         i = round(where * (m - 1))
         fields[row][i] = value
-        span = solver._live_span(np.array(fields), self.U0)
+        span = live_span(np.array(fields), self.U0)
         assert span == mask_span(*fields, self.U0) == (i, i + 1)
 
     @pytest.mark.parametrize("m", [0, 1, WALK, 3 * WALK])
     def test_quiescent_array_has_no_live_range(self, m):
-        assert solver._live_span(np.array(self.quiescent(m)), self.U0) == (0, 0)
-        assert solver._live_span(np.array(self.quiescent(m)), self.U0, 5) == (0, 0)
+        assert live_span(np.array(self.quiescent(m)), self.U0) == (0, 0)
+        assert live_span(np.array(self.quiescent(m)), self.U0, 5) == (0, 0)
 
     @pytest.mark.parametrize("u0", [0.0, -0.0], ids=["+0", "-0"])
     @pytest.mark.parametrize("i", [0, WALK, 40, 63])
     def test_other_signed_zero_of_u_is_live(self, u0, i):
         u, R, S = np.full(64, u0), np.zeros(64), np.zeros(64)
         u[i] = -u0
-        assert solver._live_span(np.array([u, R, S]), u0) == mask_span(u, R, S, u0) == (i, i + 1)
-        assert solver._live_span(np.array([u, R, S]), u0, 7) == (7 + i, 8 + i)
+        assert live_span(np.array([u, R, S]), u0) == mask_span(u, R, S, u0) == (i, i + 1)
+        assert live_span(np.array([u, R, S]), u0, 7) == (7 + i, 8 + i)
 
 
 class TestTransportRegression:
