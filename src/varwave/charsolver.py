@@ -42,11 +42,13 @@ followed by a corrector with chord-averaged coefficients.
 Nodes.  N feet x_0 < ... < x_{N-1} lie on a foot interval: evenly spaced on
 the support [r0 - eps, r0 + eps] of the data and graded off it, each cell
 larger than its inner neighbour by the factor exp(GRADING/(N-1)), so the
-map from labels to feet is smooth and every cell shrinks under refinement.  The interval
-ends, the support edges and any anchor radius are feet.  Node (i, j) is
-where the minus line from x_i meets the plus line from x_j (j <= i); both
-of its predecessors (i-1, j) and (i, j+1) lie on diagonal i-j-1, so each
-diagonal is one vectorised sweep of the determinacy domain of the feet.
+map from labels to feet is smooth and every cell shrinks under refinement.
+The interval ends, the support edges and any anchor radius are feet.  The
+support spacing is bisected in units of eps, so a power-of-two scaling of
+r0, eps and the interval scales the feet bit for bit.  Node (i, j) is where
+the minus line from x_i meets the plus line from x_j (j <= i); both of its
+predecessors (i-1, j) and (i, j+1) lie on diagonal i-j-1, so each diagonal
+is one vectorised sweep of the determinacy domain of the feet.
 
 Detection.  |S|/r^alpha >= ceiling is |Sn| >= ceiling r^alpha Sd.  Sd > 0
 until z first reaches +-pi, so a node where z has passed pi since its
@@ -61,6 +63,7 @@ detecting node is kept whatever its t: its successors may detect earlier.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,15 +151,15 @@ def place_nodes(
         ms = [g.m(b) for b in breaks]
         return g, ms, np.diff(ms)
 
-    # the total cell count falls as the support spacing grows
-    a, b = math.log(1e-300), math.log(hi - lo)
+    # the cell count falls as the support spacing eps e^m grows; m's bracket is finite at any eps
+    a, b = math.log(1e-300), math.log(min((hi - lo) / setup.eps, sys.float_info.max))
     for _ in range(200):
         mid = 0.5 * (a + b)
-        if counts(math.exp(mid))[2].sum() > n - 1:
+        if counts(setup.eps * math.exp(mid))[2].sum() > n - 1:
             a = mid
         else:
             b = mid
-    g, ms, span = counts(math.exp(b))
+    g, ms, span = counts(setup.eps * math.exp(b))
     cells = np.maximum(np.rint(span).astype(int), 1)
     while cells.sum() != n - 1:
         i = int(np.argmax(cells))
@@ -210,13 +213,11 @@ class _Diagonal:
 
     def derive(self, setup: ProblemSetup) -> "_Diagonal":
         c, c_prime = setup.speed.c_and_c_prime(self.u)
-        alpha = setup.alpha
-        ralpha = self.r if alpha == 1.0 else self.r**alpha
         # a speed that does not depend on u may be a float; take slices c
-        self.c, self.ralpha = np.broadcast_to(c, self.u.shape), ralpha
-        self.A = c_prime / (8.0 * c * c * ralpha)
-        self.G = (alpha / 4.0) / self.r
-        den = 2.0 * c * ralpha
+        self.c, self.ralpha = np.broadcast_to(c, self.u.shape), self.r**setup.alpha
+        self.A = c_prime / (8.0 * c * c * self.ralpha)
+        self.G = (setup.alpha / 4.0) / self.r
+        den = 2.0 * c * self.ralpha
         self.ux = self.Rn * self.Rd / den
         self.uy = self.Sn * self.Sd / den
         return self

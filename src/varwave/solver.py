@@ -343,8 +343,7 @@ class Stepper:
         self.speed: WaveSpeedModel = setup.speed
         self.alpha = setup.alpha
         self.h = grid.h
-        # r^alpha via exp(alpha*ln r), cached once; alpha is non-integer for even d
-        self.ralpha = np.exp(self.alpha * np.log(grid.r)) if self.alpha else np.ones_like(grid.r)
+        self.ralpha = grid.r**self.alpha
         self.inv_r = 1.0 / grid.r
         self.base_dt = cfg.cfl_step(grid, setup.speed)
         # Stencil reach of one step in nodes: an upwind1 stage reads i-1..i+1,

@@ -91,13 +91,18 @@ class TestPlaceNodes:
         assert np.max(np.maximum(growth, 1.0 / growth)) <= math.exp(GRADING / (n - 1)) + 1e-9
 
     def test_collapsed_feet_raise(self, canonical_speed):
-        # at eps = 1e-16 the support's feet round onto 233 floats of 256;
-        # at 1e-12 all 8192 stay distinct
+        # at eps = 1e-16 the support's feet round onto 233 floats of 256,
+        # at 1e-307 and at the subnormal 5e-324 onto 232, where (hi - lo)/eps
+        # is capped at the largest float (a bisection bracket of inf makes
+        # invalid values); at 1e-12 all 8192 stay distinct
         def setup(eps):
             return ProblemSetup.theorem(d=3, r0=1.0, eps=eps, u0=np.pi / 4, speed=canonical_speed)
 
-        with pytest.raises(HypothesisViolated, match=r"^feet collapse: 233 distinct of 256 feet"):
-            blowup_sweep(setup(1e-16), 256)
+        for eps, distinct in ((1e-16, 233), (1e-307, 232), (5e-324, 232)):
+            with pytest.raises(
+                HypothesisViolated, match=rf"^feet collapse: {distinct} distinct of 256 feet"
+            ):
+                blowup_sweep(setup(eps), 256)
         fine = setup(1e-12)
         nodes = place_nodes(fine, 8192, *fine.domain, anchors=(fine.r0,))
         assert np.all(np.diff(nodes.x) > 0)

@@ -1372,10 +1372,9 @@ TINY_CONSTANT = {"r0": 1e-300, "eps": 4e-301, "speed": {"c": 1e20}, "profile": _
 CFL_STEP_UNDERFLOW = "the time step cfl*h/c1 = 0.0 is not a positive finite float"
 
 
-# The exit-1 configs of the CI workflow (their names there) and the
-# float-range cases, each (command, CI config, changes, the stderr line after
-# "varwave: invalid configuration: ").  The CI keeps one config per message
-# family and runs it through python -m varwave.cli.
+# The exit-1 configs, one per message family, and the float-range cases,
+# each (command, CI config, changes, the stderr line after
+# "varwave: invalid configuration: ").
 EXIT_1_CASES = {
     "bad_d": ("simulate", "simulate", {"setup": {"d": 3.5}}, "setup.d must be an integer, got 3.5"),
     "bad_t_compare": ("convergence", "convergence", {"experiment": {"t_compare": [0.1]}},

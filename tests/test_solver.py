@@ -503,7 +503,7 @@ class ReferenceStepper:
     def __init__(self, setup, grid, scheme):
         self.setup, self.scheme, self.h = setup, scheme, grid.h
         self.speed, self.alpha = setup.speed, setup.alpha
-        self.ralpha = np.exp(self.alpha * np.log(grid.r)) if self.alpha else np.ones_like(grid.r)
+        self.ralpha = grid.r**self.alpha
         self.inv_r = 1.0 / grid.r
 
     def rhs_fields(self, c, c_prime, R, S, dt):
