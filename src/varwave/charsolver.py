@@ -58,6 +58,12 @@ the smallest t over detecting nodes; the sweep goes on until every node
 of the current diagonal lies at or beyond it and none detects.  Near
 z = pi the computed t can fall from a node to its successor, so a
 detecting node is kept whatever its t: its successors may detect earlier.
+
+Observers.  ``march`` calls each observer as ``observer(k, lo, D)`` with the
+feet (k = 0, lo = 0), then with each diagonal once it is checked finite and
+its detection counted, before the nodes beyond the stop time are dropped.
+Entry p of diagonal k is node (j + k, j), j = lo + p.  An observer may read
+D's arrays t, r, u, Rn, Rd, Sn and Sd and must not write them.
 """
 
 from __future__ import annotations
@@ -333,6 +339,27 @@ class CharLine:
         return 0.5 * float(np.trapezoid(f * f, self.label))
 
 
+class Line:
+    """Observer recording the plus or the minus line from a foot, which must
+    be a node; ``line()`` returns the nodes seen so far."""
+
+    def __init__(self, family: str, nodes: CharNodes, r_foot: float):
+        if family not in ("plus", "minus"):
+            raise ValueError("family must be 'plus' or 'minus'")
+        self.family, self.label, self.f = family, nodes.label, nodes.index(r_foot)
+        self.rows = []
+
+    def __call__(self, k: int, lo: int, D: _Diagonal) -> None:
+        j = self.f if self.family == "plus" else self.f - k
+        if lo <= j < lo + D.t.size:  # so j >= 0, as lo >= 0
+            lab = self.label[j + k] if self.family == "plus" else -self.label[j]
+            self.rows.append((lab, *(getattr(D, name)[j - lo] for name in D.FIELDS)))
+
+    def line(self) -> CharLine:
+        arr = np.array(self.rows, dtype=float).reshape(-1, 8)
+        return CharLine(self.family, *arr.T)
+
+
 @dataclass(frozen=True)
 class CharRun:
     """Outcome of a sweep; the detection fields mirror ``solver.RunResult``.
@@ -351,14 +378,6 @@ class CharRun:
     gradient_ceiling: float
     initial_gradient: float
     peak_gradient: float
-    lines: dict
-
-    def line(self, family: str, r_foot: float) -> CharLine:
-        return self.lines[(family, self.nodes.index(r_foot))]
-
-    def samples(self, family: str, r_foot: float) -> PathSamples:
-        """Path samples of a recorded line before the detection time."""
-        return self.line(family, r_foot).samples(self.t_detect if self.detected else math.inf)
 
 
 def _initial_diagonal(setup: ProblemSetup, nodes: CharNodes) -> _Diagonal:
@@ -380,15 +399,14 @@ def gradient(Sn, Sd, ralpha):
 def march(
     setup: ProblemSetup,
     nodes: CharNodes,
-    lines=(),
+    observers=(),
     t_end: float = math.inf,
     stop_at_detection: bool = True,
 ) -> CharRun:
     """Sweep the determinacy domain of the feet diagonal by diagonal.
 
-    ``lines`` names the recorded lines as (family, r_foot) pairs: the plus
-    or the minus line from a foot, which must be a node.  Nodes at or
-    beyond the stop time (t_end, and the detection time when
+    The observers see each diagonal (module docstring).  Nodes at or beyond
+    the stop time (t_end, and the detection time when
     ``stop_at_detection``) that do not detect are dropped from the ends of
     each diagonal, so both settings report the same detection.  The
     sweep ends with reason "gradient_ceiling" when it stopped at a
@@ -398,36 +416,19 @@ def march(
     maximum over the feet.  Raises NonFiniteState if a node whose
     predecessors lie before the stop time is not finite.
     """
-    n = nodes.n
-    want = []
-    for fam, r in lines:
-        if fam not in ("plus", "minus"):
-            raise ValueError("family must be 'plus' or 'minus'")
-        want.append((fam, nodes.index(r)))
-    label = nodes.label
+    n, label = nodes.n, nodes.label
 
     D = _initial_diagonal(setup, nodes)
     g0 = float(np.max(gradient(D.Sn, D.Sd, D.ralpha)))
     gradient_ceiling = default_ceiling(g0)
     peak = g0
 
-    records = {key: [] for key in want}
-
-    def record(D: _Diagonal, k: int, lo: int):
-        for fam, f in want:
-            j = f if fam == "plus" else f - k
-            pos = j - lo
-            if 0 <= pos < D.t.size and j >= 0:
-                lab = label[f + k] if fam == "plus" else -label[j]
-                records[(fam, f)].append(
-                    (lab, D.t[pos], D.r[pos], D.u[pos], D.Rn[pos], D.Rd[pos], D.Sn[pos], D.Sd[pos])
-                )
-
     t_stop = t_end
     t_detect = r_detect = None
     lo = 0  # foot index j of the first active node
     k = 0
-    record(D, 0, 0)
+    for obs in observers:
+        obs(0, 0, D)
     while k < n - 1 and D.t.size > 1:
         m = D.t.size
         j = np.arange(lo, lo + m - 1)
@@ -453,7 +454,8 @@ def march(
         upto = t_node <= t_stop
         if upto.any():
             peak = max(peak, float(np.max(g[upto])))
-        record(D, k, lo)
+        for obs in observers:
+            obs(k, lo, D)
         live = np.nonzero((t_node < t_stop) | hit)[0]
         if live.size < D.t.size:
             a, b = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
@@ -464,10 +466,6 @@ def march(
         reason = "gradient_ceiling"
     else:
         reason = "apex" if k == n - 1 else "t_final"
-    out = {}
-    for key, rows in records.items():
-        arr = np.array(rows, dtype=float).reshape(-1, 8)
-        out[key] = CharLine(key[0], *arr.T)
     return CharRun(
         nodes=nodes,
         diagonals=k,
@@ -478,15 +476,16 @@ def march(
         gradient_ceiling=gradient_ceiling,
         initial_gradient=g0,
         peak_gradient=peak,
-        lines=out,
     )
 
 
-def blowup_sweep(setup: ProblemSetup, n: int) -> CharRun:
-    """Detection sweep to t_final with the hat line (the plus line from r0).
-
-    The N feet span the setup domain, so the sweep covers its determinacy
-    domain up to t_final unless a detection stops it earlier.
+def blowup_sweep(setup: ProblemSetup, n: int) -> tuple[CharRun, PathSamples]:
+    """Detection sweep to t_final and the hat line (the plus line from r0)
+    sampled before the detection time: the N feet span the setup domain, so
+    the sweep covers its determinacy domain up to t_final unless a detection
+    stops it earlier.
     """
     nodes = place_nodes(setup, n, *setup.domain, anchors=(setup.r0,))
-    return march(setup, nodes, lines=[("plus", setup.r0)], t_end=setup.t_final)
+    hat = Line("plus", nodes, setup.r0)
+    run = march(setup, nodes, (hat,), t_end=setup.t_final)
+    return run, hat.line().samples(run.t_detect if run.detected else math.inf)

@@ -389,12 +389,13 @@ def characteristic_triangle_identity(
     the solution is the conservative one.  Same preconditions as
     ``triangle_identity``, and the same return value.
     """
-    from .charsolver import march, place_nodes
+    from .charsolver import Line, march, place_nodes
 
     _check_feet(setup, r1, r2)
     nodes = place_nodes(setup, n, r1, r2)
-    run_ = march(setup, nodes, lines=[("plus", r1), ("minus", r2)], stop_at_detection=False)
-    plus, minus = run_.line("plus", r1), run_.line("minus", r2)
+    lines = Line("plus", nodes, r1), Line("minus", nodes, r2)
+    march(setup, nodes, lines, stop_at_detection=False)
+    plus, minus = (line.line() for line in lines)
     lhs = plus.energy_flux() + minus.energy_flux()
     _, R0, S0 = initial_riemann(setup, nodes.x)
     rhs = 0.5 * float(np.trapezoid((R0 * R0 + S0 * S0) / nodes.rho, nodes.label))

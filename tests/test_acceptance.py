@@ -59,7 +59,7 @@ from varwave import (
     run,
     u_drift_along,
 )
-from varwave.charsolver import march, place_nodes
+from varwave.charsolver import Line, march, place_nodes
 from varwave.diagnostics import EnergyObserver
 
 SQRT2 = math.sqrt(2.0)
@@ -82,8 +82,7 @@ def canonical_setup(eps):
 def hat_monitors(setup, n):
     """Characteristic-coordinate sweep with the hat-path monitors, N feet."""
     constants = compute_constants(setup)
-    result = blowup_sweep(setup, n)
-    hat = result.samples("plus", setup.r0)
+    result, hat = blowup_sweep(setup, n)
     return {
         "result": result,
         "hat": hat,
@@ -221,15 +220,16 @@ class TestCriterion3:
 
 @pytest.fixture(scope="module")
 def triangle_passage():
-    """Full sweeps (no stop at detection) of criterion 4's triangle on 512 and 1024 feet."""
+    """Full sweeps (no stop at detection) of criterion 4's triangle on 512 and
+    1024 feet, each with its plus line from 0.85 and minus line from 1.15."""
     setup = canonical_setup(0.1)
-    return {
-        n: march(
-            setup, place_nodes(setup, n, 0.85, 1.15),
-            lines=[("plus", 0.85), ("minus", 1.15)], stop_at_detection=False,
-        )
-        for n in (512, 1024)
-    }
+    out = {}
+    for n in (512, 1024):
+        nodes = place_nodes(setup, n, 0.85, 1.15)
+        plus, minus = Line("plus", nodes, 0.85), Line("minus", nodes, 1.15)
+        res = march(setup, nodes, (plus, minus), stop_at_detection=False)
+        out[n] = res, plus.line(), minus.line()
+    return out
 
 
 class TestCriterion4:
@@ -238,9 +238,9 @@ class TestCriterion4:
         # t = 0.120 / 0.124; the first detection's r moves from 1.035 to
         # 1.096 between the grids, so it is not pinned
         t_detect = {}
-        for n, res in triangle_passage.items():
-            apex = res.line("plus", 0.85).t[-1]
-            assert res.reason == "apex" and apex == res.line("minus", 1.15).t[-1]
+        for n, (res, plus, minus) in triangle_passage.items():
+            apex = plus.t[-1]
+            assert res.reason == "apex" and apex == minus.t[-1]
             assert res.detected and math.isinf(res.peak_gradient)
             assert res.t_detect < apex / 5.0
             t_detect[n] = res.t_detect
@@ -268,7 +268,7 @@ class TestCriterion4:
             f"{residuals[2048]:.3e}/{residuals[4096]:.3e}/{residuals[8192]:.3e}, "
             f"refinement order {order:.3f} (need residual<=0.08 at N=4096, "
             f"order>=0.9), apex t_m={rep.t_m:.4f}, through the z = pi passage "
-            f"at t={triangle_passage[1024].t_detect:.4f} inside the triangle"
+            f"at t={triangle_passage[1024][0].t_detect:.4f} inside the triangle"
             + ("" if ok else "; fails: " + "; ".join(causes)),
         )
         assert residuals[4096] <= 0.08, "triangle residual above 8% at N=4096"

@@ -7,6 +7,7 @@ that falls between two nodes.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,11 +26,13 @@ from varwave import (
     TabulatedSpeed,
     blowup_sweep,
     characteristic_triangle_identity,
+    charsolver,
     initial_riemann,
     run,
 )
 from varwave.charsolver import (
     GRADING,
+    Line,
     gradient,
     linear_flow,
     march,
@@ -120,7 +123,12 @@ class TestPlaceNodes:
     def test_line_family_other_than_plus_or_minus_rejected(self, gentle_setup):
         nodes = place_nodes(gentle_setup, 64, 0.7, 1.3, anchors=(1.0,))
         with pytest.raises(ValueError, match=r"^family must be 'plus' or 'minus'$"):
-            march(gentle_setup, nodes, lines=[("plus", 1.0), ("zero", 1.0)])
+            Line("zero", nodes, 1.0)
+
+    def test_line_foot_that_is_no_node_rejected(self, gentle_setup):
+        nodes = place_nodes(gentle_setup, 64, 0.7, 1.3, anchors=(1.0,))
+        with pytest.raises(ValueError, match=r"^r=1\.0001 is not a node$"):
+            Line("plus", nodes, 1.0001)
 
     def test_label_density_matches_label_steps(self, gentle_setup):
         # rho = dX/dx: the trapezoid rule over each cell gives its label step
@@ -131,16 +139,70 @@ class TestPlaceNodes:
         assert np.max(np.abs(trapezoid / steps - 1.0)) <= 1e-4
 
 
+class Seen:
+    """Observer that keeps (k, lo, size, t) of each diagonal it is shown."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, k, lo, D):
+        assert all(getattr(D, name).size == D.t.size for name in D.FIELDS)
+        self.calls.append((k, lo, D.t.size, D.t.copy()))
+
+
+class TestObservers:
+    def test_apex_sweep_shows_every_diagonal_whole(self, transport_setup):
+        # with no stop time no node is dropped: diagonal k holds n - k nodes
+        nodes = place_nodes(transport_setup, 257, 0.85, 1.15, anchors=(1.0,))
+        seen = Seen()
+        res = march(transport_setup, nodes, (seen,))
+        assert res.reason == "apex" and res.diagonals == 256
+        assert [c[:3] for c in seen.calls] == [(k, 0, 257 - k) for k in range(257)]
+
+    def test_each_diagonal_is_shown_before_the_trim(self, gentle_setup):
+        # nothing detects, so the nodes kept of diagonal k are those from its
+        # first to its last node before t_end: diagonal k + 1 is one shorter
+        nodes = place_nodes(gentle_setup, 200, 0.75, 1.25, anchors=(1.0,))
+        seen = Seen()
+        res = march(gentle_setup, nodes, (seen,), t_end=0.05)
+        assert res.reason == "t_final" and not res.detected
+        ks = [c[0] for c in seen.calls]
+        assert ks == list(range(res.diagonals + 1))
+        trimmed = 0
+        for (_, lo, m, t), (_, lo_next, m_next, _) in zip(seen.calls, seen.calls[1:]):
+            live = np.nonzero(t < 0.05)[0]
+            assert (lo_next, m_next) == (lo + live[0], live[-1] - live[0])
+            assert lo_next >= lo
+            trimmed += m_next < m - 1
+        assert trimmed > 10  # 14 of the 111 diagonals
+
+    def test_diagonal_that_is_not_finite_is_never_shown(self, canonical_setup):
+        # the full sweep of the canonical domain on 1024 feet fails on
+        # diagonal k_fail (1002); the observer saw every diagonal before it, once
+        s = canonical_setup
+        nodes = place_nodes(s, 1024, *s.domain, anchors=(s.r0,))
+        seen = Seen()
+        with mock.patch.object(charsolver, "_failure", wraps=charsolver._failure) as failure:
+            with pytest.raises(NonFiniteState) as info:
+                march(s, nodes, (seen,), t_end=s.t_final, stop_at_detection=False)
+        assert str(info.value) == (
+            "characteristic grid under-resolved: the flow across one cell overflows "
+            "at t=0.43010108308221756, r=0.8462498922429157"
+        )
+        k_fail = failure.call_args.args[-1]
+        assert [c[0] for c in seen.calls] == list(range(k_fail))
+
+
 class TestTransportExact:
     def test_riemann_variables_and_geometry_exact(self, transport_setup):
         nodes = place_nodes(transport_setup, 257, 0.85, 1.15, anchors=(1.0,))
-        res = march(
-            transport_setup, nodes, lines=[("plus", 0.85), ("plus", 1.0), ("minus", 1.15)]
-        )
+        feet = [("plus", 0.85), ("plus", 1.0), ("minus", 1.15)]
+        lines = [Line(family, nodes, r) for family, r in feet]
+        res = march(transport_setup, nodes, lines)
         assert res.reason == "apex" and not res.detected
         x = nodes.x
-        for (family, f), line in res.lines.items():
-            s = line.samples()
+        for (family, r), line in zip(feet, lines):
+            f, s = nodes.index(r), line.line().samples()
             k = np.arange(s.t.size)
             i, j = (f + k, np.full_like(k, f)) if family == "plus" else (np.full_like(k, f), f - k)
             # node (i, j): minus line from x_i meets plus line from x_j
@@ -156,7 +218,9 @@ class TestTransportExact:
         errs = []
         for n in (129, 257, 513):
             nodes = place_nodes(transport_setup, n, 0.85, 1.15, anchors=(1.0,))
-            s = march(transport_setup, nodes, lines=[("plus", 1.0)]).line("plus", 1.0).samples()
+            hat = Line("plus", nodes, 1.0)
+            march(transport_setup, nodes, (hat,))
+            s = hat.line().samples()
             feet = s.r + s.t
             half_R = [
                 0.5 * quad(lambda y: initial_riemann(transport_setup, y)[1], 1.0, xi, points=[1.1])[0]
@@ -170,12 +234,13 @@ class TestTransportExact:
     def test_float_speed_sweep_bitwise_equals_array_speed(self, transport_setup, with_array_speed):
         # ConstantSpeed's float c is broadcast where the sweep slices and averages c
         nodes = place_nodes(transport_setup, 257, 0.85, 1.15, anchors=(1.0,))
-        lines = [("plus", 0.85), ("plus", 1.0), ("minus", 1.0), ("minus", 1.15)]
-        got = march(transport_setup, nodes, lines=lines)
-        want = march(with_array_speed(transport_setup), nodes, lines=lines)
+        feet = [("plus", 0.85), ("plus", 1.0), ("minus", 1.0), ("minus", 1.15)]
+        got_lines, want_lines = ([Line(f, nodes, r) for f, r in feet] for _ in range(2))
+        got = march(transport_setup, nodes, got_lines)
+        want = march(with_array_speed(transport_setup), nodes, want_lines)
         assert (got.reason, got.diagonals) == (want.reason, want.diagonals) == ("apex", 256)
-        for family, r in lines:
-            a, b = got.samples(family, r), want.samples(family, r)
+        for got_line, want_line in zip(got_lines, want_lines):
+            a, b = got_line.line().samples(), want_line.line().samples()
             assert a.t.size > 0
             for key in ("t", "r", "u", "R", "S"):
                 np.testing.assert_array_equal(
@@ -216,11 +281,12 @@ class TestClosedFormD3:
         errs = []
         for n in (256, 512, 1024):
             nodes = place_nodes(setup, n, 0.5, 1.5, anchors=(1.0,))
-            res = march(setup, nodes, lines=[("plus", 1.0), ("minus", 1.0)])
+            lines = Line("plus", nodes, 1.0), Line("minus", nodes, 1.0)
+            res = march(setup, nodes, lines)
             assert not res.detected
             err = 0.0
-            for family in ("plus", "minus"):
-                s = res.samples(family, 1.0)
+            for line in lines:
+                s = line.line().samples()
                 err = max(err, float(np.max(np.abs(s.S - self.exact_S(setup, s.t, s.r)))))
             errs.append(err)
         assert errs[2] < 1e-7
@@ -232,8 +298,9 @@ class TestAgreesWithMuscl:
         # the feet cover the support [0.9, 1.1] widened by 2 c1 T = 0.42
         T = 0.15
         nodes = place_nodes(gentle_setup, 512, 0.45, 1.55, anchors=(gentle_setup.r0,))
-        hat = march(gentle_setup, nodes, lines=[("plus", 1.0)], t_end=1.2 * T).line("plus", 1.0)
-        s = hat.samples()
+        hat = Line("plus", nodes, 1.0)
+        march(gentle_setup, nodes, (hat,), t_end=1.2 * T)
+        s = hat.line().samples()
         S_char, u_char, r_char = (np.interp(T, s.t, v) for v in (s.S, s.u, s.r))
         gaps = []
         for n in (2048, 4096):
@@ -261,11 +328,10 @@ class TestDetection:
         """eps=1e-7 data on 256 feet: the hat line steps over z = pi."""
         setup = ProblemSetup.theorem(d=3, r0=1.0, eps=1e-7, u0=np.pi / 4, speed=canonical_speed)
         nodes = place_nodes(setup, 256, 0.94, 1.06, anchors=(1.0,))
-        res = march(setup, nodes, lines=[("plus", 1.0)], t_end=0.02)
-        through = march(
-            setup, nodes, lines=[("plus", 1.0)], t_end=0.02, stop_at_detection=False
-        ).line("plus", 1.0)
-        return setup, nodes, res, through
+        res = march(setup, nodes, t_end=0.02)
+        through = Line("plus", nodes, 1.0)
+        march(setup, nodes, (through,), t_end=0.02, stop_at_detection=False)
+        return setup, nodes, res, through.line()
 
     def test_pass_through_pi_between_nodes_fires(self, coarse_blowup):
         # the hat line jumps from |S|/r ~ 1e4 straight past z = pi; neither
@@ -287,13 +353,14 @@ class TestDetection:
         # Y-predecessor at 0.0094750988855, and a trim at the stop time that
         # dropped detecting nodes reported 0.0094750988930 instead
         setup, nodes, _, _ = coarse_blowup
+        hats = Line("plus", nodes, 1.0), Line("plus", nodes, 1.0)
         stop, full = (
-            march(setup, nodes, lines=[("plus", 1.0)], t_end=setup.t_final, stop_at_detection=s)
-            for s in (True, False)
+            march(setup, nodes, (hat,), t_end=setup.t_final, stop_at_detection=s)
+            for hat, s in zip(hats, (True, False))
         )
         assert stop.reason == "gradient_ceiling" and full.reason == "apex"
         assert stop.t_detect == full.t_detect and stop.r_detect == full.r_detect
-        a, b = stop.samples("plus", 1.0), full.samples("plus", 1.0)
+        a, b = (hat.line().samples(run.t_detect) for hat, run in zip(hats, (stop, full)))
         assert a.t.size == b.t.size > 100
         for key in ("t", "r", "u", "R", "S"):
             np.testing.assert_array_equal(getattr(a, key), getattr(b, key))
@@ -314,17 +381,19 @@ class TestDetection:
         # detection, whatever nodes past t_end it computed on the way
         setup, nodes, res, _ = coarse_blowup
         t_end = res.t_detect * (1.0 - 1e-6)
-        cut = march(setup, nodes, lines=[("plus", 1.0)], t_end=t_end)
+        hat = Line("plus", nodes, 1.0)
+        cut = march(setup, nodes, (hat,), t_end=t_end)
         assert not cut.detected and cut.t_detect is None
         assert cut.reason == "t_final"
         assert np.isfinite(cut.peak_gradient) and cut.peak_gradient < cut.gradient_ceiling
-        assert cut.line("plus", 1.0).t.max() < t_end
+        assert hat.line().t.max() < t_end
 
     def test_t_end_stops_an_undetected_sweep(self, gentle_setup):
         nodes = place_nodes(gentle_setup, 200, 0.75, 1.25, anchors=(1.0,))
-        res = march(gentle_setup, nodes, lines=[("plus", 1.0)], t_end=0.05)
+        hat = Line("plus", nodes, 1.0)
+        res = march(gentle_setup, nodes, (hat,), t_end=0.05)
         assert res.reason == "t_final" and not res.detected
-        assert res.line("plus", 1.0).t.max() < 0.05
+        assert hat.line().t.max() < 0.05
         assert 1.0 <= res.peak_gradient / res.initial_gradient < 2.0
 
 
@@ -341,12 +410,12 @@ class TestUnderResolved:
             match=r"^characteristic grid under-resolved: the flow across one cell "
             r"overflows at t=0\.4442\d*, r=1\.435",
         ):
-            march(s, nodes, lines=[("plus", s.r0)], t_end=s.t_final, stop_at_detection=False)
+            march(s, nodes, t_end=s.t_final, stop_at_detection=False)
 
     def test_sweep_on_16_feet_is_named(self, canonical_setup):
         with pytest.raises(NonFiniteState, match=r"^characteristic grid under-resolved.* t=0\.3732"):
             blowup_sweep(canonical_setup, 16)
-        res = blowup_sweep(canonical_setup, 32)
+        res, _ = blowup_sweep(canonical_setup, 32)
         assert res.detected and res.t_detect == pytest.approx(0.01729, rel=1e-3)
 
 
@@ -361,7 +430,7 @@ class TestAmplitudeBracket:
             d=3, r0=1.0, eps=0.05, u0=np.pi / 4, speed=canonical_speed,
             profile=PolynomialBump(amplitude=amplitude),
         )
-        runs = [blowup_sweep(setup, n) for n in (1024, 2048)]
+        runs = [blowup_sweep(setup, n)[0] for n in (1024, 2048)]
         if amplitude == 10.0:
             # the peak gradient grows only about 2.5x over the whole window
             for res in runs:

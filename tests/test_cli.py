@@ -562,13 +562,17 @@ class TestConvergence:
         cfg["scheme"] = {"max_steps": 200}
         path = write_config(tmp_path, cfg)
         out = tmp_path / "o"
-        assert main(["convergence", "--config", str(path), "--out-dir", str(out)]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["convergence", "--config", str(path), "--out-dir", str(out)]) == 2
+        assert [str(w.message) for w in caught] == []
         assert dict(steps) == {1024: 164, 2048: 200}
         assert unfinished == [0, 0]
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("varwave: run failed: the grid of 2048 nodes used up")
         assert not out.exists()
+        assert multiprocessing.active_children() == []
 
     def test_non_doubling_rejected(self, tmp_path):
         cfg = base_config()
